@@ -124,7 +124,7 @@ def cmd_hypergraph(args) -> int:
         raise CliError("tangent hypergraph requires a finite point")
     graph = build_tangent_hypergraph(pencil, x)
     circ = find_circulation(graph)
-    eta = farkas_direction(graph)
+    eta = farkas_direction(graph) if circ is None else None
     obj = {
         "vertices": graph.n_vertices,
         "edges": [{"tails": list(e.tails), "head": e.head} for e in graph.edges],

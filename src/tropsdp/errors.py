@@ -23,3 +23,7 @@ class NotCertified(RuntimeError):
 
 class PencilFormatError(ValueError):
     """Malformed pencil document."""
+
+
+class CertificateCheckFailed(RuntimeError):
+    """A computed circulation, direction or witness failed its exact re-check."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import CirculationExists, DimensionTooLarge
+from .errors import CertificateCheckFailed, CirculationExists, DimensionTooLarge
 from .lp import feasible_point, solve_nonneg
 from .pencils import (
     SigmaChoice,
@@ -161,17 +161,17 @@ def _circulation_solve(h: Hypergraph):
     rows = []
     rhs = []
     for v in range(h.n_vertices):
-        row = [ZERO] * n_e
+        row = [0] * n_e
         for idx, e in enumerate(h.edges):
-            c = ZERO
+            c = 0
             if e.head == v:
                 c += len(e.tails)
             c -= e.tails.count(v)
             row[idx] = c
         rows.append(row)
-        rhs.append(ZERO)
-    rows.append([Fraction(1)] * n_e)
-    rhs.append(Fraction(1))
+        rhs.append(0)
+    rows.append([1] * n_e)
+    rhs.append(1)
     return solve_nonneg(rows, rhs)
 
 
@@ -183,11 +183,13 @@ def find_circulation(h: Hypergraph) -> Circulation | None:
     if sol is None:
         return None
     gamma = tuple(sol)
-    assert all(g >= 0 for g in gamma) and sum(gamma) == 1
+    if not all(g >= 0 for g in gamma) or sum(gamma) != 1:
+        raise CertificateCheckFailed(f"circulation {gamma} is not a normalized flow")
     for v in range(h.n_vertices):
         inflow = sum(len(e.tails) * g for e, g in zip(h.edges, gamma) if e.head == v)
         outflow = sum(e.tails.count(v) * g for e, g in zip(h.edges, gamma))
-        assert inflow == outflow
+        if inflow != outflow:
+            raise CertificateCheckFailed(f"circulation {gamma} does not balance at {v}")
     return Circulation(gamma)
 
 
@@ -201,7 +203,8 @@ def farkas_direction(h: Hypergraph) -> tuple[Fraction, ...] | None:
         return None
     eta = tuple(dual[: h.n_vertices])
     for e in h.edges:
-        assert sum(eta[v] for v in e.tails) > len(e.tails) * eta[e.head]
+        if not sum(eta[v] for v in e.tails) > len(e.tails) * eta[e.head]:
+            raise CertificateCheckFailed(f"direction {eta} is not strict on edge {e}")
     return eta
 
 
@@ -246,11 +249,11 @@ class _Reason:
         self.ges = tuple(ges)
 
 
-def _row(n: int, plus: dict[int, Fraction], const: Fraction):
-    coeffs = [ZERO] * n
+def _row(n: int, plus: dict[int, int], const: Fraction):
+    coeffs = [0] * n
     for k, c in plus.items():
         coeffs[k] += c
-    return coeffs, const
+    return tuple(coeffs), const
 
 
 def _maximality_rows(n, family, k_star, v_star):
@@ -259,7 +262,7 @@ def _maximality_rows(n, family, k_star, v_star):
         if k == k_star:
             continue
         # v_star + x_k* >= v + x_k
-        rows.append(_row(n, {k_star: Fraction(1), k: Fraction(-1)}, v - v_star))
+        rows.append(_row(n, {k_star: 1, k: -1}, v - v_star))
     return rows
 
 
@@ -275,7 +278,7 @@ def _candidate_edges(pencil: TropicalPencil) -> dict[Edge, list[_Reason]]:
         pos, neg_, _ = ij[(i, i)]
         for k, vk in pos:
             for l, vl in neg_:
-                eq = [_row(n, {k: Fraction(1), l: Fraction(-1)}, vl - vk)]
+                eq = [_row(n, {k: 1, l: -1}, vl - vk)]
                 ges = _maximality_rows(n, pos, k, vk) + _maximality_rows(n, neg_, l, vl)
                 push(Edge((k,), l), _Reason(eq, ges))
     for i in range(pencil.m):
@@ -287,9 +290,9 @@ def _candidate_edges(pencil: TropicalPencil) -> dict[Edge, list[_Reason]]:
             pos_j = ij[(j, j)][0]
             for (k1, v1), (k2, v2) in itertools.product(pos_i, pos_j):
                 for l, w in fin:
-                    coeffs: dict[int, Fraction] = {}
-                    for k, c in ((k1, Fraction(1)), (k2, Fraction(1)), (l, Fraction(-2))):
-                        coeffs[k] = coeffs.get(k, ZERO) + c
+                    coeffs: dict[int, int] = {}
+                    for k, c in ((k1, 1), (k2, 1), (l, -2)):
+                        coeffs[k] = coeffs.get(k, 0) + c
                     eq = [_row(n, coeffs, 2 * w - v1 - v2)]
                     ges = (
                         _maximality_rows(n, pos_i, k1, v1)
@@ -304,15 +307,27 @@ def _dedupe_reasons(reasons: list[_Reason]) -> list[_Reason]:
     seen = set()
     out = []
     for r in reasons:
-        key = (tuple((tuple(c), d) for c, d in r.eqs), tuple((tuple(c), d) for c, d in r.ges))
+        key = (r.eqs, r.ges)
         if key not in seen:
             seen.add(key)
             out.append(r)
     return out
 
 
-def _certify_metzler_core(pencil: TropicalPencil):
-    """None when generic, else (x, tangent hypergraph, circulation)."""
+def _feasible(memo: dict, n: int, eqs: tuple, ges: tuple):
+    # feasible_point on the exact rows, so a repeated system gets the same x
+    key = (n, eqs, ges)
+    if key not in memo:
+        memo[key] = feasible_point(n, eqs, ges)
+    return memo[key]
+
+
+def _certify_metzler_core(pencil: TropicalPencil, memo: dict):
+    """None when generic, else (x, tangent hypergraph, circulation).
+
+    memo maps (n, equality rows, inequality rows) to feasible_point's answer;
+    the caller scopes it to one certification.
+    """
     n = pencil.n
     cand = _candidate_edges(pencil)
     edges: list[Edge] = []
@@ -321,7 +336,7 @@ def _certify_metzler_core(pencil: TropicalPencil):
         live = [
             r
             for r in _dedupe_reasons(cand[edge])
-            if feasible_point(n, r.eqs, r.ges) is not None
+            if _feasible(memo, n, r.eqs, r.ges) is not None
         ]
         if live:
             edges.append(edge)
@@ -345,13 +360,16 @@ def _certify_metzler_core(pencil: TropicalPencil):
                 continue
             minimal.append(cs)
             for chosen in itertools.product(*(reasons[idx] for idx in combo)):
-                eqs = [row for r in chosen for row in r.eqs]
-                ges = [row for r in chosen for row in r.ges]
-                x = feasible_point(n, eqs, ges)
+                eqs = tuple(row for r in chosen for row in r.eqs)
+                ges = tuple(row for r in chosen for row in r.ges)
+                x = _feasible(memo, n, eqs, ges)
                 if x is not None:
                     graph = build_tangent_hypergraph(pencil, x)
                     circ = find_circulation(graph)
-                    assert circ is not None
+                    if circ is None:
+                        raise CertificateCheckFailed(
+                            f"the tangent hypergraph at witness {x} does not circulate"
+                        )
                     return tuple(x), graph, circ
     return None
 
@@ -370,7 +388,7 @@ def certify_generic_metzler(
         raise DimensionTooLarge(
             f"m = {pencil.m}, n = {pencil.n} exceed bounds ({max_m}, {max_n})"
         )
-    res = _certify_metzler_core(pencil)
+    res = _certify_metzler_core(pencil, {})
     if res is None:
         return Certificate()
     x, graph, circ = res
@@ -406,16 +424,19 @@ def certify_generic_general(
         choices = [_identity_choice(pencil.m)]
     else:
         choices = list(enumerate_choices(pencil.m, max_m=max(max_m, 5)))
-    cache: dict[TropicalPencil, object] = {}
+    # keyed by the matrices, not the piece, so no piece's cached index
+    # outlives its certification
+    cache: dict[tuple, object] = {}
+    memo: dict = {}
     for choice in choices:
         dec = decompose(pencil, choice)
         for support in _strata(pencil.n):
             piece = stratum_restrict(dec, support)
-            if piece in cache:
-                res = cache[piece]
+            if piece.matrices in cache:
+                res = cache[piece.matrices]
             else:
-                res = _certify_metzler_core(piece)
-                cache[piece] = res
+                res = _certify_metzler_core(piece, memo)
+                cache[piece.matrices] = res
             if res is not None:
                 x, graph, circ = res
                 return Witness(
@@ -426,7 +447,8 @@ def certify_generic_general(
                     diamond=choice.diamond,
                     stratum=support,
                 )
-    assert not check_assumption_nondeg(pencil), "degenerate minor escaped the search"
+    if check_assumption_nondeg(pencil):
+        raise CertificateCheckFailed("a degenerate minor escaped the genericity search")
     return Certificate()
 
 
@@ -443,11 +465,9 @@ def perturb_to_interior(
     _require_metzler(pencil)
     if not metzler_member(pencil, x):
         raise ValueError("point is not in the tropical spectrahedron")
-    graph = build_tangent_hypergraph(pencil, x)
-    if find_circulation(graph) is not None:
+    eta = farkas_direction(build_tangent_hypergraph(pencil, x))
+    if eta is None:
         raise CirculationExists("tangent hypergraph at the point admits a circulation")
-    eta = farkas_direction(graph)
-    assert eta is not None
 
     slacks: list[Fraction] = []
     ij = pencil._ij
@@ -484,5 +504,6 @@ def perturb_to_interior(
     else:
         rho0 = min(slacks) / (8 * spread)
     x2 = tuple(v + rho0 * d for v, d in zip(x, eta))
-    assert metzler_strict_member(pencil, x2), "perturbation failed its own check"
+    if not metzler_strict_member(pencil, x2):
+        raise CertificateCheckFailed("perturbation failed its own strictness check")
     return eta, rho0

@@ -1,9 +1,10 @@
-"""Shared builders for pencil-level tests."""
+"""Shared builders for pencil-level tests, and the reference simplex."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from typing import Sequence
 
 from tropsdp.pencils import TropicalPencil
 from tropsdp.signed import SignedTrop, TROP_MINUS_INF, parse_signed
@@ -49,3 +50,59 @@ def random_pencil(
                     sign = 1 if rng.random() < 0.5 else -1
                 entries[(k, i, j)] = SignedTrop(sign, value)
     return pencil_of(m, n, entries)
+
+
+def reference_solve_nonneg(
+    rows: Sequence[Sequence[F]], rhs: Sequence[F]
+) -> tuple[list[F] | None, list[F] | None]:
+    """Dense Fraction phase-one simplex with Bland's rule: the reference that
+    tropsdp.lp.solve_nonneg must match exactly, choice for choice."""
+    zero, one = F(0), F(1)
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    flip = [one] * m
+    tab = []
+    for r in range(m):
+        row = [F(v) for v in rows[r]] + [zero] * m + [F(rhs[r])]
+        if row[-1] < 0:
+            row = [-v for v in row]
+            flip[r] = -one
+        row[n + r] = one
+        tab.append(row)
+    width = n + m + 1
+    # reduced-cost row for min(sum of artificials), basis = artificials
+    obj = [-sum((tab[r][j] for r in range(m)), zero) for j in range(width)]
+    for r in range(m):
+        obj[n + r] += one
+    basis = [n + r for r in range(m)]
+    while True:
+        enter = next((j for j in range(n + m) if obj[j] < 0), -1)
+        if enter < 0:
+            break
+        leave = -1
+        best = None
+        for r in range(m):
+            a = tab[r][enter]
+            if a > 0:
+                ratio = tab[r][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
+                    best = ratio
+                    leave = r
+        assert leave >= 0, "phase one cannot be unbounded"
+        piv = tab[leave][enter]
+        tab[leave] = [v / piv for v in tab[leave]]
+        for r in range(m):
+            if r != leave and tab[r][enter] != 0:
+                f = tab[r][enter]
+                tab[r] = [v - f * w for v, w in zip(tab[r], tab[leave])]
+        if obj[enter] != 0:
+            f = obj[enter]
+            obj = [v - f * w for v, w in zip(obj, tab[leave])]
+        basis[leave] = enter
+    if obj[-1] == 0:
+        x = [zero] * n
+        for r, b in enumerate(basis):
+            if b < n:
+                x[b] = tab[r][-1]
+        return x, None
+    return None, [flip[r] * (one - obj[n + r]) for r in range(m)]

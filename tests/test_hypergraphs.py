@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -277,3 +281,49 @@ def test_perturb_rejects_nonmember(poly9):
 def test_perturb_interior_gives_zero_direction(poly9):
     eta, rho0 = perturb_to_interior(poly9, (Z, F(2), F(5)))
     assert eta == (Z, Z, Z) and rho0 > 0
+
+
+_BOGUS_KERNEL = """
+from fractions import Fraction
+import tropsdp.hypergraphs as hg
+from tropsdp.errors import CertificateCheckFailed
+from tropsdp.pencils import load_pencil
+
+assert False, "asserts must be stripped in this run"
+kernel = hg.solve_nonneg
+two_cycle = hg.Hypergraph(2, (hg.Edge((0,), 1), hg.Edge((1,), 0)))
+cases = {
+    "gamma not normalized": (hg.find_circulation, ([Fraction(1), Fraction(1)], None)),
+    "gamma unbalanced": (hg.find_circulation, ([Fraction(1), Fraction(0)], None)),
+    "eta not strict": (hg.farkas_direction, (None, [Fraction(0)] * 3)),
+}
+for name, (call, bogus) in cases.items():
+    hg.solve_nonneg = lambda rows, rhs: bogus
+    try:
+        call(two_cycle)
+    except CertificateCheckFailed:
+        print("raised:", name)
+hg.solve_nonneg = kernel
+hg.build_tangent_hypergraph = lambda pencil, x: hg.Hypergraph(pencil.n, ())
+try:
+    hg.certify_generic_general(load_pencil(PATH)[0])
+except CertificateCheckFailed:
+    print("raised: witness without circulation")
+"""
+
+
+def test_certificate_checks_survive_optimize():
+    # the exact re-checks of kernel output must not be asserts, which -O strips
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = _BOGUS_KERNEL.replace("PATH", repr(str(FIXTURES / "line_pencil.json")))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "raised: gamma not normalized",
+        "raised: gamma unbalanced",
+        "raised: eta not strict",
+        "raised: witness without circulation",
+    ]

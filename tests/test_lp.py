@@ -3,6 +3,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction as F
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import random_pencil, reference_solve_nonneg
+from tropsdp import hypergraphs, lp
 from tropsdp.lp import feasible_point, solve_nonneg
 
 
@@ -71,3 +77,85 @@ def test_random_duality():
                 assert sum(dual[r] * rows[r][j] for r in range(m)) <= 0
             assert sum(dual[r] * rhs[r] for r in range(m)) > 0
     assert feas > 50 and infeas > 50
+
+
+def _random_system(rng, kind):
+    m = rng.randint(0, 5)
+    n = rng.randint(0, 6)
+    zero_cols = {j for j in range(n) if rng.random() < 0.2}
+
+    def value():
+        if kind == "int":
+            return rng.randint(-2, 2)
+        if kind == "small":
+            return F(rng.randint(-2, 2))
+        if kind == "fraction":
+            return F(rng.randint(-9, 9), rng.randint(1, 7))
+        return F(rng.randint(-10**15, 10**15), rng.randint(1, 10**12))
+
+    rows = [[0 if j in zero_cols else value() for j in range(n)] for _ in range(m)]
+    # zero right-hand sides and repeated rows make degenerate ratio ties
+    rhs = [value() if rng.random() < 0.6 else 0 * value() for _ in range(m)]
+    for r in range(1, m):
+        if rng.random() < 0.2:
+            rows[r] = list(rows[r - 1])
+            rhs[r] = rhs[r - 1]
+    return rows, rhs
+
+
+@pytest.mark.parametrize("kind", ["int", "small", "fraction", "huge"])
+def test_matches_reference_simplex(kind):
+    rng = random.Random(f"lp-{kind}")
+    ties = 0
+    for _ in range(300):
+        rows, rhs = _random_system(rng, kind)
+        ties += any(b == 0 for b in rhs)
+        got = solve_nonneg(rows, rhs)
+        assert got == reference_solve_nonneg(rows, rhs), (rows, rhs)
+        assert all(isinstance(v, F) for part in got if part is not None for v in part)
+    assert ties > 50
+    assert solve_nonneg([], []) == reference_solve_nonneg([], []) == ([], None)
+    assert solve_nonneg([[]] * 3, [0, 2, -1]) == reference_solve_nonneg([[]] * 3, [0, 2, -1])
+
+
+def test_feasible_point_matches_reference_on_certification_systems(monkeypatch):
+    # every LP that genericity certification of seeded random pencils asks,
+    # solved by both kernels
+    systems = []
+    original = lp.solve_nonneg
+
+    def record(rows, rhs):
+        systems.append((rows, rhs))
+        return original(rows, rhs)
+
+    monkeypatch.setattr(lp, "solve_nonneg", record)
+    monkeypatch.setattr(hypergraphs, "solve_nonneg", record)
+    rng = random.Random(7)
+    for metzler in (True, False) * 12:
+        pencil = random_pencil(rng, max_m=3, max_n=3, metzler=metzler, value_pool=7)
+        hypergraphs.certify_generic_general(pencil)
+    assert len(systems) > 500
+    for rows, rhs in systems:
+        assert original(rows, rhs) == reference_solve_nonneg(rows, rhs)
+
+
+small = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_duality_property(data):
+    m = data.draw(st.integers(0, 4))
+    n = data.draw(st.integers(0, 5)) if m else 0  # n is read off the rows
+    rows = data.draw(st.lists(st.lists(small, min_size=n, max_size=n), min_size=m, max_size=m))
+    rhs = data.draw(st.lists(small, min_size=m, max_size=m))
+    x, y = solve_nonneg(rows, rhs)
+    if x is not None:
+        assert y is None and len(x) == n and all(v >= 0 for v in x)
+        for row, b in zip(rows, rhs):
+            assert sum(c * v for c, v in zip(row, x)) == b
+    else:
+        assert len(y) == m
+        for j in range(n):
+            assert sum(y[r] * rows[r][j] for r in range(m)) <= 0
+        assert sum(y[r] * rhs[r] for r in range(m)) > 0
