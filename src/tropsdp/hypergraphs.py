@@ -322,6 +322,16 @@ def _feasible(memo: dict, n: int, eqs: tuple, ges: tuple):
     return memo[key]
 
 
+def _contains_any(mask: int, masks: set[int]) -> bool:
+    # walk the proper nonempty submasks of mask: 2^|mask| - 2 set lookups
+    sub = (mask - 1) & mask
+    while sub:
+        if sub in masks:
+            return True
+        sub = (sub - 1) & mask
+    return False
+
+
 def _certify_metzler_core(pencil: TropicalPencil, memo: dict):
     """None when generic, else (x, tangent hypergraph, circulation).
 
@@ -341,11 +351,11 @@ def _certify_metzler_core(pencil: TropicalPencil, memo: dict):
         if live:
             edges.append(edge)
             reasons.append(live)
-    minimal: list[set[int]] = []
+    minimal: set[int] = set()  # circulating edge subsets, as bitmasks
     for size in range(1, min(n + 1, len(edges)) + 1):
         for combo in itertools.combinations(range(len(edges)), size):
-            cs = set(combo)
-            if any(ms <= cs for ms in minimal):
+            mask = sum(1 << idx for idx in combo)
+            if minimal and _contains_any(mask, minimal):
                 continue
             tails = set()
             heads = set()
@@ -358,7 +368,7 @@ def _certify_metzler_core(pencil: TropicalPencil, memo: dict):
             sub = Hypergraph(n, tuple(edges[idx] for idx in combo))
             if find_circulation(sub) is None:
                 continue
-            minimal.append(cs)
+            minimal.add(mask)
             for chosen in itertools.product(*(reasons[idx] for idx in combo)):
                 eqs = tuple(row for r in chosen for row in r.eqs)
                 ges = tuple(row for r in chosen for row in r.ges)

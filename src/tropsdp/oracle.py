@@ -14,11 +14,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NotCertified
+from .errors import CertificateCheckFailed, NotCertified
 from .hypergraphs import (
     Certificate,
     canonical_lift,
@@ -134,29 +133,36 @@ def _check_nonneg_point(bx: Sequence[PuiseuxPoly]) -> None:
 def sout_member(bp: PuiseuxPencil, bx: Sequence[PuiseuxPoly]) -> bool:
     """Order-2 minor relaxation: necessary for semidefiniteness."""
     _check_nonneg_point(bx)
-    a = evaluate_pencil(bp, bx)
-    return _minor_conditions(a, Fraction(1))
+    return _minor_conditions(evaluate_pencil(bp, bx))[0]
 
 
 def sin_member(bp: PuiseuxPencil, bx: Sequence[PuiseuxPoly]) -> bool:
     """Order-2 minors with the (m-1)^2 factor: sufficient for semidefiniteness."""
     _check_nonneg_point(bx)
-    a = evaluate_pencil(bp, bx)
-    return _minor_conditions(a, Fraction((bp.m - 1) ** 2) if bp.m > 1 else Fraction(1))
+    return _minor_conditions(evaluate_pencil(bp, bx))[1]
 
 
-def _minor_conditions(a: PuiseuxSymMatrix, factor: Fraction) -> bool:
-    scale = PuiseuxPoly.constant(factor)
-    for i in range(a.m):
-        if sign_of(a.entries[i][i]) < 0:
-            return False
+def _minor_conditions(a: PuiseuxSymMatrix) -> tuple[bool, bool]:
+    """(outer, inner): a_ii >= 0 and a_ii a_jj >= f a_ij^2 for every i < j,
+    with f = 1 for the outer relaxation and f = (m-1)^2 for the inner one.
+
+    f >= 1 and a_ij^2 >= 0, so inner implies outer; each product is
+    formed once and serves both.
+    """
+    e = a.entries
+    if any(sign_of(e[i][i]) < 0 for i in range(a.m)):
+        return False, False
+    scale = PuiseuxPoly.constant((a.m - 1) ** 2) if a.m > 2 else None
+    inner = True
     for i in range(a.m):
         for j in range(i + 1, a.m):
-            lhs = mul(a.entries[i][i], a.entries[j][j])
-            rhs = mul(scale, mul(a.entries[i][j], a.entries[i][j]))
-            if sign_of(lhs - rhs) < 0:
-                return False
-    return True
+            lhs = mul(e[i][i], e[j][j])
+            sq = mul(e[i][j], e[i][j])
+            if sign_of(lhs - sq) < 0:
+                return False, False
+            if inner and scale is not None:
+                inner = sign_of(lhs - mul(scale, sq)) >= 0
+    return True, inner
 
 
 def psd_member(
@@ -212,7 +218,6 @@ class ValidationRecord:
         }
 
 
-@lru_cache(maxsize=None)
 def _piece_table(pencil: TropicalPencil, max_choice_m: int):
     """Pieces grouped by sigma, in enumeration order; Metzler pencils are
     their own single piece."""
@@ -232,19 +237,22 @@ def _piece_table(pencil: TropicalPencil, max_choice_m: int):
     return tuple((sigma, tuple(by_sigma[sigma])) for sigma in order)
 
 
-@lru_cache(maxsize=None)
-def _lift_for(pencil: TropicalPencil) -> PuiseuxPencil:
+def _lift(pencil: TropicalPencil) -> PuiseuxPencil:
+    # Metzler pencils, diamond pieces included, take the canonical lift
     return canonical_lift_pencil(pencil) if pencil.is_metzler else entrywise_lift(pencil)
 
 
-@lru_cache(maxsize=None)
-def _canonical_for(piece: TropicalPencil) -> PuiseuxPencil:
-    return canonical_lift_pencil(piece)
+def _cached(cache: dict, key, build):
+    # cache is scoped to one cross_validate call, so nothing outlives it
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache[key] = build()
+    return hit
 
 
-def _strict_pieces(pencil: TropicalPencil, x, max_choice_m: int):
+def _strict_pieces(pieces_by_sigma, x):
     """First sigma whose every diamond piece contains x."""
-    for sigma, pieces in _piece_table(pencil, max_choice_m):
+    for sigma, pieces in pieces_by_sigma:
         if all(metzler_member(piece, x) for _, piece in pieces):
             return sigma, pieces
     return None, []
@@ -272,16 +280,16 @@ def cross_validate(
         result = certify_generic_general(pencil, max_m=max_m, max_n=max_n)
         if not isinstance(result, Certificate):
             raise NotCertified("pencil has a circulation witness; oracle out of scope")
-    records = []
-    for point in sorted(grid):
-        records.append(
-            _validate_point(pencil, tuple(point), psd_dim_bound, max_choice_m=max(5, max_m + 1))
-        )
-    return records
+    cache: dict = {}
+    max_choice_m = max(5, max_m + 1)
+    return [
+        _validate_point(pencil, tuple(point), psd_dim_bound, max_choice_m, cache)
+        for point in sorted(grid)
+    ]
 
 
 def _validate_point(
-    pencil: TropicalPencil, x, psd_dim_bound: int, max_choice_m: int
+    pencil: TropicalPencil, x, psd_dim_bound: int, max_choice_m: int, cache: dict
 ) -> ValidationRecord:
     member = general_member(pencil, x)
     rec = ValidationRecord(x=x, member=member)
@@ -298,7 +306,7 @@ def _validate_point(
         if general_member(sub, sub_x) != member:
             rec.fail("membership disagrees with its support stratum")
             return rec
-        inner = _validate_point(sub, sub_x, psd_dim_bound, max_choice_m)
+        inner = _validate_point(sub, sub_x, psd_dim_bound, max_choice_m, cache)
         rec.sout, rec.sin, rec.psd = inner.sout, inner.sin, inner.psd
         if not inner.ok:
             rec.ok = False
@@ -306,13 +314,13 @@ def _validate_point(
         return rec
 
     metz = pencil.is_metzler
-    lift = _lift_for(pencil)
-    bx = monomial_lift(x)
-    rec.sout = sout_member(lift, bx)
-    rec.sin = sin_member(lift, bx)
+    lift = _cached(cache, ("lift", pencil), lambda: _lift(pencil))
+    # the one evaluation of the pencil at x; every verdict below reads it
+    a = evaluate_pencil(lift, monomial_lift(x))
+    rec.sout, rec.sin = _minor_conditions(a)
 
     if not member:
-        rec.psd = psd_member(lift, bx, max_dim=psd_dim_bound)
+        rec.psd = is_psd(a, max_dim=psd_dim_bound)
         if rec.sout:
             rec.fail("non-member point satisfies the outer minor inequalities")
         if rec.psd:
@@ -322,7 +330,7 @@ def _validate_point(
         return rec
 
     if metz:
-        rec.psd = psd_member(lift, bx, max_dim=psd_dim_bound)
+        rec.psd = is_psd(a, max_dim=psd_dim_bound)
         if not rec.sin:
             rec.fail("member point escapes the inner set of the canonical lift")
         if not rec.psd:
@@ -330,12 +338,14 @@ def _validate_point(
         if not rec.sout:
             rec.fail("member point escapes the outer set")
 
-    sigma, pieces = _strict_pieces(pencil, x, max_choice_m)
+    table = _cached(
+        cache, ("pieces", pencil), lambda: _piece_table(pencil, max_choice_m)
+    )
+    sigma, pieces = _strict_pieces(table, x)
     if sigma is None:
         rec.fail("no sigma piece family contains the member point")
         return rec
     for choice, piece in pieces:
-        piece_lift = _canonical_for(piece)
         if metzler_strict_member(piece, x):
             target = x
         else:
@@ -344,7 +354,13 @@ def _validate_point(
             if not metzler_strict_member(piece, target):
                 rec.fail(f"perturbation not strict in piece sigma={sorted(choice.sigma)}")
                 continue
-        if not psd_member(piece_lift, monomial_lift(target), max_dim=psd_dim_bound):
+        if piece is pencil and target is x:
+            # a Metzler pencil is its own piece: same lift, same point, same matrix
+            psd = rec.psd
+        else:
+            piece_lift = _cached(cache, ("lift", piece), lambda: _lift(piece))
+            psd = is_psd(evaluate_pencil(piece_lift, monomial_lift(target)), psd_dim_bound)
+        if not psd:
             rec.fail(
                 f"strict point of piece sigma={sorted(choice.sigma)} lifts outside PSD"
             )
@@ -384,6 +400,8 @@ def valuation_sandwich_check(
         return SandwichVerdict.WEAK_ONLY
     bx = monomial_lift(x)
     for bp in polys:
-        value = bp.evaluate(bx)
-        assert sign_of(value) > 0, "strict tropical point must lift strictly"
+        if sign_of(bp.evaluate(bx)) <= 0:
+            raise CertificateCheckFailed(
+                f"strict tropical point {format_point(tuple(x))} does not lift strictly"
+            )
     return SandwichVerdict.STRICT_IN

@@ -63,6 +63,14 @@ class TropicalPencil:
         )
 
     @cached_property
+    def _hash(self) -> int:
+        return hash((self.m, self.n, self.matrices))
+
+    def __hash__(self) -> int:
+        # frozen, so the field hash is computed once; pencils key caches
+        return self._hash
+
+    @cached_property
     def is_metzler(self) -> bool:
         """Every off-diagonal coefficient tropically negative or -inf."""
         return all(

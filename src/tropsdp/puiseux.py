@@ -3,6 +3,8 @@
 A value is a finite sum of terms c * t^e with rational c != 0 and rational
 exponents stored in strictly decreasing order, t a large formal parameter.
 The empty sum is 0.  Canonical form makes equality of values structural.
+The ring operations keep it without re-canonicalizing: a sum is a linear
+merge of two term lists, and a product by a single term shifts and scales.
 The leading term orders the field: x >= y iff the leading coefficient of
 x - y is >= 0, so e.g. t > 1 and t^(1/2) > 1000.
 
@@ -22,7 +24,11 @@ from .signed import MINUS_INF, ExtRat, SignedTrop, TROP_MINUS_INF
 
 @dataclass(frozen=True)
 class PuiseuxPoly:
-    """Finite formal sum of (exponent, coefficient) terms, exponents decreasing."""
+    """Finite formal sum of (exponent, coefficient) terms, exponents decreasing.
+
+    Direct construction must already be canonical: Fraction exponents strictly
+    decreasing and no zero coefficient.  Anything else goes through from_terms.
+    """
 
     terms: tuple[tuple[Fraction, Fraction], ...] = ()
 
@@ -42,11 +48,12 @@ class PuiseuxPoly:
 
     @staticmethod
     def constant(c) -> "PuiseuxPoly":
-        return PuiseuxPoly.from_terms([(Fraction(0), Fraction(c))])
+        return PuiseuxPoly.monomial(c, 0)
 
     @staticmethod
     def monomial(c, e) -> "PuiseuxPoly":
-        return PuiseuxPoly.from_terms([(Fraction(e), Fraction(c))])
+        c = Fraction(c)
+        return PuiseuxPoly(((Fraction(e), c),)) if c else PuiseuxPoly.zero()
 
     @staticmethod
     def t_power(e) -> "PuiseuxPoly":
@@ -86,8 +93,33 @@ class PuiseuxPoly:
 
 
 def add(x: PuiseuxPoly, y: PuiseuxPoly) -> PuiseuxPoly:
-    """Exact term-wise merge with cancellation."""
-    return PuiseuxPoly.from_terms(x.terms + y.terms)
+    """Linear merge of two canonical term lists; equal exponents cancel."""
+    a, b = x.terms, y.terms
+    if not a:
+        return y
+    if not b:
+        return x
+    out = []
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        ea, ca = a[i]
+        eb, cb = b[j]
+        if ea > eb:
+            out.append(a[i])
+            i += 1
+        elif ea < eb:
+            out.append(b[j])
+            j += 1
+        else:
+            c = ca + cb
+            if c:
+                out.append((ea, c))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return PuiseuxPoly(tuple(out))
 
 
 def neg(x: PuiseuxPoly) -> PuiseuxPoly:
@@ -96,11 +128,18 @@ def neg(x: PuiseuxPoly) -> PuiseuxPoly:
 
 def mul(x: PuiseuxPoly, y: PuiseuxPoly) -> PuiseuxPoly:
     """Exact convolution; exponents add."""
-    if not x.terms or not y.terms:
+    a, b = x.terms, y.terms
+    if not a or not b:
         return PuiseuxPoly.zero()
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        # shifting and scaling by one nonzero term keeps the order canonical
+        (e, c), = b
+        return PuiseuxPoly(tuple((ea + e, ca * c) for ea, ca in a))
     acc: dict[Fraction, Fraction] = {}
-    for ex, cx in x.terms:
-        for ey, cy in y.terms:
+    for ex, cx in a:
+        for ey, cy in b:
             e = ex + ey
             acc[e] = acc.get(e, Fraction(0)) + cx * cy
     out = tuple((e, c) for e, c in sorted(acc.items(), reverse=True) if c != 0)

@@ -1,4 +1,5 @@
-"""Shared builders for pencil-level tests, and the reference simplex."""
+"""Shared builders for pencil-level tests, and reference kernels: the dense
+Fraction simplex and the dict-based Puiseux add and mul."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ from fractions import Fraction as F
 from typing import Sequence
 
 from tropsdp.pencils import TropicalPencil
+from tropsdp.puiseux import PuiseuxPoly
 from tropsdp.signed import SignedTrop, TROP_MINUS_INF, parse_signed
 
 
@@ -106,3 +108,18 @@ def reference_solve_nonneg(
                 x[b] = tab[r][-1]
         return x, None
     return None, [flip[r] * (one - obj[n + r]) for r in range(m)]
+
+
+def reference_add(x: PuiseuxPoly, y: PuiseuxPoly) -> PuiseuxPoly:
+    """Sum by re-canonicalizing the concatenated terms: the reference that
+    tropsdp.puiseux.add must match term for term."""
+    return PuiseuxPoly.from_terms(x.terms + y.terms)
+
+
+def reference_mul(x: PuiseuxPoly, y: PuiseuxPoly) -> PuiseuxPoly:
+    """Product by collecting every term pair in a dict, then sorting."""
+    acc: dict[F, F] = {}
+    for ex, cx in x.terms:
+        for ey, cy in y.terms:
+            acc[ex + ey] = acc.get(ex + ey, F(0)) + cx * cy
+    return PuiseuxPoly(tuple((e, c) for e, c in sorted(acc.items(), reverse=True) if c != 0))

@@ -18,6 +18,7 @@ from tropsdp.hypergraphs import (
     Edge,
     Hypergraph,
     Witness,
+    _contains_any,
     build_tangent_hypergraph,
     canonical_lift,
     certify_generic_general,
@@ -281,6 +282,21 @@ def test_perturb_rejects_nonmember(poly9):
 def test_perturb_interior_gives_zero_direction(poly9):
     eta, rho0 = perturb_to_interior(poly9, (Z, F(2), F(5)))
     assert eta == (Z, Z, Z) and rho0 > 0
+
+
+def test_submask_walk_matches_subset_scan():
+    # the minimality test of the subset enumeration: is some earlier
+    # (hence distinct) circulating subset contained in this combination?
+    rng = random.Random(61)
+    hits = 0
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        mask = rng.randrange(1, 1 << n)
+        masks = {rng.randrange(1, 1 << n) for _ in range(rng.randint(0, 6))} - {mask}
+        expected = any(ms & mask == ms for ms in masks)
+        assert _contains_any(mask, masks) == expected
+        hits += expected
+    assert 50 < hits < 350
 
 
 _BOGUS_KERNEL = """

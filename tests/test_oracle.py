@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import gc
+import os
 import random
+import subprocess
+import sys
+import weakref
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +17,7 @@ from tropsdp.errors import NotCertified
 from tropsdp.oracle import (
     PuiseuxPencil,
     SandwichVerdict,
+    canonical_lift_pencil,
     cross_validate,
     default_grid,
     entrywise_lift,
@@ -23,10 +30,16 @@ from tropsdp.oracle import (
     sval_pencil,
     valuation_sandwich_check,
 )
-from tropsdp.hypergraphs import canonical_lift
-from tropsdp.pencils import general_member, homogenize, load_pencil, stratum_restrict
+from tropsdp.hypergraphs import Certificate, canonical_lift, certify_generic_general
+from tropsdp.pencils import (
+    TropicalPencil,
+    general_member,
+    homogenize,
+    load_pencil,
+    stratum_restrict,
+)
 from tropsdp.puiseux import PuiseuxPoly as P, PuiseuxSymMatrix, SeriesPolynomial, sval
-from tropsdp.signed import MINUS_INF
+from tropsdp.signed import MINUS_INF, is_minus_inf
 
 Z = F(0)
 one = P.constant(1)
@@ -67,6 +80,14 @@ def test_sout_sin_examples():
     assert sout_member(hard, pt)
     assert sin_member(hard, pt)  # (m-1)^2 = 1
     assert psd_member(hard, pt)
+
+    # at m = 3 the inner factor is 4: 3 * 1 >= 1^2 holds, 3 * 1 >= 4 * 1^2 does not
+    zero, three = P.zero(), P.constant(3)
+    edge = PuiseuxPencil(3, 1, (series_matrix([[three, one, zero], [one, one, zero], [zero, zero, one]]),))
+    assert sout_member(edge, pt) and not sin_member(edge, pt)
+    # a negative diagonal fails both before any pair is looked at
+    negdiag = PuiseuxPencil(3, 1, (series_matrix([[one, zero, zero], [zero, -one, zero], [zero, zero, one]]),))
+    assert not sout_member(negdiag, pt) and not sin_member(negdiag, pt)
 
 
 def test_point_must_be_nonnegative():
@@ -213,3 +234,110 @@ def test_cross_validate_polygon_integer_grid():
     assert [r for r in records if not r.ok] == []
     members = {r.x[1:] for r in records if r.member}
     assert (F(4), F(4)) in members and (F(0), F(0)) not in members
+
+
+def recomputed_checks(pencil, x, member, psd_dim_bound):
+    """The checks of one record, each through its own public predicate."""
+    support = [k for k, v in enumerate(x) if not is_minus_inf(v)]
+    if not support:
+        return {"sout": True, "sin": True, "psd": True}
+    pencil = stratum_restrict(pencil, support)
+    x = tuple(x[k] for k in support)
+    lift = canonical_lift_pencil(pencil) if pencil.is_metzler else entrywise_lift(pencil)
+    bx = monomial_lift(x)
+    # a member point of a non-Metzler pencil is checked piece by piece only
+    recorded = pencil.is_metzler or not member
+    return {
+        "sout": sout_member(lift, bx),
+        "sin": sin_member(lift, bx),
+        "psd": psd_member(lift, bx, max_dim=psd_dim_bound) if recorded else None,
+    }
+
+
+def with_bottoms(grid):
+    """The grid plus, for each point, copies with one coordinate at -inf."""
+    out = list(grid)
+    for p in grid[::3]:
+        out += [p[:k] + (MINUS_INF,) + p[k + 1 :] for k in range(len(p))]
+    return out
+
+
+def validation_cases():
+    affine = [(Z, a, b) for a, b in grid_points(2, -2, 2, 1)]
+    for name, grid, bound in [
+        ("affine_quadrant.json", affine, 8),
+        ("m1_distinct.json", [(Z, a) for (a,) in grid_points(1, -2, 2, F(1, 2))], 8),
+        ("quadrant_ray.json", affine, 8),
+        ("polygon9.json", [(Z, a, b) for a, b in grid_points(2, 0, 8, 2)], 9),
+    ]:
+        yield load_pencil(FIXTURES / name)[0], with_bottoms(grid), bound
+    rng = random.Random(57)
+    kept = 0
+    while kept < 8:
+        pencil = random_pencil(rng, max_m=3, max_n=3, metzler=kept % 2 == 0)
+        if isinstance(certify_generic_general(pencil), Certificate):
+            kept += 1
+            yield pencil, with_bottoms(grid_points(pencil.n, -1, 1, 1)), 8
+
+
+def test_cross_validate_records_match_public_predicates():
+    seen = {True: 0, False: 0}
+    for pencil, grid, bound in validation_cases():
+        records = cross_validate(pencil, grid, max_m=9, psd_dim_bound=bound)
+        assert len(records) == len(grid)
+        for rec in records:
+            obj = rec.to_obj()
+            assert obj["ok"], obj
+            assert rec.member == general_member(pencil, rec.x)
+            assert obj["checks"] == recomputed_checks(pencil, rec.x, rec.member, bound), obj
+            seen[rec.member] += 1
+    assert min(seen.values()) > 50
+
+
+def test_cross_validate_caches_do_not_outlive_the_call():
+    def live(cls):
+        return sum(isinstance(o, cls) for o in gc.get_objects())
+
+    gc.collect()
+    before = live(TropicalPencil), live(PuiseuxPencil)
+    pencil = load_pencil(FIXTURES / "quadrant_ray.json")[0]
+    grid = with_bottoms([(Z, a, b) for a, b in grid_points(2, -2, 2, 1)])
+    records = cross_validate(pencil, grid)
+    assert all(r.ok for r in records)
+    ref = weakref.ref(pencil)
+    del pencil, records
+    gc.collect()
+    assert ref() is None
+    assert (live(TropicalPencil), live(PuiseuxPencil)) == before
+
+
+_NEGATIVE_LIFT = """
+from fractions import Fraction
+from tropsdp.errors import CertificateCheckFailed
+from tropsdp.oracle import valuation_sandwich_check
+from tropsdp.puiseux import PuiseuxPoly, SeriesPolynomial
+
+assert False, "asserts must be stripped in this run"
+one_plus_x = SeriesPolynomial(1, {(0,): PuiseuxPoly.constant(1), (1,): PuiseuxPoly.constant(1)})
+print(valuation_sandwich_check([one_plus_x], (Fraction(0),)).value)
+SeriesPolynomial.evaluate = lambda self, point: PuiseuxPoly.constant(-1)
+try:
+    valuation_sandwich_check([one_plus_x], (Fraction(0),))
+except CertificateCheckFailed:
+    print("raised: negative lift at a strictly inside point")
+"""
+
+
+def test_sandwich_check_survives_optimize():
+    # the lift re-check must not be an assert, which -O strips
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _NEGATIVE_LIFT],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "StrictIn",
+        "raised: negative lift at a strictly inside point",
+    ]

@@ -5,7 +5,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_add, reference_mul
 from tropsdp.errors import DimensionTooLarge
 from tropsdp.puiseux import (
     PuiseuxPoly as P,
@@ -13,6 +16,7 @@ from tropsdp.puiseux import (
     SeriesPolynomial,
     add,
     is_psd,
+    neg,
     mul,
     principal_minor,
     sign_of,
@@ -172,3 +176,67 @@ def test_series_polynomial_eval():
     value = bp.evaluate((one, t))
     assert value == add(t - one, mul(P.constant(2), t))
     assert SeriesPolynomial(1, {(1,): P.zero()}).coeffs == {}
+
+
+def is_canonical(x: P) -> bool:
+    exps = [e for e, _ in x.terms]
+    return (
+        all(type(e) is F and type(c) is F and c != 0 for e, c in x.terms)
+        and all(a > b for a, b in zip(exps, exps[1:]))
+    )
+
+
+def kernel_cases():
+    """Seeded operand pairs, each kind of edge case among them."""
+    rng = random.Random(7)
+    big = 10**9 + 7  # rational exponents with large denominators
+    cases = [(P.zero(), P.zero()), (P.zero(), t), (t, P.zero())]
+    for _ in range(600):
+        kind = rng.choice(["random", "single", "cancel", "shared", "big"])
+        x = rand_poly(rng, max_terms=5)
+        if kind == "random":
+            y = rand_poly(rng, max_terms=5)
+        elif kind == "single":
+            y = P.monomial(rng.choice([1, -1, F(3, 2)]), F(rng.randint(-4, 4), rng.randint(1, 3)))
+        elif kind == "cancel":
+            y = neg(x)
+        elif kind == "shared":
+            # the same exponents with fresh coefficients: every position merges
+            y = P.from_terms([(e, F(rng.randint(-3, 3))) for e, _ in x.terms])
+        else:
+            x = P.from_terms([(F(rng.randint(-big, big), big), F(rng.randint(-5, 5))) for _ in range(4)])
+            y = P.from_terms([(F(rng.randint(-big, big), big - 2), F(rng.randint(-5, 5))) for _ in range(4)])
+        cases.append((x, y) if rng.random() < 0.5 else (y, x))
+    return cases
+
+
+def test_add_mul_match_dict_reference():
+    cancelled = merged = 0
+    for x, y in kernel_cases():
+        s, p = add(x, y), mul(x, y)
+        assert s.terms == reference_add(x, y).terms
+        assert p.terms == reference_mul(x, y).terms
+        assert is_canonical(s) and is_canonical(p)
+        cancelled += bool(x) and not s
+        merged += len(s.terms) < len(x.terms) + len(y.terms)
+    assert cancelled > 50 and merged > 200
+
+
+exponents = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+polys = st.lists(st.tuples(exponents, st.integers(-3, 3)), max_size=4).map(P.from_terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, polys, polys)
+def test_ring_laws(x, y, z):
+    zero = P.zero()
+    assert x + y == y + x
+    assert (x + y) + z == x + (y + z)
+    assert x * y == y * x
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + (-x) == zero and x - x == zero
+    assert x + zero == x and zero + x == x
+    assert x * one == x and one * x == x
+    assert x * zero == zero
+    assert all(is_canonical(v) for v in (x + y, x * y, x - y))
