@@ -8,6 +8,7 @@ outcome (non-member / witness / failures), 2 any error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -21,7 +22,7 @@ from .hypergraphs import (
     find_circulation,
     result_to_obj,
 )
-from .oracle import cross_validate, default_grid, grid_points
+from .oracle import cross_validate, default_grid, grid_axis, grid_points
 from .pencils import (
     SigmaChoice,
     decompose,
@@ -30,6 +31,7 @@ from .pencils import (
     metzler_member,
     parse_point,
     pencil_to_obj,
+    slice_members,
 )
 from .signed import MINUS_INF, is_minus_inf
 
@@ -189,17 +191,17 @@ def cmd_slice(args) -> int:
         raise CliError(f"bad box/step: {exc}") from exc
     if step <= 0:
         raise CliError("step must be positive")
-    member = metzler_member if pencil.is_metzler else general_member
-    print("x1,x2,member")
-    for a, b in grid_points(2, lo, hi, step):
-        coords = [MINUS_INF] * n_coords
-        for k, v in fixed.items():
-            coords[k] = v
-        coords[free[0]] = a
-        coords[free[1]] = b
-        point = tuple(coords) if homogeneous else (Fraction(0), *coords)
-        verdict = member(pencil, point)
-        print(f"{a},{b},{1 if verdict else 0}")
+    axis = grid_axis(2, lo, hi, step)
+    base = [fixed.get(k, MINUS_INF) for k in range(n_coords)]
+    if not homogeneous:
+        base = [Fraction(0), *base]
+        free = [k + 1 for k in free]
+    labels = [str(v) for v in axis]
+    write = sys.stdout.write
+    write("x1,x2,member\n")
+    verdicts = slice_members(pencil, base, tuple(free), axis)
+    for (a, b), verdict in zip(itertools.product(labels, repeat=2), verdicts):
+        write(f"{a},{b},{int(verdict)}\n")
     return 0
 
 

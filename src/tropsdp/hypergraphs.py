@@ -314,8 +314,11 @@ def _dedupe_reasons(reasons: list[_Reason]) -> list[_Reason]:
     return out
 
 
-def _feasible(memo: dict, n: int, eqs: tuple, ges: tuple):
-    # feasible_point on the exact rows, so a repeated system gets the same x
+def _feasible(memo: dict | None, n: int, eqs: tuple, ges: tuple):
+    # feasible_point on the exact rows, so a repeated system gets the same x;
+    # without a memo (one Metzler piece: systems hardly repeat) it just solves
+    if memo is None:
+        return feasible_point(n, eqs, ges)
     key = (n, eqs, ges)
     if key not in memo:
         memo[key] = feasible_point(n, eqs, ges)
@@ -332,11 +335,11 @@ def _contains_any(mask: int, masks: set[int]) -> bool:
     return False
 
 
-def _certify_metzler_core(pencil: TropicalPencil, memo: dict):
+def _certify_metzler_core(pencil: TropicalPencil, memo: dict | None):
     """None when generic, else (x, tangent hypergraph, circulation).
 
-    memo maps (n, equality rows, inequality rows) to feasible_point's answer;
-    the caller scopes it to one certification.
+    memo, if given, maps (n, equality rows, inequality rows) to
+    feasible_point's answer; the caller scopes it to one certification.
     """
     n = pencil.n
     cand = _candidate_edges(pencil)
@@ -398,7 +401,7 @@ def certify_generic_metzler(
         raise DimensionTooLarge(
             f"m = {pencil.m}, n = {pencil.n} exceed bounds ({max_m}, {max_n})"
         )
-    res = _certify_metzler_core(pencil, {})
+    res = _certify_metzler_core(pencil, None)
     if res is None:
         return Certificate()
     x, graph, circ = res
@@ -437,16 +440,14 @@ def certify_generic_general(
     # keyed by the matrices, not the piece, so no piece's cached index
     # outlives its certification
     cache: dict[tuple, object] = {}
-    memo: dict = {}
+    memo = None if pencil.is_metzler else {}
     for choice in choices:
         dec = decompose(pencil, choice)
         for support in _strata(pencil.n):
             piece = stratum_restrict(dec, support)
-            if piece.matrices in cache:
-                res = cache[piece.matrices]
-            else:
-                res = _certify_metzler_core(piece, memo)
-                cache[piece.matrices] = res
+            res = cache.get(piece.matrices, cache)  # cache itself marks a miss
+            if res is cache:
+                res = cache[piece.matrices] = _certify_metzler_core(piece, memo)
             if res is not None:
                 x, graph, circ = res
                 return Witness(

@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import CertificateCheckFailed, NotCertified
+from .errors import CertificateCheckFailed, DimensionTooLarge, NotCertified
 from .hypergraphs import (
     Certificate,
     canonical_lift,
@@ -175,17 +175,30 @@ def psd_member(
 # -- grid cross-validation ----------------------------------------------------
 
 
-def grid_points(n: int, lo, hi, step) -> list[tuple[Fraction, ...]]:
-    """Lexicographically ordered rational grid over a box."""
+#: Most points a grid may have; larger grids are refused before enumeration.
+GRID_POINT_LIMIT = 10**6
+
+
+def grid_axis(n: int, lo, hi, step) -> list[Fraction]:
+    """The axis lo, lo + step, ... <= hi of the grid_points(n, ...) box.
+
+    Raises DimensionTooLarge, naming the count, when the n-dimensional grid
+    would have more than GRID_POINT_LIMIT points.
+    """
     lo, hi, step = Fraction(lo), Fraction(hi), Fraction(step)
     if step <= 0:
         raise ValueError("step must be positive")
-    axis = []
-    v = lo
-    while v <= hi:
-        axis.append(v)
-        v += step
-    return [tuple(p) for p in itertools.product(axis, repeat=n)]
+    count = max(0, (hi - lo) // step + 1)
+    if count**n > GRID_POINT_LIMIT:
+        raise DimensionTooLarge(
+            f"grid has {count**n} points, above the limit of {GRID_POINT_LIMIT}"
+        )
+    return [lo + i * step for i in range(count)]
+
+
+def grid_points(n: int, lo, hi, step) -> list[tuple[Fraction, ...]]:
+    """Lexicographically ordered rational grid over a box."""
+    return list(itertools.product(grid_axis(n, lo, hi, step), repeat=n))
 
 
 def default_grid(n: int) -> list[tuple[Fraction, ...]]:

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionTooLarge, NotMetzler, PencilFormatError
 from .polynomials import TropPoly
@@ -224,6 +225,85 @@ def general_member(pencil: TropicalPencil, x: Sequence[ExtRat]) -> bool:
             if not ok and plus != minus:
                 return False
     return True
+
+
+def slice_members(
+    pencil: TropicalPencil,
+    base: Sequence[ExtRat],
+    free: tuple[int, int],
+    axis: Sequence[Fraction],
+) -> Iterator[bool]:
+    """general_member at every point of a 2-D slice, in lexicographic order.
+
+    The points are base with coordinates free[0], free[1] set to (a, b), for
+    (a, b) in product(axis, axis); base's values there are ignored.  On the
+    slice each order-1/order-2 family max is max(c, a + u, b + w), compiled
+    once in integers scaled by the lcm of every denominator involved and
+    evaluated a grid row at a time.  With R the largest scaled modulus, a
+    finite family value lies in [-2R, 2R]; a missing term gets the
+    coefficient -7R - 1, so a family that is -inf on the whole slice stays
+    below -6R and every comparison general_member makes keeps its outcome.
+    """
+    _check_point(pencil, base)
+    p, q = free
+    if p == q or not (0 <= p < pencil.n and 0 <= q < pencil.n):
+        raise ValueError(f"free coordinates {free!r} must be two distinct indices")
+    fixed = [(k, v) for k, v in enumerate(base) if k not in free and not is_minus_inf(v)]
+    ij = pencil._ij
+    values = [v for fams in ij.values() for _, v in fams[2]]
+    values += [v for _, v in fixed] + list(axis)
+    den = math.lcm(*(v.denominator for v in values))
+
+    def scale(v) -> int:
+        return v.numerator * (den // v.denominator)
+
+    low = -7 * max((abs(scale(v)) for v in values), default=0) - 1
+    xs = {k: scale(v) for k, v in fixed}
+    # (c, u, w) of each family on the slice; index 0 is -inf on the whole slice
+    index = {(low, low, low): 0}
+
+    def family(fam) -> int:
+        c = u = w = low
+        for k, v in fam:
+            if k == p:
+                u = scale(v)
+            elif k == q:
+                w = scale(v)
+            elif k in xs:
+                c = max(c, scale(v) + xs[k])
+        return index.setdefault((c, u, w), len(index))
+
+    # diagonal: positive part >= negative part, which holds if the latter is -inf
+    diag = [(family(ij[(i, i)][0]), family(ij[(i, i)][1])) for i in range(pencil.m)]
+    diag = [(left, right) for left, right in diag if right]
+    # pair: the two diagonal positive parts against twice the off-diagonal
+    # max, or a tie of its positive and negative parts
+    pairs = []
+    for i, j in itertools.combinations(range(pencil.m), 2):
+        pos, neg_, fin = ij[(i, j)]
+        rhs = family(fin)
+        if rhs:
+            lhs_i, lhs_j = family(ij[(i, i)][0]), family(ij[(j, j)][0])
+            pairs.append((lhs_i, lhs_j, rhs, family(pos), family(neg_)))
+    terms = list(index)
+    bs = [scale(b) for b in axis]
+    shifted = [[b + w for b in bs] for _, _, w in terms]
+    for a in bs:
+        vals = []
+        for (c, u, _), row in zip(terms, shifted):
+            k = c if c > a + u else a + u
+            vals.append([k if k > t else t for t in row])
+        ok = [True] * len(bs)
+        for left, right in diag:
+            ok = [o and x >= y for o, x, y in zip(ok, vals[left], vals[right])]
+        for lhs_i, lhs_j, rhs, plus, minus in pairs:
+            si, sj, r = vals[lhs_i], vals[lhs_j], vals[rhs]
+            if plus and minus:
+                ok = [o and (x == y or s + t >= 2 * z)
+                      for o, s, t, z, x, y in zip(ok, si, sj, r, vals[plus], vals[minus])]
+            else:  # one part is -inf on the whole slice: no tie
+                ok = [o and s + t >= 2 * z for o, s, t, z in zip(ok, si, sj, r)]
+        yield from ok
 
 
 @dataclass(frozen=True)

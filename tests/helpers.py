@@ -1,15 +1,17 @@
 """Shared builders for pencil-level tests, and reference kernels: the dense
-Fraction simplex and the dict-based Puiseux add and mul."""
+Fraction simplex, the dict-based Puiseux add and mul, and the per-point
+slice raster."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction as F
 from typing import Sequence
 
-from tropsdp.pencils import TropicalPencil
+from tropsdp.pencils import TropicalPencil, general_member, metzler_member
 from tropsdp.puiseux import PuiseuxPoly
-from tropsdp.signed import SignedTrop, TROP_MINUS_INF, parse_signed
+from tropsdp.signed import MINUS_INF, SignedTrop, TROP_MINUS_INF, parse_signed
 
 
 def pencil_of(m: int, n: int, entries: dict) -> TropicalPencil:
@@ -123,3 +125,28 @@ def reference_mul(x: PuiseuxPoly, y: PuiseuxPoly) -> PuiseuxPoly:
         for ey, cy in y.terms:
             acc[ex + ey] = acc.get(ex + ey, F(0)) + cx * cy
     return PuiseuxPoly(tuple((e, c) for e, c in sorted(acc.items(), reverse=True) if c != 0))
+
+
+def reference_slice_csv(
+    pencil: TropicalPencil, homogeneous: bool, fixed: dict[int, F], lo: F, hi: F, step: F
+) -> str:
+    """The slice verb's CSV from one predicate call per grid point: the
+    reference that tropsdp.pencils.slice_members and the verb must match."""
+    n_coords = pencil.n if homogeneous else pencil.n - 1
+    free = [k for k in range(n_coords) if k not in fixed]
+    member = metzler_member if pencil.is_metzler else general_member
+    axis = []
+    v = lo
+    while v <= hi:
+        axis.append(v)
+        v += step
+    lines = ["x1,x2,member"]
+    for a, b in itertools.product(axis, repeat=2):
+        coords = [MINUS_INF] * n_coords
+        for k, value in fixed.items():
+            coords[k] = value
+        coords[free[0]] = a
+        coords[free[1]] = b
+        point = tuple(coords) if homogeneous else (F(0), *coords)
+        lines.append(f"{a},{b},{1 if member(pencil, point) else 0}")
+    return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 from conftest import FIXTURES
 from tropsdp.cli import main
@@ -112,6 +113,20 @@ def test_slice_errors(capsys):
         capsys, "slice", FIXTURES / "quadrant_ray.json", "--box=-2,2", "--step", "1"
     )
     assert code == 2 and "free variables" in err
+
+
+def test_oversized_grids_exit_before_enumerating(capsys):
+    # (10^9 + 1)^2 points on two free coordinates: refused from the count,
+    # with no row printed
+    for argv in (
+        ("slice", FIXTURES / "polygon9.json", "--fix", "x0=0"),
+        ("validate", FIXTURES / "m1_distinct.json"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--box=0,1000000", "--step", "1/1000")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert "grid has 1000000002000000001 points" in err
 
 
 def test_validate_zero_failures(capsys):

@@ -19,13 +19,14 @@ from tropsdp.pencils import (
     pencil_from_obj,
     pencil_to_obj,
     qij_poly,
+    slice_members,
     stratum_restrict,
 )
 from tropsdp.polynomials import TropPoly
-from tropsdp.signed import MINUS_INF, TROP_MINUS_INF, neg, pos
+from tropsdp.signed import MINUS_INF, TROP_MINUS_INF, SignedTrop, neg, pos
 
 from conftest import FIXTURES
-from helpers import pencil_of, random_pencil
+from helpers import pencil_of, random_pencil, reference_slice_csv
 
 Z = F(0)
 
@@ -111,6 +112,110 @@ def test_membership_with_bottom_coordinates(hyp):
     sub = stratum_restrict(hyp, [0])
     assert not general_member(sub, (Z,))
     assert general_member(hyp, (MINUS_INF,) * 3)
+
+
+def _slice_case(rng: random.Random):
+    """A random pencil (m = 1..4, n = 2..5, homogeneous or homogenized from an
+    affine one) with a slice through it: ties from a small value pool, some
+    diagonals with only negative coefficients, unfixed -inf coordinates and
+    coprime fractional box, step and fixed values."""
+    m, n = rng.randint(1, 4), rng.randint(2, 5)
+    metzler = rng.random() < 0.4
+    negative_rows = {i for i in range(m) if rng.random() < 0.2}
+    entries = {}
+    for k in range(n):
+        for i in range(m):
+            for j in range(i, m):
+                if rng.random() < 0.35:
+                    continue
+                value = F(rng.randint(-12, 12), rng.choice((1, 2, 3)))
+                if i == j:
+                    sign = -1 if i in negative_rows or rng.random() < 0.3 else 1
+                else:
+                    sign = -1 if metzler or rng.random() < 0.5 else 1
+                entries[(k, i, j)] = SignedTrop(sign, value)
+    pencil = pencil_of(m, n, entries)
+    first = 0
+    if rng.random() < 0.4:
+        q0 = pencil_of(m, 1, {(0, i, i): pos(rng.randint(-3, 3)) for i in range(m)})
+        pencil = homogenize(q0.matrices[0], pencil)
+        first = 1
+    free = tuple(rng.sample(range(first, pencil.n), 2))
+    base = [
+        MINUS_INF if rng.random() < 0.3 else F(rng.randint(-9, 9), rng.choice((1, 5, 11)))
+        for _ in range(pencil.n)
+    ]
+    if first:
+        base[0] = Z
+    lo = F(rng.randint(-13, 0), rng.choice((1, 3, 7)))
+    step = F(rng.randint(1, 5), rng.choice((2, 7, 13)))
+    axis = [lo + i * step for i in range(rng.randint(1, 9))]
+    return pencil, base, free, axis
+
+
+def test_slice_kernel_matches_predicates():
+    rng = random.Random(34)
+    points = 0
+    for _ in range(250):
+        pencil, base, free, axis = _slice_case(rng)
+        got = list(slice_members(pencil, base, free, axis))
+        assert len(got) == len(axis) ** 2
+        for verdict, (a, b) in zip(got, ((a, b) for a in axis for b in axis)):
+            x = list(base)
+            x[free[0]], x[free[1]] = a, b
+            assert verdict == general_member(pencil, x), (pencil, x)
+            if pencil.is_metzler:
+                assert verdict == metzler_member(pencil, x), (pencil, x)
+        points += len(got)
+    assert points > 5000
+
+
+def test_slice_kernel_edge_cases():
+    # x1 unfixed -inf: row 0's diagonal has only its negative part left, so
+    # the whole slice fails; a pair with -inf diagonals holds only on a tie
+    neg_only = pencil_of(1, 3, {(0, 0, 0): "-0", (1, 0, 0): "+0", (2, 0, 0): "-1"})
+    assert list(slice_members(neg_only, (MINUS_INF,) * 3, (0, 2), [Z, F(1)])) == [False] * 4
+    tie = pencil_of(2, 2, {(0, 0, 1): "+0", (1, 0, 1): "-0"})
+    axis = [F(-1), Z, F(1)]
+    assert list(slice_members(tie, (Z, Z), (0, 1), axis)) == [a == b for a in axis for b in axis]
+    # the negative part is the constant -40, below every axis value: the
+    # terms it lacks must stay below it, so x1 - 20 >= -40 is all that counts
+    far = pencil_of(1, 3, {(0, 0, 0): neg(-20), (1, 0, 0): pos(-20)})
+    axis = [F(v) for v in range(-30, 31, 6)]
+    got = list(slice_members(far, (F(-20), Z, Z), (1, 2), axis))
+    assert got == [a >= -20 for a in axis for b in axis]
+    # row 0's positive diagonal part is -inf on the slice (x3 unfixed): the
+    # largest row-1 part must not make up for it against a low off-diagonal
+    gap = pencil_of(2, 4, {(3, 0, 0): pos(0), (2, 1, 1): pos(10), (0, 0, 1): neg(-10)})
+    axis = [F(v) for v in range(-10, 11, 5)]
+    assert not any(slice_members(gap, (F(-10), Z, Z, MINUS_INF), (1, 2), axis))
+    with pytest.raises(ValueError):
+        list(slice_members(tie, (Z, Z), (1, 1), axis))
+
+
+@pytest.mark.parametrize(
+    "name, fixed, box, step",
+    [
+        ("polygon9.json", {0: Z}, (Z, F(8)), F(1, 4)),
+        ("polygon9.json", {1: F(7, 3)}, (F(-3), F(5)), F(2, 7)),
+        ("quadrant_ray.json", {0: Z}, (F(-4), F(4)), F(1, 3)),
+        ("quadrant_ray.json", {2: F(-3, 5)}, (F(-5, 2), F(3)), F(1, 4)),
+        ("line_pencil.json", {1: F(1, 3)}, (F(-3), F(3)), F(1, 5)),
+        ("affine_quadrant.json", {}, (F(-7, 3), F(3)), F(1, 4)),
+        ("m1_distinct.json", {}, (F(-3), F(3)), F(2, 5)),
+    ],
+)
+def test_slice_csv_matches_per_point_loop(capsys, name, fixed, box, step):
+    from tropsdp.cli import main
+
+    argv = ["slice", str(FIXTURES / name), f"--box={box[0]},{box[1]}", "--step", str(step)]
+    for k, v in fixed.items():
+        argv += ["--fix", f"x{k}={v}"]
+    assert main(argv) == 0
+    pencil, homogeneous = load_pencil(FIXTURES / name)
+    assert capsys.readouterr().out == reference_slice_csv(
+        pencil, homogeneous, fixed, box[0], box[1], step
+    )
 
 
 def test_enumerate_choices_counts():
