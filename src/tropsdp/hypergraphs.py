@@ -208,6 +208,23 @@ def farkas_direction(h: Hypergraph) -> tuple[Fraction, ...] | None:
     return eta
 
 
+def lift_matrices(pencil: TropicalPencil, canonical: bool, term) -> tuple[PuiseuxSymMatrix, ...]:
+    """Entry-wise series lift, each finite entry a -> term(coefficient, a.value).
+
+    The coefficient is -1 for negative entries and, for positive ones, m*n
+    under the canonical lift, 1 otherwise (the plain sign); -inf becomes 0.
+    """
+    factor = pencil.m * pencil.n if canonical else 1
+    zero = PuiseuxPoly.zero()
+    return tuple(
+        PuiseuxSymMatrix(tuple(
+            tuple(zero if not a.sign else term(factor if a.sign > 0 else -1, a.value) for a in row)
+            for row in mat
+        ))
+        for mat in pencil.matrices
+    )
+
+
 def canonical_lift(pencil: TropicalPencil) -> tuple[PuiseuxSymMatrix, ...]:
     """The entry-wise series lift whose spectrahedron tropicalizes exactly.
 
@@ -216,23 +233,7 @@ def canonical_lift(pencil: TropicalPencil) -> tuple[PuiseuxSymMatrix, ...]:
     points of the tropical set land inside the inner minor relaxation.
     """
     _require_metzler(pencil)
-    factor = Fraction(pencil.m * pencil.n)
-    out = []
-    for k in range(pencil.n):
-        rows = []
-        for i in range(pencil.m):
-            row = []
-            for j in range(pencil.m):
-                a = pencil.matrices[k][i][j]
-                if a.sign == 0:
-                    row.append(PuiseuxPoly.zero())
-                elif a.sign == -1:
-                    row.append(PuiseuxPoly.monomial(-1, a.value))
-                else:
-                    row.append(PuiseuxPoly.monomial(factor, a.value))
-            rows.append(row)
-        out.append(PuiseuxSymMatrix.from_rows(rows))
-    return tuple(out)
+    return lift_matrices(pencil, True, PuiseuxPoly.monomial)
 
 
 # -- genericity certification -------------------------------------------------
@@ -344,13 +345,13 @@ def _certify_metzler_core(pencil: TropicalPencil, memo: dict | None):
     n = pencil.n
     cand = _candidate_edges(pencil)
     edges: list[Edge] = []
-    reasons: list[list[_Reason]] = []
+    reasons: list[list[tuple[_Reason, list]]] = []  # live reasons, each with its point
     for edge in sorted(cand, key=lambda e: (len(e.tails), e.tails, e.head)):
-        live = [
-            r
-            for r in _dedupe_reasons(cand[edge])
-            if _feasible(memo, n, r.eqs, r.ges) is not None
-        ]
+        live = []
+        for r in _dedupe_reasons(cand[edge]):
+            x = _feasible(memo, n, r.eqs, r.ges)
+            if x is not None:
+                live.append((r, x))
         if live:
             edges.append(edge)
             reasons.append(live)
@@ -373,9 +374,13 @@ def _certify_metzler_core(pencil: TropicalPencil, memo: dict | None):
                 continue
             minimal.add(mask)
             for chosen in itertools.product(*(reasons[idx] for idx in combo)):
-                eqs = tuple(row for r in chosen for row in r.eqs)
-                ges = tuple(row for r in chosen for row in r.ges)
-                x = _feasible(memo, n, eqs, ges)
+                if size == 1:
+                    # one reason's system is the filter's: reuse its point
+                    x = chosen[0][1]
+                else:
+                    eqs = tuple(row for r, _ in chosen for row in r.eqs)
+                    ges = tuple(row for r, _ in chosen for row in r.ges)
+                    x = _feasible(memo, n, eqs, ges)
                 if x is not None:
                     graph = build_tangent_hypergraph(pencil, x)
                     circ = find_circulation(graph)

@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import CertificateCheckFailed, DimensionTooLarge, NotCertified
@@ -22,6 +23,7 @@ from .hypergraphs import (
     Certificate,
     canonical_lift,
     certify_generic_general,
+    lift_matrices,
     perturb_to_interior,
 )
 from .pencils import (
@@ -83,20 +85,8 @@ def monomial_lift(x: Sequence[ExtRat]) -> tuple[PuiseuxPoly, ...]:
 
 def entrywise_lift(pencil: TropicalPencil) -> PuiseuxPencil:
     """Plain sval-faithful lift: sign * t^value per entry, 0 for -inf."""
-    mats = []
-    for k in range(pencil.n):
-        rows = []
-        for i in range(pencil.m):
-            row = []
-            for j in range(pencil.m):
-                a = pencil.matrices[k][i][j]
-                if a.sign == 0:
-                    row.append(PuiseuxPoly.zero())
-                else:
-                    row.append(PuiseuxPoly.monomial(a.sign, a.value))
-            rows.append(row)
-        mats.append(PuiseuxSymMatrix.from_rows(rows))
-    return PuiseuxPencil(pencil.m, pencil.n, tuple(mats))
+    mats = lift_matrices(pencil, False, PuiseuxPoly.monomial)
+    return PuiseuxPencil(pencil.m, pencil.n, mats)
 
 
 def canonical_lift_pencil(pencil: TropicalPencil) -> PuiseuxPencil:
@@ -152,7 +142,7 @@ def _minor_conditions(a: PuiseuxSymMatrix) -> tuple[bool, bool]:
     e = a.entries
     if any(sign_of(e[i][i]) < 0 for i in range(a.m)):
         return False, False
-    scale = PuiseuxPoly.constant((a.m - 1) ** 2) if a.m > 2 else None
+    scale = PuiseuxPoly(((0, (a.m - 1) ** 2),)) if a.m > 2 else None
     inner = True
     for i in range(a.m):
         for j in range(i + 1, a.m):
@@ -250,17 +240,28 @@ def _piece_table(pencil: TropicalPencil, max_choice_m: int):
     return tuple((sigma, tuple(by_sigma[sigma])) for sigma in order)
 
 
-def _lift(pencil: TropicalPencil) -> PuiseuxPencil:
-    # Metzler pencils, diamond pieces included, take the canonical lift
-    return canonical_lift_pencil(pencil) if pencil.is_metzler else entrywise_lift(pencil)
-
-
 def _cached(cache: dict, key, build):
     # cache is scoped to one cross_validate call, so nothing outlives it
     hit = cache.get(key)
     if hit is None:
         hit = cache[key] = build()
     return hit
+
+
+def _evaluate_on_lattice(cache: dict, pencil: TropicalPencil, x) -> PuiseuxSymMatrix:
+    """The lift of the pencil (canonical iff Metzler) evaluated at t^x, x finite,
+    after t -> t^D with D the lcm of the denominators of the pencil's values
+    and of x: every term is then a pair of ints.  The substitution keeps the
+    order and commutes with add and mul, so every sign read is unchanged."""
+    den = _cached(cache, ("den", pencil), lambda: lcm(
+        *(a.value.denominator for mat in pencil.matrices for row in mat for a in row if a.sign)
+    ))
+    d = lcm(den, *(v.denominator for v in x))
+    lift = _cached(cache, ("lift", pencil, d), lambda: PuiseuxPencil(
+        pencil.m, pencil.n,
+        lift_matrices(pencil, pencil.is_metzler, lambda c, e: PuiseuxPoly(((int(e * d), c),))),
+    ))
+    return evaluate_pencil(lift, tuple(PuiseuxPoly(((int(v * d), 1),)) for v in x))
 
 
 def _strict_pieces(pieces_by_sigma, x):
@@ -327,9 +328,8 @@ def _validate_point(
         return rec
 
     metz = pencil.is_metzler
-    lift = _cached(cache, ("lift", pencil), lambda: _lift(pencil))
     # the one evaluation of the pencil at x; every verdict below reads it
-    a = evaluate_pencil(lift, monomial_lift(x))
+    a = _evaluate_on_lattice(cache, pencil, x)
     rec.sout, rec.sin = _minor_conditions(a)
 
     if not member:
@@ -371,8 +371,7 @@ def _validate_point(
             # a Metzler pencil is its own piece: same lift, same point, same matrix
             psd = rec.psd
         else:
-            piece_lift = _cached(cache, ("lift", piece), lambda: _lift(piece))
-            psd = is_psd(evaluate_pencil(piece_lift, monomial_lift(target)), psd_dim_bound)
+            psd = is_psd(_evaluate_on_lattice(cache, piece, target), psd_dim_bound)
         if not psd:
             rec.fail(
                 f"strict point of piece sigma={sorted(choice.sigma)} lifts outside PSD"

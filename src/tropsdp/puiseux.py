@@ -26,8 +26,10 @@ from .signed import MINUS_INF, ExtRat, SignedTrop, TROP_MINUS_INF
 class PuiseuxPoly:
     """Finite formal sum of (exponent, coefficient) terms, exponents decreasing.
 
-    Direct construction must already be canonical: Fraction exponents strictly
+    Direct construction must already be canonical: exponents strictly
     decreasing and no zero coefficient.  Anything else goes through from_terms.
+    Terms are Fractions, or ints on the oracle's scaled lattice; add, mul,
+    the minors and is_psd take either.
     """
 
     terms: tuple[tuple[Fraction, Fraction], ...] = ()
@@ -141,7 +143,7 @@ def mul(x: PuiseuxPoly, y: PuiseuxPoly) -> PuiseuxPoly:
     for ex, cx in a:
         for ey, cy in b:
             e = ex + ey
-            acc[e] = acc.get(e, Fraction(0)) + cx * cy
+            acc[e] = acc.get(e, 0) + cx * cy
     out = tuple((e, c) for e, c in sorted(acc.items(), reverse=True) if c != 0)
     return PuiseuxPoly(out)
 
@@ -227,10 +229,14 @@ class PuiseuxSymMatrix:
         return len(self.entries)
 
 
+#: The unit with int terms, so a product with it keeps int terms int.
+_ONE = PuiseuxPoly(((0, 1),))
+
+
 def _det(entries, rows: tuple[int, ...], cols: tuple[int, ...], memo) -> PuiseuxPoly:
     # division-free expansion along the first row, memoized on (rows, cols)
     if not rows:
-        return PuiseuxPoly.constant(1)
+        return _ONE
     key = (rows, cols)
     hit = memo.get(key)
     if hit is not None:

@@ -1,6 +1,6 @@
 """Shared builders for pencil-level tests, and reference kernels: the dense
-Fraction simplex, the dict-based Puiseux add and mul, and the per-point
-slice raster."""
+Fraction simplex, the dict-based Puiseux add and mul, the per-point
+slice raster, and the oracle's per-point checks on Fraction-termed lifts."""
 
 from __future__ import annotations
 
@@ -9,9 +9,27 @@ import random
 from fractions import Fraction as F
 from typing import Sequence
 
-from tropsdp.pencils import TropicalPencil, general_member, metzler_member
-from tropsdp.puiseux import PuiseuxPoly
-from tropsdp.signed import MINUS_INF, SignedTrop, TROP_MINUS_INF, parse_signed
+from tropsdp.hypergraphs import perturb_to_interior
+from tropsdp.oracle import (
+    ValidationRecord,
+    _cached,
+    _minor_conditions,
+    _piece_table,
+    _strict_pieces,
+    canonical_lift_pencil,
+    entrywise_lift,
+    evaluate_pencil,
+    monomial_lift,
+)
+from tropsdp.pencils import (
+    TropicalPencil,
+    general_member,
+    metzler_member,
+    metzler_strict_member,
+    stratum_restrict,
+)
+from tropsdp.puiseux import PuiseuxPoly, is_psd
+from tropsdp.signed import MINUS_INF, SignedTrop, TROP_MINUS_INF, is_minus_inf, parse_signed
 
 
 def pencil_of(m: int, n: int, entries: dict) -> TropicalPencil:
@@ -150,3 +168,84 @@ def reference_slice_csv(
         point = tuple(coords) if homogeneous else (F(0), *coords)
         lines.append(f"{a},{b},{1 if member(pencil, point) else 0}")
     return "\n".join(lines) + "\n"
+
+
+def _fraction_lift(pencil: TropicalPencil):
+    return canonical_lift_pencil(pencil) if pencil.is_metzler else entrywise_lift(pencil)
+
+
+def reference_validate_point(
+    pencil: TropicalPencil, x, psd_dim_bound: int, max_choice_m: int, cache: dict
+) -> ValidationRecord:
+    """One point of cross_validate, evaluated on the public Fraction-termed
+    lifts at the monomial lift of x: the reference whose records and
+    failure lists the integer-lattice oracle must match."""
+    member = general_member(pencil, x)
+    rec = ValidationRecord(x=x, member=member)
+    support = tuple(k for k, v in enumerate(x) if not is_minus_inf(v))
+    if len(support) < pencil.n:
+        if not support:
+            rec.sout = rec.sin = rec.psd = True
+            if not member:
+                rec.fail("all--inf point must be a member")
+            return rec
+        sub = stratum_restrict(pencil, support)
+        sub_x = tuple(x[k] for k in support)
+        if general_member(sub, sub_x) != member:
+            rec.fail("membership disagrees with its support stratum")
+            return rec
+        inner = reference_validate_point(sub, sub_x, psd_dim_bound, max_choice_m, cache)
+        rec.sout, rec.sin, rec.psd = inner.sout, inner.sin, inner.psd
+        if not inner.ok:
+            rec.ok = False
+            rec.failures = inner.failures
+        return rec
+
+    metz = pencil.is_metzler
+    lift = _cached(cache, ("fraction lift", pencil), lambda: _fraction_lift(pencil))
+    a = evaluate_pencil(lift, monomial_lift(x))
+    rec.sout, rec.sin = _minor_conditions(a)
+
+    if not member:
+        rec.psd = is_psd(a, max_dim=psd_dim_bound)
+        if rec.sout:
+            rec.fail("non-member point satisfies the outer minor inequalities")
+        if rec.psd:
+            rec.fail("non-member point lifts to a semidefinite matrix")
+        if rec.sin:
+            rec.fail("non-member point satisfies the inner minor inequalities")
+        return rec
+
+    if metz:
+        rec.psd = is_psd(a, max_dim=psd_dim_bound)
+        if not rec.sin:
+            rec.fail("member point escapes the inner set of the canonical lift")
+        if not rec.psd:
+            rec.fail("member point lifts to a non-semidefinite matrix")
+        if not rec.sout:
+            rec.fail("member point escapes the outer set")
+
+    table = _cached(cache, ("pieces", pencil), lambda: _piece_table(pencil, max_choice_m))
+    sigma, pieces = _strict_pieces(table, x)
+    if sigma is None:
+        rec.fail("no sigma piece family contains the member point")
+        return rec
+    for choice, piece in pieces:
+        if metzler_strict_member(piece, x):
+            target = x
+        else:
+            eta, rho0 = perturb_to_interior(piece, x)
+            target = tuple(v + rho0 * d for v, d in zip(x, eta))
+            if not metzler_strict_member(piece, target):
+                rec.fail(f"perturbation not strict in piece sigma={sorted(choice.sigma)}")
+                continue
+        if piece is pencil and target is x:
+            psd = rec.psd
+        else:
+            piece_lift = _cached(cache, ("fraction lift", piece), lambda: _fraction_lift(piece))
+            psd = is_psd(evaluate_pencil(piece_lift, monomial_lift(target)), psd_dim_bound)
+        if not psd:
+            rec.fail(
+                f"strict point of piece sigma={sorted(choice.sigma)} lifts outside PSD"
+            )
+    return rec

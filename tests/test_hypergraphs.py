@@ -13,12 +13,15 @@ import pytest
 from conftest import FIXTURES
 from helpers import pencil_of, random_pencil
 from tropsdp.errors import CirculationExists, DimensionTooLarge, NotMetzler
+from tropsdp import hypergraphs
 from tropsdp.hypergraphs import (
     Certificate,
     Edge,
     Hypergraph,
     Witness,
+    _candidate_edges,
     _contains_any,
+    _dedupe_reasons,
     build_tangent_hypergraph,
     canonical_lift,
     certify_generic_general,
@@ -199,6 +202,23 @@ def test_certify_degenerate_minor_gives_witness():
     assert isinstance(res, Witness)
     g = build_tangent_hypergraph(degen, res.x)
     assert find_circulation(g) is not None
+
+
+def test_single_edge_witness_reuses_the_filter_point(monkeypatch):
+    # the witness is the lone edge (0, 0) -> 0, whose system the live-edge
+    # filter already solved: no LP beyond one per distinct candidate reason
+    degen = pencil_of(2, 2, {**DEGENERATE, (1, 0, 0): "+0", (1, 1, 1): "+0"})
+    calls = []
+    real = hypergraphs.feasible_point
+    monkeypatch.setattr(hypergraphs, "feasible_point", lambda *a: calls.append(a) or real(*a))
+    res = certify_generic_metzler(degen)
+    filter_calls = sum(len(_dedupe_reasons(r)) for r in _candidate_edges(degen).values())
+    assert len(calls) == filter_calls == 4
+    assert res == Witness(
+        x=(Z, F(1)),
+        edges=(Edge((0, 0), 0), Edge((0, 1), 0)),
+        gamma=(F(1), Z),
+    )
 
 
 def test_certify_bounds():

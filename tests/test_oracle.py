@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import os
 import random
 import subprocess
@@ -12,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES
-from helpers import random_pencil
+from helpers import pencil_of, random_pencil, reference_validate_point
+from tropsdp import oracle
 from tropsdp.errors import NotCertified
 from tropsdp.oracle import (
     PuiseuxPencil,
@@ -30,7 +32,13 @@ from tropsdp.oracle import (
     sval_pencil,
     valuation_sandwich_check,
 )
-from tropsdp.hypergraphs import Certificate, canonical_lift, certify_generic_general
+from tropsdp import puiseux
+from tropsdp.hypergraphs import (
+    Certificate,
+    canonical_lift,
+    certify_generic_general,
+    perturb_to_interior,
+)
 from tropsdp.pencils import (
     TropicalPencil,
     general_member,
@@ -38,8 +46,14 @@ from tropsdp.pencils import (
     load_pencil,
     stratum_restrict,
 )
-from tropsdp.puiseux import PuiseuxPoly as P, PuiseuxSymMatrix, SeriesPolynomial, sval
-from tropsdp.signed import MINUS_INF, is_minus_inf
+from tropsdp.puiseux import (
+    PuiseuxPoly as P,
+    PuiseuxSymMatrix,
+    SeriesPolynomial,
+    principal_minor,
+    sval,
+)
+from tropsdp.signed import MINUS_INF, SignedTrop, is_minus_inf
 
 Z = F(0)
 one = P.constant(1)
@@ -309,6 +323,99 @@ def test_cross_validate_caches_do_not_outlive_the_call():
     gc.collect()
     assert ref() is None
     assert (live(TropicalPencil), live(PuiseuxPencil)) == before
+
+
+def denominator_pencils(count):
+    """Certified seeded pencils, m, n >= 2, whose values have denominators
+    3, 7 and 9, each with member points on its 1/3-step grid over [-1, 1]."""
+    rng = random.Random(39)
+    while count:
+        base = random_pencil(rng, max_m=3, max_n=3, metzler=count % 2 == 0)
+        if min(base.m, base.n) < 2:
+            continue
+        pencil = pencil_of(base.m, base.n, {
+            (k, i, j): SignedTrop(a.sign, a.value / rng.choice((3, 7, 9)))
+            for k, mat in enumerate(base.matrices)
+            for i in range(base.m)
+            for j in range(i, base.m)
+            if (a := mat[i][j]).sign
+        })
+        grid = grid_points(pencil.n, -1, 1, F(1, 3))
+        if any(general_member(pencil, x) for x in grid) and isinstance(
+            certify_generic_general(pencil), Certificate
+        ):
+            count -= 1
+            yield pencil, grid
+
+
+def lattice_cases():
+    """(pencil, grid, max_m, psd bound): the five fixtures, seeded pencils
+    with denominators 3, 7 and 9, and 1/3-step grids with -inf coordinates."""
+    for name in ["affine_quadrant", "line_pencil", "m1_distinct", "quadrant_ray"]:
+        pencil, homogeneous = load_pencil(FIXTURES / f"{name}.json")
+        free = pencil.n if homogeneous else pencil.n - 1
+        for grid in (default_grid(free), with_bottoms(grid_points(free, -1, 1, F(1, 3)))):
+            yield pencil, grid if homogeneous else [(Z, *p) for p in grid], 4, 8
+    polygon9 = load_pencil(FIXTURES / "polygon9.json")[0]
+    yield polygon9, with_bottoms([(Z, a, b) for a, b in grid_points(2, 0, 8, 1)]), 9, 9
+    for pencil, grid in denominator_pencils(8):
+        yield pencil, grid, 4, 8
+
+
+def validation_outcome(validate):
+    try:
+        return [(r.to_obj(), r.failures) for r in validate()]
+    except Exception as exc:  # line_pencil circulates: both paths must raise alike
+        return type(exc), str(exc)
+
+
+def test_lattice_records_match_fraction_path(monkeypatch):
+    perturbed = []
+
+    def counting_perturb(piece, x):
+        perturbed.append(x)
+        return perturb_to_interior(piece, x)
+
+    monkeypatch.setattr(oracle, "perturb_to_interior", counting_perturb)
+    denominators = set()
+    for pencil, grid, max_m, bound in lattice_cases():
+        denominators.update(
+            a.value.denominator for mat in pencil.matrices for row in mat for a in row if a.sign
+        )
+        lattice = validation_outcome(lambda: cross_validate(
+            pencil, grid, assume_certified=True, max_m=max_m, psd_dim_bound=bound
+        ))
+        cache = {}
+        fraction = validation_outcome(lambda: [
+            reference_validate_point(pencil, tuple(p), bound, max(5, max_m + 1), cache)
+            for p in sorted(grid)
+        ])
+        assert lattice == fraction, pencil
+    assert {3, 7, 9} <= denominators
+    assert len(perturbed) > 50
+
+
+def test_lattice_terms_are_ints(monkeypatch):
+    def int_terms(x):
+        assert all(type(e) is int and type(c) is int for e, c in x.terms), x
+        return x
+
+    # every sum and product the oracle forms, minors and the inner scale included
+    for module in (oracle, puiseux):
+        for name in ("add", "mul"):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda x, y, real=real: int_terms(real(x, y)))
+    for pencil, grid in denominator_pencils(4):
+        records = cross_validate(pencil, grid, assume_certified=True)
+        assert all(r.ok for r in records)
+        for x in grid_points(pencil.n, F(-1, 7), F(1, 5), F(1, 3)):
+            a = oracle._evaluate_on_lattice({}, pencil, x)
+            for row in a.entries:
+                for entry in row:
+                    int_terms(entry)
+            for size in range(1, pencil.m + 1):
+                for idx in itertools.combinations(range(pencil.m), size):
+                    int_terms(principal_minor(a, idx))
 
 
 _NEGATIVE_LIFT = """

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
-import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropsdp.errors import OppositeSigns
 from tropsdp.signed import (
@@ -49,38 +50,31 @@ def test_invalid_construction():
         SignedTrop(1, MINUS_INF)
 
 
-def _random_elements(rng, count):
-    out = []
-    for _ in range(count):
-        if rng.random() < 0.15:
-            out.append(TROP_MINUS_INF)
-        else:
-            out.append(
-                SignedTrop(rng.choice([1, -1]), F(rng.randint(-9, 9), rng.randint(1, 4)))
-            )
-    return out
+values = st.builds(F, st.integers(-30, 30), st.integers(1, 12))
+signs = st.sampled_from([1, -1])
+elements = st.one_of(st.just(TROP_MINUS_INF), st.builds(SignedTrop, signs, values))
 
 
-def test_tmul_algebra():
-    rng = random.Random(1)
-    unit = pos(0)
-    for a, b, c in zip(*(_random_elements(rng, 200) for _ in range(3))):
-        assert tmul(a, b) == tmul(b, a)
-        assert tmul(tmul(a, b), c) == tmul(a, tmul(b, c))
-        assert tmul(a, unit) == a
-        assert tmul(a, TROP_MINUS_INF) == TROP_MINUS_INF
-        assert modulus(tmul(a, b)) == modulus(a) + modulus(b)
+@settings(max_examples=300, deadline=None)
+@given(elements, elements, elements)
+def test_tmul_algebra(a, b, c):
+    assert tmul(a, b) == tmul(b, a)
+    assert tmul(tmul(a, b), c) == tmul(a, tmul(b, c))
+    assert tmul(a, pos(0)) == a
+    assert tmul(a, TROP_MINUS_INF) == tmul(TROP_MINUS_INF, a) == TROP_MINUS_INF
+    assert modulus(tmul(a, b)) == modulus(a) + modulus(b)
 
 
-def test_tadd_algebra_where_defined():
-    rng = random.Random(2)
-    for _ in range(200):
-        sign = rng.choice([1, -1])
-        vals = [F(rng.randint(-9, 9)) for _ in range(3)]
-        a, b, c = (SignedTrop(sign, v) for v in vals)
-        assert tadd(a, b) == tadd(b, a)
-        assert tadd(tadd(a, b), c) == tadd(a, tadd(b, c))
-        assert tadd(a, a) == a
+@settings(max_examples=300, deadline=None)
+@given(elements, signs, values, values, values)
+def test_tadd_algebra_where_defined(a, sign, u, v, w):
+    assert tadd(a, TROP_MINUS_INF) == tadd(TROP_MINUS_INF, a) == a
+    b, c, d = SignedTrop(sign, u), SignedTrop(sign, v), SignedTrop(sign, w)
+    assert tadd(b, c) == tadd(c, b) == SignedTrop(sign, max(u, v))
+    assert tadd(tadd(b, c), d) == tadd(b, tadd(c, d))
+    assert tadd(b, b) == b
+    with pytest.raises(OppositeSigns):
+        tadd(b, SignedTrop(-sign, v))
 
 
 def test_minus_inf_ordering():
@@ -106,3 +100,9 @@ def test_parse_rejects_garbage():
     for bad in ["", "7/2", "inf", "+q/0", "+1/0", "--", "+"]:
         with pytest.raises(ValueError):
             parse_signed(bad)
+
+
+@settings(max_examples=300, deadline=None)
+@given(elements)
+def test_text_encoding_round_trip_property(a):
+    assert parse_signed(format_signed(a)) == a
