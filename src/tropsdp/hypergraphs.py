@@ -32,7 +32,6 @@ from .pencils import (
     TropicalPencil,
     check_assumption_nondeg,
     decompose,
-    enumerate_choices,
     metzler_member,
     metzler_strict_member,
     stratum_restrict,
@@ -241,89 +240,91 @@ def canonical_lift(pencil: TropicalPencil) -> tuple[PuiseuxSymMatrix, ...]:
 
 class _Reason:
     """Linear system realizing one candidate edge: tie equality plus the
-    inequalities keeping the named monomials maximal in their families."""
+    inequalities keeping the named monomials maximal in their families.
+    tags name the atoms donating it: (pair, option), or None for a diagonal
+    constraint, which every piece has."""
 
-    __slots__ = ("eqs", "ges")
+    __slots__ = ("eqs", "ges", "tags")
 
-    def __init__(self, eqs, ges):
-        self.eqs = tuple(eqs)
-        self.ges = tuple(ges)
+    def __init__(self, eqs, ges, tag):
+        self.eqs = eqs
+        self.ges = ges
+        self.tags = (tag,)
 
 
-def _row(n: int, plus: dict[int, int], const: Fraction):
+def _row(n: int, plus, const: Fraction):
     coeffs = [0] * n
-    for k, c in plus.items():
+    for k, c in plus:
         coeffs[k] += c
     return tuple(coeffs), const
 
 
 def _maximality_rows(n, family, k_star, v_star):
-    rows = []
-    for k, v in family:
-        if k == k_star:
-            continue
-        # v_star + x_k* >= v + x_k
-        rows.append(_row(n, {k_star: 1, k: -1}, v - v_star))
-    return rows
+    # v_star + x_k* >= v + x_k for every other member
+    return [_row(n, ((k_star, 1), (k, -1)), v - v_star) for k, v in family if k != k_star]
 
 
 def _candidate_edges(pencil: TropicalPencil) -> dict[Edge, list[_Reason]]:
+    """Candidate edges of the atoms of every (sigma, diamond) piece, each
+    with its distinct reasons in order.
+
+    The atoms are the m diagonal constraints and, per row pair (i, j), the
+    options "sigma" (the pair constraint against the moduli of all finite
+    off-diagonal entries), ">=" (the diagonal row pos(i,j) >= neg(i,j)) and
+    "<=" (that row flipped).  On a Metzler pencil pos(i,j) is empty, so the
+    atoms are the pencil's own constraints.
+    """
     n = pencil.n
     ij = pencil._ij
-    cand: dict[Edge, list[_Reason]] = {}
+    cand: dict[Edge, dict[tuple, _Reason]] = {}
 
-    def push(edge, reason):
-        cand.setdefault(edge, []).append(reason)
+    def push(edge, eq, ges, tag):
+        reasons = cand.setdefault(edge, {})
+        key = ((eq,), tuple(ges))
+        r = reasons.get(key)
+        if r is None:
+            reasons[key] = _Reason(*key, tag)
+        elif None not in r.tags and tag not in r.tags:
+            r.tags += (tag,)
 
+    def diagonal(pos, neg_, tag):
+        for (k, vk), (l, vl) in itertools.product(pos, neg_):
+            ges = _maximality_rows(n, pos, k, vk) + _maximality_rows(n, neg_, l, vl)
+            push(Edge((k,), l), _row(n, ((k, 1), (l, -1)), vl - vk), ges, tag)
+
+    pairs = list(itertools.combinations(range(pencil.m), 2))
     for i in range(pencil.m):
-        pos, neg_, _ = ij[(i, i)]
-        for k, vk in pos:
-            for l, vl in neg_:
-                eq = [_row(n, {k: 1, l: -1}, vl - vk)]
-                ges = _maximality_rows(n, pos, k, vk) + _maximality_rows(n, neg_, l, vl)
-                push(Edge((k,), l), _Reason(eq, ges))
-    for i in range(pencil.m):
-        for j in range(i + 1, pencil.m):
-            _, _, fin = ij[(i, j)]
-            if not fin:
-                continue
-            pos_i = ij[(i, i)][0]
-            pos_j = ij[(j, j)][0]
-            for (k1, v1), (k2, v2) in itertools.product(pos_i, pos_j):
-                for l, w in fin:
-                    coeffs: dict[int, int] = {}
-                    for k, c in ((k1, 1), (k2, 1), (l, -2)):
-                        coeffs[k] = coeffs.get(k, 0) + c
-                    eq = [_row(n, coeffs, 2 * w - v1 - v2)]
-                    ges = (
-                        _maximality_rows(n, pos_i, k1, v1)
-                        + _maximality_rows(n, pos_j, k2, v2)
-                        + _maximality_rows(n, fin, l, w)
-                    )
-                    push(Edge(tuple(sorted((k1, k2))), l), _Reason(eq, ges))
-    return cand
+        diagonal(*ij[(i, i)][:2], None)
+    for i, j in pairs:
+        diagonal(*ij[(i, j)][:2], ((i, j), ">="))
+        diagonal(*ij[(i, j)][1::-1], ((i, j), "<="))
+    for i, j in pairs:
+        pos_i, pos_j, fin = ij[(i, i)][0], ij[(j, j)][0], ij[(i, j)][2]
+        for (k1, v1), (k2, v2), (l, w) in itertools.product(pos_i, pos_j, fin):
+            eq = _row(n, ((k1, 1), (k2, 1), (l, -2)), 2 * w - v1 - v2)
+            ges = (_maximality_rows(n, pos_i, k1, v1) + _maximality_rows(n, pos_j, k2, v2)
+                   + _maximality_rows(n, fin, l, w))
+            push(Edge(tuple(sorted((k1, k2))), l), eq, ges, ((i, j), "sigma"))
+    return {edge: list(reasons.values()) for edge, reasons in cand.items()}
 
 
-def _dedupe_reasons(reasons: list[_Reason]) -> list[_Reason]:
-    seen = set()
-    out = []
-    for r in reasons:
-        key = (r.eqs, r.ges)
-        if key not in seen:
-            seen.add(key)
-            out.append(r)
-    return out
+def _options(chosen) -> dict[tuple[int, int], str] | None:
+    """A pair -> option map taking one donating atom per reason and no pair
+    in two options, or None when the reasons belong to no common piece."""
+    for tags in itertools.product(*(r.tags for r, _ in chosen)):
+        picked: dict[tuple[int, int], str] = {}
+        for tag in tags:
+            if tag is not None and picked.setdefault(*tag) != tag[1]:
+                break
+        else:
+            return picked
+    return None
 
 
-def _feasible(memo: dict | None, n: int, eqs: tuple, ges: tuple):
-    # feasible_point on the exact rows, so a repeated system gets the same x;
-    # without a memo (one Metzler piece: systems hardly repeat) it just solves
-    if memo is None:
-        return feasible_point(n, eqs, ges)
-    key = (n, eqs, ges)
-    if key not in memo:
-        memo[key] = feasible_point(n, eqs, ges)
-    return memo[key]
+def _tie_sum(chosen, gamma) -> Fraction:
+    # sum of gamma_e c_e over the tie rows sum_tails x - |tails| x_head = c_e;
+    # the left-hand sides cancel under a circulation, so nonzero: infeasible
+    return sum(g * r.eqs[0][1] for g, (r, _) in zip(gamma, chosen))
 
 
 def _contains_any(mask: int, masks: set[int]) -> bool:
@@ -336,22 +337,27 @@ def _contains_any(mask: int, masks: set[int]) -> bool:
     return False
 
 
-def _certify_metzler_core(pencil: TropicalPencil, memo: dict | None):
-    """None when generic, else (x, tangent hypergraph, circulation).
+def _circulating_point(pencil: TropicalPencil):
+    """None when generic, else (x, pair -> option of the atoms used).
 
-    memo, if given, maps (n, equality rows, inequality rows) to
-    feasible_point's answer; the caller scopes it to one certification.
+    One search over the union of the atoms of every piece: each distinct
+    reason system is solved once, each inclusion-minimal circulating set of
+    live edges is tried with every product of reasons from a common piece,
+    and a product whose tie sum is nonzero is skipped without an LP.
     """
     n = pencil.n
     cand = _candidate_edges(pencil)
+    points: dict[tuple, list | None] = {}  # reason rows -> feasible_point's answer
     edges: list[Edge] = []
     reasons: list[list[tuple[_Reason, list]]] = []  # live reasons, each with its point
     for edge in sorted(cand, key=lambda e: (len(e.tails), e.tails, e.head)):
         live = []
-        for r in _dedupe_reasons(cand[edge]):
-            x = _feasible(memo, n, r.eqs, r.ges)
-            if x is not None:
-                live.append((r, x))
+        for r in cand[edge]:
+            key = (r.eqs, r.ges)
+            if key not in points:
+                points[key] = feasible_point(n, r.eqs, r.ges)
+            if points[key] is not None:
+                live.append((r, points[key]))
         if live:
             edges.append(edge)
             reasons.append(live)
@@ -361,35 +367,43 @@ def _certify_metzler_core(pencil: TropicalPencil, memo: dict | None):
             mask = sum(1 << idx for idx in combo)
             if minimal and _contains_any(mask, minimal):
                 continue
-            tails = set()
-            heads = set()
-            for idx in combo:
-                tails.update(edges[idx].tails)
-                heads.add(edges[idx].head)
-            if tails != heads:
+            tails = {t for idx in combo for t in edges[idx].tails}
+            if tails != {edges[idx].head for idx in combo}:
                 # a strictly positive circulation forces equal activity sets
                 continue
-            sub = Hypergraph(n, tuple(edges[idx] for idx in combo))
-            if find_circulation(sub) is None:
+            circ = find_circulation(Hypergraph(n, tuple(edges[idx] for idx in combo)))
+            if circ is None:
                 continue
             minimal.add(mask)
             for chosen in itertools.product(*(reasons[idx] for idx in combo)):
+                options = _options(chosen)
+                if options is None:
+                    continue
                 if size == 1:
                     # one reason's system is the filter's: reuse its point
                     x = chosen[0][1]
+                elif _tie_sum(chosen, circ.gamma):
+                    continue
                 else:
                     eqs = tuple(row for r, _ in chosen for row in r.eqs)
                     ges = tuple(row for r, _ in chosen for row in r.ges)
-                    x = _feasible(memo, n, eqs, ges)
+                    x = feasible_point(n, eqs, ges)
                 if x is not None:
-                    graph = build_tangent_hypergraph(pencil, x)
-                    circ = find_circulation(graph)
-                    if circ is None:
-                        raise CertificateCheckFailed(
-                            f"the tangent hypergraph at witness {x} does not circulate"
-                        )
-                    return tuple(x), graph, circ
+                    return tuple(x), options
     return None
+
+
+def _circulation_at(piece: TropicalPencil, x) -> tuple[Hypergraph, Circulation]:
+    graph = build_tangent_hypergraph(piece, x)
+    circ = find_circulation(graph)
+    if circ is None:
+        raise CertificateCheckFailed(f"the tangent hypergraph at witness {x} does not circulate")
+    return graph, circ
+
+
+def _check_bounds(pencil: TropicalPencil, max_m: int, max_n: int) -> None:
+    if pencil.m > max_m or pencil.n > max_n:
+        raise DimensionTooLarge(f"m = {pencil.m}, n = {pencil.n} exceed bounds ({max_m}, {max_n})")
 
 
 def certify_generic_metzler(
@@ -402,15 +416,12 @@ def certify_generic_metzler(
     point and a valid circulation of its tangent hypergraph.
     """
     _require_metzler(pencil)
-    if pencil.m > max_m or pencil.n > max_n:
-        raise DimensionTooLarge(
-            f"m = {pencil.m}, n = {pencil.n} exceed bounds ({max_m}, {max_n})"
-        )
-    res = _certify_metzler_core(pencil, None)
+    _check_bounds(pencil, max_m, max_n)
+    res = _circulating_point(pencil)
     if res is None:
         return Certificate()
-    x, graph, circ = res
-    return Witness(x=x, edges=graph.edges, gamma=circ.gamma)
+    graph, circ = _circulation_at(pencil, res[0])
+    return Witness(x=res[0], edges=graph.edges, gamma=circ.gamma)
 
 
 def _strata(n: int):
@@ -418,51 +429,31 @@ def _strata(n: int):
         yield from itertools.combinations(range(n), size)
 
 
-def _identity_choice(m: int) -> SigmaChoice:
-    pairs = frozenset((i, j) for i in range(m) for j in range(i + 1, m))
-    return SigmaChoice(m, pairs, ())
-
-
 def certify_generic_general(
     pencil: TropicalPencil, max_m: int = 4, max_n: int = 4
 ) -> Certificate | Witness:
-    """Certify every stratum of every Metzler piece of the pencil.
+    """Certify every stratum of every Metzler (sigma, diamond) piece.
 
-    Metzler pencils skip the (sigma, diamond) sweep: their spectrahedron
-    is its own single piece and regularity of its strata is exactly what
-    the per-stratum circulation search decides.  Non-Metzler pencils sweep
-    all pieces; identical pieces (common when off-diagonals are -inf) are
-    certified once.
+    Strata go from the full support down.  Each stratum is searched once
+    over the atoms of all 3^(m(m-1)/2) pieces together: whether an edge
+    set circulates does not depend on the piece, and a reason product is
+    tried only when its atoms are compatible, i.e. give no pair two
+    options.  Every piece that completes a compatible choice has the
+    chosen tight edges at the point found, so a witness names the piece
+    from the options it picked, with every unpicked pair in sigma, and is
+    re-checked on that piece's tangent hypergraph.  A Metzler pencil is
+    its own single piece: its atoms are its constraints.
     """
-    if pencil.m > max_m or pencil.n > max_n:
-        raise DimensionTooLarge(
-            f"m = {pencil.m}, n = {pencil.n} exceed bounds ({max_m}, {max_n})"
-        )
-    if pencil.is_metzler:
-        choices = [_identity_choice(pencil.m)]
-    else:
-        choices = list(enumerate_choices(pencil.m, max_m=max(max_m, 5)))
-    # keyed by the matrices, not the piece, so no piece's cached index
-    # outlives its certification
-    cache: dict[tuple, object] = {}
-    memo = None if pencil.is_metzler else {}
-    for choice in choices:
-        dec = decompose(pencil, choice)
-        for support in _strata(pencil.n):
-            piece = stratum_restrict(dec, support)
-            res = cache.get(piece.matrices, cache)  # cache itself marks a miss
-            if res is cache:
-                res = cache[piece.matrices] = _certify_metzler_core(piece, memo)
-            if res is not None:
-                x, graph, circ = res
-                return Witness(
-                    x=x,
-                    edges=graph.edges,
-                    gamma=circ.gamma,
-                    sigma=choice.sigma,
-                    diamond=choice.diamond,
-                    stratum=support,
-                )
+    _check_bounds(pencil, max_m, max_n)
+    for support in _strata(pencil.n):
+        res = _circulating_point(stratum_restrict(pencil, support))
+        if res is not None:
+            x, options = res
+            diamond = {p: d for p, d in options.items() if d != "sigma"}
+            sigma = set(itertools.combinations(range(pencil.m), 2)) - diamond.keys()
+            choice = SigmaChoice.make(pencil.m, sigma, diamond)
+            graph, circ = _circulation_at(stratum_restrict(decompose(pencil, choice), support), x)
+            return Witness(x, graph.edges, circ.gamma, choice.sigma, choice.diamond, support)
     if check_assumption_nondeg(pencil):
         raise CertificateCheckFailed("a degenerate minor escaped the genericity search")
     return Certificate()

@@ -5,13 +5,14 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURES
-from helpers import pencil_of, random_pencil
+from helpers import pencil_of, random_pencil, reference_certify_general
 from tropsdp.errors import CirculationExists, DimensionTooLarge, NotMetzler
 from tropsdp import hypergraphs
 from tropsdp.hypergraphs import (
@@ -21,7 +22,6 @@ from tropsdp.hypergraphs import (
     Witness,
     _candidate_edges,
     _contains_any,
-    _dedupe_reasons,
     build_tangent_hypergraph,
     canonical_lift,
     certify_generic_general,
@@ -32,6 +32,7 @@ from tropsdp.hypergraphs import (
     result_to_obj,
 )
 from tropsdp.pencils import (
+    SigmaChoice,
     decompose,
     load_pencil,
     metzler_strict_member,
@@ -212,7 +213,7 @@ def test_single_edge_witness_reuses_the_filter_point(monkeypatch):
     real = hypergraphs.feasible_point
     monkeypatch.setattr(hypergraphs, "feasible_point", lambda *a: calls.append(a) or real(*a))
     res = certify_generic_metzler(degen)
-    filter_calls = sum(len(_dedupe_reasons(r)) for r in _candidate_edges(degen).values())
+    filter_calls = len({(r.eqs, r.ges) for rs in _candidate_edges(degen).values() for r in rs})
     assert len(calls) == filter_calls == 4
     assert res == Witness(
         x=(Z, F(1)),
@@ -261,9 +262,90 @@ def test_certify_general_witness_in_piece(quad_ray):
 
 
 def _choice_of(m, sigma, diamond):
-    from tropsdp.pencils import SigmaChoice
-
     return SigmaChoice(m, sigma, diamond)
+
+
+def _sized_pencil(rng, m, n, metzler, value_pool, density=0.7):
+    while True:
+        p = random_pencil(rng, m, n, metzler, density, value_pool)
+        if (p.m, p.n, p.is_metzler) == (m, n, metzler):
+            return p
+
+
+def _circulates_in_named_piece(p, res):
+    piece = stratum_restrict(decompose(p, _choice_of(p.m, res.sigma, res.diamond)), res.stratum)
+    g = build_tangent_hypergraph(piece, res.x)
+    return g.edges == res.edges and find_circulation(g) is not None
+
+
+def test_union_search_matches_reference_sweep():
+    # one search per stratum over the atoms of every piece decides as the
+    # piece-by-piece sweep does; on Metzler pencils it is the same search
+    rng = random.Random(606)
+    pencils = [load_pencil(path)[0] for path in sorted(FIXTURES.glob("*.json"))]
+    for m, n, count in ((2, 3, 30), (3, 3, 30), (4, 3, 1)):
+        for pool in (2, 7):
+            pencils += [_sized_pencil(rng, m, n, False, pool) for _ in range(count)]
+    pencils += [_sized_pencil(rng, 3, 3, True, pool) for pool in (2, 7) for _ in range(15)]
+    witnesses = {True: 0, False: 0}
+    for p in pencils:
+        max_m = max(p.m, 4)
+        got = certify_generic_general(p, max_m=max_m)
+        want = reference_certify_general(p, max_m=max_m)
+        assert type(got) is type(want), p
+        if isinstance(got, Witness):
+            witnesses[p.is_metzler] += 1
+            if p.is_metzler:
+                assert got == want, p
+            else:
+                assert _circulates_in_named_piece(p, got), (p, got)
+    assert witnesses[True] >= 2 and witnesses[False] >= 4, witnesses
+
+
+def _count_lps(monkeypatch):
+    calls = []
+    real = hypergraphs.feasible_point
+    monkeypatch.setattr(hypergraphs, "feasible_point", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_tie_sum_filter_keeps_witnesses(monkeypatch):
+    # the filter only skips reason products whose circulation-weighted tie
+    # constants cannot cancel, so the witnesses are those of the plain search
+    rng = random.Random(607)
+    pencils = [_sized_pencil(rng, 3, 3, True, pool) for pool in (2, 7) for _ in range(20)]
+    pencils += [_sized_pencil(rng, 4, 3, True, 2) for _ in range(5)]
+    calls = _count_lps(monkeypatch)
+    filtered = [certify_generic_general(p) for p in pencils]
+    filtered_lps = len(calls)
+    monkeypatch.setattr(hypergraphs, "_tie_sum", lambda chosen, gamma: 0)
+    plain = [certify_generic_general(p) for p in pencils]
+    assert filtered == plain
+    assert sum(isinstance(r, Witness) for r in plain) >= 3
+    assert filtered_lps < len(calls) - filtered_lps
+
+
+def test_live_filter_solves_each_reason_once(monkeypatch):
+    # the diagonal edge (1) -> 0 and the pair edge (0, 1) -> 0 both realize
+    # the tie x1 - x0 = 2 with no maximality rows: one system, two edges
+    p = pencil_of(2, 2, {(0, 0, 0): "-2", (1, 0, 0): "+0", (0, 1, 1): "+0", (0, 0, 1): "-1"})
+    cand = _candidate_edges(p)
+    assert {e.tails for e in cand} == {(1,), (0, 1)}
+    assert len({(r.eqs, r.ges) for rs in cand.values() for r in rs}) == 1
+    calls = _count_lps(monkeypatch)
+    assert isinstance(certify_generic_metzler(p), Certificate)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("pool, verdict", [(2, Witness), (7, Certificate)])
+def test_certify_reaches_5x3_pencils(pool, verdict):
+    # 3^10 pieces times 7 strata were out of reach piece by piece
+    p = _sized_pencil(random.Random(608), 5, 3, False, pool, density=1.0)
+    start = time.monotonic()
+    res = certify_generic_general(p, max_m=5)
+    assert time.monotonic() - start < 5.0
+    assert isinstance(res, verdict)
+    assert isinstance(res, Certificate) or _circulates_in_named_piece(p, res)
 
 
 def test_perturb_interior_point(poly9):

@@ -131,7 +131,7 @@ def test_feasible_point_matches_reference_on_certification_systems(monkeypatch):
     monkeypatch.setattr(lp, "solve_nonneg", record)
     monkeypatch.setattr(hypergraphs, "solve_nonneg", record)
     rng = random.Random(7)
-    for metzler in (True, False) * 12:
+    for metzler in (True, False) * 36:
         pencil = random_pencil(rng, max_m=3, max_n=3, metzler=metzler, value_pool=7)
         hypergraphs.certify_generic_general(pencil)
     assert len(systems) > 500
