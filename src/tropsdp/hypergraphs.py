@@ -30,14 +30,15 @@ from .lp import feasible_point, solve_nonneg
 from .pencils import (
     SigmaChoice,
     TropicalPencil,
+    _lattice,
+    _require_metzler,
+    _sides,
     check_assumption_nondeg,
     decompose,
     metzler_member,
     metzler_strict_member,
     stratum_restrict,
 )
-from .pencils import _require_metzler  # noqa: F401  (shared precondition check)
-from .puiseux import PuiseuxPoly, PuiseuxSymMatrix
 from .signed import is_minus_inf
 
 ZERO = Fraction(0)
@@ -101,19 +102,6 @@ def result_to_obj(res) -> dict:
     }
 
 
-def _argmax_family(family, x) -> tuple[list[int], Fraction]:
-    best = None
-    arg: list[int] = []
-    for k, v in family:
-        val = v + x[k]
-        if best is None or val > best:
-            best = val
-            arg = [k]
-        elif val == best:
-            arg.append(k)
-    return arg, best
-
-
 def build_tangent_hypergraph(pencil: TropicalPencil, x: Sequence[Fraction]) -> Hypergraph:
     """Edges of the tight constraints at a finite point of R^n."""
     _require_metzler(pencil)
@@ -121,35 +109,16 @@ def build_tangent_hypergraph(pencil: TropicalPencil, x: Sequence[Fraction]) -> H
         raise ValueError(f"expected {pencil.n} coordinates, got {len(x)}")
     if any(is_minus_inf(v) for v in x):
         raise ValueError("tangent hypergraph is defined at finite points only")
-    ij = pencil._ij
+    _, f, X = _lattice(pencil, x)
     edges: set[Edge] = set()
-    for i in range(pencil.m):
-        pos, neg_, _ = ij[(i, i)]
-        if not pos or not neg_:
+    for (_, left, right), lhs, rhs, _, tops in _sides(pencil, x):
+        if lhs is None or lhs != rhs:
             continue
-        arg_p, top_p = _argmax_family(pos, x)
-        arg_n, top_n = _argmax_family(neg_, x)
-        if top_p == top_n:
-            for k in arg_p:
-                for l in arg_n:
-                    edges.add(Edge((k,), l))
-    for i in range(pencil.m):
-        for j in range(i + 1, pencil.m):
-            _, _, fin = ij[(i, j)]
-            if not fin:
-                continue
-            pos_i = ij[(i, i)][0]
-            pos_j = ij[(j, j)][0]
-            if not pos_i or not pos_j:
-                continue
-            arg_i, top_i = _argmax_family(pos_i, x)
-            arg_j, top_j = _argmax_family(pos_j, x)
-            arg_h, top_h = _argmax_family(fin, x)
-            if top_i + top_j == 2 * top_h:
-                for k1 in arg_i:
-                    for k2 in arg_j:
-                        for l in arg_h:
-                            edges.add(Edge(tuple(sorted((k1, k2))), l))
+        # the maximizers of each left family are tails, those of the right side heads
+        args = [[k for k, c in fam if c * f + X[k] == t] for fam, t in zip(left + right, tops)]
+        heads = [l for arg in args[len(left):] for l in arg]
+        edges.update(Edge(tuple(sorted(tails)), l)
+                     for tails in itertools.product(*args[:len(left)]) for l in heads)
     ordered = tuple(sorted(edges, key=lambda e: (len(e.tails), e.tails, e.head)))
     return Hypergraph(pencil.n, ordered)
 
@@ -207,34 +176,6 @@ def farkas_direction(h: Hypergraph) -> tuple[Fraction, ...] | None:
     return eta
 
 
-def lift_matrices(pencil: TropicalPencil, canonical: bool, term) -> tuple[PuiseuxSymMatrix, ...]:
-    """Entry-wise series lift, each finite entry a -> term(coefficient, a.value).
-
-    The coefficient is -1 for negative entries and, for positive ones, m*n
-    under the canonical lift, 1 otherwise (the plain sign); -inf becomes 0.
-    """
-    factor = pencil.m * pencil.n if canonical else 1
-    zero = PuiseuxPoly.zero()
-    return tuple(
-        PuiseuxSymMatrix(tuple(
-            tuple(zero if not a.sign else term(factor if a.sign > 0 else -1, a.value) for a in row)
-            for row in mat
-        ))
-        for mat in pencil.matrices
-    )
-
-
-def canonical_lift(pencil: TropicalPencil) -> tuple[PuiseuxSymMatrix, ...]:
-    """The entry-wise series lift whose spectrahedron tropicalizes exactly.
-
-    Negative entries become -t^value, positive (diagonal) entries become
-    m*n*t^value, -inf becomes 0.  The m*n factor makes plain monomial
-    points of the tropical set land inside the inner minor relaxation.
-    """
-    _require_metzler(pencil)
-    return lift_matrices(pencil, True, PuiseuxPoly.monomial)
-
-
 # -- genericity certification -------------------------------------------------
 
 
@@ -252,18 +193,6 @@ class _Reason:
         self.tags = (tag,)
 
 
-def _row(n: int, plus, const: Fraction):
-    coeffs = [0] * n
-    for k, c in plus:
-        coeffs[k] += c
-    return tuple(coeffs), const
-
-
-def _maximality_rows(n, family, k_star, v_star):
-    # v_star + x_k* >= v + x_k for every other member
-    return [_row(n, ((k_star, 1), (k, -1)), v - v_star) for k, v in family if k != k_star]
-
-
 def _candidate_edges(pencil: TropicalPencil) -> dict[Edge, list[_Reason]]:
     """Candidate edges of the atoms of every (sigma, diamond) piece, each
     with its distinct reasons in order.
@@ -272,11 +201,23 @@ def _candidate_edges(pencil: TropicalPencil) -> dict[Edge, list[_Reason]]:
     options "sigma" (the pair constraint against the moduli of all finite
     off-diagonal entries), ">=" (the diagonal row pos(i,j) >= neg(i,j)) and
     "<=" (that row flipped).  On a Metzler pencil pos(i,j) is empty, so the
-    atoms are the pencil's own constraints.
+    atoms are the pencil's own constraints.  They come from the pencil's
+    constraint table: its int terms are D times the values, so each row
+    constant c becomes Fraction(c, D).
     """
     n = pencil.n
-    ij = pencil._ij
+    den, table = pencil._constraints
     cand: dict[Edge, dict[tuple, _Reason]] = {}
+
+    def row(plus, const):
+        coeffs = [0] * n
+        for k, c in plus:
+            coeffs[k] += c
+        return tuple(coeffs), Fraction(const, den)
+
+    def top(family, k_star, c_star):
+        # c_star + x_k* >= c + x_k for every other member
+        return [row(((k_star, 1), (k, -1)), c - c_star) for k, c in family if k != k_star]
 
     def push(edge, eq, ges, tag):
         reasons = cand.setdefault(edge, {})
@@ -288,23 +229,22 @@ def _candidate_edges(pencil: TropicalPencil) -> dict[Edge, list[_Reason]]:
             r.tags += (tag,)
 
     def diagonal(pos, neg_, tag):
-        for (k, vk), (l, vl) in itertools.product(pos, neg_):
-            ges = _maximality_rows(n, pos, k, vk) + _maximality_rows(n, neg_, l, vl)
-            push(Edge((k,), l), _row(n, ((k, 1), (l, -1)), vl - vk), ges, tag)
+        for (k, ck), (l, cl) in itertools.product(pos, neg_):
+            ges = top(pos, k, ck) + top(neg_, l, cl)
+            push(Edge((k,), l), row(((k, 1), (l, -1)), cl - ck), ges, tag)
 
-    pairs = list(itertools.combinations(range(pencil.m), 2))
-    for i in range(pencil.m):
-        diagonal(*ij[(i, i)][:2], None)
-    for i, j in pairs:
-        diagonal(*ij[(i, j)][:2], ((i, j), ">="))
-        diagonal(*ij[(i, j)][1::-1], ((i, j), "<="))
-    for i, j in pairs:
-        pos_i, pos_j, fin = ij[(i, i)][0], ij[(j, j)][0], ij[(i, j)][2]
-        for (k1, v1), (k2, v2), (l, w) in itertools.product(pos_i, pos_j, fin):
-            eq = _row(n, ((k1, 1), (k2, 1), (l, -2)), 2 * w - v1 - v2)
-            ges = (_maximality_rows(n, pos_i, k1, v1) + _maximality_rows(n, pos_j, k2, v2)
-                   + _maximality_rows(n, fin, l, w))
-            push(Edge(tuple(sorted((k1, k2))), l), eq, ges, ((i, j), "sigma"))
+    for key, left, right in table:  # rows first, then pairs
+        if len(left) == 1:
+            diagonal(*left, *right, None)
+        else:
+            diagonal(*right, (key, ">="))
+            diagonal(*reversed(right), (key, "<="))
+    for key, left, right in (c for c in table if len(c[1]) == 2):
+        (pos_i, pos_j), fin = left, sorted(sum(right, ()))
+        for (k1, c1), (k2, c2), (l, w) in itertools.product(pos_i, pos_j, fin):
+            eq = row(((k1, 1), (k2, 1), (l, -2)), 2 * w - c1 - c2)
+            ges = top(pos_i, k1, c1) + top(pos_j, k2, c2) + top(fin, l, w)
+            push(Edge(tuple(sorted((k1, k2))), l), eq, ges, (key, "sigma"))
     return {edge: list(reasons.values()) for edge, reasons in cand.items()}
 
 
@@ -476,40 +416,21 @@ def perturb_to_interior(
     if eta is None:
         raise CirculationExists("tangent hypergraph at the point admits a circulation")
 
-    slacks: list[Fraction] = []
-    ij = pencil._ij
-
-    def family_slacks(family):
-        _, top = _argmax_family(family, x)
-        for k, v in family:
-            gap = top - (v + x[k])
-            if gap > 0:
-                slacks.append(gap)
-        return top
-
-    for i in range(pencil.m):
-        pos, neg_, _ = ij[(i, i)]
-        if not neg_:
-            continue
-        lhs = family_slacks(pos)
-        rhs = family_slacks(neg_)
-        if lhs - rhs > 0:
+    # every positive gap below a family max or between the two sides,
+    # on the integer scale S of the pass
+    scale, f, X = _lattice(pencil, x)
+    slacks = []
+    for (_, left, right), lhs, rhs, _, tops in _sides(pencil, x):
+        slacks += [t - c * f - X[k] for fam, t in zip(left + right, tops)
+                   for k, c in fam if c * f + X[k] < t]
+        if lhs > rhs:
             slacks.append(lhs - rhs)
-    for i in range(pencil.m):
-        for j in range(i + 1, pencil.m):
-            _, _, fin = ij[(i, j)]
-            if not fin:
-                continue
-            lhs = family_slacks(ij[(i, i)][0]) + family_slacks(ij[(j, j)][0])
-            rhs = 2 * family_slacks(fin)
-            if lhs - rhs > 0:
-                slacks.append(lhs - rhs)
 
     spread = max((abs(v) for v in eta), default=ZERO)
     if not slacks or spread == 0:
         rho0 = Fraction(1)
     else:
-        rho0 = min(slacks) / (8 * spread)
+        rho0 = Fraction(min(slacks), scale) / (8 * spread)
     x2 = tuple(v + rho0 * d for v, d in zip(x, eta))
     if not metzler_strict_member(pencil, x2):
         raise CertificateCheckFailed("perturbation failed its own strictness check")

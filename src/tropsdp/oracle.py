@@ -19,21 +19,16 @@ from math import lcm
 from typing import Sequence
 
 from .errors import CertificateCheckFailed, DimensionTooLarge, NotCertified
-from .hypergraphs import (
-    Certificate,
-    canonical_lift,
-    certify_generic_general,
-    lift_matrices,
-    perturb_to_interior,
-)
+from .hypergraphs import Certificate, certify_generic_general, perturb_to_interior
 from .pencils import (
     SigmaChoice,
     TropicalPencil,
+    _holds,
+    _require_metzler,
+    _sides,
     decompose,
-    enumerate_choices,
     format_point,
     general_member,
-    metzler_member,
     metzler_strict_member,
     stratum_restrict,
 )
@@ -81,6 +76,34 @@ def monomial_lift(x: Sequence[ExtRat]) -> tuple[PuiseuxPoly, ...]:
     return tuple(
         PuiseuxPoly.zero() if is_minus_inf(v) else PuiseuxPoly.t_power(v) for v in x
     )
+
+
+def lift_matrices(pencil: TropicalPencil, canonical: bool, term) -> tuple[PuiseuxSymMatrix, ...]:
+    """Entry-wise series lift, each finite entry a -> term(coefficient, a.value).
+
+    The coefficient is -1 for negative entries and, for positive ones, m*n
+    under the canonical lift, 1 otherwise (the plain sign); -inf becomes 0.
+    """
+    factor = pencil.m * pencil.n if canonical else 1
+    zero = PuiseuxPoly.zero()
+    return tuple(
+        PuiseuxSymMatrix(tuple(
+            tuple(zero if not a.sign else term(factor if a.sign > 0 else -1, a.value) for a in row)
+            for row in mat
+        ))
+        for mat in pencil.matrices
+    )
+
+
+def canonical_lift(pencil: TropicalPencil) -> tuple[PuiseuxSymMatrix, ...]:
+    """The entry-wise series lift whose spectrahedron tropicalizes exactly.
+
+    Negative entries become -t^value, positive (diagonal) entries become
+    m*n*t^value, -inf becomes 0.  The m*n factor makes plain monomial
+    points of the tropical set land inside the inner minor relaxation.
+    """
+    _require_metzler(pencil)
+    return lift_matrices(pencil, True, PuiseuxPoly.monomial)
 
 
 def entrywise_lift(pencil: TropicalPencil) -> PuiseuxPencil:
@@ -221,25 +244,6 @@ class ValidationRecord:
         }
 
 
-def _piece_table(pencil: TropicalPencil, max_choice_m: int):
-    """Pieces grouped by sigma, in enumeration order; Metzler pencils are
-    their own single piece."""
-    if pencil.is_metzler:
-        pairs = frozenset(
-            (i, j) for i in range(pencil.m) for j in range(i + 1, pencil.m)
-        )
-        choice = SigmaChoice(pencil.m, pairs, ())
-        return ((pairs, ((choice, pencil),)),)
-    by_sigma: dict[frozenset, list[tuple[SigmaChoice, TropicalPencil]]] = {}
-    order: list[frozenset] = []
-    for choice in enumerate_choices(pencil.m, max_m=max_choice_m):
-        if choice.sigma not in by_sigma:
-            by_sigma[choice.sigma] = []
-            order.append(choice.sigma)
-        by_sigma[choice.sigma].append((choice, decompose(pencil, choice)))
-    return tuple((sigma, tuple(by_sigma[sigma])) for sigma in order)
-
-
 def _cached(cache: dict, key, build):
     # cache is scoped to one cross_validate call, so nothing outlives it
     hit = cache.get(key)
@@ -253,10 +257,7 @@ def _evaluate_on_lattice(cache: dict, pencil: TropicalPencil, x) -> PuiseuxSymMa
     after t -> t^D with D the lcm of the denominators of the pencil's values
     and of x: every term is then a pair of ints.  The substitution keeps the
     order and commutes with add and mul, so every sign read is unchanged."""
-    den = _cached(cache, ("den", pencil), lambda: lcm(
-        *(a.value.denominator for mat in pencil.matrices for row in mat for a in row if a.sign)
-    ))
-    d = lcm(den, *(v.denominator for v in x))
+    d = lcm(pencil._constraints[0], *(v.denominator for v in x))
     lift = _cached(cache, ("lift", pencil, d), lambda: PuiseuxPencil(
         pencil.m, pencil.n,
         lift_matrices(pencil, pencil.is_metzler, lambda c, e: PuiseuxPoly(((int(e * d), c),))),
@@ -264,12 +265,31 @@ def _evaluate_on_lattice(cache: dict, pencil: TropicalPencil, x) -> PuiseuxSymMa
     return evaluate_pencil(lift, tuple(PuiseuxPoly(((int(v * d), 1),)) for v in x))
 
 
-def _strict_pieces(pieces_by_sigma, x):
-    """First sigma whose every diamond piece contains x."""
-    for sigma, pieces in pieces_by_sigma:
-        if all(metzler_member(piece, x) for _, piece in pieces):
-            return sigma, pieces
-    return None, []
+def _pieces(cache: dict, pencil: TropicalPencil, x):
+    """The sigma whose every diamond piece contains the member point x, with
+    those pieces in enumeration order, or (None, ()) if there is none.
+
+    A Metzler pencil is its own single piece.  Otherwise a piece contains x
+    iff x meets its sigma pairs' constraints and both directions of every
+    other pair, i.e. a tie: so sigma is the set of pairs whose constraint
+    holds at x, valid when every other pair ties, and only its 2^|diamond|
+    pieces are built, cached for the call under (pencil, sigma).
+    """
+    pairs = list(itertools.combinations(range(pencil.m), 2))
+    if pencil.is_metzler:
+        return frozenset(pairs), ((SigmaChoice(pencil.m, frozenset(pairs), ()), pencil),)
+    diamond = []
+    for (key, left, _), lhs, rhs, tie, _ in _sides(pencil, x):
+        if len(left) == 2 and not _holds(lhs, rhs):
+            if not tie:
+                return None, ()
+            diamond.append(key)
+    sigma = frozenset(pairs).difference(diamond)
+    return sigma, _cached(cache, ("pieces", pencil, sigma), lambda: tuple(
+        (choice, decompose(pencil, choice))
+        for dirs in itertools.product((">=", "<="), repeat=len(diamond))
+        for choice in [SigmaChoice(pencil.m, sigma, tuple(zip(diamond, dirs)))]
+    ))
 
 
 def cross_validate(
@@ -295,16 +315,10 @@ def cross_validate(
         if not isinstance(result, Certificate):
             raise NotCertified("pencil has a circulation witness; oracle out of scope")
     cache: dict = {}
-    max_choice_m = max(5, max_m + 1)
-    return [
-        _validate_point(pencil, tuple(point), psd_dim_bound, max_choice_m, cache)
-        for point in sorted(grid)
-    ]
+    return [_validate_point(pencil, tuple(point), psd_dim_bound, cache) for point in sorted(grid)]
 
 
-def _validate_point(
-    pencil: TropicalPencil, x, psd_dim_bound: int, max_choice_m: int, cache: dict
-) -> ValidationRecord:
+def _validate_point(pencil: TropicalPencil, x, psd_dim_bound: int, cache: dict) -> ValidationRecord:
     member = general_member(pencil, x)
     rec = ValidationRecord(x=x, member=member)
     support = tuple(k for k, v in enumerate(x) if not is_minus_inf(v))
@@ -320,7 +334,7 @@ def _validate_point(
         if general_member(sub, sub_x) != member:
             rec.fail("membership disagrees with its support stratum")
             return rec
-        inner = _validate_point(sub, sub_x, psd_dim_bound, max_choice_m, cache)
+        inner = _validate_point(sub, sub_x, psd_dim_bound, cache)
         rec.sout, rec.sin, rec.psd = inner.sout, inner.sin, inner.psd
         if not inner.ok:
             rec.ok = False
@@ -351,10 +365,7 @@ def _validate_point(
         if not rec.sout:
             rec.fail("member point escapes the outer set")
 
-    table = _cached(
-        cache, ("pieces", pencil), lambda: _piece_table(pencil, max_choice_m)
-    )
-    sigma, pieces = _strict_pieces(table, x)
+    sigma, pieces = _pieces(cache, pencil, x)
     if sigma is None:
         rec.fail("no sigma piece family contains the member point")
         return rec

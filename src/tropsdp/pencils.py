@@ -83,35 +83,82 @@ class TropicalPencil:
         )
 
     @cached_property
-    def _ij(self):
-        # per entry position: (k, value) lists for positive, negative and all
-        # finite coefficients; the driver of every predicate below
-        data = {}
-        for i in range(self.m):
-            for j in range(i, self.m):
-                pos, neg_, fin = [], [], []
-                for k in range(self.n):
-                    a = self.matrices[k][i][j]
-                    if a.sign == 1:
-                        pos.append((k, a.value))
-                        fin.append((k, a.value))
-                    elif a.sign == -1:
-                        neg_.append((k, a.value))
-                        fin.append((k, a.value))
-                data[(i, j)] = (tuple(pos), tuple(neg_), tuple(fin))
-        return data
+    def _constraints(self):
+        """(D, table): the order-1/order-2 constraints that can fail, on ints.
+
+        D is the lcm of the denominators of the pencil's finite values, and a
+        family is a tuple of (k, D * value) int pairs, one per finite
+        coefficient of an entry, in k order.  A constraint is (key, left,
+        right): its lhs is the sum of the left families' maxima, its rhs
+        len(left) times the max of the right families.  Row i gives
+        (i, (pos_ii,), (neg_ii,)); then each pair i < j gives
+        ((i, j), (pos_ii, pos_jj), (pos_ij, neg_ij)), which also holds when
+        its two right maxima tie.  A row with no negative part and a pair
+        with no finite off-diagonal entry have rhs -inf at every point, so
+        they always hold and are dropped; the rest keep this order.
+        """
+        den = math.lcm(*(a.value.denominator for mat in self.matrices for row in mat
+                         for a in row if a.sign))
+
+        def part(i, j, sign):
+            return tuple((k, a.value.numerator * (den // a.value.denominator))
+                         for k, a in enumerate(mat[i][j] for mat in self.matrices)
+                         if a.sign == sign)
+
+        pos = [part(i, i, 1) for i in range(self.m)]
+        rows = [(i, (pos[i],), (part(i, i, -1),)) for i in range(self.m)]
+        pairs = [((i, j), (pos[i], pos[j]), (part(i, j, 1), part(i, j, -1)))
+                 for i, j in itertools.combinations(range(self.m), 2)]
+        return den, tuple(c for c in rows + pairs if any(c[2]))
 
 
-def _family_max(family: Sequence[tuple[int, Fraction]], x: Sequence[ExtRat]) -> ExtRat:
-    best: ExtRat = MINUS_INF
-    for k, v in family:
-        xk = x[k]
-        if is_minus_inf(xk):
-            continue
-        val = v + xk
-        if best < val:
-            best = val
-    return best
+def _lattice(pencil: TropicalPencil, x: Sequence[ExtRat]):
+    """(S, f, X): x scaled by S = f * D onto the integers, so that a table
+    term (k, c) is worth c * f + X[k] at x; X[k] is None for -inf."""
+    den = pencil._constraints[0]
+    scale = math.lcm(den, *(v.denominator for v in x if not is_minus_inf(v)))
+    X = [None if is_minus_inf(v) else v.numerator * (scale // v.denominator) for v in x]
+    return scale, scale // den, X
+
+
+def _sides(pencil: TropicalPencil, x: Sequence[ExtRat]):
+    """The one pass over pencil._constraints at x.
+
+    Yields (constraint, lhs, rhs, tie, tops) per constraint, scaled by S as
+    in _lattice, with None for -inf.  lhs and rhs are its two sides, tie
+    says whether the right families' maxima are equal, which only a pair's
+    two parts can be, and tops gives, per family of left + right, the value
+    its terms are held to: a left family's own max, the right side's max.
+    """
+    _, f, X = _lattice(pencil, x)
+
+    def top(family):
+        best = None
+        for k, c in family:
+            if X[k] is not None:
+                v = c * f + X[k]
+                if best is None or v > best:
+                    best = v
+        return best
+
+    for con in pencil._constraints[1]:
+        _, left, right = con
+        tops = [top(fam) for fam in left]
+        rights = [top(fam) for fam in right]
+        best = max((v for v in rights if v is not None), default=None)
+        lhs = None if None in tops else sum(tops)
+        rhs = None if best is None else len(left) * best
+        tie = len(rights) == 2 and rights[0] == rights[1]
+        yield con, lhs, rhs, tie, tops + [best] * len(right)
+
+
+def _holds(lhs, rhs) -> bool:
+    # lhs >= rhs, where None is -inf and -inf >= -inf
+    return rhs is None or (lhs is not None and lhs >= rhs)
+
+
+def _member(pencil: TropicalPencil, x: Sequence[ExtRat]) -> bool:
+    return all(tie or _holds(lhs, rhs) for _, lhs, rhs, tie, _ in _sides(pencil, x))
 
 
 def qij_poly(pencil: TropicalPencil, i: int, j: int) -> TropPoly:
@@ -140,28 +187,13 @@ def metzler_member(pencil: TropicalPencil, x: Sequence[ExtRat]) -> bool:
 
     Diagonal constraints compare positive against negative parts; pair
     constraints compare the product of positive diagonal parts against the
-    squared off-diagonal modulus.  -inf >= -inf holds.
+    squared off-diagonal modulus.  -inf >= -inf holds.  This is
+    general_member's verdict: a Metzler pair has no positive part, so its
+    parts tie only when the rhs is -inf and the pair holds anyway.
     """
     _require_metzler(pencil)
     _check_point(pencil, x)
-    ij = pencil._ij
-    for i in range(pencil.m):
-        pos, neg_, _ = ij[(i, i)]
-        if not _family_max(pos, x) >= _family_max(neg_, x):
-            return False
-    for i in range(pencil.m):
-        for j in range(i + 1, pencil.m):
-            _, _, fin = ij[(i, j)]
-            rhs = _family_max(fin, x)
-            if is_minus_inf(rhs):
-                continue
-            lhs_i = _family_max(ij[(i, i)][0], x)
-            lhs_j = _family_max(ij[(j, j)][0], x)
-            if is_minus_inf(lhs_i) or is_minus_inf(lhs_j):
-                return False
-            if not lhs_i + lhs_j >= 2 * rhs:
-                return False
-    return True
+    return _member(pencil, x)
 
 
 def metzler_strict_member(pencil: TropicalPencil, x: Sequence[Fraction]) -> bool:
@@ -174,25 +206,7 @@ def metzler_strict_member(pencil: TropicalPencil, x: Sequence[Fraction]) -> bool
     _check_point(pencil, x)
     if any(is_minus_inf(v) for v in x):
         raise ValueError("strict membership is defined for finite points only")
-    ij = pencil._ij
-    for i in range(pencil.m):
-        pos, neg_, _ = ij[(i, i)]
-        if not neg_:
-            continue
-        if not _family_max(pos, x) > _family_max(neg_, x):
-            return False
-    for i in range(pencil.m):
-        for j in range(i + 1, pencil.m):
-            _, _, fin = ij[(i, j)]
-            if not fin:
-                continue
-            lhs_i = _family_max(ij[(i, i)][0], x)
-            lhs_j = _family_max(ij[(j, j)][0], x)
-            if is_minus_inf(lhs_i) or is_minus_inf(lhs_j):
-                return False
-            if not lhs_i + lhs_j > 2 * _family_max(fin, x):
-                return False
-    return True
+    return all(lhs is not None and lhs > rhs for _, lhs, rhs, _, _ in _sides(pencil, x))
 
 
 def general_member(pencil: TropicalPencil, x: Sequence[ExtRat]) -> bool:
@@ -202,29 +216,7 @@ def general_member(pencil: TropicalPencil, x: Sequence[ExtRat]) -> bool:
     positive and negative off-diagonal parts.
     """
     _check_point(pencil, x)
-    ij = pencil._ij
-    for i in range(pencil.m):
-        pos, neg_, _ = ij[(i, i)]
-        if not _family_max(pos, x) >= _family_max(neg_, x):
-            return False
-    for i in range(pencil.m):
-        for j in range(i + 1, pencil.m):
-            pos, neg_, fin = ij[(i, j)]
-            plus = _family_max(pos, x)
-            minus = _family_max(neg_, x)
-            rhs = plus if plus >= minus else minus
-            if is_minus_inf(rhs):
-                continue
-            lhs_i = _family_max(ij[(i, i)][0], x)
-            lhs_j = _family_max(ij[(j, j)][0], x)
-            ok = (
-                not is_minus_inf(lhs_i)
-                and not is_minus_inf(lhs_j)
-                and lhs_i + lhs_j >= 2 * rhs
-            )
-            if not ok and plus != minus:
-                return False
-    return True
+    return _member(pencil, x)
 
 
 def slice_members(
@@ -237,28 +229,26 @@ def slice_members(
 
     The points are base with coordinates free[0], free[1] set to (a, b), for
     (a, b) in product(axis, axis); base's values there are ignored.  On the
-    slice each order-1/order-2 family max is max(c, a + u, b + w), compiled
-    once in integers scaled by the lcm of every denominator involved and
-    evaluated a grid row at a time.  With R the largest scaled modulus, a
-    finite family value lies in [-2R, 2R]; a missing term gets the
-    coefficient -7R - 1, so a family that is -inf on the whole slice stays
-    below -6R and every comparison general_member makes keeps its outcome.
+    slice each family max of the pencil's constraint table is
+    max(c, a + u, b + w), compiled once in integers scaled by the lcm of
+    every denominator involved and evaluated a grid row at a time.  With R
+    the largest scaled modulus, a finite family value lies in [-2R, 2R]; a
+    missing term gets the coefficient -7R - 1, so a family that is -inf on
+    the whole slice stays below -6R and every comparison general_member
+    makes keeps its outcome.
     """
     _check_point(pencil, base)
     p, q = free
     if p == q or not (0 <= p < pencil.n and 0 <= q < pencil.n):
         raise ValueError(f"free coordinates {free!r} must be two distinct indices")
     fixed = [(k, v) for k, v in enumerate(base) if k not in free and not is_minus_inf(v)]
-    ij = pencil._ij
-    values = [v for fams in ij.values() for _, v in fams[2]]
-    values += [v for _, v in fixed] + list(axis)
-    den = math.lcm(*(v.denominator for v in values))
-
-    def scale(v) -> int:
-        return v.numerator * (den // v.denominator)
-
-    low = -7 * max((abs(scale(v)) for v in values), default=0) - 1
-    xs = {k: scale(v) for k, v in fixed}
+    den, table = pencil._constraints
+    scale = math.lcm(den, *(v.denominator for _, v in fixed), *(v.denominator for v in axis))
+    g = scale // den  # table terms are on D, the slice on the common scale
+    xs = {k: int(v * scale) for k, v in fixed}
+    bs = [int(b * scale) for b in axis]
+    coeffs = [c * g for _, left, right in table for fam in left + right for _, c in fam]
+    low = -7 * max(map(abs, coeffs + list(xs.values()) + bs), default=0) - 1
     # (c, u, w) of each family on the slice; index 0 is -inf on the whole slice
     index = {(low, low, low): 0}
 
@@ -266,27 +256,26 @@ def slice_members(
         c = u = w = low
         for k, v in fam:
             if k == p:
-                u = scale(v)
+                u = v * g
             elif k == q:
-                w = scale(v)
+                w = v * g
             elif k in xs:
-                c = max(c, scale(v) + xs[k])
+                c = max(c, v * g + xs[k])
         return index.setdefault((c, u, w), len(index))
 
-    # diagonal: positive part >= negative part, which holds if the latter is -inf
-    diag = [(family(ij[(i, i)][0]), family(ij[(i, i)][1])) for i in range(pencil.m)]
-    diag = [(left, right) for left, right in diag if right]
-    # pair: the two diagonal positive parts against twice the off-diagonal
-    # max, or a tie of its positive and negative parts
-    pairs = []
-    for i, j in itertools.combinations(range(pencil.m), 2):
-        pos, neg_, fin = ij[(i, j)]
-        rhs = family(fin)
+    # diagonal: positive part >= negative part, which holds if the latter is
+    # -inf; pair: the two diagonal positive parts against twice the
+    # off-diagonal max, or a tie of its positive and negative parts
+    diag, pairs = [], []
+    for _, left, right in table:
+        sides = [family(fam) for fam in left]
+        rhs = family(sum(right, ()))
         if rhs:
-            lhs_i, lhs_j = family(ij[(i, i)][0]), family(ij[(j, j)][0])
-            pairs.append((lhs_i, lhs_j, rhs, family(pos), family(neg_)))
+            if len(left) == 1:
+                diag.append((sides[0], rhs))
+            else:
+                pairs.append((*sides, rhs, family(right[0]), family(right[1])))
     terms = list(index)
-    bs = [scale(b) for b in axis]
     shifted = [[b + w for b in bs] for _, _, w in terms]
     for a in bs:
         vals = []

@@ -1,6 +1,8 @@
 """Shared builders for pencil-level tests, and reference kernels: the dense
 Fraction simplex, the dict-based Puiseux add and mul, the per-point
-slice raster, the oracle's per-point checks on Fraction-termed lifts, and
+slice raster, the per-constraint Fraction loops behind membership, tangent
+edges and perturbation slacks, the oracle's per-point checks on
+Fraction-termed lifts with the sweep over every (sigma, diamond) piece, and
 the piece-by-piece genericity sweep."""
 
 from __future__ import annotations
@@ -11,22 +13,20 @@ from fractions import Fraction as F
 from typing import Sequence
 
 from tropsdp import lp
-from tropsdp.errors import CertificateCheckFailed, DimensionTooLarge
+from tropsdp.errors import CertificateCheckFailed, CirculationExists, DimensionTooLarge
 from tropsdp.hypergraphs import (
     Certificate,
     Edge,
     Hypergraph,
     Witness,
     build_tangent_hypergraph,
+    farkas_direction,
     find_circulation,
-    perturb_to_interior,
 )
 from tropsdp.oracle import (
     ValidationRecord,
     _cached,
     _minor_conditions,
-    _piece_table,
-    _strict_pieces,
     canonical_lift_pencil,
     entrywise_lift,
     evaluate_pencil,
@@ -40,7 +40,6 @@ from tropsdp.pencils import (
     enumerate_choices,
     general_member,
     metzler_member,
-    metzler_strict_member,
     stratum_restrict,
 )
 from tropsdp.puiseux import PuiseuxPoly, is_psd
@@ -185,6 +184,148 @@ def reference_slice_csv(
     return "\n".join(lines) + "\n"
 
 
+def reference_families(pencil: TropicalPencil) -> dict:
+    """(i, j) -> (positive, negative, finite) families of (k, value) pairs
+    over i <= j, values as Fractions, with no constraint dropped."""
+    data = {}
+    for i in range(pencil.m):
+        for j in range(i, pencil.m):
+            pos, neg_, fin = [], [], []
+            for k in range(pencil.n):
+                a = pencil.matrices[k][i][j]
+                if a.sign:
+                    (pos if a.sign == 1 else neg_).append((k, a.value))
+                    fin.append((k, a.value))
+            data[(i, j)] = (tuple(pos), tuple(neg_), tuple(fin))
+    return data
+
+
+def _family_max(family, x):
+    best = MINUS_INF
+    for k, v in family:
+        if not is_minus_inf(x[k]) and best < v + x[k]:
+            best = v + x[k]
+    return best
+
+
+def reference_general_member(pencil: TropicalPencil, x) -> bool:
+    """general_member as one Fraction loop per constraint (metzler_member
+    on a Metzler pencil)."""
+    ij = reference_families(pencil)
+    for i in range(pencil.m):
+        pos, neg_, _ = ij[(i, i)]
+        if not _family_max(pos, x) >= _family_max(neg_, x):
+            return False
+    for i, j in itertools.combinations(range(pencil.m), 2):
+        pos, neg_, _ = ij[(i, j)]
+        plus, minus = _family_max(pos, x), _family_max(neg_, x)
+        rhs = plus if plus >= minus else minus
+        if is_minus_inf(rhs):
+            continue
+        lhs_i, lhs_j = _family_max(ij[(i, i)][0], x), _family_max(ij[(j, j)][0], x)
+        ok = not is_minus_inf(lhs_i) and not is_minus_inf(lhs_j) and lhs_i + lhs_j >= 2 * rhs
+        if not ok and plus != minus:
+            return False
+    return True
+
+
+def reference_strict_member(pencil: TropicalPencil, x) -> bool:
+    """metzler_strict_member as one Fraction loop per constraint."""
+    ij = reference_families(pencil)
+    for i in range(pencil.m):
+        pos, neg_, _ = ij[(i, i)]
+        if neg_ and not _family_max(pos, x) > _family_max(neg_, x):
+            return False
+    for i, j in itertools.combinations(range(pencil.m), 2):
+        fin = ij[(i, j)][2]
+        if not fin:
+            continue
+        lhs_i, lhs_j = _family_max(ij[(i, i)][0], x), _family_max(ij[(j, j)][0], x)
+        if is_minus_inf(lhs_i) or is_minus_inf(lhs_j) or not lhs_i + lhs_j > 2 * _family_max(fin, x):
+            return False
+    return True
+
+
+def _argmax_family(family, x):
+    best, arg = None, []
+    for k, v in family:
+        if best is None or v + x[k] > best:
+            best, arg = v + x[k], [k]
+        elif v + x[k] == best:
+            arg.append(k)
+    return arg, best
+
+
+def reference_tangent_hypergraph(pencil: TropicalPencil, x) -> Hypergraph:
+    """build_tangent_hypergraph as one Fraction loop per constraint."""
+    ij = reference_families(pencil)
+    edges = set()
+    for i in range(pencil.m):
+        pos, neg_, _ = ij[(i, i)]
+        if pos and neg_:
+            (arg_p, top_p), (arg_n, top_n) = _argmax_family(pos, x), _argmax_family(neg_, x)
+            if top_p == top_n:
+                edges.update(Edge((k,), l) for k in arg_p for l in arg_n)
+    for i, j in itertools.combinations(range(pencil.m), 2):
+        pos_i, pos_j, fin = ij[(i, i)][0], ij[(j, j)][0], ij[(i, j)][2]
+        if fin and pos_i and pos_j:
+            (arg_i, top_i), (arg_j, top_j) = _argmax_family(pos_i, x), _argmax_family(pos_j, x)
+            arg_h, top_h = _argmax_family(fin, x)
+            if top_i + top_j == 2 * top_h:
+                edges.update(Edge(tuple(sorted((k1, k2))), l)
+                             for k1 in arg_i for k2 in arg_j for l in arg_h)
+    return Hypergraph(pencil.n, tuple(sorted(edges, key=lambda e: (len(e.tails), e.tails, e.head))))
+
+
+def reference_perturb(pencil: TropicalPencil, x) -> tuple[tuple[F, ...], F]:
+    """(eta, rho0) of perturb_to_interior, with the slacks collected by one
+    Fraction loop per constraint; no strictness re-check."""
+    if not reference_general_member(pencil, x):
+        raise ValueError("point is not in the tropical spectrahedron")
+    eta = farkas_direction(reference_tangent_hypergraph(pencil, x))
+    if eta is None:
+        raise CirculationExists("tangent hypergraph at the point admits a circulation")
+    ij = reference_families(pencil)
+    slacks = []
+
+    def family_slacks(family):
+        _, top = _argmax_family(family, x)
+        slacks.extend(top - (v + x[k]) for k, v in family if top > v + x[k])
+        return top
+
+    for i in range(pencil.m):
+        pos, neg_, _ = ij[(i, i)]
+        if neg_:
+            slacks.append(family_slacks(pos) - family_slacks(neg_))
+    for i, j in itertools.combinations(range(pencil.m), 2):
+        if ij[(i, j)][2]:
+            lhs = family_slacks(ij[(i, i)][0]) + family_slacks(ij[(j, j)][0])
+            slacks.append(lhs - 2 * family_slacks(ij[(i, j)][2]))
+    slacks = [v for v in slacks if v > 0]
+    spread = max((abs(v) for v in eta), default=F(0))
+    return eta, F(1) if not slacks or spread == 0 else min(slacks) / (8 * spread)
+
+
+def _reference_piece_table(pencil: TropicalPencil, max_choice_m: int):
+    # pieces grouped by sigma, in enumeration order; a Metzler pencil is its
+    # own single piece
+    if pencil.is_metzler:
+        pairs = frozenset(itertools.combinations(range(pencil.m), 2))
+        return ((pairs, ((SigmaChoice(pencil.m, pairs, ()), pencil),)),)
+    by_sigma: dict = {}
+    for choice in enumerate_choices(pencil.m, max_m=max_choice_m):
+        by_sigma.setdefault(choice.sigma, []).append((choice, decompose(pencil, choice)))
+    return tuple(by_sigma.items())
+
+
+def _reference_strict_pieces(pieces_by_sigma, x):
+    # the first sigma whose every diamond piece contains x
+    for sigma, pieces in pieces_by_sigma:
+        if all(reference_general_member(piece, x) for _, piece in pieces):
+            return sigma, pieces
+    return None, []
+
+
 def _fraction_lift(pencil: TropicalPencil):
     return canonical_lift_pencil(pencil) if pencil.is_metzler else entrywise_lift(pencil)
 
@@ -193,9 +334,11 @@ def reference_validate_point(
     pencil: TropicalPencil, x, psd_dim_bound: int, max_choice_m: int, cache: dict
 ) -> ValidationRecord:
     """One point of cross_validate, evaluated on the public Fraction-termed
-    lifts at the monomial lift of x: the reference whose records and
-    failure lists the integer-lattice oracle must match."""
-    member = general_member(pencil, x)
+    lifts at the monomial lift of x, with the Fraction loops' membership,
+    strictness and perturbation, its sigma found by testing every piece of
+    every sigma: the reference whose records and failure lists the
+    integer-lattice oracle must match."""
+    member = reference_general_member(pencil, x)
     rec = ValidationRecord(x=x, member=member)
     support = tuple(k for k, v in enumerate(x) if not is_minus_inf(v))
     if len(support) < pencil.n:
@@ -206,7 +349,7 @@ def reference_validate_point(
             return rec
         sub = stratum_restrict(pencil, support)
         sub_x = tuple(x[k] for k in support)
-        if general_member(sub, sub_x) != member:
+        if reference_general_member(sub, sub_x) != member:
             rec.fail("membership disagrees with its support stratum")
             return rec
         inner = reference_validate_point(sub, sub_x, psd_dim_bound, max_choice_m, cache)
@@ -240,18 +383,18 @@ def reference_validate_point(
         if not rec.sout:
             rec.fail("member point escapes the outer set")
 
-    table = _cached(cache, ("pieces", pencil), lambda: _piece_table(pencil, max_choice_m))
-    sigma, pieces = _strict_pieces(table, x)
+    table = _cached(cache, ("pieces", pencil), lambda: _reference_piece_table(pencil, max_choice_m))
+    sigma, pieces = _reference_strict_pieces(table, x)
     if sigma is None:
         rec.fail("no sigma piece family contains the member point")
         return rec
     for choice, piece in pieces:
-        if metzler_strict_member(piece, x):
+        if reference_strict_member(piece, x):
             target = x
         else:
-            eta, rho0 = perturb_to_interior(piece, x)
+            eta, rho0 = reference_perturb(piece, x)
             target = tuple(v + rho0 * d for v, d in zip(x, eta))
-            if not metzler_strict_member(piece, target):
+            if not reference_strict_member(piece, target):
                 rec.fail(f"perturbation not strict in piece sigma={sorted(choice.sigma)}")
                 continue
         if piece is pencil and target is x:
@@ -269,7 +412,7 @@ def reference_validate_point(
 def _reference_candidate_edges(pencil: TropicalPencil) -> dict:
     # edge -> distinct (equality rows, inequality rows) realizing it, in the
     # order the constraints are met: diagonal rows, then pairs
-    n, ij = pencil.n, pencil._ij
+    n, ij = pencil.n, reference_families(pencil)
     cand: dict = {}
 
     def row(coeffs, const):

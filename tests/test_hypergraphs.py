@@ -14,7 +14,7 @@ import pytest
 from conftest import FIXTURES
 from helpers import pencil_of, random_pencil, reference_certify_general
 from tropsdp.errors import CirculationExists, DimensionTooLarge, NotMetzler
-from tropsdp import hypergraphs
+from tropsdp import canonical_lift, hypergraphs
 from tropsdp.hypergraphs import (
     Certificate,
     Edge,
@@ -23,7 +23,6 @@ from tropsdp.hypergraphs import (
     _candidate_edges,
     _contains_any,
     build_tangent_hypergraph,
-    canonical_lift,
     certify_generic_general,
     certify_generic_metzler,
     farkas_direction,

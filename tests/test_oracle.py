@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import weakref
 from fractions import Fraction as F
 from pathlib import Path
@@ -14,7 +15,7 @@ import pytest
 
 from conftest import FIXTURES
 from helpers import pencil_of, random_pencil, reference_validate_point
-from tropsdp import oracle
+from tropsdp import canonical_lift, oracle
 from tropsdp.errors import NotCertified
 from tropsdp.oracle import (
     PuiseuxPencil,
@@ -35,7 +36,6 @@ from tropsdp.oracle import (
 from tropsdp import puiseux
 from tropsdp.hypergraphs import (
     Certificate,
-    canonical_lift,
     certify_generic_general,
     perturb_to_interior,
 )
@@ -393,6 +393,37 @@ def test_lattice_records_match_fraction_path(monkeypatch):
         assert lattice == fraction, pencil
     assert {3, 7, 9} <= denominators
     assert len(perturbed) > 50
+
+
+def _dense_5x3(rng: random.Random):
+    """5x3 non-Metzler pencil: x0's diagonal positive at 6..12, x1 and x2
+    entries of random sign at density 0.6."""
+    entries = {(0, i, i): SignedTrop(1, F(rng.randint(6, 12))) for i in range(5)}
+    for k, i in itertools.product((1, 2), range(5)):
+        for j in range(i, 5):
+            if rng.random() < 0.6:
+                entries[(k, i, j)] = SignedTrop(rng.choice((1, -1)), F(rng.randint(-4, 4)))
+    return pencil_of(5, 3, entries)
+
+
+def test_validate_builds_only_the_pieces_of_the_member_sigma(monkeypatch):
+    # 3^10 (sigma, diamond) pieces: only the 2^|diamond| of each point's sigma are built
+    pencil = _dense_5x3(random.Random(144))
+    assert not pencil.is_metzler
+    assert isinstance(certify_generic_general(pencil, max_m=5), Certificate)
+    built = []
+    real = oracle.decompose
+    monkeypatch.setattr(oracle, "decompose", lambda p, c: built.append(c) or real(p, c))
+    grid = [(Z, a, b) for a, b in grid_points(2, 0, 6, F(1, 2))]
+    start = time.monotonic()
+    records = cross_validate(pencil, grid, assume_certified=True, max_m=5)
+    assert time.monotonic() - start < 5.0
+    assert all(r.ok for r in records) and sum(r.member for r in records) > 20
+    sigmas = {c.sigma for c in built}
+    assert any(len(s) < 10 for s in sigmas)
+    for sigma in sigmas:  # each piece of the sigma once, whatever the number of its points
+        diamonds = [c.diamond for c in built if c.sigma == sigma]
+        assert len(diamonds) == len(set(diamonds)) == 2 ** (10 - len(sigma))
 
 
 def test_lattice_terms_are_ints(monkeypatch):

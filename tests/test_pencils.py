@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from tropsdp.errors import DimensionTooLarge, NotMetzler, PencilFormatError
+from tropsdp.errors import CirculationExists, DimensionTooLarge, NotMetzler, PencilFormatError
+from tropsdp.hypergraphs import build_tangent_hypergraph, perturb_to_interior
 from tropsdp.pencils import (
     SigmaChoice,
     check_assumption_nondeg,
@@ -26,7 +28,15 @@ from tropsdp.polynomials import TropPoly
 from tropsdp.signed import MINUS_INF, TROP_MINUS_INF, SignedTrop, neg, pos
 
 from conftest import FIXTURES
-from helpers import pencil_of, random_pencil, reference_slice_csv
+from helpers import (
+    pencil_of,
+    random_pencil,
+    reference_general_member,
+    reference_perturb,
+    reference_slice_csv,
+    reference_strict_member,
+    reference_tangent_hypergraph,
+)
 
 Z = F(0)
 
@@ -168,6 +178,76 @@ def test_slice_kernel_matches_predicates():
                 assert verdict == metzler_member(pencil, x), (pencil, x)
         points += len(got)
     assert points > 5000
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (ValueError, CirculationExists) as exc:
+        return type(exc)
+
+
+def _parity_cases(rng: random.Random):
+    """(pencil, points): the fixtures on a half-integer grid, whose polygon
+    and line put many points on the boundary, then _slice_case pencils, every
+    other one with its values divided by 3, 7 or 9, at random points."""
+    for name in ("polygon9.json", "line_pencil.json", "quadrant_ray.json"):
+        pencil = load_pencil(FIXTURES / name)[0]
+        axis = [F(v, 2) for v in range(-2, 17)]
+        yield pencil, [(Z, a, b) for a in axis for b in axis] if pencil.n == 3 else [
+            (Z, a) for a in axis]
+    for case in range(300):
+        pencil = _slice_case(rng)[0]
+        if case % 2:
+            pencil = pencil_of(pencil.m, pencil.n, {
+                (k, i, j): SignedTrop(a.sign, a.value / rng.choice((3, 7, 9)))
+                for k, mat in enumerate(pencil.matrices)
+                for i in range(pencil.m)
+                for j in range(i, pencil.m)
+                if (a := mat[i][j]).sign
+            })
+        yield pencil, [
+            tuple(MINUS_INF if rng.random() < 0.15 else F(rng.randint(-6, 6), rng.choice((1, 3)))
+                  for _ in range(pencil.n))
+            for _ in range(12)
+        ]
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (ValueError, CirculationExists) as exc:
+        return type(exc)
+
+
+def test_constraint_pass_matches_fraction_loops():
+    # every reader of the pencil's constraint table against the per-constraint
+    # Fraction loops it replaced: membership, strictness, tangent edges and
+    # the exact perturbation (eta, rho0), also on a (sigma, diamond) piece of
+    # each non-Metzler pencil
+    rng = random.Random(71)
+    seen = {"member": 0, "edges": 0, "perturbed on the boundary": 0, "circulates": 0}
+    for pencil, points in _parity_cases(rng):
+        pieces = [pencil] if pencil.is_metzler else [
+            pencil, decompose(pencil, rng.choice(list(enumerate_choices(pencil.m))))]
+        for x, p in itertools.product(points, pieces):
+            member = general_member(p, x)
+            assert member == reference_general_member(p, x), (p, x)
+            if not p.is_metzler:
+                continue
+            assert metzler_member(p, x) == member
+            seen["member"] += member
+            if MINUS_INF in x:
+                continue
+            assert metzler_strict_member(p, x) == reference_strict_member(p, x), (p, x)
+            graph = build_tangent_hypergraph(p, x)
+            assert graph == reference_tangent_hypergraph(p, x), (p, x)
+            seen["edges"] += bool(graph.edges)
+            got = _outcome(lambda: perturb_to_interior(p, x))
+            assert got == _outcome(lambda: reference_perturb(p, x)), (p, x)
+            seen["perturbed on the boundary"] += isinstance(got, tuple) and bool(graph.edges)
+            seen["circulates"] += got is CirculationExists
+    assert min(seen.values()) > 0 and seen["perturbed on the boundary"] > 50, seen
 
 
 def test_slice_kernel_edge_cases():
