@@ -15,7 +15,6 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .errors import CertificateCheckFailed, DimensionTooLarge, NotCertified
@@ -24,6 +23,7 @@ from .pencils import (
     SigmaChoice,
     TropicalPencil,
     _holds,
+    _lattice,
     _require_metzler,
     _sides,
     decompose,
@@ -38,6 +38,7 @@ from .puiseux import (
     PuiseuxSymMatrix,
     SeriesPolynomial,
     add,
+    compare,
     is_psd,
     mul,
     sign_of,
@@ -71,6 +72,9 @@ def sval_pencil(bp: PuiseuxPencil) -> TropicalPencil:
     return TropicalPencil(bp.m, bp.n, mats)
 
 
+_ZERO = PuiseuxPoly.zero()
+
+
 def monomial_lift(x: Sequence[ExtRat]) -> tuple[PuiseuxPoly, ...]:
     """Entry-wise t^{x_k}; a -inf coordinate lifts to 0."""
     return tuple(
@@ -78,21 +82,39 @@ def monomial_lift(x: Sequence[ExtRat]) -> tuple[PuiseuxPoly, ...]:
     )
 
 
-def lift_matrices(pencil: TropicalPencil, canonical: bool, term) -> tuple[PuiseuxSymMatrix, ...]:
-    """Entry-wise series lift, each finite entry a -> term(coefficient, a.value).
+def _lift_table(pencil: TropicalPencil, canonical: bool, f: int = 1) -> tuple:
+    """The entry-wise series lift on the lattice S = f * D, D the lcm of the
+    denominators of the pencil's finite values (pencil._constraints[0]).
 
-    The coefficient is -1 for negative entries and, for positive ones, m*n
-    under the canonical lift, 1 otherwise (the plain sign); -inf becomes 0.
+    It has a row (i, j, terms) for every upper-triangle entry with a finite
+    value, a term (k, S * value, coefficient) per finite value.  This is the
+    one place that picks lift coefficients: -1 for negative entries and, for
+    positive ones, m*n under the canonical lift, 1 otherwise (the plain sign).
     """
-    factor = pencil.m * pencil.n if canonical else 1
-    zero = PuiseuxPoly.zero()
-    return tuple(
-        PuiseuxSymMatrix(tuple(
-            tuple(zero if not a.sign else term(factor if a.sign > 0 else -1, a.value) for a in row)
-            for row in mat
-        ))
-        for mat in pencil.matrices
-    )
+    den = pencil._constraints[0]
+    pos = pencil.m * pencil.n if canonical else 1
+    table = []
+    for i in range(pencil.m):
+        for j in range(i, pencil.m):
+            terms = tuple(
+                (k, a.value.numerator * (den // a.value.denominator) * f, pos if a.sign > 0 else -1)
+                for k, mat in enumerate(pencil.matrices)
+                if (a := mat[i][j]).sign
+            )
+            if terms:
+                table.append((i, j, terms))
+    return tuple(table)
+
+
+def lift_matrices(pencil: TropicalPencil, canonical: bool) -> tuple[PuiseuxSymMatrix, ...]:
+    """The lift of _lift_table as n series matrices, each finite entry a
+    monomial c * t^value with Fraction terms, -inf a zero entry."""
+    den = pencil._constraints[0]
+    rows = [[[_ZERO] * pencil.m for _ in range(pencil.m)] for _ in range(pencil.n)]
+    for i, j, terms in _lift_table(pencil, canonical):
+        for k, e, c in terms:
+            rows[k][i][j] = rows[k][j][i] = PuiseuxPoly.monomial(c, Fraction(e, den))
+    return tuple(PuiseuxSymMatrix.from_rows(mat) for mat in rows)
 
 
 def canonical_lift(pencil: TropicalPencil) -> tuple[PuiseuxSymMatrix, ...]:
@@ -103,12 +125,12 @@ def canonical_lift(pencil: TropicalPencil) -> tuple[PuiseuxSymMatrix, ...]:
     points of the tropical set land inside the inner minor relaxation.
     """
     _require_metzler(pencil)
-    return lift_matrices(pencil, True, PuiseuxPoly.monomial)
+    return lift_matrices(pencil, True)
 
 
 def entrywise_lift(pencil: TropicalPencil) -> PuiseuxPencil:
     """Plain sval-faithful lift: sign * t^value per entry, 0 for -inf."""
-    mats = lift_matrices(pencil, False, PuiseuxPoly.monomial)
+    mats = lift_matrices(pencil, False)
     return PuiseuxPencil(pencil.m, pencil.n, mats)
 
 
@@ -171,10 +193,10 @@ def _minor_conditions(a: PuiseuxSymMatrix) -> tuple[bool, bool]:
         for j in range(i + 1, a.m):
             lhs = mul(e[i][i], e[j][j])
             sq = mul(e[i][j], e[i][j])
-            if sign_of(lhs - sq) < 0:
+            if compare(lhs, sq) < 0:
                 return False, False
             if inner and scale is not None:
-                inner = sign_of(lhs - mul(scale, sq)) >= 0
+                inner = compare(lhs, mul(scale, sq)) >= 0
     return True, inner
 
 
@@ -254,15 +276,25 @@ def _cached(cache: dict, key, build):
 
 def _evaluate_on_lattice(cache: dict, pencil: TropicalPencil, x) -> PuiseuxSymMatrix:
     """The lift of the pencil (canonical iff Metzler) evaluated at t^x, x finite,
-    after t -> t^D with D the lcm of the denominators of the pencil's values
-    and of x: every term is then a pair of ints.  The substitution keeps the
-    order and commutes with add and mul, so every sign read is unchanged."""
-    d = lcm(pencil._constraints[0], *(v.denominator for v in x))
-    lift = _cached(cache, ("lift", pencil, d), lambda: PuiseuxPencil(
-        pencil.m, pencil.n,
-        lift_matrices(pencil, pencil.is_metzler, lambda c, e: PuiseuxPoly(((int(e * d), c),))),
-    ))
-    return evaluate_pencil(lift, tuple(PuiseuxPoly(((int(v * d), 1),)) for v in x))
+    after t -> t^S with S the lattice of pencils._lattice: every term is then
+    a pair of ints.  The substitution keeps the order and commutes with add
+    and mul, so every sign read is unchanged.  An entry merges its table
+    terms c * t^(e + S * x_k), summing equal exponents and dropping zero
+    sums: the canonical series evaluate_pencil would form, without its
+    products, sums and zero tests."""
+    scale, f, X = _lattice(pencil, x)
+    table = _cached(cache, ("lift", pencil, scale), lambda: _lift_table(pencil, pencil.is_metzler, f))
+    rows = [[_ZERO] * pencil.m for _ in range(pencil.m)]
+    for i, j, terms in table:
+        out: list = []
+        for e, c in sorted([(e + X[k], c) for k, e, c in terms], reverse=True):
+            if out and out[-1][0] == e:
+                c += out.pop()[1]
+                if not c:
+                    continue
+            out.append((e, c))
+        rows[i][j] = rows[j][i] = PuiseuxPoly(tuple(out))
+    return PuiseuxSymMatrix.from_rows(rows)
 
 
 def _pieces(cache: dict, pencil: TropicalPencil, x):
@@ -315,11 +347,16 @@ def cross_validate(
         if not isinstance(result, Certificate):
             raise NotCertified("pencil has a circulation witness; oracle out of scope")
     cache: dict = {}
-    return [_validate_point(pencil, tuple(point), psd_dim_bound, cache) for point in sorted(grid)]
+    return [
+        _validate_point(pencil, x, general_member(pencil, x), psd_dim_bound, cache)
+        for x in map(tuple, sorted(grid))
+    ]
 
 
-def _validate_point(pencil: TropicalPencil, x, psd_dim_bound: int, cache: dict) -> ValidationRecord:
-    member = general_member(pencil, x)
+def _validate_point(
+    pencil: TropicalPencil, x, member: bool, psd_dim_bound: int, cache: dict
+) -> ValidationRecord:
+    """The record at x, whose membership verdict the caller has decided."""
     rec = ValidationRecord(x=x, member=member)
     support = tuple(k for k, v in enumerate(x) if not is_minus_inf(v))
     if len(support) < pencil.n:
@@ -334,7 +371,7 @@ def _validate_point(pencil: TropicalPencil, x, psd_dim_bound: int, cache: dict) 
         if general_member(sub, sub_x) != member:
             rec.fail("membership disagrees with its support stratum")
             return rec
-        inner = _validate_point(sub, sub_x, psd_dim_bound, cache)
+        inner = _validate_point(sub, sub_x, member, psd_dim_bound, cache)
         rec.sout, rec.sin, rec.psd = inner.sout, inner.sin, inner.psd
         if not inner.ok:
             rec.ok = False

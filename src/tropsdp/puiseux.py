@@ -160,6 +160,23 @@ def sign_of(x: PuiseuxPoly) -> int:
     return 1 if x.terms[0][1] > 0 else -1
 
 
+def compare(x: PuiseuxPoly, y: PuiseuxPoly) -> int:
+    """sign_of(x - y), read off the first term where x and y differ."""
+    a, b = x.terms, y.terms
+    for (ea, ca), (eb, cb) in zip(a, b):
+        if ea > eb:
+            return 1 if ca > 0 else -1
+        if ea < eb:
+            return -1 if cb > 0 else 1
+        if ca != cb:
+            return 1 if ca > cb else -1
+    if len(a) > len(b):
+        return 1 if a[len(b)][1] > 0 else -1
+    if len(a) < len(b):
+        return -1 if b[len(a)][1] > 0 else 1
+    return 0
+
+
 def sval(x: PuiseuxPoly) -> SignedTrop:
     """Signed valuation: (sign of lc, leading exponent)."""
     if not x.terms:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 
@@ -140,6 +141,26 @@ def test_validate_zero_failures(capsys):
     assert "0 failures" in err
     code, _, err = run(capsys, "validate", FIXTURES / "line_pencil.json")
     assert code == 2 and "NotCertified" in err
+
+
+#: sha256 of validate's stdout per run: the records are exact, so a speed-up
+#: of the oracle must leave every byte as it is.
+VALIDATE_DIGESTS = [
+    (["polygon9.json", "--max-m", "9", "--psd-bound", "9"],
+     "80ae63f78e1dbd92953ba03ede73a70c8e26260c96e3de8c3b42d6f240340859"),
+    (["quadrant_ray.json"], "e91c46363e972ce661596a07fdf1aaccc85c55d0218e2853888e8aecc47b41ed"),
+    (["m1_distinct.json"], "c568f0f53932110834d3740321334421f6d431db6b90c6c33b721cf0058f4d4d"),
+    (["affine_quadrant.json"], "ab4a569184e054b9b2bc64e9ac216540e7fea8c158da43a240f7add78789caa1"),
+    (["m1_distinct.json", "--box=-1,1", "--step", "1/3"],
+     "9e332f01ed96907cf0b4db2e20ee07392d4e39b123691c6144d6508052ffaca2"),
+]
+
+
+def test_validate_output_is_pinned(capsys):
+    for (name, *flags), digest in VALIDATE_DIGESTS:
+        code, out, _ = run(capsys, "validate", FIXTURES / name, *flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, *flags)
 
 
 def test_cli_determinism(capsys):

@@ -9,6 +9,7 @@ import sys
 import time
 import weakref
 from fractions import Fraction as F
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -393,6 +394,80 @@ def test_lattice_records_match_fraction_path(monkeypatch):
         assert lattice == fraction, pencil
     assert {3, 7, 9} <= denominators
     assert len(perturbed) > 50
+
+
+def test_stratum_membership_is_decided_once(monkeypatch):
+    calls = []
+    real = oracle.general_member
+    monkeypatch.setattr(oracle, "general_member", lambda p, x: calls.append((p, x)) or real(p, x))
+    pencil = load_pencil(FIXTURES / "quadrant_ray.json")[0]
+    # a point listed twice is validated twice, so each point is listed once
+    grid = sorted(set(with_bottoms([(Z, a, b) for a, b in grid_points(2, -2, 2, 1)])))
+    records = cross_validate(pencil, grid)
+    assert all(r.ok for r in records)
+    bottoms = sum(any(map(is_minus_inf, x)) for x in grid)
+    assert bottoms > 10
+    # once per point, and once more on the support stratum of a point with a -inf
+    assert len(set(calls)) == len(calls) == len(grid) + bottoms
+
+
+def lattice_pencil(rng: random.Random, m: int, metzler: bool) -> TropicalPencil:
+    """Seeded m x m pencil, n = 1..3, with values over the coprime denominators
+    1, 2, 3, 5 and 7; off-diagonal entries are negative when metzler is set."""
+    n = rng.randint(1, 3)
+    entries = {}
+    for k, i in itertools.product(range(n), range(m)):
+        for j in range(i, m):
+            if rng.random() < 0.7:
+                sign = -1 if metzler and i != j else rng.choice((1, -1))
+                value = F(rng.randint(-6, 6), rng.choice((1, 2, 3, 5, 7)))
+                entries[(k, i, j)] = SignedTrop(sign, value)
+    return pencil_of(m, n, entries)
+
+
+def cancelling_points(pencil: TropicalPencil, rng: random.Random):
+    """Points at which a positive and a negative term of one entry meet:
+    x_l - x_k = v_k - v_l for a positive value v_k and a negative v_l."""
+    for i, j in itertools.combinations_with_replacement(range(pencil.m), 2):
+        entry = [mat[i][j] for mat in pencil.matrices]
+        for (k, a), (l, b) in itertools.permutations(enumerate(entry), 2):
+            if a.sign > 0 > b.sign:
+                x = [F(rng.randint(-4, 4), rng.choice((1, 3))) for _ in range(pencil.n)]
+                x[l] = x[k] + a.value - b.value
+                yield tuple(x)
+
+
+def test_lattice_table_matches_evaluate_pencil():
+    rng = random.Random(73)
+    cancelled = kinds = 0
+    for m, metzler, _ in itertools.product(range(1, 6), (True, False), range(4)):
+        pencil = lattice_pencil(rng, m, metzler)
+        kinds |= 1 << pencil.is_metzler
+        lift = canonical_lift_pencil(pencil) if pencil.is_metzler else entrywise_lift(pencil)
+        den = lcm(*(a.value.denominator for mat in pencil.matrices for row in mat for a in row if a.sign))
+        points = [
+            tuple(F(rng.randint(-8, 8), rng.choice((1, 2, 3, 5, 7))) for _ in range(pencil.n))
+            for _ in range(6)
+        ] + list(cancelling_points(pencil, rng))
+        for x in points:
+            # the Fraction-term lift and point, with t -> t^scale: int exponents
+            scale = lcm(den, *(v.denominator for v in x))
+
+            def scaled(p):
+                assert all((e * scale).denominator == 1 for e, _ in p.terms)
+                return P(tuple((int(e * scale), c) for e, c in p.terms))
+
+            on_lattice = PuiseuxPencil(pencil.m, pencil.n, tuple(
+                series_matrix([[scaled(e) for e in row] for row in mat.entries])
+                for mat in lift.matrices
+            ))
+            want = evaluate_pencil(on_lattice, tuple(P(((int(v * scale), 1),)) for v in x))
+            got = oracle._evaluate_on_lattice({}, pencil, x)
+            for i, j in itertools.product(range(pencil.m), repeat=2):
+                assert got.entries[i][j].terms == want.entries[i][j].terms, (pencil, x, i, j)
+                assert all(type(e) is int and type(c) is int for e, c in got.entries[i][j].terms)
+                cancelled += not want.entries[i][j] and any(mat.entries[i][j] for mat in lift.matrices)
+    assert kinds == 3 and cancelled > 20
 
 
 def _dense_5x3(rng: random.Random):

@@ -15,6 +15,7 @@ from tropsdp.puiseux import (
     PuiseuxSymMatrix,
     SeriesPolynomial,
     add,
+    compare,
     is_psd,
     neg,
     mul,
@@ -240,3 +241,45 @@ def test_ring_laws(x, y, z):
     assert x * one == x and one * x == x
     assert x * zero == zero
     assert all(is_canonical(v) for v in (x + y, x * y, x - y))
+
+
+def int_series(terms) -> P:
+    """Canonical series with int exponents and coefficients, as on the oracle's lattice."""
+    acc: dict = {}
+    for e, c in terms:
+        acc[e] = acc.get(e, 0) + c
+    return P(tuple((e, c) for e, c in sorted(acc.items(), reverse=True) if c))
+
+
+int_polys = st.lists(st.tuples(st.integers(-6, 6), st.integers(-3, 3)), max_size=4).map(int_series)
+
+
+@st.composite
+def compare_pairs(draw):
+    """(x, y) of one term type: independent, equal, one zero, or y sharing
+    x's leading term and differing below it."""
+    kind = draw(st.sampled_from((polys, int_polys)))
+    x = draw(kind)
+    how = draw(st.sampled_from(("free", "equal", "zero", "lead")))
+    if how == "free":
+        y = draw(kind)
+    elif how == "equal":
+        y = P(x.terms)
+    elif how == "zero":
+        y = P.zero()
+    else:
+        tail = draw(kind)
+        if x and tail:
+            shift = x.terms[0][0] - tail.terms[0][0] - 1
+            tail = P(tuple((e + shift, c) for e, c in tail.terms))
+        y = add(x, tail)
+    return (y, x) if draw(st.booleans()) else (x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(compare_pairs())
+def test_compare_is_sign_of_difference(pair):
+    x, y = pair
+    assert compare(x, y) == sign_of(x - y)
+    assert compare(y, x) == -compare(x, y)
+    assert (compare(x, y) == 0) == (x == y)
