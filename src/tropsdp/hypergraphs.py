@@ -153,12 +153,23 @@ def find_circulation(h: Hypergraph) -> Circulation | None:
     gamma = tuple(sol)
     if not all(g >= 0 for g in gamma) or sum(gamma) != 1:
         raise CertificateCheckFailed(f"circulation {gamma} is not a normalized flow")
-    for v in range(h.n_vertices):
-        inflow = sum(len(e.tails) * g for e, g in zip(h.edges, gamma) if e.head == v)
-        outflow = sum(e.tails.count(v) * g for e, g in zip(h.edges, gamma))
-        if inflow != outflow:
-            raise CertificateCheckFailed(f"circulation {gamma} does not balance at {v}")
+    v = _unbalanced(h, gamma)
+    if v is not None:
+        raise CertificateCheckFailed(f"circulation {gamma} does not balance at {v}")
     return Circulation(gamma)
+
+
+def _unbalanced(h: Hypergraph, gamma) -> int | None:
+    """The least vertex whose inflow, tail count times gamma summed over the
+    edges it heads, differs from its outflow, gamma summed over the tail
+    slots it fills, or None: one exact pass over the edges with nonzero gamma."""
+    balance = [0] * h.n_vertices
+    for e, g in zip(h.edges, gamma):
+        if g:
+            balance[e.head] += len(e.tails) * g
+            for v in e.tails:
+                balance[v] -= g
+    return next((v for v, b in enumerate(balance) if b), None)
 
 
 def farkas_direction(h: Hypergraph) -> tuple[Fraction, ...] | None:

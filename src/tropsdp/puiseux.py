@@ -232,10 +232,14 @@ class PuiseuxSymMatrix:
         for row in self.entries:
             if len(row) != m:
                 raise ValueError("matrix is not square")
-        for i in range(m):
-            for j in range(i):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise ValueError(f"matrix not symmetric at ({i},{j})")
+        # tuple equality compares only entries that are distinct objects, so a
+        # matrix with one object per symmetric pair, as the oracle builds, is cheap
+        if self.entries != tuple(zip(*self.entries)):
+            i, j = next(
+                (i, j) for i in range(m) for j in range(i)
+                if self.entries[i][j] != self.entries[j][i]
+            )
+            raise ValueError(f"matrix not symmetric at ({i},{j})")
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[PuiseuxPoly]]) -> "PuiseuxSymMatrix":
@@ -282,10 +286,15 @@ def principal_minor(a: PuiseuxSymMatrix, index_set: Iterable[int]) -> PuiseuxPol
     return _det(a.entries, idx, idx, {})
 
 
-def _components(a: PuiseuxSymMatrix) -> list[tuple[int, ...]]:
-    # connected components of the nonzero off-diagonal pattern; principal
-    # minors factor across them, so PSD can be decided block by block
-    m = a.m
+def _nonzero_pairs(a: PuiseuxSymMatrix) -> list[tuple[int, int]]:
+    """The (i, j), i < j, with a_ij != 0."""
+    e = a.entries
+    return [(i, j) for i in range(a.m) for j in range(i + 1, a.m) if e[i][j]]
+
+
+def _components(m: int, pairs) -> list[tuple[int, ...]]:
+    """The connected components of range(m) joined by the given pairs, each
+    sorted, in order of their least index."""
     parent = list(range(m))
 
     def find(i):
@@ -294,28 +303,32 @@ def _components(a: PuiseuxSymMatrix) -> list[tuple[int, ...]]:
             i = parent[i]
         return i
 
-    for i in range(m):
-        for j in range(i + 1, m):
-            if a.entries[i][j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+    for i, j in pairs:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
     groups: dict[int, list[int]] = {}
     for i in range(m):
         groups.setdefault(find(i), []).append(i)
-    return [tuple(sorted(g)) for g in sorted(groups.values())]
+    return [tuple(g) for g in groups.values()]
 
 
-def is_psd(a: PuiseuxSymMatrix, max_dim: int = 8) -> bool:
+def is_psd(a: PuiseuxSymMatrix, max_dim: int = 8, blocks=None) -> bool:
     """True iff every principal minor is nonnegative in the series order.
 
-    Raises DimensionTooLarge above max_dim: the minor count is 2^m - 1.
+    blocks is a partition of range(m) that no nonzero entry crosses, by
+    default the components of the nonzero off-diagonal pattern.  Principal
+    minors factor across any such partition, so exhausting the minors of
+    each part gives the same verdict.  Raises DimensionTooLarge when a.m is
+    above max_dim: the minor count is 2^m - 1.
     """
     if a.m > max_dim:
         raise DimensionTooLarge(f"dimension {a.m} exceeds bound {max_dim}")
     from itertools import combinations
 
-    for comp in _components(a):
+    if blocks is None:
+        blocks = _components(a.m, _nonzero_pairs(a))
+    for comp in blocks:
         memo: dict = {}
         for size in range(1, len(comp) + 1):
             for idx in combinations(comp, size):

@@ -26,7 +26,6 @@ from tropsdp.hypergraphs import (
 from tropsdp.oracle import (
     ValidationRecord,
     _cached,
-    _minor_conditions,
     canonical_lift_pencil,
     entrywise_lift,
     evaluate_pencil,
@@ -42,7 +41,7 @@ from tropsdp.pencils import (
     metzler_member,
     stratum_restrict,
 )
-from tropsdp.puiseux import PuiseuxPoly, is_psd
+from tropsdp.puiseux import PuiseuxPoly, PuiseuxSymMatrix, compare, is_psd, mul, sign_of
 from tropsdp.signed import MINUS_INF, SignedTrop, TROP_MINUS_INF, is_minus_inf, parse_signed
 
 
@@ -157,6 +156,35 @@ def reference_mul(x: PuiseuxPoly, y: PuiseuxPoly) -> PuiseuxPoly:
         for ey, cy in y.terms:
             acc[ex + ey] = acc.get(ex + ey, F(0)) + cx * cy
     return PuiseuxPoly(tuple((e, c) for e, c in sorted(acc.items(), reverse=True) if c != 0))
+
+
+def reference_unbalanced(h: Hypergraph, gamma):
+    """The least vertex whose inflow and outflow differ, each summed over all
+    edges for that vertex alone, or None: the per-vertex check that
+    hypergraphs._unbalanced replaces with one pass."""
+    for v in range(h.n_vertices):
+        inflow = sum(len(e.tails) * g for e, g in zip(h.edges, gamma) if e.head == v)
+        outflow = sum(e.tails.count(v) * g for e, g in zip(h.edges, gamma))
+        if inflow != outflow:
+            return v
+    return None
+
+
+def reference_minor_conditions(a: PuiseuxSymMatrix) -> tuple[bool, bool]:
+    """(outer, inner) of oracle._minor_conditions, testing every pair i < j:
+    a_ii >= 0 and a_ii a_jj >= f a_ij^2, f = 1 outer and (m-1)^2 inner."""
+    e = a.entries
+    if any(sign_of(e[i][i]) < 0 for i in range(a.m)):
+        return False, False
+    scale = PuiseuxPoly(((0, (a.m - 1) ** 2),))
+    inner = True
+    for i, j in itertools.combinations(range(a.m), 2):
+        lhs = mul(e[i][i], e[j][j])
+        sq = mul(e[i][j], e[i][j])
+        if compare(lhs, sq) < 0:
+            return False, False
+        inner = inner and compare(lhs, mul(scale, sq)) >= 0
+    return True, inner
 
 
 def reference_slice_csv(
@@ -362,7 +390,7 @@ def reference_validate_point(
     metz = pencil.is_metzler
     lift = _cached(cache, ("fraction lift", pencil), lambda: _fraction_lift(pencil))
     a = evaluate_pencil(lift, monomial_lift(x))
-    rec.sout, rec.sin = _minor_conditions(a)
+    rec.sout, rec.sin = reference_minor_conditions(a)
 
     if not member:
         rec.psd = is_psd(a, max_dim=psd_dim_bound)

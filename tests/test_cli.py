@@ -163,6 +163,25 @@ def test_validate_output_is_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, *flags)
 
 
+#: sha256 and exit code of generic's stdout per fixture at --max-m 9: a
+#: witness and its circulation are exact, so a faster certifier or re-check
+#: must leave them as they are.
+GENERIC_DIGESTS = {
+    "affine_quadrant.json": (0, "4f429625e4b3e050bea96589ea06e28a3378c30d90362319e8025c0d88b47d55"),
+    "line_pencil.json": (1, "b86de15c41aae04c94887bda679966b0b172644f6bcf8c7de02ffbfc492a28a8"),
+    "m1_distinct.json": (0, "4f429625e4b3e050bea96589ea06e28a3378c30d90362319e8025c0d88b47d55"),
+    "polygon9.json": (0, "4f429625e4b3e050bea96589ea06e28a3378c30d90362319e8025c0d88b47d55"),
+    "quadrant_ray.json": (0, "4f429625e4b3e050bea96589ea06e28a3378c30d90362319e8025c0d88b47d55"),
+}
+
+
+def test_generic_output_is_pinned(capsys):
+    assert sorted(GENERIC_DIGESTS) == sorted(p.name for p in FIXTURES.glob("*.json"))
+    for name, (want, digest) in GENERIC_DIGESTS.items():
+        code, out, _ = run(capsys, "generic", FIXTURES / name, "--max-m", "9")
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (want, digest), name
+
+
 def test_cli_determinism(capsys):
     first = run(capsys, "slice", FIXTURES / "polygon9.json", "--fix", "x0=0",
                 "--box", "0,8", "--step", "1/2")

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES
-from helpers import pencil_of, random_pencil, reference_certify_general
+from helpers import pencil_of, random_pencil, reference_certify_general, reference_unbalanced
 from tropsdp.errors import CirculationExists, DimensionTooLarge, NotMetzler
 from tropsdp import canonical_lift, hypergraphs
 from tropsdp.hypergraphs import (
@@ -128,6 +128,33 @@ def test_exactly_one_of_circulation_or_direction():
         if eta is not None:
             for e in g.edges:
                 assert sum(eta[v] for v in e.tails) > len(e.tails) * eta[e.head]
+
+
+def test_one_pass_balance_matches_vertex_sums():
+    rng = random.Random(61)
+    verdicts = {True: 0, False: 0}
+    repeated = 0
+    for _ in range(400):
+        nv = rng.randint(1, 5)
+        edges = tuple(
+            Edge(tuple(sorted(rng.choices(range(nv), k=rng.randint(1, 2)))), rng.randrange(nv))
+            for _ in range(rng.randint(1, 7))
+        )
+        h = Hypergraph(nv, edges)
+        circ = find_circulation(h)
+        weights = [tuple(F(rng.randint(0, 3), rng.randint(1, 3)) for _ in edges)]
+        if circ is not None:
+            # balanced, and with one edge's weight raised
+            k = rng.randrange(len(edges))
+            weights += [circ.gamma, circ.gamma[:k] + (circ.gamma[k] + 1,) + circ.gamma[k + 1 :]]
+            repeated += any(
+                g and len(set(e.tails)) < len(e.tails) for e, g in zip(edges, circ.gamma)
+            )
+        for gamma in weights:
+            want = reference_unbalanced(h, gamma)
+            assert hypergraphs._unbalanced(h, gamma) == want, (h, gamma)
+            verdicts[want is None] += 1
+    assert min(verdicts.values()) > 50 and repeated > 5
 
 
 def test_canonical_lift_entries(hyp):

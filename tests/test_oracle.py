@@ -13,9 +13,11 @@ from math import lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES
-from helpers import pencil_of, random_pencil, reference_validate_point
+from helpers import pencil_of, random_pencil, reference_minor_conditions, reference_validate_point
 from tropsdp import canonical_lift, oracle
 from tropsdp.errors import NotCertified
 from tropsdp.oracle import (
@@ -41,7 +43,9 @@ from tropsdp.hypergraphs import (
     perturb_to_interior,
 )
 from tropsdp.pencils import (
+    SigmaChoice,
     TropicalPencil,
+    decompose,
     general_member,
     homogenize,
     load_pencil,
@@ -499,6 +503,103 @@ def test_validate_builds_only_the_pieces_of_the_member_sigma(monkeypatch):
     for sigma in sigmas:  # each piece of the sigma once, whatever the number of its points
         diamonds = [c.diamond for c in built if c.sigma == sigma]
         assert len(diamonds) == len(set(diamonds)) == 2 ** (10 - len(sigma))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(a, pairs, blocks): a symmetric m x m series matrix, m <= 6, with zero
+    entries and entries whose terms cancel to zero or below the lead; pairs
+    its nonzero pairs plus some zero ones, as a lift's compiled pairs list
+    entries that cancel at a point; blocks the components of its nonzero
+    pattern merged at random, down to the single block range(m)."""
+    m = draw(st.integers(1, 6))
+    terms = st.lists(st.tuples(st.integers(0, 3), st.integers(-2, 2).filter(bool)), min_size=1, max_size=3)
+    leads = [draw(st.integers(2, 4)) for _ in range(m)]
+    rows = [[None] * m for _ in range(m)]
+    for i, j in itertools.combinations_with_replacement(range(m), 2):
+        if i == j:  # a lead that is mostly positive and never cancels
+            sign = -1 if draw(st.integers(0, 9)) == 5 else 1
+            own = [(leads[i], sign * draw(st.integers(1, 4)))]
+            own += [(leads[i] - 1 - e, c) for e, c in draw(terms)]
+            cancel = draw(st.sampled_from(((), own[1:])))
+        else:  # zero, or mostly at most the diagonal's geometric mean and often tied
+            top = (leads[i] + leads[j]) // 2 + draw(st.sampled_from((0, -1, 0, -1, 0, 1)))
+            own = [] if draw(st.booleans()) else [(top - e, c) for e, c in draw(terms)]
+            cancel = draw(st.sampled_from(((), own, own[1:])))
+        rows[i][j] = rows[j][i] = P.from_terms(own + [(e, -c) for e, c in cancel])
+    a = series_matrix(rows)
+    nonzero = puiseux._nonzero_pairs(a)
+    zero = [p for p in itertools.combinations(range(m), 2) if p not in nonzero]
+    extra = draw(st.lists(st.sampled_from(zero), unique=True)) if zero else []
+    pairs = sorted(nonzero + extra)
+    comps = puiseux._components(m, nonzero)
+    labels = [draw(st.integers(0, len(comps) - 1)) for _ in comps]
+    blocks = [
+        tuple(sorted(i for comp, l in zip(comps, labels) if l == label for i in comp))
+        for label in sorted(set(labels))
+    ]
+    return a, pairs, blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices())
+def test_sparse_minors_and_psd_blocks_match_dense(case):
+    a, pairs, blocks = case
+    nonzero = puiseux._nonzero_pairs(a)
+    want = reference_minor_conditions(a)
+    assert oracle._minor_conditions(a, nonzero) == want
+    assert oracle._minor_conditions(a, pairs) == want
+    assert puiseux.is_psd(a, 8, blocks) == puiseux.is_psd(a)
+
+
+def test_compiled_blocks_hold_every_nonzero_entry(monkeypatch):
+    """At every point the oracle evaluates, each nonzero off-diagonal entry
+    is a compiled pair and each component of the nonzero pattern lies inside
+    one compiled block: what _minor_conditions and is_psd rely on."""
+    seen = {"points": 0, "cancelled": 0, "split": 0}
+    real = oracle._lift_at
+
+    def checked(cache, pencil, x):
+        a, pairs, blocks = real(cache, pencil, x)
+        nonzero = puiseux._nonzero_pairs(a)
+        assert set(nonzero) <= set(pairs), (pencil, x)
+        assert blocks == puiseux._components(pencil.m, pairs)
+        block_of = {i: set(b) for b in blocks for i in b}
+        comps = puiseux._components(a.m, nonzero)
+        for comp in comps:
+            assert set(comp) <= block_of[comp[0]], (pencil, x)
+        seen["points"] += 1
+        seen["cancelled"] += len(pairs) > len(nonzero)
+        seen["split"] += len(comps) > len(blocks)
+        return a, pairs, blocks
+
+    monkeypatch.setattr(oracle, "_lift_at", checked)
+    for pencil, grid, bound in validation_cases():
+        assert all(r.ok for r in cross_validate(pencil, grid, max_m=9, psd_dim_bound=bound))
+    line = load_pencil(FIXTURES / "line_pencil.json")[0]
+    for x in default_grid(line.n):
+        oracle._evaluate_on_lattice({}, line, x)
+    fixture_points = seen["points"]
+    rng = random.Random(91)
+    pieces = 0
+    for m, metzler, _ in itertools.product(range(1, 6), (True, False), range(4)):
+        pencil = lattice_pencil(rng, m, metzler)
+        targets = [pencil]
+        pairs = list(itertools.combinations(range(m), 2))
+        for _ in range(0 if pencil.is_metzler else 3):
+            sigma = frozenset(p for p in pairs if rng.random() < 0.5)
+            diamond = tuple((p, rng.choice((">=", "<="))) for p in pairs if p not in sigma)
+            targets.append(decompose(pencil, SigmaChoice(m, sigma, diamond)))
+        pieces += len(targets) - 1
+        points = [
+            tuple(F(rng.randint(-8, 8), rng.choice((1, 2, 3))) for _ in range(pencil.n))
+            for _ in range(4)
+        ] + list(cancelling_points(pencil, rng))
+        cache = {}
+        for target, x in itertools.product(targets, points):
+            oracle._lift_at(cache, target, x)
+    assert fixture_points > 1000 and pieces > 30
+    assert seen["cancelled"] > 10 and seen["split"] > 5
 
 
 def test_lattice_terms_are_ints(monkeypatch):

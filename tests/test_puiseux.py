@@ -169,6 +169,17 @@ def test_det_against_leibniz():
 def test_symmetry_enforced():
     with pytest.raises(ValueError):
         PuiseuxSymMatrix.from_rows([[one, t], [one, one]])
+    # equal but distinct objects on the two sides pass, as do shared ones
+    pair = [[one, P.monomial(-1, F(1, 2))], [P.monomial(-1, F(1, 2)), one]]
+    assert pair[0][1] is not pair[1][0]
+    assert PuiseuxSymMatrix.from_rows(pair).m == 2
+    shared = P.from_terms([(2, 1), (0, -3)])
+    PuiseuxSymMatrix.from_rows([[one, shared, t], [shared, t, one], [t, one, one]])
+    # unequal entries raise, naming the first pair below the diagonal
+    with pytest.raises(ValueError, match=r"not symmetric at \(2,1\)"):
+        PuiseuxSymMatrix.from_rows([[one, t, one], [t, one, t], [one, one, one]])
+    with pytest.raises(ValueError, match="not symmetric"):
+        PuiseuxSymMatrix.from_rows([[one, neg(t)], [t, one]])
 
 
 def test_series_polynomial_eval():
