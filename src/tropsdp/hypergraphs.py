@@ -16,6 +16,15 @@ defining ties simultaneously.  When no point does, every tangent
 hypergraph is circulation-free; by LP duality each such hypergraph then
 has a direction strictly improving all tight constraints at once, which
 is what perturb_to_interior returns.
+
+The search rests on one lemma.  The balance matrix B has zero column
+sums.  Let C be an inclusion-minimal circulating set with active set U
+(its tails, which equal its heads).  Its circulation is positive and the
+kernel of B_C is one-dimensional, so |C| = rank + 1 <= |U|; every vertex
+of U heads an edge of C, so |C| = |U| and the heads are distinct.  Hence
+only sets of at most n edges with distinct heads covering their tails are
+candidates, and the kernel, the signed maximal minors of B_C without one
+active row, decides each one in integers.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import CertificateCheckFailed, CirculationExists, DimensionTooLarge
-from .lp import feasible_point, solve_nonneg
+from .lp import _scaled, feasible_point, solve_nonneg
 from .pencils import (
     SigmaChoice,
     TropicalPencil,
@@ -153,7 +162,7 @@ def find_circulation(h: Hypergraph) -> Circulation | None:
     gamma = tuple(sol)
     if not all(g >= 0 for g in gamma) or sum(gamma) != 1:
         raise CertificateCheckFailed(f"circulation {gamma} is not a normalized flow")
-    v = _unbalanced(h, gamma)
+    v = _unbalanced(h, _scaled(gamma)[1])
     if v is not None:
         raise CertificateCheckFailed(f"circulation {gamma} does not balance at {v}")
     return Circulation(gamma)
@@ -193,14 +202,16 @@ def farkas_direction(h: Hypergraph) -> tuple[Fraction, ...] | None:
 class _Reason:
     """Linear system realizing one candidate edge: tie equality plus the
     inequalities keeping the named monomials maximal in their families.
-    tags name the atoms donating it: (pair, option), or None for a diagonal
+    tie is the equality's constant times the pencil's D, an int.  tags name
+    the atoms donating it: (pair, option), or None for a diagonal
     constraint, which every piece has."""
 
-    __slots__ = ("eqs", "ges", "tags")
+    __slots__ = ("eqs", "ges", "tie", "tags")
 
-    def __init__(self, eqs, ges, tag):
+    def __init__(self, eqs, ges, tie, tag):
         self.eqs = eqs
         self.ges = ges
+        self.tie = tie
         self.tags = (tag,)
 
 
@@ -214,7 +225,7 @@ def _candidate_edges(pencil: TropicalPencil) -> dict[Edge, list[_Reason]]:
     "<=" (that row flipped).  On a Metzler pencil pos(i,j) is empty, so the
     atoms are the pencil's own constraints.  They come from the pencil's
     constraint table: its int terms are D times the values, so each row
-    constant c becomes Fraction(c, D).
+    constant c becomes Fraction(c, D), and a reason keeps its tie's int c.
     """
     n = pencil.n
     den, table = pencil._constraints
@@ -230,19 +241,19 @@ def _candidate_edges(pencil: TropicalPencil) -> dict[Edge, list[_Reason]]:
         # c_star + x_k* >= c + x_k for every other member
         return [row(((k_star, 1), (k, -1)), c - c_star) for k, c in family if k != k_star]
 
-    def push(edge, eq, ges, tag):
+    def push(edge, tie, eq, ges, tag):
         reasons = cand.setdefault(edge, {})
-        key = ((eq,), tuple(ges))
+        key = ((row(eq, tie),), tuple(ges))
         r = reasons.get(key)
         if r is None:
-            reasons[key] = _Reason(*key, tag)
+            reasons[key] = _Reason(*key, tie, tag)
         elif None not in r.tags and tag not in r.tags:
             r.tags += (tag,)
 
     def diagonal(pos, neg_, tag):
         for (k, ck), (l, cl) in itertools.product(pos, neg_):
             ges = top(pos, k, ck) + top(neg_, l, cl)
-            push(Edge((k,), l), row(((k, 1), (l, -1)), cl - ck), ges, tag)
+            push(Edge((k,), l), cl - ck, ((k, 1), (l, -1)), ges, tag)
 
     for key, left, right in table:  # rows first, then pairs
         if len(left) == 1:
@@ -253,9 +264,9 @@ def _candidate_edges(pencil: TropicalPencil) -> dict[Edge, list[_Reason]]:
     for key, left, right in (c for c in table if len(c[1]) == 2):
         (pos_i, pos_j), fin = left, sorted(sum(right, ()))
         for (k1, c1), (k2, c2), (l, w) in itertools.product(pos_i, pos_j, fin):
-            eq = row(((k1, 1), (k2, 1), (l, -2)), 2 * w - c1 - c2)
             ges = top(pos_i, k1, c1) + top(pos_j, k2, c2) + top(fin, l, w)
-            push(Edge(tuple(sorted((k1, k2))), l), eq, ges, (key, "sigma"))
+            push(Edge(tuple(sorted((k1, k2))), l), 2 * w - c1 - c2,
+                 ((k1, 1), (k2, 1), (l, -2)), ges, (key, "sigma"))
     return {edge: list(reasons.values()) for edge, reasons in cand.items()}
 
 
@@ -272,10 +283,10 @@ def _options(chosen) -> dict[tuple[int, int], str] | None:
     return None
 
 
-def _tie_sum(chosen, gamma) -> Fraction:
-    # sum of gamma_e c_e over the tie rows sum_tails x - |tails| x_head = c_e;
+def _tie_sum(chosen, gamma) -> int:
+    # sum of gamma_e D c_e over the tie rows sum_tails x - |tails| x_head = c_e;
     # the left-hand sides cancel under a circulation, so nonzero: infeasible
-    return sum(g * r.eqs[0][1] for g, (r, _) in zip(gamma, chosen))
+    return sum(g * r.tie for g, (r, _) in zip(gamma, chosen))
 
 
 def _contains_any(mask: int, masks: set[int]) -> bool:
@@ -288,6 +299,63 @@ def _contains_any(mask: int, masks: set[int]) -> bool:
     return False
 
 
+def _det(a: list[list[int]]) -> int:
+    """Determinant of a square int matrix by fraction-free elimination
+    (Bareiss 1968); a is overwritten."""
+    sign, prev = 1, 1
+    for k in range(len(a)):
+        p = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        for i in range(k + 1, len(a)):
+            for j in range(k + 1, len(a)):
+                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * prev
+
+
+def _cofactor_circulation(edges: Sequence[Edge], active: Sequence[int]) -> tuple[int, ...] | None:
+    """The positive int circulation of edges whose distinct heads are the
+    active vertices and cover their tails, or None when there is none.
+
+    The balance rows of all active vertices but the last span the balance
+    matrix's row space, and its signed maximal minors span their kernel when
+    the rank is full; a circulation exists iff they are nonzero and share a
+    sign.  Only a set none of whose proper subsets circulates is asked, so
+    its kernel is at most one-dimensional and the answer is that
+    circulation, scaled.
+    """
+    rows = [[len(e.tails) * (e.head == v) - e.tails.count(v) for e in edges] for v in active[:-1]]
+    gamma = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in rows]) for j in range(len(edges))]
+    if all(g > 0 for g in gamma):
+        return tuple(gamma)
+    if all(g < 0 for g in gamma):
+        return tuple(-g for g in gamma)
+    return None
+
+
+def _head_covering_sets(edges: Sequence[Edge], size: int, start=0, combo=(), tails=0, heads=0):
+    """(combo, heads): the index tuples of size edges with distinct heads
+    whose tails lie among those heads, in itertools.combinations order,
+    each with its heads' bitmask.  A prefix is dropped as soon as its
+    tails and heads span more than size vertices."""
+    for idx in range(start, len(edges)):
+        e = edges[idx]
+        if heads >> e.head & 1:
+            continue
+        t = tails | 1 << e.tails[0] | 1 << e.tails[-1]
+        h = heads | 1 << e.head
+        if (t | h).bit_count() > size:
+            continue
+        if len(combo) + 1 < size:
+            yield from _head_covering_sets(edges, size, idx + 1, combo + (idx,), t, h)
+        elif t == h:
+            yield combo + (idx,), h
+
+
 def _circulating_point(pencil: TropicalPencil):
     """None when generic, else (x, pair -> option of the atoms used).
 
@@ -295,6 +363,12 @@ def _circulating_point(pencil: TropicalPencil):
     reason system is solved once, each inclusion-minimal circulating set of
     live edges is tried with every product of reasons from a common piece,
     and a product whose tie sum is nonzero is skipped without an LP.
+
+    By the module's lemma a minimal circulating set has at most n edges,
+    with distinct heads whose bitmask equals its tails' bitmask, so only
+    _head_covering_sets are enumerated.  Those not containing a smaller
+    circulating set are decided by _cofactor_circulation, whose circulation
+    is re-checked.
     """
     n = pencil.n
     cand = _candidate_edges(pencil)
@@ -313,18 +387,18 @@ def _circulating_point(pencil: TropicalPencil):
             edges.append(edge)
             reasons.append(live)
     minimal: set[int] = set()  # circulating edge subsets, as bitmasks
-    for size in range(1, min(n + 1, len(edges)) + 1):
-        for combo in itertools.combinations(range(len(edges)), size):
+    for size in range(1, min(n, len(edges)) + 1):
+        for combo, heads in _head_covering_sets(edges, size):
             mask = sum(1 << idx for idx in combo)
             if minimal and _contains_any(mask, minimal):
                 continue
-            tails = {t for idx in combo for t in edges[idx].tails}
-            if tails != {edges[idx].head for idx in combo}:
-                # a strictly positive circulation forces equal activity sets
+            graph = Hypergraph(n, tuple(edges[idx] for idx in combo))
+            active = [v for v in range(n) if heads >> v & 1]
+            gamma = _cofactor_circulation(graph.edges, active)
+            if gamma is None:
                 continue
-            circ = find_circulation(Hypergraph(n, tuple(edges[idx] for idx in combo)))
-            if circ is None:
-                continue
+            if not all(g > 0 for g in gamma) or _unbalanced(graph, gamma) is not None:
+                raise CertificateCheckFailed(f"{gamma} is not a positive circulation of {graph}")
             minimal.add(mask)
             for chosen in itertools.product(*(reasons[idx] for idx in combo)):
                 options = _options(chosen)
@@ -333,7 +407,7 @@ def _circulating_point(pencil: TropicalPencil):
                 if size == 1:
                     # one reason's system is the filter's: reuse its point
                     x = chosen[0][1]
-                elif _tie_sum(chosen, circ.gamma):
+                elif _tie_sum(chosen, gamma):
                     continue
                 else:
                     eqs = tuple(row for r, _ in chosen for row in r.eqs)

@@ -289,9 +289,10 @@ def _compile_lift(pencil: TropicalPencil, f: int):
     return table, pairs, _components(pencil.m, pairs)
 
 
-def _lift_at(cache: dict, pencil: TropicalPencil, x):
+def _lift_at(cache: dict, pencil: TropicalPencil, x, lattice=None):
     """(a, pairs, blocks): a the lift of the pencil (canonical iff Metzler)
-    evaluated at t^x, x finite, pairs and blocks its compiled sparsity.
+    evaluated at t^x, x finite, pairs and blocks its compiled sparsity;
+    lattice is _lattice(pencil, x) when the caller has already taken it.
 
     a is taken after t -> t^S with S the lattice of pencils._lattice: every
     term is then a pair of ints.  The substitution keeps the order and
@@ -299,7 +300,7 @@ def _lift_at(cache: dict, pencil: TropicalPencil, x):
     merges its table terms c * t^(e + S * x_k), summing equal exponents and
     dropping zero sums: the canonical series evaluate_pencil would form,
     without its products, sums and zero tests."""
-    scale, f, X = _lattice(pencil, x)
+    scale, f, X = lattice or _lattice(pencil, x)
     table, pairs, blocks = _cached(cache, ("lift", pencil, scale), lambda: _compile_lift(pencil, f))
     rows = [[_ZERO] * pencil.m for _ in range(pencil.m)]
     for i, j, terms in table:
@@ -319,7 +320,7 @@ def _evaluate_on_lattice(cache: dict, pencil: TropicalPencil, x) -> PuiseuxSymMa
     return _lift_at(cache, pencil, x)[0]
 
 
-def _pieces(cache: dict, pencil: TropicalPencil, x):
+def _pieces(cache: dict, pencil: TropicalPencil, x, lattice):
     """The sigma whose every diamond piece contains the member point x, with
     those pieces in enumeration order, or (None, ()) if there is none.
 
@@ -333,7 +334,7 @@ def _pieces(cache: dict, pencil: TropicalPencil, x):
     if pencil.is_metzler:
         return frozenset(pairs), ((SigmaChoice(pencil.m, frozenset(pairs), ()), pencil),)
     diamond = []
-    for (key, left, _), lhs, rhs, tie, _ in _sides(pencil, x):
+    for (key, left, _), lhs, rhs, tie, _ in _sides(pencil, x, lattice):
         if len(left) == 2 and not _holds(lhs, rhs):
             if not tie:
                 return None, ()
@@ -369,16 +370,19 @@ def cross_validate(
         if not isinstance(result, Certificate):
             raise NotCertified("pencil has a circulation witness; oracle out of scope")
     cache: dict = {}
-    return [
-        _validate_point(pencil, x, general_member(pencil, x), psd_dim_bound, cache)
-        for x in map(tuple, sorted(grid))
-    ]
+    records = []
+    for x in map(tuple, sorted(grid)):
+        lattice = _lattice(pencil, x)
+        member = general_member(pencil, x, lattice)
+        records.append(_validate_point(pencil, x, member, psd_dim_bound, cache, lattice))
+    return records
 
 
 def _validate_point(
-    pencil: TropicalPencil, x, member: bool, psd_dim_bound: int, cache: dict
+    pencil: TropicalPencil, x, member: bool, psd_dim_bound: int, cache: dict, lattice
 ) -> ValidationRecord:
-    """The record at x, whose membership verdict the caller has decided."""
+    """The record at x, whose membership verdict the caller has decided from
+    lattice, the point's _lattice(pencil, x), which the lift reads too."""
     rec = ValidationRecord(x=x, member=member)
     support = tuple(k for k, v in enumerate(x) if not is_minus_inf(v))
     if len(support) < pencil.n:
@@ -390,10 +394,11 @@ def _validate_point(
             return rec
         sub = stratum_restrict(pencil, support)
         sub_x = tuple(x[k] for k in support)
-        if general_member(sub, sub_x) != member:
+        sub_lattice = _lattice(sub, sub_x)
+        if general_member(sub, sub_x, sub_lattice) != member:
             rec.fail("membership disagrees with its support stratum")
             return rec
-        inner = _validate_point(sub, sub_x, member, psd_dim_bound, cache)
+        inner = _validate_point(sub, sub_x, member, psd_dim_bound, cache, sub_lattice)
         rec.sout, rec.sin, rec.psd = inner.sout, inner.sin, inner.psd
         if not inner.ok:
             rec.ok = False
@@ -402,7 +407,7 @@ def _validate_point(
 
     metz = pencil.is_metzler
     # the one evaluation of the pencil at x; every verdict below reads it
-    a, pairs, blocks = _lift_at(cache, pencil, x)
+    a, pairs, blocks = _lift_at(cache, pencil, x, lattice)
     rec.sout, rec.sin = _minor_conditions(a, pairs)
 
     if not member:
@@ -424,7 +429,7 @@ def _validate_point(
         if not rec.sout:
             rec.fail("member point escapes the outer set")
 
-    sigma, pieces = _pieces(cache, pencil, x)
+    sigma, pieces = _pieces(cache, pencil, x, lattice)
     if sigma is None:
         rec.fail("no sigma piece family contains the member point")
         return rec

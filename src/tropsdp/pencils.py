@@ -121,16 +121,17 @@ def _lattice(pencil: TropicalPencil, x: Sequence[ExtRat]):
     return scale, scale // den, X
 
 
-def _sides(pencil: TropicalPencil, x: Sequence[ExtRat]):
+def _sides(pencil: TropicalPencil, x: Sequence[ExtRat], lattice=None):
     """The one pass over pencil._constraints at x.
 
     Yields (constraint, lhs, rhs, tie, tops) per constraint, scaled by S as
-    in _lattice, with None for -inf.  lhs and rhs are its two sides, tie
+    in _lattice, with None for -inf; lattice is _lattice(pencil, x) when the
+    caller has already taken it.  lhs and rhs are its two sides, tie
     says whether the right families' maxima are equal, which only a pair's
     two parts can be, and tops gives, per family of left + right, the value
     its terms are held to: a left family's own max, the right side's max.
     """
-    _, f, X = _lattice(pencil, x)
+    _, f, X = lattice or _lattice(pencil, x)
 
     def top(family):
         best = None
@@ -157,8 +158,8 @@ def _holds(lhs, rhs) -> bool:
     return rhs is None or (lhs is not None and lhs >= rhs)
 
 
-def _member(pencil: TropicalPencil, x: Sequence[ExtRat]) -> bool:
-    return all(tie or _holds(lhs, rhs) for _, lhs, rhs, tie, _ in _sides(pencil, x))
+def _member(pencil: TropicalPencil, x: Sequence[ExtRat], lattice=None) -> bool:
+    return all(tie or _holds(lhs, rhs) for _, lhs, rhs, tie, _ in _sides(pencil, x, lattice))
 
 
 def qij_poly(pencil: TropicalPencil, i: int, j: int) -> TropPoly:
@@ -209,14 +210,15 @@ def metzler_strict_member(pencil: TropicalPencil, x: Sequence[Fraction]) -> bool
     return all(lhs is not None and lhs > rhs for _, lhs, rhs, _, _ in _sides(pencil, x))
 
 
-def general_member(pencil: TropicalPencil, x: Sequence[ExtRat]) -> bool:
+def general_member(pencil: TropicalPencil, x: Sequence[ExtRat], lattice=None) -> bool:
     """Membership for arbitrary sign patterns.
 
     The pair constraint may also be discharged by an exact tie between the
-    positive and negative off-diagonal parts.
+    positive and negative off-diagonal parts.  A caller that also lifts x
+    may pass its _lattice(pencil, x), so the point is scaled once.
     """
     _check_point(pencil, x)
-    return _member(pencil, x)
+    return _member(pencil, x, lattice)
 
 
 def slice_members(

@@ -157,6 +157,77 @@ def test_one_pass_balance_matches_vertex_sums():
     assert min(verdicts.values()) > 50 and repeated > 5
 
 
+def _minimal_circulating(h):
+    """find_circulation's circulation of h when no proper subset of its
+    edges circulates, else None."""
+    circ = find_circulation(h)
+    if circ is None:
+        return None
+    for k in range(len(h.edges)):
+        if find_circulation(Hypergraph(h.n_vertices, h.edges[:k] + h.edges[k + 1 :])):
+            return None
+    return circ
+
+
+def test_cofactor_kernel_matches_lp():
+    # one edge per active vertex as head, tails among the active vertices:
+    # the kernel gives a circulation exactly when the set is a minimal
+    # circulating set, and then the LP's, scaled
+    rng = random.Random(62)
+    seen = {"minimal": 0, "not minimal": 0, "self-loop": 0, "doubled tail": 0}
+    for _ in range(400):
+        nv = rng.randint(1, 6)
+        active = sorted(rng.sample(range(nv), rng.randint(1, min(nv, 4))))
+        edges = tuple(
+            Edge(tuple(sorted(rng.choices(active, k=rng.randint(1, 2)))), head)
+            for head in rng.sample(active, len(active))
+        )
+        h = Hypergraph(nv, edges)
+        gamma = hypergraphs._cofactor_circulation(edges, active)
+        circ = _minimal_circulating(h)
+        assert (gamma is None) == (circ is None), (h, gamma, circ)
+        if gamma is None:
+            seen["not minimal"] += 1
+            continue
+        seen["minimal"] += 1
+        assert all(type(g) is int and g > 0 for g in gamma)
+        assert tuple(F(g, sum(gamma)) for g in gamma) == circ.gamma
+        assert hypergraphs._unbalanced(h, gamma) is None
+        seen["self-loop"] += any(e.head in e.tails for e in edges)
+        seen["doubled tail"] += any(e.tails[0] == e.tails[-1] != e.head for e in edges)
+    assert min(seen.values()) > 30, seen
+
+
+def test_minimal_circulating_sets_have_distinct_heads_exhaustive():
+    # criterion 7's 3-vertex hypergraphs: each inclusion-minimal circulating
+    # set has as many edges as active vertices, and distinct heads
+    vertices = 3
+    candidates = [
+        Edge(tails, head)
+        for tails in [(v,) for v in range(vertices)]
+        + list(itertools.combinations_with_replacement(range(vertices), 2))
+        for head in range(vertices)
+    ]
+    circulating: set = set()
+    sizes = []
+    for size in range(1, 5):
+        for combo in itertools.combinations(candidates, size):
+            if any(combo[:k] + combo[k + 1 :] in circulating for k in range(size)):
+                circulating.add(combo)  # circulates, but is not minimal
+                continue
+            circ = find_circulation(Hypergraph(vertices, combo))
+            if circ is None:
+                continue
+            circulating.add(combo)
+            heads = [e.head for e in combo]
+            active = sorted({v for e in combo for v in e.tails} | set(heads))
+            assert len(combo) == len(active) == len(set(heads)), combo
+            gamma = hypergraphs._cofactor_circulation(combo, active)
+            assert tuple(F(g, sum(gamma)) for g in gamma) == circ.gamma
+            sizes.append(size)
+    assert sorted(set(sizes)) == [1, 2, 3] and len(sizes) > 100, len(sizes)
+
+
 def test_canonical_lift_entries(hyp):
     mats = canonical_lift(hyp)
     # (-)3 -> -t^3 pattern: check the fixture's (-)0 entries and diagonal factor
@@ -313,7 +384,12 @@ def test_union_search_matches_reference_sweep():
         for pool in (2, 7):
             pencils += [_sized_pencil(rng, m, n, False, pool) for _ in range(count)]
     pencils += [_sized_pencil(rng, 3, 3, True, pool) for pool in (2, 7) for _ in range(15)]
+    # value pool 1 makes ties, hence witnesses; at n = 4 the reference still
+    # enumerates (n + 1)-sets, which the search skips
+    pencils += [_sized_pencil(rng, 3, 3, metz, 1) for metz in (True, False) for _ in range(10)]
+    pencils += [_sized_pencil(rng, 4, 4, True, 1, density=1.0) for _ in range(8)]
     witnesses = {True: 0, False: 0}
+    n4_witnesses = 0
     for p in pencils:
         max_m = max(p.m, 4)
         got = certify_generic_general(p, max_m=max_m)
@@ -323,9 +399,11 @@ def test_union_search_matches_reference_sweep():
             witnesses[p.is_metzler] += 1
             if p.is_metzler:
                 assert got == want, p
+                n4_witnesses += p.n == 4
             else:
                 assert _circulates_in_named_piece(p, got), (p, got)
     assert witnesses[True] >= 2 and witnesses[False] >= 4, witnesses
+    assert n4_witnesses >= 4, n4_witnesses
 
 
 def _count_lps(monkeypatch):
@@ -349,6 +427,29 @@ def test_tie_sum_filter_keeps_witnesses(monkeypatch):
     assert filtered == plain
     assert sum(isinstance(r, Witness) for r in plain) >= 3
     assert filtered_lps < len(calls) - filtered_lps
+
+
+def test_search_decides_sets_without_the_circulation_lp(monkeypatch):
+    # the cofactor kernel decides every candidate set, each of at most n
+    # edges; find_circulation runs only on a witness's tangent hypergraph
+    rng = random.Random(609)
+    pencils = [_sized_pencil(rng, 3, 3, metzler, 1) for metzler in (True, False) for _ in range(10)]
+    pencils += [_sized_pencil(rng, 4, 4, True, 7) for _ in range(3)]
+    lps, sizes = [], []
+    find, kernel = hypergraphs.find_circulation, hypergraphs._cofactor_circulation
+    monkeypatch.setattr(hypergraphs, "find_circulation", lambda h: lps.append(h) or find(h))
+    monkeypatch.setattr(
+        hypergraphs, "_cofactor_circulation", lambda e, a: sizes.append(len(e)) or kernel(e, a)
+    )
+    witnesses, largest = 0, set()
+    for p in pencils:
+        lps.clear()
+        sizes.clear()
+        res = certify_generic_general(p)
+        witnesses += isinstance(res, Witness)
+        assert len(lps) == isinstance(res, Witness) and max(sizes, default=0) <= p.n, p
+        largest.add(max(sizes, default=0))
+    assert witnesses >= 3 and {3, 4} <= largest, (witnesses, largest)
 
 
 def test_live_filter_solves_each_reason_once(monkeypatch):
@@ -448,9 +549,22 @@ for name, (call, bogus) in cases.items():
     except CertificateCheckFailed:
         print("raised:", name)
 hg.solve_nonneg = kernel
+line = load_pencil(PATH)[0]
+cofactors = hg._cofactor_circulation
+searches = {
+    "search gamma not positive": lambda edges, active: (0,) * len(edges),
+    "search gamma unbalanced": lambda edges, active: (1,) * (len(edges) - 1) + (2,),
+}
+for name, bogus in searches.items():
+    hg._cofactor_circulation = bogus
+    try:
+        hg.certify_generic_general(line)
+    except CertificateCheckFailed:
+        print("raised:", name)
+hg._cofactor_circulation = cofactors
 hg.build_tangent_hypergraph = lambda pencil, x: hg.Hypergraph(pencil.n, ())
 try:
-    hg.certify_generic_general(load_pencil(PATH)[0])
+    hg.certify_generic_general(line)
 except CertificateCheckFailed:
     print("raised: witness without circulation")
 """
@@ -469,5 +583,7 @@ def test_certificate_checks_survive_optimize():
         "raised: gamma not normalized",
         "raised: gamma unbalanced",
         "raised: eta not strict",
+        "raised: search gamma not positive",
+        "raised: search gamma unbalanced",
         "raised: witness without circulation",
     ]

@@ -403,7 +403,9 @@ def test_lattice_records_match_fraction_path(monkeypatch):
 def test_stratum_membership_is_decided_once(monkeypatch):
     calls = []
     real = oracle.general_member
-    monkeypatch.setattr(oracle, "general_member", lambda p, x: calls.append((p, x)) or real(p, x))
+    monkeypatch.setattr(
+        oracle, "general_member", lambda p, x, *rest: calls.append((p, x)) or real(p, x, *rest)
+    )
     pencil = load_pencil(FIXTURES / "quadrant_ray.json")[0]
     # a point listed twice is validated twice, so each point is listed once
     grid = sorted(set(with_bottoms([(Z, a, b) for a, b in grid_points(2, -2, 2, 1)])))
@@ -559,8 +561,8 @@ def test_compiled_blocks_hold_every_nonzero_entry(monkeypatch):
     seen = {"points": 0, "cancelled": 0, "split": 0}
     real = oracle._lift_at
 
-    def checked(cache, pencil, x):
-        a, pairs, blocks = real(cache, pencil, x)
+    def checked(cache, pencil, x, lattice=None):
+        a, pairs, blocks = real(cache, pencil, x, lattice)
         nonzero = puiseux._nonzero_pairs(a)
         assert set(nonzero) <= set(pairs), (pencil, x)
         assert blocks == puiseux._components(pencil.m, pairs)
