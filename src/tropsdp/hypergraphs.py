@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import CertificateCheckFailed, CirculationExists, DimensionTooLarge
-from .lp import _scaled, feasible_point, solve_nonneg
+from .lp import _scaled, difference_feasible, feasible_point, solve_nonneg
 from .pencils import (
     SigmaChoice,
     TropicalPencil,
@@ -202,16 +202,16 @@ def farkas_direction(h: Hypergraph) -> tuple[Fraction, ...] | None:
 class _Reason:
     """Linear system realizing one candidate edge: tie equality plus the
     inequalities keeping the named monomials maximal in their families.
-    tie is the equality's constant times the pencil's D, an int.  tags name
-    the atoms donating it: (pair, option), or None for a diagonal
-    constraint, which every piece has."""
+    Each row is (int coefficients, int constant), the constant D times the
+    real one for the pencil's D.  tags name the atoms donating it:
+    (pair, option), or None for a diagonal constraint, which every piece
+    has."""
 
-    __slots__ = ("eqs", "ges", "tie", "tags")
+    __slots__ = ("eqs", "ges", "tags")
 
-    def __init__(self, eqs, ges, tie, tag):
+    def __init__(self, eqs, ges, tag):
         self.eqs = eqs
         self.ges = ges
-        self.tie = tie
         self.tags = (tag,)
 
 
@@ -224,18 +224,18 @@ def _candidate_edges(pencil: TropicalPencil) -> dict[Edge, list[_Reason]]:
     off-diagonal entries), ">=" (the diagonal row pos(i,j) >= neg(i,j)) and
     "<=" (that row flipped).  On a Metzler pencil pos(i,j) is empty, so the
     atoms are the pencil's own constraints.  They come from the pencil's
-    constraint table: its int terms are D times the values, so each row
-    constant c becomes Fraction(c, D), and a reason keeps its tie's int c.
+    constraint table, whose int terms are D times the values, so each row
+    keeps the int constant c of the real constraint with constant c / D.
     """
     n = pencil.n
-    den, table = pencil._constraints
+    table = pencil._constraints[1]
     cand: dict[Edge, dict[tuple, _Reason]] = {}
 
     def row(plus, const):
         coeffs = [0] * n
         for k, c in plus:
             coeffs[k] += c
-        return tuple(coeffs), Fraction(const, den)
+        return tuple(coeffs), const
 
     def top(family, k_star, c_star):
         # c_star + x_k* >= c + x_k for every other member
@@ -246,7 +246,7 @@ def _candidate_edges(pencil: TropicalPencil) -> dict[Edge, list[_Reason]]:
         key = ((row(eq, tie),), tuple(ges))
         r = reasons.get(key)
         if r is None:
-            reasons[key] = _Reason(*key, tie, tag)
+            reasons[key] = _Reason(*key, tag)
         elif None not in r.tags and tag not in r.tags:
             r.tags += (tag,)
 
@@ -273,7 +273,7 @@ def _candidate_edges(pencil: TropicalPencil) -> dict[Edge, list[_Reason]]:
 def _options(chosen) -> dict[tuple[int, int], str] | None:
     """A pair -> option map taking one donating atom per reason and no pair
     in two options, or None when the reasons belong to no common piece."""
-    for tags in itertools.product(*(r.tags for r, _ in chosen)):
+    for tags in itertools.product(*(r.tags for r in chosen)):
         picked: dict[tuple[int, int], str] = {}
         for tag in tags:
             if tag is not None and picked.setdefault(*tag) != tag[1]:
@@ -286,7 +286,7 @@ def _options(chosen) -> dict[tuple[int, int], str] | None:
 def _tie_sum(chosen, gamma) -> int:
     # sum of gamma_e D c_e over the tie rows sum_tails x - |tails| x_head = c_e;
     # the left-hand sides cancel under a circulation, so nonzero: infeasible
-    return sum(g * r.tie for g, (r, _) in zip(gamma, chosen))
+    return sum(g * r.eqs[0][1] for g, r in zip(gamma, chosen))
 
 
 def _contains_any(mask: int, masks: set[int]) -> bool:
@@ -299,37 +299,46 @@ def _contains_any(mask: int, masks: set[int]) -> bool:
     return False
 
 
-def _det(a: list[list[int]]) -> int:
-    """Determinant of a square int matrix by fraction-free elimination
-    (Bareiss 1968); a is overwritten."""
-    sign, prev = 1, 1
-    for k in range(len(a)):
-        p = next((i for i in range(k, len(a)) if a[i][k]), None)
-        if p is None:
-            return 0
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            sign = -sign
-        for i in range(k + 1, len(a)):
-            for j in range(k + 1, len(a)):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * prev
-
-
 def _cofactor_circulation(edges: Sequence[Edge], active: Sequence[int]) -> tuple[int, ...] | None:
     """The positive int circulation of edges whose distinct heads are the
     active vertices and cover their tails, or None when there is none.
 
     The balance rows of all active vertices but the last span the balance
-    matrix's row space, and its signed maximal minors span their kernel when
-    the rank is full; a circulation exists iff they are nonzero and share a
-    sign.  Only a set none of whose proper subsets circulates is asked, so
-    its kernel is at most one-dimensional and the answer is that
-    circulation, scaled.
+    matrix's row space.  One fraction-free Gauss-Jordan reduction of those
+    k - 1 rows over the k edges (Bareiss 1968) leaves every pivot equal to
+    d, the determinant of the pivot columns.  When the rank is k - 1 the
+    one free column f spans the kernel, the signed maximal minors scaled:
+    d at f and, at each row's pivot column, minus that row's entry at f.
+    A circulation exists iff they share a sign.  Only a set none of whose
+    proper subsets circulates is asked, so a lower rank, a kernel of
+    dimension two or more, means it has no positive circulation.
     """
+    k = len(edges)
     rows = [[len(e.tails) * (e.head == v) - e.tails.count(v) for e in edges] for v in active[:-1]]
-    gamma = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in rows]) for j in range(len(edges))]
+    pivots: list[int] = []
+    free = -1
+    prev = 1
+    for j in range(k):
+        r = len(pivots)
+        p = next((i for i in range(r, k - 1) if rows[i][j]), None)
+        if p is None:
+            if free >= 0:
+                return None
+            free = j
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        top = rows[r]
+        d = top[j]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[j]
+                rows[i] = [(d * v - f * t) // prev for v, t in zip(row, top)]
+        pivots.append(j)
+        prev = d
+    gamma = [0] * k
+    gamma[free] = prev
+    for row, j in zip(rows, pivots):
+        gamma[j] = -row[free]
     if all(g > 0 for g in gamma):
         return tuple(gamma)
     if all(g < 0 for g in gamma):
@@ -360,9 +369,12 @@ def _circulating_point(pencil: TropicalPencil):
     """None when generic, else (x, pair -> option of the atoms used).
 
     One search over the union of the atoms of every piece: each distinct
-    reason system is solved once, each inclusion-minimal circulating set of
-    live edges is tried with every product of reasons from a common piece,
-    and a product whose tie sum is nonzero is skipped without an LP.
+    reason system is decided once, each inclusion-minimal circulating set
+    of live edges is tried with every product of reasons from a common
+    piece, and a product whose tie sum is nonzero is skipped without an LP.
+    A reason whose rows are all differences is decided by the negative-cycle
+    test on its int rows; the simplex runs, on the real rows, only for the
+    other reasons, the joint products, and the point of a one-edge witness.
 
     By the module's lemma a minimal circulating set has at most n edges,
     with distinct heads whose bitmask equals its tails' bitmask, so only
@@ -371,18 +383,31 @@ def _circulating_point(pencil: TropicalPencil):
     is re-checked.
     """
     n = pencil.n
+    den = pencil._constraints[0]
     cand = _candidate_edges(pencil)
-    points: dict[tuple, list | None] = {}  # reason rows -> feasible_point's answer
+
+    def point(eqs, ges):
+        # the simplex on the real rows, constants c / D
+        return feasible_point(n, *(tuple((a, Fraction(c, den)) for a, c in rows)
+                                   for rows in (eqs, ges)))
+
+    verdicts: dict[tuple, bool] = {}  # reason rows -> whether they have a point
+    points: dict[tuple, list | None] = {}  # reason rows -> the simplex's point
     edges: list[Edge] = []
-    reasons: list[list[tuple[_Reason, list]]] = []  # live reasons, each with its point
+    reasons: list[list[_Reason]] = []  # the live reasons of each edge
     for edge in sorted(cand, key=lambda e: (len(e.tails), e.tails, e.head)):
         live = []
         for r in cand[edge]:
             key = (r.eqs, r.ges)
-            if key not in points:
-                points[key] = feasible_point(n, r.eqs, r.ges)
-            if points[key] is not None:
-                live.append((r, points[key]))
+            verdict = verdicts.get(key)
+            if verdict is None:
+                verdict = difference_feasible(n, *key)
+                if verdict is None:
+                    points[key] = point(*key)
+                    verdict = points[key] is not None
+                verdicts[key] = verdict
+            if verdict:
+                live.append(r)
         if live:
             edges.append(edge)
             reasons.append(live)
@@ -405,14 +430,18 @@ def _circulating_point(pencil: TropicalPencil):
                 if options is None:
                     continue
                 if size == 1:
-                    # one reason's system is the filter's: reuse its point
-                    x = chosen[0][1]
+                    # one reason's system is the filter's: its point, solved
+                    # now if the negative-cycle test decided it
+                    key = (chosen[0].eqs, chosen[0].ges)
+                    x = points[key] if key in points else point(*key)
+                    if x is None:
+                        raise CertificateCheckFailed(
+                            f"reason {key} passed the negative-cycle test but has no point")
                 elif _tie_sum(chosen, gamma):
                     continue
                 else:
-                    eqs = tuple(row for r, _ in chosen for row in r.eqs)
-                    ges = tuple(row for r, _ in chosen for row in r.ges)
-                    x = feasible_point(n, eqs, ges)
+                    x = point(tuple(row for r in chosen for row in r.eqs),
+                              tuple(row for r in chosen for row in r.ges))
                 if x is not None:
                     return tuple(x), options
     return None

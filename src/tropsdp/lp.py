@@ -12,6 +12,10 @@ cross-multiplying positive entries, so every entering and leaving choice,
 and hence the answer, is the one the same simplex makes on Fractions.
 Bland's rule guarantees termination.  Infeasibility comes with a Farkas
 certificate extracted from the phase-one duals.
+
+Difference systems, whose rows are each zero or s*(x_a - x_b), are also
+decided without the simplex: such a system is feasible exactly when its
+constraint graph has no negative cycle (Bellman 1958; Shostak 1981).
 """
 
 from __future__ import annotations
@@ -162,3 +166,49 @@ def feasible_point(
     if sol is None:
         return None
     return [sol[k] - sol[n_vars + k] for k in range(n_vars)]
+
+
+def difference_feasible(
+    n_vars: int,
+    equalities: Sequence[tuple[Sequence[int], int]],
+    inequalities: Sequence[tuple[Sequence[int], int]] = (),
+) -> bool | None:
+    """Whether feasible_point has a point, for a difference system.
+
+    Every row must be zero or s*(x_a - x_b) with s in {1, 2}, and every
+    constant an int; for any other row the answer is None (declined).
+    With z = 2x a row s*(x_a - x_b) >= d reads z_a - z_b >= 2d/s, an
+    integer, that is an arc a -> b of weight -2d/s bounding z_b - z_a.
+    Bellman-Ford from the zero potential settles within n_vars rounds
+    exactly when no cycle is negative.
+    """
+    n_eq = len(equalities)
+    arcs: list[tuple[int, int, int]] = []
+    for idx, (coeffs, d) in enumerate((*equalities, *inequalities)):
+        support = [k for k, c in enumerate(coeffs) if c]
+        if not support:
+            if d > 0 or (d and idx < n_eq):
+                return False
+            continue
+        if len(support) != 2:
+            return None
+        a, b = support
+        s = coeffs[a]
+        if s < 0:
+            a, b, s = b, a, -s
+        if s > 2 or coeffs[b] != -s:
+            return None
+        w = 2 * d // s
+        arcs.append((a, b, -w))
+        if idx < n_eq:
+            arcs.append((b, a, w))
+    dist = [0] * n_vars
+    for _ in range(n_vars):
+        settled = True
+        for a, b, w in arcs:
+            if dist[a] + w < dist[b]:
+                dist[b] = dist[a] + w
+                settled = False
+        if settled:
+            return True
+    return not arcs

@@ -302,16 +302,28 @@ def test_certify_degenerate_minor_gives_witness():
     assert find_circulation(g) is not None
 
 
+def _count_decisions(monkeypatch):
+    # every distinct reason goes first to the negative-cycle test, which
+    # decides it or declines it to the simplex: one call per reason decision
+    decisions, lps = [], []
+    test, simplex = hypergraphs.difference_feasible, hypergraphs.feasible_point
+    monkeypatch.setattr(
+        hypergraphs, "difference_feasible", lambda *a: decisions.append(a) or test(*a)
+    )
+    monkeypatch.setattr(hypergraphs, "feasible_point", lambda *a: lps.append(a) or simplex(*a))
+    return decisions, lps
+
+
 def test_single_edge_witness_reuses_the_filter_point(monkeypatch):
     # the witness is the lone edge (0, 0) -> 0, whose system the live-edge
-    # filter already solved: no LP beyond one per distinct candidate reason
+    # filter already decided: one decision per distinct candidate reason,
+    # and one LP, for the witness's point, as all four are differences
     degen = pencil_of(2, 2, {**DEGENERATE, (1, 0, 0): "+0", (1, 1, 1): "+0"})
-    calls = []
-    real = hypergraphs.feasible_point
-    monkeypatch.setattr(hypergraphs, "feasible_point", lambda *a: calls.append(a) or real(*a))
+    decisions, lps = _count_decisions(monkeypatch)
     res = certify_generic_metzler(degen)
     filter_calls = len({(r.eqs, r.ges) for rs in _candidate_edges(degen).values() for r in rs})
-    assert len(calls) == filter_calls == 4
+    assert len(decisions) == filter_calls == 4
+    assert len(lps) == 1
     assert res == Witness(
         x=(Z, F(1)),
         edges=(Edge((0, 0), 0), Edge((0, 1), 0)),
@@ -459,9 +471,9 @@ def test_live_filter_solves_each_reason_once(monkeypatch):
     cand = _candidate_edges(p)
     assert {e.tails for e in cand} == {(1,), (0, 1)}
     assert len({(r.eqs, r.ges) for rs in cand.values() for r in rs}) == 1
-    calls = _count_lps(monkeypatch)
+    decisions, lps = _count_decisions(monkeypatch)
     assert isinstance(certify_generic_metzler(p), Certificate)
-    assert len(calls) == 1
+    assert len(decisions) == 1 and not lps
 
 
 @pytest.mark.parametrize("pool, verdict", [(2, Witness), (7, Certificate)])
@@ -562,6 +574,13 @@ for name, bogus in searches.items():
     except CertificateCheckFailed:
         print("raised:", name)
 hg._cofactor_circulation = cofactors
+cycle_test = hg.difference_feasible
+hg.difference_feasible = lambda n, eqs, ges=(): True
+try:
+    hg.certify_generic_general(line)
+except CertificateCheckFailed:
+    print("raised: filter verdict without a point")
+hg.difference_feasible = cycle_test
 hg.build_tangent_hypergraph = lambda pencil, x: hg.Hypergraph(pencil.n, ())
 try:
     hg.certify_generic_general(line)
@@ -585,5 +604,6 @@ def test_certificate_checks_survive_optimize():
         "raised: eta not strict",
         "raised: search gamma not positive",
         "raised: search gamma unbalanced",
+        "raised: filter verdict without a point",
         "raised: witness without circulation",
     ]

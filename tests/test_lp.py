@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import random_pencil, reference_solve_nonneg
 from tropsdp import hypergraphs, lp
-from tropsdp.lp import feasible_point, solve_nonneg
+from tropsdp.lp import difference_feasible, feasible_point, solve_nonneg
 
 
 def test_feasible_system():
@@ -134,9 +134,107 @@ def test_feasible_point_matches_reference_on_certification_systems(monkeypatch):
     for metzler in (True, False) * 36:
         pencil = random_pencil(rng, max_m=3, max_n=3, metzler=metzler, value_pool=7)
         hypergraphs.certify_generic_general(pencil)
+    # most reasons are difference systems the simplex no longer sees; larger
+    # pencils bring the reasons and joint products that still reach it
+    for metzler in (True, False) * 36:
+        pencil = random_pencil(rng, max_m=4, max_n=4, metzler=metzler, value_pool=7)
+        hypergraphs.certify_generic_general(pencil)
     assert len(systems) > 500
     for rows, rhs in systems:
         assert original(rows, rhs) == reference_solve_nonneg(rows, rhs)
+
+
+def _difference_row(rng, n, kind):
+    """(coefficients, constant): a zero row, or s*(x_a - x_b) with s the
+    kind's 1 or 2, from int constants in a small range."""
+    coeffs = [0] * n
+    if kind != "zero":
+        a, b = rng.sample(range(n), 2)
+        s = 2 if kind == "doubled" else 1
+        coeffs[a], coeffs[b] = s, -s
+    return tuple(coeffs), rng.randint(-4, 4)
+
+
+def test_difference_test_matches_simplex_on_seeded_systems():
+    # n = 1..5, with zero rows, doubled rows and equalities; few rows make
+    # mostly feasible systems, many rows negative cycles
+    rng = random.Random(71)
+    seen = {"feasible": 0, "negative cycle": 0, "zero row refutes": 0, "doubled": 0, "equality": 0}
+    for _ in range(1500):
+        n = rng.randint(1, 5)
+        kinds = ["zero"] + (["single", "doubled"] if n > 1 else [])
+        size = rng.randint(0, 2 * n + 2)
+        rows = [_difference_row(rng, n, rng.choice(kinds)) for _ in range(size)]
+        n_eq = rng.randint(0, min(2, len(rows)))
+        eqs, ges = rows[:n_eq], rows[n_eq:]
+        got = difference_feasible(n, eqs, ges)
+        assert got == (feasible_point(n, eqs, ges) is not None), (n, eqs, ges)
+        refuted_by_zero = any(
+            not any(c) and (d > 0 or (d and k < n_eq)) for k, (c, d) in enumerate(rows)
+        )
+        if got:
+            seen["feasible"] += 1
+        else:
+            seen["zero row refutes" if refuted_by_zero else "negative cycle"] += 1
+        seen["doubled"] += any(2 in c for c, _ in rows)
+        seen["equality"] += n_eq > 0 and any(any(c) for c, _ in eqs)
+    assert min(seen.values()) > 100, seen
+
+
+def test_difference_test_declines_other_rows():
+    assert difference_feasible(3, [((1, 1, -2), 0)]) is None  # a sigma tie on three variables
+    assert difference_feasible(2, [], [((3, -3), 1)]) is None
+    assert difference_feasible(2, [], [((1, -2), 1)]) is None
+    assert difference_feasible(1, [], [((1,), 1)]) is None
+    # a refuting zero row is a verdict whatever else the system holds
+    assert difference_feasible(3, [((0, 0, 0), 1)], [((1, 1, -2), 0)]) is False
+    assert difference_feasible(0, [], []) is True
+
+
+def test_difference_test_matches_simplex_on_certification_systems(monkeypatch):
+    # every reason system that genericity certification of seeded pencils
+    # asks: the negative-cycle test decides most of them, the simplex agrees
+    systems = []
+    real = hypergraphs.difference_feasible
+    monkeypatch.setattr(
+        hypergraphs, "difference_feasible", lambda *a: systems.append(a) or real(*a)
+    )
+    rng = random.Random(72)
+    for metzler, pool in [(True, 7), (False, 7), (True, 2), (False, 2)] * 12:
+        pencil = random_pencil(rng, max_m=4, max_n=4, metzler=metzler, value_pool=pool)
+        hypergraphs.certify_generic_general(pencil)
+    verdicts = {True: 0, False: 0, None: 0}
+    for n, eqs, ges in systems:
+        got = real(n, eqs, ges)
+        verdicts[got] += 1
+        if got is not None:
+            assert got == (feasible_point(n, eqs, ges) is not None), (n, eqs, ges)
+    assert min(verdicts.values()) > 30, verdicts
+    assert verdicts[None] < (verdicts[True] + verdicts[False]) / 4, verdicts
+
+
+difference_rows = st.tuples(
+    st.sampled_from(["zero", "single", "doubled", "single", "doubled"]),
+    st.integers(0, 4), st.integers(1, 4), st.integers(-6, 6), st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.lists(difference_rows, max_size=10))
+def test_difference_test_property(n, drawn):
+    # the two feasibility procedures agree on every difference system
+    eqs, ges = [], []
+    for kind, a, shift, d, equality in drawn:
+        coeffs = [0] * n
+        if kind != "zero" and n > 1:
+            b = (a + shift) % n
+            a %= n
+            if a == b:
+                b = (a + 1) % n
+            s = 2 if kind == "doubled" else 1
+            coeffs[a], coeffs[b] = s, -s
+        (eqs if equality else ges).append((tuple(coeffs), d))
+    assert difference_feasible(n, eqs, ges) == (feasible_point(n, eqs, ges) is not None)
 
 
 small = st.fractions(min_value=-5, max_value=5, max_denominator=6)
