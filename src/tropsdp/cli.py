@@ -22,7 +22,7 @@ from .hypergraphs import (
     find_circulation,
     result_to_obj,
 )
-from .oracle import cross_validate, default_grid, grid_axis, grid_points
+from .oracle import cross_validate, grid_axis, grid_points
 from .pencils import (
     SigmaChoice,
     decompose,
@@ -139,20 +139,22 @@ def cmd_hypergraph(args) -> int:
     return 0
 
 
+def _box(args):
+    """(lo, hi, step) of --box "lo,hi" and --step, step > 0."""
+    try:
+        lo, hi = (Fraction(v) for v in args.box.split(","))
+        step = Fraction(args.step)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CliError(f"bad box/step: {exc}") from exc
+    if step <= 0:
+        raise CliError("step must be positive")
+    return lo, hi, step
+
+
 def cmd_validate(args) -> int:
     pencil, homogeneous = _load(args.file)
     free = pencil.n if homogeneous else pencil.n - 1
-    if args.box:
-        try:
-            lo, hi = (Fraction(v) for v in args.box.split(","))
-            step = Fraction(args.step)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CliError(f"bad box/step: {exc}") from exc
-        if step <= 0:
-            raise CliError("step must be positive")
-        base = grid_points(free, lo, hi, step)
-    else:
-        base = default_grid(free)
+    base = grid_points(free, *_box(args))
     grid = base if homogeneous else [(Fraction(0),) + p for p in base]
     records = cross_validate(
         pencil, grid, max_m=args.max_m, max_n=args.max_n, psd_dim_bound=args.psd_bound
@@ -184,14 +186,7 @@ def cmd_slice(args) -> int:
     free = [k for k in range(n_coords) if k not in fixed]
     if len(free) != 2:
         raise CliError(f"need exactly 2 free variables after fixing, got {len(free)}")
-    try:
-        lo, hi = (Fraction(v) for v in args.box.split(","))
-        step = Fraction(args.step)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"bad box/step: {exc}") from exc
-    if step <= 0:
-        raise CliError("step must be positive")
-    axis = grid_axis(2, lo, hi, step)
+    axis = grid_axis(2, *_box(args))
     base = [fixed.get(k, MINUS_INF) for k in range(n_coords)]
     if not homogeneous:
         base = [Fraction(0), *base]
@@ -237,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="cross-validate predicate vs PSD oracle")
     p.add_argument("file")
-    p.add_argument("--box", default="", help='"lo,hi" (default [-2,2])')
+    p.add_argument("--box", default="-2,2", help='"lo,hi"')
     p.add_argument("--step", default="1/2")
     p.add_argument("--max-m", type=int, default=4)
     p.add_argument("--max-n", type=int, default=4)

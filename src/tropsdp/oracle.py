@@ -38,9 +38,10 @@ from .puiseux import (
     PuiseuxSymMatrix,
     SeriesPolynomial,
     _components,
+    _minor_conditions,
     _nonzero_pairs,
+    _psd_verdict,
     add,
-    compare,
     is_psd,
     mul,
     sign_of,
@@ -170,39 +171,15 @@ def _check_nonneg_point(bx: Sequence[PuiseuxPoly]) -> None:
 def sout_member(bp: PuiseuxPencil, bx: Sequence[PuiseuxPoly]) -> bool:
     """Order-2 minor relaxation: necessary for semidefiniteness."""
     _check_nonneg_point(bx)
-    a = evaluate_pencil(bp, bx)
-    return _minor_conditions(a, _nonzero_pairs(a))[0]
+    e = evaluate_pencil(bp, bx).entries
+    return _minor_conditions(e, _nonzero_pairs(e))[0]
 
 
 def sin_member(bp: PuiseuxPencil, bx: Sequence[PuiseuxPoly]) -> bool:
     """Order-2 minors with the (m-1)^2 factor: sufficient for semidefiniteness."""
     _check_nonneg_point(bx)
-    a = evaluate_pencil(bp, bx)
-    return _minor_conditions(a, _nonzero_pairs(a))[1]
-
-
-def _minor_conditions(a: PuiseuxSymMatrix, pairs) -> tuple[bool, bool]:
-    """(outer, inner): a_ii >= 0 and a_ii a_jj >= f a_ij^2 for every i < j,
-    with f = 1 for the outer relaxation and f = (m-1)^2 for the inner one.
-
-    pairs must list every (i, j), i < j, with a_ij != 0, and only those pairs
-    are tested: once every a_ii >= 0, a pair with a_ij = 0 satisfies
-    a_ii a_jj >= 0 = f a_ij^2 for both f.  f >= 1 and a_ij^2 >= 0, so inner
-    implies outer; each product is formed once and serves both.
-    """
-    e = a.entries
-    if any(sign_of(e[i][i]) < 0 for i in range(a.m)):
-        return False, False
-    scale = PuiseuxPoly(((0, (a.m - 1) ** 2),)) if a.m > 2 else None
-    inner = True
-    for i, j in pairs:
-        lhs = mul(e[i][i], e[j][j])
-        sq = mul(e[i][j], e[i][j])
-        if compare(lhs, sq) < 0:
-            return False, False
-        if inner and scale is not None:
-            inner = compare(lhs, mul(scale, sq)) >= 0
-    return True, inner
+    e = evaluate_pencil(bp, bx).entries
+    return _minor_conditions(e, _nonzero_pairs(e))[1]
 
 
 def psd_member(
@@ -283,27 +260,34 @@ def _compile_lift(pencil: TropicalPencil, f: int):
     """(table, pairs, blocks): the _lift_table of the pencil (canonical iff
     Metzler) at lattice factor f, the off-diagonal (i, j) of its rows, and
     the components those pairs make of range(m).  Only a listed pair can be
-    nonzero at a point, so pairs serve _minor_conditions and blocks is_psd."""
+    nonzero at a point, so pairs serve _minor_conditions and blocks
+    _psd_verdict."""
     table = _lift_table(pencil, pencil.is_metzler, f)
     pairs = tuple((i, j) for i, j, _ in table if i != j)
     return table, pairs, _components(pencil.m, pairs)
 
 
 def _lift_at(cache: dict, pencil: TropicalPencil, x, lattice=None):
-    """(a, pairs, blocks): a the lift of the pencil (canonical iff Metzler)
-    evaluated at t^x, x finite, pairs and blocks its compiled sparsity;
-    lattice is _lattice(pencil, x) when the caller has already taken it.
+    """(a, pairs, blocks): a the entry rows of the lift of the pencil
+    (canonical iff Metzler) evaluated at t^x, x finite, pairs and blocks its
+    compiled sparsity; lattice is _lattice(pencil, x) when the caller has
+    already taken it.
 
     a is taken after t -> t^S with S the lattice of pencils._lattice: every
     term is then a pair of ints.  The substitution keeps the order and
     commutes with add and mul, so every sign read is unchanged.  An entry
     merges its table terms c * t^(e + S * x_k), summing equal exponents and
     dropping zero sums: the canonical series evaluate_pencil would form,
-    without its products, sums and zero tests."""
+    without its products, sums and zero tests.  A one-term entry is that
+    term, c never being 0."""
     scale, f, X = lattice or _lattice(pencil, x)
     table, pairs, blocks = _cached(cache, ("lift", pencil, scale), lambda: _compile_lift(pencil, f))
     rows = [[_ZERO] * pencil.m for _ in range(pencil.m)]
     for i, j, terms in table:
+        if len(terms) == 1:
+            (k, e, c), = terms
+            rows[i][j] = rows[j][i] = PuiseuxPoly(((e + X[k], c),))
+            continue
         out: list = []
         for e, c in sorted([(e + X[k], c) for k, e, c in terms], reverse=True):
             if out and out[-1][0] == e:
@@ -312,12 +296,12 @@ def _lift_at(cache: dict, pencil: TropicalPencil, x, lattice=None):
                     continue
             out.append((e, c))
         rows[i][j] = rows[j][i] = PuiseuxPoly(tuple(out))
-    return PuiseuxSymMatrix.from_rows(rows), pairs, blocks
+    return rows, pairs, blocks
 
 
 def _evaluate_on_lattice(cache: dict, pencil: TropicalPencil, x) -> PuiseuxSymMatrix:
     """The matrix of _lift_at, without its sparsity."""
-    return _lift_at(cache, pencil, x)[0]
+    return PuiseuxSymMatrix.from_rows(_lift_at(cache, pencil, x)[0])
 
 
 def _pieces(cache: dict, pencil: TropicalPencil, x, lattice):
@@ -411,7 +395,7 @@ def _validate_point(
     rec.sout, rec.sin = _minor_conditions(a, pairs)
 
     if not member:
-        rec.psd = is_psd(a, psd_dim_bound, blocks)
+        rec.psd = _psd_verdict(a, rec.sout, blocks, psd_dim_bound)
         if rec.sout:
             rec.fail("non-member point satisfies the outer minor inequalities")
         if rec.psd:
@@ -421,7 +405,7 @@ def _validate_point(
         return rec
 
     if metz:
-        rec.psd = is_psd(a, psd_dim_bound, blocks)
+        rec.psd = _psd_verdict(a, rec.sout, blocks, psd_dim_bound)
         if not rec.sin:
             rec.fail("member point escapes the inner set of the canonical lift")
         if not rec.psd:
@@ -446,8 +430,9 @@ def _validate_point(
             # a Metzler pencil is its own piece: same lift, same point, same matrix
             psd = rec.psd
         else:
-            b, _, piece_blocks = _lift_at(cache, piece, target)
-            psd = is_psd(b, psd_dim_bound, piece_blocks)
+            b, piece_pairs, piece_blocks = _lift_at(cache, piece, target)
+            outer = _minor_conditions(b, piece_pairs)[0]
+            psd = _psd_verdict(b, outer, piece_blocks, psd_dim_bound)
         if not psd:
             rec.fail(
                 f"strict point of piece sigma={sorted(choice.sigma)} lifts outside PSD"

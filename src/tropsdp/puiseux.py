@@ -9,13 +9,15 @@ The leading term orders the field: x >= y iff the leading coefficient of
 x - y is >= 0, so e.g. t > 1 and t^(1/2) > 1000.
 
 Symmetric matrices over this field support exact principal minors and a
-positive-semidefiniteness test by exhausting them.
+positive-semidefiniteness test: the order-1/2 minors on the nonzero pairs,
+then every higher minor of each block of three or more indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionTooLarge
@@ -286,10 +288,10 @@ def principal_minor(a: PuiseuxSymMatrix, index_set: Iterable[int]) -> PuiseuxPol
     return _det(a.entries, idx, idx, {})
 
 
-def _nonzero_pairs(a: PuiseuxSymMatrix) -> list[tuple[int, int]]:
-    """The (i, j), i < j, with a_ij != 0."""
-    e = a.entries
-    return [(i, j) for i in range(a.m) for j in range(i + 1, a.m) if e[i][j]]
+def _nonzero_pairs(entries) -> list[tuple[int, int]]:
+    """The (i, j), i < j, with entries[i][j] != 0."""
+    m = len(entries)
+    return [(i, j) for i in range(m) for j in range(i + 1, m) if entries[i][j]]
 
 
 def _components(m: int, pairs) -> list[tuple[int, ...]]:
@@ -313,25 +315,60 @@ def _components(m: int, pairs) -> list[tuple[int, ...]]:
     return [tuple(g) for g in groups.values()]
 
 
+def _minor_conditions(entries, pairs) -> tuple[bool, bool]:
+    """(outer, inner) of the symmetric matrix with the given entry rows:
+    a_ii >= 0 and a_ii a_jj >= f a_ij^2 for every i < j, with f = 1 for the
+    outer relaxation and f = (m-1)^2 for the inner one.
+
+    pairs must list every (i, j), i < j, with a_ij != 0, and only those pairs
+    are tested: once every a_ii >= 0, a pair with a_ij = 0 satisfies
+    a_ii a_jj >= 0 = f a_ij^2 for both f.  f >= 1 and a_ij^2 >= 0, so inner
+    implies outer; each product is formed once and serves both.  outer says
+    that every principal minor of order 1 and 2 is nonnegative.
+    """
+    e, m = entries, len(entries)
+    if any(sign_of(e[i][i]) < 0 for i in range(m)):
+        return False, False
+    scale = PuiseuxPoly(((0, (m - 1) ** 2),)) if m > 2 else None
+    inner = True
+    for i, j in pairs:
+        lhs = mul(e[i][i], e[j][j])
+        sq = mul(e[i][j], e[i][j])
+        if compare(lhs, sq) < 0:
+            return False, False
+        if inner and scale is not None:
+            inner = compare(lhs, mul(scale, sq)) >= 0
+    return True, inner
+
+
+def _psd_verdict(entries, outer: bool, blocks, max_dim: int) -> bool:
+    """PSD of the entry rows, given outer from _minor_conditions: outer, and
+    every principal minor of order >= 3 inside one part of blocks, a
+    partition no nonzero entry crosses, is >= 0.  A principal minor is the
+    product of its parts' minors, so parts under three indices need nothing
+    more.  Raises DimensionTooLarge above max_dim, whatever outer says."""
+    if len(entries) > max_dim:
+        raise DimensionTooLarge(f"dimension {len(entries)} exceeds bound {max_dim}")
+    if not outer:
+        return False
+    for comp in blocks:
+        memo: dict = {}
+        for size in range(3, len(comp) + 1):
+            for idx in combinations(comp, size):
+                if sign_of(_det(entries, idx, idx, memo)) < 0:
+                    return False
+    return True
+
+
 def is_psd(a: PuiseuxSymMatrix, max_dim: int = 8, blocks=None) -> bool:
     """True iff every principal minor is nonnegative in the series order.
 
     blocks is a partition of range(m) that no nonzero entry crosses, by
-    default the components of the nonzero off-diagonal pattern.  Principal
-    minors factor across any such partition, so exhausting the minors of
-    each part gives the same verdict.  Raises DimensionTooLarge when a.m is
-    above max_dim: the minor count is 2^m - 1.
+    default the components of the nonzero off-diagonal pattern; any such
+    partition gives the same verdict (_psd_verdict).  Raises
+    DimensionTooLarge when a.m is above max_dim.
     """
-    if a.m > max_dim:
-        raise DimensionTooLarge(f"dimension {a.m} exceeds bound {max_dim}")
-    from itertools import combinations
-
+    pairs = _nonzero_pairs(a.entries)
     if blocks is None:
-        blocks = _components(a.m, _nonzero_pairs(a))
-    for comp in blocks:
-        memo: dict = {}
-        for size in range(1, len(comp) + 1):
-            for idx in combinations(comp, size):
-                if sign_of(_det(a.entries, idx, idx, memo)) < 0:
-                    return False
-    return True
+        blocks = _components(a.m, pairs)
+    return _psd_verdict(a.entries, _minor_conditions(a.entries, pairs)[0], blocks, max_dim)

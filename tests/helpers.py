@@ -1,15 +1,17 @@
 """Shared builders for pencil-level tests, and reference kernels: the dense
 Fraction simplex, the dict-based Puiseux add and mul, the per-point
 slice raster, the per-constraint Fraction loops behind membership, tangent
-edges and perturbation slacks, the oracle's per-point checks on
-Fraction-termed lifts with the sweep over every (sigma, diamond) piece, and
-the piece-by-piece genericity sweep."""
+edges and perturbation slacks, semidefiniteness from the Leibniz sum of
+every principal minor, the oracle's per-point checks on Fraction-termed
+lifts with the sweep over every (sigma, diamond) piece, and the
+piece-by-piece genericity sweep."""
 
 from __future__ import annotations
 
 import itertools
 import random
 from fractions import Fraction as F
+from math import lcm
 from typing import Sequence
 
 from tropsdp import lp
@@ -41,7 +43,7 @@ from tropsdp.pencils import (
     metzler_member,
     stratum_restrict,
 )
-from tropsdp.puiseux import PuiseuxPoly, PuiseuxSymMatrix, compare, is_psd, mul, sign_of
+from tropsdp.puiseux import PuiseuxPoly, PuiseuxSymMatrix, compare, mul, sign_of
 from tropsdp.signed import MINUS_INF, SignedTrop, TROP_MINUS_INF, is_minus_inf, parse_signed
 
 
@@ -185,6 +187,56 @@ def reference_minor_conditions(a: PuiseuxSymMatrix) -> tuple[bool, bool]:
             return False, False
         inner = inner and compare(lhs, mul(scale, sq)) >= 0
     return True, inner
+
+
+def _leibniz_minor(rows, idx) -> dict:
+    # exponent -> coefficient of the sum of sign(perm) * prod rows[r][perm(r)]
+    # over the permutations of idx that meet no zero entry, each product a
+    # dict convolution shared by the permutations that agree on its rows
+    total: dict = {}
+
+    def walk(k, used, sign, prod):
+        if k == len(idx):
+            for ex, c in prod.items():
+                total[ex] = total.get(ex, 0) + sign * c
+            return
+        for col in idx:
+            if col not in used and rows[idx[k]][col]:
+                nxt: dict = {}
+                for ex, cx in prod.items():
+                    for ey, cy in rows[idx[k]][col]:
+                        nxt[ex + ey] = nxt.get(ex + ey, 0) + cx * cy
+                flip = -1 if sum(u > col for u in used) % 2 else 1
+                walk(k + 1, used + (col,), sign * flip, nxt)
+
+    walk(0, (), 1, {0: 1})
+    return total
+
+
+def _int_if_whole(c: F):
+    return c.numerator if c.denominator == 1 else c
+
+
+def reference_is_psd(a: PuiseuxSymMatrix, max_dim: int = 8) -> bool:
+    """True iff every principal minor of every order of the whole matrix,
+    each its Leibniz sum, has a nonnegative leading coefficient: no blocks,
+    no order-2 shortcut and none of tropsdp.puiseux's arithmetic.  Exponents
+    are scaled to ints first (t -> t^D keeps the order).  A permutation
+    through a zero entry adds nothing and is skipped, which keeps m <= 6,
+    and sparse larger matrices such as polygon9's lifts, affordable.
+    Raises DimensionTooLarge above max_dim, as is_psd does."""
+    if a.m > max_dim:
+        raise DimensionTooLarge(f"dimension {a.m} exceeds bound {max_dim}")
+    d = lcm(*(F(ex).denominator for row in a.entries for p in row for ex, _ in p.terms))
+    rows = [[tuple((int(ex * d), _int_if_whole(F(c))) for ex, c in p.terms) for p in row]
+            for row in a.entries]
+    for size in range(1, a.m + 1):
+        for idx in itertools.combinations(range(a.m), size):
+            total = _leibniz_minor(rows, idx)
+            lead = max((ex for ex, c in total.items() if c), default=None)
+            if lead is not None and total[lead] < 0:
+                return False
+    return True
 
 
 def reference_slice_csv(
@@ -393,7 +445,7 @@ def reference_validate_point(
     rec.sout, rec.sin = reference_minor_conditions(a)
 
     if not member:
-        rec.psd = is_psd(a, max_dim=psd_dim_bound)
+        rec.psd = reference_is_psd(a, psd_dim_bound)
         if rec.sout:
             rec.fail("non-member point satisfies the outer minor inequalities")
         if rec.psd:
@@ -403,7 +455,7 @@ def reference_validate_point(
         return rec
 
     if metz:
-        rec.psd = is_psd(a, max_dim=psd_dim_bound)
+        rec.psd = reference_is_psd(a, psd_dim_bound)
         if not rec.sin:
             rec.fail("member point escapes the inner set of the canonical lift")
         if not rec.psd:
@@ -429,7 +481,7 @@ def reference_validate_point(
             psd = rec.psd
         else:
             piece_lift = _cached(cache, ("fraction lift", piece), lambda: _fraction_lift(piece))
-            psd = is_psd(evaluate_pencil(piece_lift, monomial_lift(target)), psd_dim_bound)
+            psd = reference_is_psd(evaluate_pencil(piece_lift, monomial_lift(target)), psd_dim_bound)
         if not psd:
             rec.fail(
                 f"strict point of piece sigma={sorted(choice.sigma)} lifts outside PSD"

@@ -143,6 +143,20 @@ def test_validate_zero_failures(capsys):
     assert code == 2 and "NotCertified" in err
 
 
+def test_validate_step_without_box(capsys):
+    # the box defaults to [-2, 2], so --step alone sets the grid
+    code, out, err = run(capsys, "validate", FIXTURES / "m1_distinct.json", "--step", "1")
+    assert code == 0 and len(out.splitlines()) == 25 and "25 points, 0 failures" in err
+    code, out, err = run(capsys, "validate", FIXTURES / "m1_distinct.json", "--step", "abc")
+    assert code == 2 and out == "" and "bad box/step" in err
+
+
+def test_validate_dimension_bound_without_psd_bound(capsys):
+    code, out, err = run(capsys, "validate", FIXTURES / "polygon9.json", "--max-m", "9")
+    assert code == 2 and out == ""
+    assert "DimensionTooLarge: dimension 9 exceeds bound 8" in err
+
+
 #: sha256 of validate's stdout per run: the records are exact, so a speed-up
 #: of the oracle must leave every byte as it is.
 VALIDATE_DIGESTS = [

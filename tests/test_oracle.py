@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import weakref
+from collections import Counter
 from fractions import Fraction as F
 from math import lcm
 from pathlib import Path
@@ -17,7 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
-from helpers import pencil_of, random_pencil, reference_minor_conditions, reference_validate_point
+from helpers import (
+    pencil_of,
+    random_pencil,
+    reference_is_psd,
+    reference_minor_conditions,
+    reference_validate_point,
+)
 from tropsdp import canonical_lift, oracle
 from tropsdp.errors import NotCertified
 from tropsdp.oracle import (
@@ -49,6 +56,7 @@ from tropsdp.pencils import (
     general_member,
     homogenize,
     load_pencil,
+    pencil_from_obj,
     stratum_restrict,
 )
 from tropsdp.puiseux import (
@@ -530,7 +538,7 @@ def sparse_matrices(draw):
             cancel = draw(st.sampled_from(((), own, own[1:])))
         rows[i][j] = rows[j][i] = P.from_terms(own + [(e, -c) for e, c in cancel])
     a = series_matrix(rows)
-    nonzero = puiseux._nonzero_pairs(a)
+    nonzero = puiseux._nonzero_pairs(a.entries)
     zero = [p for p in itertools.combinations(range(m), 2) if p not in nonzero]
     extra = draw(st.lists(st.sampled_from(zero), unique=True)) if zero else []
     pairs = sorted(nonzero + extra)
@@ -547,11 +555,11 @@ def sparse_matrices(draw):
 @given(sparse_matrices())
 def test_sparse_minors_and_psd_blocks_match_dense(case):
     a, pairs, blocks = case
-    nonzero = puiseux._nonzero_pairs(a)
+    nonzero = puiseux._nonzero_pairs(a.entries)
     want = reference_minor_conditions(a)
-    assert oracle._minor_conditions(a, nonzero) == want
-    assert oracle._minor_conditions(a, pairs) == want
-    assert puiseux.is_psd(a, 8, blocks) == puiseux.is_psd(a)
+    assert oracle._minor_conditions(a.entries, nonzero) == want
+    assert oracle._minor_conditions(a.entries, pairs) == want
+    assert puiseux.is_psd(a, 8, blocks) == reference_is_psd(a)
 
 
 def test_compiled_blocks_hold_every_nonzero_entry(monkeypatch):
@@ -567,7 +575,7 @@ def test_compiled_blocks_hold_every_nonzero_entry(monkeypatch):
         assert set(nonzero) <= set(pairs), (pencil, x)
         assert blocks == puiseux._components(pencil.m, pairs)
         block_of = {i: set(b) for b in blocks for i in b}
-        comps = puiseux._components(a.m, nonzero)
+        comps = puiseux._components(len(a), nonzero)
         for comp in comps:
             assert set(comp) <= block_of[comp[0]], (pencil, x)
         seen["points"] += 1
@@ -602,6 +610,94 @@ def test_compiled_blocks_hold_every_nonzero_entry(monkeypatch):
             oracle._lift_at(cache, target, x)
     assert fixture_points > 1000 and pieces > 30
     assert seen["cancelled"] > 10 and seen["split"] > 5
+
+
+def test_lift_verdicts_match_reference():
+    """(outer, inner, psd) as the oracle reads them off a lift, psd from the
+    outer test and the order->=3 minors of blocks of three or more, equals
+    the reference's on the same matrix: lifts whose compiled blocks have one
+    to four indices, at member points, at random points and at points where
+    an entry's terms cancel."""
+    rng = random.Random(29)
+    # every entry at value 0: at x = 0 outer holds, but the 3x3 determinant is -4
+    tie = pencil_of(3, 1, {
+        (0, i, j): "-0" if (i, j) == (0, 2) else "+0"
+        for i, j in [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
+    })
+    pencils = [tie] + [
+        lattice_pencil(rng, m, metzler)
+        for m, metzler, _ in itertools.product(range(1, 5), (True, False), range(12))
+    ]
+    sizes, seen, cancelled = set(), Counter(), 0
+    for pencil in pencils:
+        points = [x for x in grid_points(pencil.n, -2, 2, 1) if general_member(pencil, x)]
+        points += [
+            tuple(F(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(pencil.n))
+            for _ in range(4)
+        ] + list(cancelling_points(pencil, rng))
+        cache = {}
+        for x in points:
+            rows, pairs, blocks = oracle._lift_at(cache, pencil, x)
+            outer, inner = oracle._minor_conditions(rows, pairs)
+            got = (outer, inner, oracle._psd_verdict(rows, outer, blocks, 8))
+            a = series_matrix(rows)
+            assert got == (*reference_minor_conditions(a), reference_is_psd(a)), (pencil, x)
+            sizes.update(map(len, blocks))
+            cancelled += len(pairs) > len(puiseux._nonzero_pairs(rows))
+            seen[outer, got[2], max(map(len, blocks)) >= 3] += 1
+    assert sizes == {1, 2, 3, 4} and cancelled > 10
+    # outer holds on a block of three or more, and the higher minors decide both ways
+    assert seen[True, True, True] > 50 and seen[True, False, True] > 5
+    assert seen[False, False, True] > 50
+
+
+#: Pool pencil M4x2p7:57 of the benchmark corpus: certified, Metzler, and
+#: its compiled blocks include one of three or more indices.
+M4X2 = {"m": 4, "n": 2, "homogeneous": True, "matrices": [
+    {"k": 0, "entries": [
+        {"i": 1, "j": 1, "coeff": "+23/2"}, {"i": 1, "j": 4, "coeff": "--5/3"},
+        {"i": 2, "j": 2, "coeff": "+-23/5"}, {"i": 2, "j": 4, "coeff": "--2"},
+        {"i": 3, "j": 4, "coeff": "-0"}, {"i": 4, "j": 4, "coeff": "+-1"},
+    ]},
+    {"k": 1, "entries": [
+        {"i": 1, "j": 1, "coeff": "+21/5"}, {"i": 1, "j": 2, "coeff": "-1/2"},
+        {"i": 1, "j": 4, "coeff": "-23/6"}, {"i": 2, "j": 2, "coeff": "+1"},
+        {"i": 2, "j": 3, "coeff": "--3/7"}, {"i": 2, "j": 4, "coeff": "--12/5"},
+        {"i": 3, "j": 3, "coeff": "+8/3"}, {"i": 3, "j": 4, "coeff": "--18/5"},
+        {"i": 4, "j": 4, "coeff": "--25/2"},
+    ]},
+]}
+
+
+def test_only_outer_points_reach_the_higher_minors(monkeypatch):
+    """A PSD verdict exhausts minors (calls _det) only when the outer test
+    passed and a compiled block has three or more indices."""
+    dets = []
+    verdicts = []
+    real_det, real_verdict = puiseux._det, oracle._psd_verdict
+
+    def det(*args):
+        dets.append(args[1])
+        return real_det(*args)
+
+    def verdict(entries, outer, blocks, max_dim):
+        before = len(dets)
+        psd = real_verdict(entries, outer, blocks, max_dim)
+        verdicts.append((outer, max(map(len, blocks)) >= 3, len(dets) > before))
+        return psd
+
+    monkeypatch.setattr(puiseux, "_det", det)
+    monkeypatch.setattr(oracle, "_psd_verdict", verdict)
+    polygon9 = load_pencil(FIXTURES / "polygon9.json")[0]
+    records = cross_validate(polygon9, default_grid(3), assume_certified=True, psd_dim_bound=9)
+    assert all(r.ok for r in records) and len(verdicts) >= len(records) == 729
+    assert dets == [] and not any(big for _, big, _ in verdicts)
+    verdicts.clear()
+    pencil = pencil_from_obj(M4X2)[0]
+    assert all(r.ok for r in cross_validate(pencil, default_grid(2)))
+    assert all(reached == (outer and big) for outer, big, reached in verdicts)
+    counts = Counter(outer for outer, big, _ in verdicts if big)
+    assert counts[True] > 30 and counts[False] > 30
 
 
 def test_lattice_terms_are_ints(monkeypatch):
