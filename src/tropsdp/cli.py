@@ -156,9 +156,7 @@ def cmd_validate(args) -> int:
     free = pencil.n if homogeneous else pencil.n - 1
     base = grid_points(free, *_box(args))
     grid = base if homogeneous else [(Fraction(0),) + p for p in base]
-    records = cross_validate(
-        pencil, grid, max_m=args.max_m, max_n=args.max_n, psd_dim_bound=args.psd_bound
-    )
+    records = cross_validate(pencil, grid, max_m=args.max_m, max_n=args.max_n)
     bad = 0
     for rec in records:
         print(json.dumps(rec.to_obj()))
@@ -236,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", default="1/2")
     p.add_argument("--max-m", type=int, default=4)
     p.add_argument("--max-n", type=int, default=4)
-    p.add_argument("--psd-bound", type=int, default=8)
+    p.add_argument("--psd-bound", type=int, help="ignored: PSD testing has no dimension bound")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("slice", help="CSV raster of a 2-D slice")

@@ -182,11 +182,9 @@ def sin_member(bp: PuiseuxPencil, bx: Sequence[PuiseuxPoly]) -> bool:
     return _minor_conditions(e, _nonzero_pairs(e))[1]
 
 
-def psd_member(
-    bp: PuiseuxPencil, bx: Sequence[PuiseuxPoly], max_dim: int = 8
-) -> bool:
-    """Exact semidefiniteness of the evaluated pencil by principal minors."""
-    return is_psd(evaluate_pencil(bp, bx), max_dim=max_dim)
+def psd_member(bp: PuiseuxPencil, bx: Sequence[PuiseuxPoly]) -> bool:
+    """Exact semidefiniteness of the evaluated pencil (is_psd)."""
+    return is_psd(evaluate_pencil(bp, bx))
 
 
 # -- grid cross-validation ----------------------------------------------------
@@ -338,7 +336,6 @@ def cross_validate(
     assume_certified: bool = False,
     max_m: int = 4,
     max_n: int = 4,
-    psd_dim_bound: int = 8,
 ) -> list[ValidationRecord]:
     """Check the membership predicate against the exact PSD oracle on a grid.
 
@@ -358,12 +355,12 @@ def cross_validate(
     for x in map(tuple, sorted(grid)):
         lattice = _lattice(pencil, x)
         member = general_member(pencil, x, lattice)
-        records.append(_validate_point(pencil, x, member, psd_dim_bound, cache, lattice))
+        records.append(_validate_point(pencil, x, member, cache, lattice))
     return records
 
 
 def _validate_point(
-    pencil: TropicalPencil, x, member: bool, psd_dim_bound: int, cache: dict, lattice
+    pencil: TropicalPencil, x, member: bool, cache: dict, lattice
 ) -> ValidationRecord:
     """The record at x, whose membership verdict the caller has decided from
     lattice, the point's _lattice(pencil, x), which the lift reads too."""
@@ -382,7 +379,7 @@ def _validate_point(
         if general_member(sub, sub_x, sub_lattice) != member:
             rec.fail("membership disagrees with its support stratum")
             return rec
-        inner = _validate_point(sub, sub_x, member, psd_dim_bound, cache, sub_lattice)
+        inner = _validate_point(sub, sub_x, member, cache, sub_lattice)
         rec.sout, rec.sin, rec.psd = inner.sout, inner.sin, inner.psd
         if not inner.ok:
             rec.ok = False
@@ -395,7 +392,7 @@ def _validate_point(
     rec.sout, rec.sin = _minor_conditions(a, pairs)
 
     if not member:
-        rec.psd = _psd_verdict(a, rec.sout, blocks, psd_dim_bound)
+        rec.psd = _psd_verdict(a, rec.sout, blocks)
         if rec.sout:
             rec.fail("non-member point satisfies the outer minor inequalities")
         if rec.psd:
@@ -405,7 +402,7 @@ def _validate_point(
         return rec
 
     if metz:
-        rec.psd = _psd_verdict(a, rec.sout, blocks, psd_dim_bound)
+        rec.psd = _psd_verdict(a, rec.sout, blocks)
         if not rec.sin:
             rec.fail("member point escapes the inner set of the canonical lift")
         if not rec.psd:
@@ -432,7 +429,7 @@ def _validate_point(
         else:
             b, piece_pairs, piece_blocks = _lift_at(cache, piece, target)
             outer = _minor_conditions(b, piece_pairs)[0]
-            psd = _psd_verdict(b, outer, piece_blocks, psd_dim_bound)
+            psd = _psd_verdict(b, outer, piece_blocks)
         if not psd:
             rec.fail(
                 f"strict point of piece sigma={sorted(choice.sigma)} lifts outside PSD"

@@ -10,17 +10,17 @@ x - y is >= 0, so e.g. t > 1 and t^(1/2) > 1000.
 
 Symmetric matrices over this field support exact principal minors and a
 positive-semidefiniteness test: the order-1/2 minors on the nonzero pairs,
-then every higher minor of each block of three or more indices.
+then fraction-free elimination of each block of three or more indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DimensionTooLarge
+from .errors import CertificateCheckFailed
 from .signed import MINUS_INF, ExtRat, SignedTrop, TROP_MINUS_INF
 
 
@@ -252,40 +252,56 @@ class PuiseuxSymMatrix:
         return len(self.entries)
 
 
-#: The unit with int terms, so a product with it keeps int terms int.
-_ONE = PuiseuxPoly(((0, 1),))
+def _divide(x: PuiseuxPoly, y: PuiseuxPoly) -> PuiseuxPoly:
+    """x / y, exact, by long division from the leading terms.  An exact
+    quotient's lowest exponent is low(x) - low(y), so a term below it
+    raises CertificateCheckFailed, also under python -O; the exponents stay
+    on one lattice, so the loop ends.  Int operands that divide give ints."""
+    (eb, cb), rest = y.terms[0], PuiseuxPoly(y.terms[1:])
+    low, q, r = x.terms[-1][0] - y.terms[-1][0], [], x
+    while r.terms:
+        e, c = r.terms[0]
+        if e - eb < low:
+            raise CertificateCheckFailed(f"{y} does not divide {x}")
+        c = c // cb if type(c) is int and type(cb) is int and c % cb == 0 else Fraction(c) / cb
+        q.append((e - eb, c))
+        r = add(PuiseuxPoly(r.terms[1:]), mul(PuiseuxPoly(((e - eb, -c),)), rest))
+    return PuiseuxPoly(tuple(q))
 
 
-def _det(entries, rows: tuple[int, ...], cols: tuple[int, ...], memo) -> PuiseuxPoly:
-    # division-free expansion along the first row, memoized on (rows, cols)
-    if not rows:
-        return _ONE
-    key = (rows, cols)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    r = rows[0]
-    rest = rows[1:]
-    total = PuiseuxPoly.zero()
-    for idx, c in enumerate(cols):
-        a = entries[r][c]
-        if not a:
-            continue
-        sub = _det(entries, rest, cols[:idx] + cols[idx + 1 :], memo)
-        term = mul(a, sub)
-        total = add(total, term if idx % 2 == 0 else neg(term))
-    memo[key] = total
-    return total
+def _step(a, p: int, rows, cols, prev) -> None:
+    """a_ij <- (a_pp a_ij - a_ip a_pj) / prev in place for i in rows, j in
+    cols, prev None for the first pivot: fraction-free, since by Sylvester's
+    identity each new a_ij is a minor of the input."""
+    app, ap = a[p][p], a[p]
+    for i in rows:
+        ai, aip = a[i], a[i][p]
+        for j in cols:
+            x = mul(app, ai[j])
+            if aip and ap[j]:
+                x = add(x, neg(mul(aip, ap[j])))
+            ai[j] = _divide(x, prev) if x and prev is not None else x
 
 
 def principal_minor(a: PuiseuxSymMatrix, index_set: Iterable[int]) -> PuiseuxPoly:
-    """Exact determinant of the submatrix on the given (0-based) indices."""
+    """Exact determinant of the submatrix on the given (0-based) indices by
+    _step, pivoting on each column's first nonzero row, a swap a sign flip."""
     idx = tuple(sorted(set(int(i) for i in index_set)))
     if not idx:
         raise ValueError("index set must be nonempty")
     if idx[0] < 0 or idx[-1] >= a.m:
         raise ValueError(f"index set {idx!r} out of range for dimension {a.m}")
-    return _det(a.entries, idx, idx, {})
+    rows = [[a.entries[i][j] for j in idx] for i in idx]
+    k, sign, prev = len(idx), 1, None
+    for p in range(k):
+        r = next((r for r in range(p, k) if rows[r][p]), None)
+        if r is None:
+            return PuiseuxPoly.zero()
+        if r != p:
+            rows[p], rows[r], sign = rows[r], rows[p], -sign
+        _step(rows, p, range(p + 1, k), range(p + 1, k), prev)
+        prev = rows[p][p]
+    return prev if sign > 0 else neg(prev)
 
 
 def _nonzero_pairs(entries) -> list[tuple[int, int]]:
@@ -341,34 +357,42 @@ def _minor_conditions(entries, pairs) -> tuple[bool, bool]:
     return True, inner
 
 
-def _psd_verdict(entries, outer: bool, blocks, max_dim: int) -> bool:
-    """PSD of the entry rows, given outer from _minor_conditions: outer, and
-    every principal minor of order >= 3 inside one part of blocks, a
-    partition no nonzero entry crosses, is >= 0.  A principal minor is the
-    product of its parts' minors, so parts under three indices need nothing
-    more.  Raises DimensionTooLarge above max_dim, whatever outer says."""
-    if len(entries) > max_dim:
-        raise DimensionTooLarge(f"dimension {len(entries)} exceeds bound {max_dim}")
-    if not outer:
-        return False
-    for comp in blocks:
-        memo: dict = {}
-        for size in range(3, len(comp) + 1):
-            for idx in combinations(comp, size):
-                if sign_of(_det(entries, idx, idx, memo)) < 0:
-                    return False
+def _block_psd(entries, block) -> bool:
+    """PSD of the submatrix on block by _step on its diagonal in order.  After
+    pivots P each entry is det A[P] > 0 times the Schur complement's, so a
+    negative diagonal, or a zero one with a nonzero row, refutes PSD; a zero
+    row is dropped; a positive diagonal is pivoted on.  The last index is
+    read as the sign of a_pp a_ii - a_ip^2, with no update or division."""
+    a = [[entries[i][j] for j in block] for i in block]
+    k, prev = len(block), None
+    for p in range(k):
+        s, rest = sign_of(a[p][p]), range(p + 1, k)
+        if s < 0 or (s == 0 and any(a[p][j] for j in rest)):
+            return False
+        if s == 0:
+            continue
+        if p == k - 2:
+            return compare(mul(a[p][p], a[-1][-1]), mul(a[-1][p], a[-1][p])) >= 0
+        for i in rest:  # the upper triangle, mirrored
+            _step(a, p, (i,), range(i, k), prev)
+            for j in range(i + 1, k):
+                a[j][i] = a[i][j]
+        prev = a[p][p]
     return True
 
 
-def is_psd(a: PuiseuxSymMatrix, max_dim: int = 8, blocks=None) -> bool:
-    """True iff every principal minor is nonnegative in the series order.
+def _psd_verdict(entries, outer: bool, blocks) -> bool:
+    """PSD of the entry rows, given outer from _minor_conditions and blocks a
+    partition no nonzero entry crosses: outer, and _block_psd on parts of 3+."""
+    return outer and all(_block_psd(entries, b) for b in blocks if len(b) >= 3)
 
-    blocks is a partition of range(m) that no nonzero entry crosses, by
-    default the components of the nonzero off-diagonal pattern; any such
-    partition gives the same verdict (_psd_verdict).  Raises
-    DimensionTooLarge when a.m is above max_dim.
-    """
-    pairs = _nonzero_pairs(a.entries)
-    if blocks is None:
-        blocks = _components(a.m, pairs)
-    return _psd_verdict(a.entries, _minor_conditions(a.entries, pairs)[0], blocks, max_dim)
+
+def is_psd(a: PuiseuxSymMatrix) -> bool:
+    """True iff every principal minor is nonnegative: _psd_verdict on the
+    components of the nonzero pattern, after t -> t^D and A -> L A (D, L the
+    lcms of exponent and coefficient denominators) make every term ints."""
+    terms = [term for row in a.entries for x in row for term in x.terms]
+    d, f = lcm(*(e.denominator for e, _ in terms)), lcm(*(c.denominator for _, c in terms))
+    rows = [[PuiseuxPoly(tuple((int(e * d), int(c * f)) for e, c in x.terms)) for x in row] for row in a.entries]
+    pairs = _nonzero_pairs(rows)
+    return _psd_verdict(rows, _minor_conditions(rows, pairs)[0], _components(a.m, pairs))

@@ -217,16 +217,13 @@ def _int_if_whole(c: F):
     return c.numerator if c.denominator == 1 else c
 
 
-def reference_is_psd(a: PuiseuxSymMatrix, max_dim: int = 8) -> bool:
+def reference_is_psd(a: PuiseuxSymMatrix) -> bool:
     """True iff every principal minor of every order of the whole matrix,
     each its Leibniz sum, has a nonnegative leading coefficient: no blocks,
     no order-2 shortcut and none of tropsdp.puiseux's arithmetic.  Exponents
     are scaled to ints first (t -> t^D keeps the order).  A permutation
     through a zero entry adds nothing and is skipped, which keeps m <= 6,
-    and sparse larger matrices such as polygon9's lifts, affordable.
-    Raises DimensionTooLarge above max_dim, as is_psd does."""
-    if a.m > max_dim:
-        raise DimensionTooLarge(f"dimension {a.m} exceeds bound {max_dim}")
+    and sparse larger matrices such as polygon9's lifts, affordable."""
     d = lcm(*(F(ex).denominator for row in a.entries for p in row for ex, _ in p.terms))
     rows = [[tuple((int(ex * d), _int_if_whole(F(c))) for ex, c in p.terms) for p in row]
             for row in a.entries]
@@ -411,7 +408,7 @@ def _fraction_lift(pencil: TropicalPencil):
 
 
 def reference_validate_point(
-    pencil: TropicalPencil, x, psd_dim_bound: int, max_choice_m: int, cache: dict
+    pencil: TropicalPencil, x, max_choice_m: int, cache: dict
 ) -> ValidationRecord:
     """One point of cross_validate, evaluated on the public Fraction-termed
     lifts at the monomial lift of x, with the Fraction loops' membership,
@@ -432,7 +429,7 @@ def reference_validate_point(
         if reference_general_member(sub, sub_x) != member:
             rec.fail("membership disagrees with its support stratum")
             return rec
-        inner = reference_validate_point(sub, sub_x, psd_dim_bound, max_choice_m, cache)
+        inner = reference_validate_point(sub, sub_x, max_choice_m, cache)
         rec.sout, rec.sin, rec.psd = inner.sout, inner.sin, inner.psd
         if not inner.ok:
             rec.ok = False
@@ -445,7 +442,7 @@ def reference_validate_point(
     rec.sout, rec.sin = reference_minor_conditions(a)
 
     if not member:
-        rec.psd = reference_is_psd(a, psd_dim_bound)
+        rec.psd = reference_is_psd(a)
         if rec.sout:
             rec.fail("non-member point satisfies the outer minor inequalities")
         if rec.psd:
@@ -455,7 +452,7 @@ def reference_validate_point(
         return rec
 
     if metz:
-        rec.psd = reference_is_psd(a, psd_dim_bound)
+        rec.psd = reference_is_psd(a)
         if not rec.sin:
             rec.fail("member point escapes the inner set of the canonical lift")
         if not rec.psd:
@@ -481,7 +478,7 @@ def reference_validate_point(
             psd = rec.psd
         else:
             piece_lift = _cached(cache, ("fraction lift", piece), lambda: _fraction_lift(piece))
-            psd = reference_is_psd(evaluate_pencil(piece_lift, monomial_lift(target)), psd_dim_bound)
+            psd = reference_is_psd(evaluate_pencil(piece_lift, monomial_lift(target)))
         if not psd:
             rec.fail(
                 f"strict point of piece sigma={sorted(choice.sigma)} lifts outside PSD"

@@ -151,16 +151,19 @@ def test_validate_step_without_box(capsys):
     assert code == 2 and out == "" and "bad box/step" in err
 
 
-def test_validate_dimension_bound_without_psd_bound(capsys):
+def test_validate_needs_no_psd_bound(capsys):
+    # PSD testing has no dimension bound: --psd-bound is accepted and ignored
     code, out, err = run(capsys, "validate", FIXTURES / "polygon9.json", "--max-m", "9")
-    assert code == 2 and out == ""
-    assert "DimensionTooLarge: dimension 9 exceeds bound 8" in err
+    assert code == 0 and "729 points, 0 failures" in err
+    assert run(capsys, "validate", FIXTURES / "polygon9.json", "--max-m", "9", "--psd-bound", "2")[1] == out
 
 
 #: sha256 of validate's stdout per run: the records are exact, so a speed-up
 #: of the oracle must leave every byte as it is.
 VALIDATE_DIGESTS = [
     (["polygon9.json", "--max-m", "9", "--psd-bound", "9"],
+     "80ae63f78e1dbd92953ba03ede73a70c8e26260c96e3de8c3b42d6f240340859"),
+    (["polygon9.json", "--max-m", "9"],
      "80ae63f78e1dbd92953ba03ede73a70c8e26260c96e3de8c3b42d6f240340859"),
     (["quadrant_ray.json"], "e91c46363e972ce661596a07fdf1aaccc85c55d0218e2853888e8aecc47b41ed"),
     (["m1_distinct.json"], "c568f0f53932110834d3740321334421f6d431db6b90c6c33b721cf0058f4d4d"),

@@ -257,13 +257,13 @@ def test_zero_matrix_is_psd():
 def test_cross_validate_polygon_integer_grid():
     fig = load_pencil(FIXTURES / "polygon9.json")[0]
     grid = [(Z, F(a), F(b)) for a in range(0, 9) for b in range(0, 9)]
-    records = cross_validate(fig, grid, max_m=9, psd_dim_bound=9)
+    records = cross_validate(fig, grid, max_m=9)
     assert [r for r in records if not r.ok] == []
     members = {r.x[1:] for r in records if r.member}
     assert (F(4), F(4)) in members and (F(0), F(0)) not in members
 
 
-def recomputed_checks(pencil, x, member, psd_dim_bound):
+def recomputed_checks(pencil, x, member):
     """The checks of one record, each through its own public predicate."""
     support = [k for k, v in enumerate(x) if not is_minus_inf(v)]
     if not support:
@@ -277,7 +277,7 @@ def recomputed_checks(pencil, x, member, psd_dim_bound):
     return {
         "sout": sout_member(lift, bx),
         "sin": sin_member(lift, bx),
-        "psd": psd_member(lift, bx, max_dim=psd_dim_bound) if recorded else None,
+        "psd": psd_member(lift, bx) if recorded else None,
     }
 
 
@@ -291,32 +291,32 @@ def with_bottoms(grid):
 
 def validation_cases():
     affine = [(Z, a, b) for a, b in grid_points(2, -2, 2, 1)]
-    for name, grid, bound in [
-        ("affine_quadrant.json", affine, 8),
-        ("m1_distinct.json", [(Z, a) for (a,) in grid_points(1, -2, 2, F(1, 2))], 8),
-        ("quadrant_ray.json", affine, 8),
-        ("polygon9.json", [(Z, a, b) for a, b in grid_points(2, 0, 8, 2)], 9),
+    for name, grid in [
+        ("affine_quadrant.json", affine),
+        ("m1_distinct.json", [(Z, a) for (a,) in grid_points(1, -2, 2, F(1, 2))]),
+        ("quadrant_ray.json", affine),
+        ("polygon9.json", [(Z, a, b) for a, b in grid_points(2, 0, 8, 2)]),
     ]:
-        yield load_pencil(FIXTURES / name)[0], with_bottoms(grid), bound
+        yield load_pencil(FIXTURES / name)[0], with_bottoms(grid)
     rng = random.Random(57)
     kept = 0
     while kept < 8:
         pencil = random_pencil(rng, max_m=3, max_n=3, metzler=kept % 2 == 0)
         if isinstance(certify_generic_general(pencil), Certificate):
             kept += 1
-            yield pencil, with_bottoms(grid_points(pencil.n, -1, 1, 1)), 8
+            yield pencil, with_bottoms(grid_points(pencil.n, -1, 1, 1))
 
 
 def test_cross_validate_records_match_public_predicates():
     seen = {True: 0, False: 0}
-    for pencil, grid, bound in validation_cases():
-        records = cross_validate(pencil, grid, max_m=9, psd_dim_bound=bound)
+    for pencil, grid in validation_cases():
+        records = cross_validate(pencil, grid, max_m=9)
         assert len(records) == len(grid)
         for rec in records:
             obj = rec.to_obj()
             assert obj["ok"], obj
             assert rec.member == general_member(pencil, rec.x)
-            assert obj["checks"] == recomputed_checks(pencil, rec.x, rec.member, bound), obj
+            assert obj["checks"] == recomputed_checks(pencil, rec.x, rec.member), obj
             seen[rec.member] += 1
     assert min(seen.values()) > 50
 
@@ -362,17 +362,17 @@ def denominator_pencils(count):
 
 
 def lattice_cases():
-    """(pencil, grid, max_m, psd bound): the five fixtures, seeded pencils
+    """(pencil, grid, max_m): the five fixtures, seeded pencils
     with denominators 3, 7 and 9, and 1/3-step grids with -inf coordinates."""
     for name in ["affine_quadrant", "line_pencil", "m1_distinct", "quadrant_ray"]:
         pencil, homogeneous = load_pencil(FIXTURES / f"{name}.json")
         free = pencil.n if homogeneous else pencil.n - 1
         for grid in (default_grid(free), with_bottoms(grid_points(free, -1, 1, F(1, 3)))):
-            yield pencil, grid if homogeneous else [(Z, *p) for p in grid], 4, 8
+            yield pencil, grid if homogeneous else [(Z, *p) for p in grid], 4
     polygon9 = load_pencil(FIXTURES / "polygon9.json")[0]
-    yield polygon9, with_bottoms([(Z, a, b) for a, b in grid_points(2, 0, 8, 1)]), 9, 9
+    yield polygon9, with_bottoms([(Z, a, b) for a, b in grid_points(2, 0, 8, 1)]), 9
     for pencil, grid in denominator_pencils(8):
-        yield pencil, grid, 4, 8
+        yield pencil, grid, 4
 
 
 def validation_outcome(validate):
@@ -391,16 +391,16 @@ def test_lattice_records_match_fraction_path(monkeypatch):
 
     monkeypatch.setattr(oracle, "perturb_to_interior", counting_perturb)
     denominators = set()
-    for pencil, grid, max_m, bound in lattice_cases():
+    for pencil, grid, max_m in lattice_cases():
         denominators.update(
             a.value.denominator for mat in pencil.matrices for row in mat for a in row if a.sign
         )
         lattice = validation_outcome(lambda: cross_validate(
-            pencil, grid, assume_certified=True, max_m=max_m, psd_dim_bound=bound
+            pencil, grid, assume_certified=True, max_m=max_m
         ))
         cache = {}
         fraction = validation_outcome(lambda: [
-            reference_validate_point(pencil, tuple(p), bound, max(5, max_m + 1), cache)
+            reference_validate_point(pencil, tuple(p), max(5, max_m + 1), cache)
             for p in sorted(grid)
         ])
         assert lattice == fraction, pencil
@@ -559,13 +559,13 @@ def test_sparse_minors_and_psd_blocks_match_dense(case):
     want = reference_minor_conditions(a)
     assert oracle._minor_conditions(a.entries, nonzero) == want
     assert oracle._minor_conditions(a.entries, pairs) == want
-    assert puiseux.is_psd(a, 8, blocks) == reference_is_psd(a)
+    assert puiseux._psd_verdict(a.entries, want[0], blocks) == reference_is_psd(a)
 
 
 def test_compiled_blocks_hold_every_nonzero_entry(monkeypatch):
     """At every point the oracle evaluates, each nonzero off-diagonal entry
     is a compiled pair and each component of the nonzero pattern lies inside
-    one compiled block: what _minor_conditions and is_psd rely on."""
+    one compiled block: what _minor_conditions and _psd_verdict rely on."""
     seen = {"points": 0, "cancelled": 0, "split": 0}
     real = oracle._lift_at
 
@@ -584,8 +584,8 @@ def test_compiled_blocks_hold_every_nonzero_entry(monkeypatch):
         return a, pairs, blocks
 
     monkeypatch.setattr(oracle, "_lift_at", checked)
-    for pencil, grid, bound in validation_cases():
-        assert all(r.ok for r in cross_validate(pencil, grid, max_m=9, psd_dim_bound=bound))
+    for pencil, grid in validation_cases():
+        assert all(r.ok for r in cross_validate(pencil, grid, max_m=9))
     line = load_pencil(FIXTURES / "line_pencil.json")[0]
     for x in default_grid(line.n):
         oracle._evaluate_on_lattice({}, line, x)
@@ -614,10 +614,10 @@ def test_compiled_blocks_hold_every_nonzero_entry(monkeypatch):
 
 def test_lift_verdicts_match_reference():
     """(outer, inner, psd) as the oracle reads them off a lift, psd from the
-    outer test and the order->=3 minors of blocks of three or more, equals
-    the reference's on the same matrix: lifts whose compiled blocks have one
-    to four indices, at member points, at random points and at points where
-    an entry's terms cancel."""
+    outer test and the elimination of blocks of three or more, equals the
+    reference's on the same matrix: lifts whose compiled blocks have one to
+    five indices, at member points, at random points and at points where an
+    entry's terms cancel."""
     rng = random.Random(29)
     # every entry at value 0: at x = 0 outer holds, but the 3x3 determinant is -4
     tie = pencil_of(3, 1, {
@@ -626,7 +626,7 @@ def test_lift_verdicts_match_reference():
     })
     pencils = [tie] + [
         lattice_pencil(rng, m, metzler)
-        for m, metzler, _ in itertools.product(range(1, 5), (True, False), range(12))
+        for m, metzler, _ in itertools.product(range(1, 6), (True, False), range(12))
     ]
     sizes, seen, cancelled = set(), Counter(), 0
     for pencil in pencils:
@@ -639,13 +639,13 @@ def test_lift_verdicts_match_reference():
         for x in points:
             rows, pairs, blocks = oracle._lift_at(cache, pencil, x)
             outer, inner = oracle._minor_conditions(rows, pairs)
-            got = (outer, inner, oracle._psd_verdict(rows, outer, blocks, 8))
+            got = (outer, inner, oracle._psd_verdict(rows, outer, blocks))
             a = series_matrix(rows)
             assert got == (*reference_minor_conditions(a), reference_is_psd(a)), (pencil, x)
             sizes.update(map(len, blocks))
             cancelled += len(pairs) > len(puiseux._nonzero_pairs(rows))
             seen[outer, got[2], max(map(len, blocks)) >= 3] += 1
-    assert sizes == {1, 2, 3, 4} and cancelled > 10
+    assert sizes == {1, 2, 3, 4, 5} and cancelled > 10
     # outer holds on a block of three or more, and the higher minors decide both ways
     assert seen[True, True, True] > 50 and seen[True, False, True] > 5
     assert seen[False, False, True] > 50
@@ -670,34 +670,35 @@ M4X2 = {"m": 4, "n": 2, "homogeneous": True, "matrices": [
 
 
 def test_only_outer_points_reach_the_higher_minors(monkeypatch):
-    """A PSD verdict exhausts minors (calls _det) only when the outer test
-    passed and a compiled block has three or more indices."""
-    dets = []
+    """A PSD verdict eliminates a block (calls _block_psd) only when the
+    outer test passed and a compiled block has three or more indices."""
+    eliminated = []
     verdicts = []
-    real_det, real_verdict = puiseux._det, oracle._psd_verdict
+    real_block, real_verdict = puiseux._block_psd, oracle._psd_verdict
 
-    def det(*args):
-        dets.append(args[1])
-        return real_det(*args)
+    def block(entries, indices):
+        eliminated.append(indices)
+        return real_block(entries, indices)
 
-    def verdict(entries, outer, blocks, max_dim):
-        before = len(dets)
-        psd = real_verdict(entries, outer, blocks, max_dim)
-        verdicts.append((outer, max(map(len, blocks)) >= 3, len(dets) > before))
+    def verdict(entries, outer, blocks):
+        before = len(eliminated)
+        psd = real_verdict(entries, outer, blocks)
+        verdicts.append((outer, max(map(len, blocks)) >= 3, len(eliminated) > before))
         return psd
 
-    monkeypatch.setattr(puiseux, "_det", det)
+    monkeypatch.setattr(puiseux, "_block_psd", block)
     monkeypatch.setattr(oracle, "_psd_verdict", verdict)
     polygon9 = load_pencil(FIXTURES / "polygon9.json")[0]
-    records = cross_validate(polygon9, default_grid(3), assume_certified=True, psd_dim_bound=9)
+    records = cross_validate(polygon9, default_grid(3), assume_certified=True)
     assert all(r.ok for r in records) and len(verdicts) >= len(records) == 729
-    assert dets == [] and not any(big for _, big, _ in verdicts)
+    assert eliminated == [] and not any(big for _, big, _ in verdicts)
     verdicts.clear()
     pencil = pencil_from_obj(M4X2)[0]
     assert all(r.ok for r in cross_validate(pencil, default_grid(2)))
     assert all(reached == (outer and big) for outer, big, reached in verdicts)
     counts = Counter(outer for outer, big, _ in verdicts if big)
     assert counts[True] > 30 and counts[False] > 30
+    assert all(len(indices) >= 3 for indices in eliminated)
 
 
 def test_lattice_terms_are_ints(monkeypatch):

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_add, reference_mul
-from tropsdp.errors import DimensionTooLarge
+from helpers import reference_add, reference_is_psd, reference_mul
+from tropsdp import puiseux
 from tropsdp.puiseux import (
     PuiseuxPoly as P,
     PuiseuxSymMatrix,
@@ -116,13 +121,51 @@ def test_is_psd_examples():
     assert is_psd(PuiseuxSymMatrix.from_rows([[t, one], [one, t]]))
 
 
-def test_is_psd_dimension_bound():
-    m = 9
-    rows = [[one if i == j else P.zero() for j in range(m)] for i in range(m)]
-    big = PuiseuxSymMatrix.from_rows(rows)
-    with pytest.raises(DimensionTooLarge):
-        is_psd(big)
-    assert is_psd(big, max_dim=9)
+def series_of(terms):
+    """The canonical series of the given (exponent, coefficient) terms, each
+    number kept as given, int or Fraction; from_terms makes them Fractions."""
+    acc = {}
+    for e, c in terms:
+        acc[e] = acc.get(e, 0) + c
+    return P(tuple((e, c) for e, c in sorted(acc.items(), reverse=True) if c))
+
+
+def gram(vectors):
+    """The Gram matrix rows of the given rows of series: PSD of rank at
+    most their length."""
+    m = len(vectors)
+    rows = [[None] * m for _ in range(m)]
+    for i, j in itertools.combinations_with_replacement(range(m), 2):
+        rows[i][j] = rows[j][i] = sum((mul(x, y) for x, y in zip(vectors[i], vectors[j])), P.zero())
+    return rows
+
+
+def test_is_psd_reaches_dense_lifts():
+    """Dense matrices past any exhaustive minor test, with int terms:
+    full-rank and low-rank Grams, and a low-rank Gram minus t^-1 u u^T
+    with G u = 0, which is not PSD (u^T A u < 0) though every order-1/2
+    minor is nonnegative."""
+    rng = random.Random(3)
+
+    def entry():
+        return series_of([(rng.randint(0, 2), rng.choice((-2, -1, 1, 2))) for _ in range(2)])
+
+    start = time.perf_counter()
+    assert is_psd(PuiseuxSymMatrix.from_rows(gram([[entry() for _ in range(12)] for _ in range(12)])))
+    assert is_psd(PuiseuxSymMatrix.from_rows(gram([[entry() for _ in range(4)] for _ in range(16)])))
+    m, r = 10, 3
+    u = [series_of([(0, rng.choice((-2, -1, 1, 2)))]) for _ in range(m - 1)] + [series_of([(0, 1)])]
+    vectors = [[entry() for _ in range(r)] for _ in range(m - 1)]
+    # the last row makes every column of the vectors orthogonal to u
+    vectors.append([neg(sum((mul(v[k], c) for v, c in zip(vectors, u)), P.zero())) for k in range(r)])
+    g = gram(vectors)
+    lift = series_of([(-1, -1)])
+    a = PuiseuxSymMatrix.from_rows(
+        [[add(g[i][j], mul(lift, mul(u[i], u[j]))) for j in range(m)] for i in range(m)]
+    )
+    assert puiseux._minor_conditions(a.entries, puiseux._nonzero_pairs(a.entries))[0]
+    assert not is_psd(a)
+    assert time.perf_counter() - start < 10
 
 
 def test_is_psd_permutation_invariant():
@@ -143,14 +186,19 @@ def test_is_psd_permutation_invariant():
 
 
 def test_det_against_leibniz():
-    # independent oracle: Leibniz sum over permutations
+    # independent oracle: Leibniz sum over permutations; half the cases have
+    # a zero leading entry, so the elimination must swap rows
     rng = random.Random(6)
-    for _ in range(20):
-        m = rng.randint(1, 4)
+    swapped = 0
+    for case in range(40):
+        m = rng.randint(1, 5)
         entries = [[None] * m for _ in range(m)]
         for i in range(m):
             for j in range(i, m):
                 entries[i][j] = entries[j][i] = rand_poly(rng, 2)
+        if case % 2:
+            entries[0][0] = P.zero()
+            swapped += m > 1 and any(entries[i][0] for i in range(1, m))
         a = PuiseuxSymMatrix.from_rows(entries)
         expected = P.zero()
         for perm in itertools.permutations(range(m)):
@@ -164,6 +212,95 @@ def test_det_against_leibniz():
                 term = mul(term, entries[i][perm[i]])
             expected = add(expected, term)
         assert principal_minor(a, range(m)) == expected
+    assert swapped > 10
+
+
+def mixed_matrix(rng, fraction_exponents):
+    """A symmetric m x m series matrix, m <= 4: a Gram matrix of full or low
+    rank, the same with one diagonal entry shifted, or random entries.
+    Coefficients are ints or Fractions at random; exponents are Fractions
+    with denominators up to 3, or ints."""
+    def entry():
+        if rng.random() < 0.15:
+            return P.zero()
+        terms = []
+        for _ in range(rng.randint(1, 2)):
+            e = F(rng.randint(-4, 4), rng.choice((1, 2, 3))) if fraction_exponents else rng.randint(-2, 2)
+            c = rng.choice((-2, -1, 1, 2))
+            terms.append((e, F(c, rng.choice((1, 2, 3))) if rng.random() < 0.5 else c))
+        return series_of(terms)
+
+    m = rng.randint(1, 4)
+    kind = rng.choice(("gram", "low rank", "shifted", "random"))
+    if kind == "random":
+        rows = [[None] * m for _ in range(m)]
+        for i, j in itertools.combinations_with_replacement(range(m), 2):
+            rows[i][j] = rows[j][i] = entry()
+        return rows
+    rank = rng.randint(1, max(1, m - 1)) if kind == "low rank" else m
+    rows = gram([[entry() for _ in range(rank)] for _ in range(m)])
+    if kind == "shifted":
+        i = rng.randrange(m)
+        rows[i][i] = add(rows[i][i], series_of([(rng.randint(-2, 3), rng.choice((-1, 1)))]))
+    return rows
+
+
+def test_fraction_and_mixed_terms_match_reference():
+    """is_psd, and the elimination on the matrix's own terms, against the
+    Leibniz reference on Fraction-term and mixed int/Fraction matrices."""
+    rng = random.Random(17)
+    # the second pivot step divides 2t^2 - 1, int terms only, by the int 2:
+    # the minor is t^2 - 1/2, so an int remainder is no proof of inexact division
+    mixed = PuiseuxSymMatrix.from_rows([
+        [P(((0, 2),)), P(((0, 1),)), P(((0, 1),))],
+        [P(((0, 1),)), P(((0, 1),)), P(((0, 1),))],
+        [P(((0, 1),)), P(((0, 1),)), P(((2, 1), (0, F(1, 2))))],
+    ])
+    assert principal_minor(mixed, range(3)) == P.from_terms([(2, 1), (0, F(-1, 2))])
+    cases = [mixed] + [
+        PuiseuxSymMatrix.from_rows(mixed_matrix(rng, fraction_exponents=k % 2 == 0))
+        for k in range(240)
+    ]
+    seen = {True: 0, False: 0}
+    for k, a in enumerate(cases):
+        want = reference_is_psd(a)
+        assert is_psd(a) == want, a
+        if k % 3 == 0:  # is_psd scales to ints; this eliminates the terms as given
+            outer = puiseux._minor_conditions(a.entries, puiseux._nonzero_pairs(a.entries))[0]
+            assert puiseux._psd_verdict(a.entries, outer, [tuple(range(a.m))]) == want, a
+        seen[want] += 1
+    assert min(seen.values()) > 50
+
+
+_INEXACT_STEP = """
+from tropsdp.errors import CertificateCheckFailed
+from tropsdp.puiseux import PuiseuxPoly, _step
+
+assert False, "asserts must be stripped in this run"
+one, zero = PuiseuxPoly(((0, 1),)), PuiseuxPoly(())
+one_plus_t, one_plus_t2 = PuiseuxPoly(((1, 1), (0, 1))), PuiseuxPoly(((2, 1), (0, 1)))
+rows = [[one, zero], [zero, PuiseuxPoly(((3, 1), (2, 1), (1, 1), (0, 1)))]]
+_step(rows, 0, (1,), (1,), one_plus_t)
+print(rows[1][1])
+rows = [[one, zero], [zero, one_plus_t2]]
+try:
+    _step(rows, 0, (1,), (1,), one_plus_t)
+    print("quotient", rows[1][1])
+except CertificateCheckFailed:
+    print("raised: 1 + t does not divide 1 + t^2")
+"""
+
+
+def test_step_division_check_survives_optimize():
+    # the exactness check of the step's division must not be an assert
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _INEXACT_STEP],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["1*t^2 + 1*t^0", "raised: 1 + t does not divide 1 + t^2"]
 
 
 def test_symmetry_enforced():
