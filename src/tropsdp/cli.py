@@ -16,10 +16,9 @@ from fractions import Fraction
 from .errors import PencilFormatError
 from .hypergraphs import (
     Certificate,
+    _circulation_solve,
     build_tangent_hypergraph,
     certify_generic_general,
-    farkas_direction,
-    find_circulation,
     result_to_obj,
 )
 from .oracle import cross_validate, grid_axis, grid_points
@@ -125,8 +124,7 @@ def cmd_hypergraph(args) -> int:
     if any(is_minus_inf(v) for v in x):
         raise CliError("tangent hypergraph requires a finite point")
     graph = build_tangent_hypergraph(pencil, x)
-    circ = find_circulation(graph)
-    eta = farkas_direction(graph) if circ is None else None
+    circ, eta = _circulation_solve(graph)
     obj = {
         "vertices": graph.n_vertices,
         "edges": [{"tails": list(e.tails), "head": e.head} for e in graph.edges],

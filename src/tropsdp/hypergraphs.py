@@ -7,15 +7,16 @@ part (head); a tight pair constraint links the two maximizers of the
 diagonal positive parts (tails, a multiset) to each maximizer of the
 off-diagonal modulus (head).  A circulation is a nonnegative normalized
 edge flow balancing tail-weighted inflow against multiplicity-counted
-outflow at every vertex.
+outflow at every vertex.  One phase-one LP over the circulation polytope
+answers both ways: a circulation, or the Farkas direction of its duals,
+which strictly improves every edge's constraint at once.
 
 The genericity certificate decides whether any real point admits a
 circulation: it enumerates inclusion-minimal candidate edge subsets that
 circulate, and asks an exact LP whether some point realizes all their
 defining ties simultaneously.  When no point does, every tangent
-hypergraph is circulation-free; by LP duality each such hypergraph then
-has a direction strictly improving all tight constraints at once, which
-is what perturb_to_interior returns.
+hypergraph is circulation-free and has a Farkas direction, which is what
+perturb_to_interior returns.
 
 The search rests on one lemma.  The balance matrix B has zero column
 sums.  Let C be an inclusion-minimal circulating set with active set U
@@ -24,7 +25,9 @@ kernel of B_C is one-dimensional, so |C| = rank + 1 <= |U|; every vertex
 of U heads an edge of C, so |C| = |U| and the heads are distinct.  Hence
 only sets of at most n edges with distinct heads covering their tails are
 candidates, and the kernel, the signed maximal minors of B_C without one
-active row, decides each one in integers.
+active row, decides each one in integers.  It also decides minimality: a
+circulating proper subset's circulation, padded with zeros, lies in the
+kernel, so the kernel then has no positive spanning vector.
 """
 
 from __future__ import annotations
@@ -132,40 +135,10 @@ def build_tangent_hypergraph(pencil: TropicalPencil, x: Sequence[Fraction]) -> H
     return Hypergraph(pencil.n, ordered)
 
 
-def _circulation_solve(h: Hypergraph):
-    # rows: flow balance per vertex, then normalization; columns: edges
-    n_e = len(h.edges)
-    rows = []
-    rhs = []
-    for v in range(h.n_vertices):
-        row = [0] * n_e
-        for idx, e in enumerate(h.edges):
-            c = 0
-            if e.head == v:
-                c += len(e.tails)
-            c -= e.tails.count(v)
-            row[idx] = c
-        rows.append(row)
-        rhs.append(0)
-    rows.append([1] * n_e)
-    rhs.append(1)
-    return solve_nonneg(rows, rhs)
-
-
-def find_circulation(h: Hypergraph) -> Circulation | None:
-    """A normalized circulation if the polytope is nonempty, else None."""
-    if not h.edges:
-        return None
-    sol, _ = _circulation_solve(h)
-    if sol is None:
-        return None
-    gamma = tuple(sol)
-    if not all(g >= 0 for g in gamma) or sum(gamma) != 1:
-        raise CertificateCheckFailed(f"circulation {gamma} is not a normalized flow")
-    v = _unbalanced(h, _scaled(gamma)[1])
-    if v is not None:
-        raise CertificateCheckFailed(f"circulation {gamma} does not balance at {v}")
-    return Circulation(gamma)
+def _balance_rows(edges: Sequence[Edge], vertices) -> list[list[int]]:
+    """The balance matrix B on the given vertices: per vertex, each edge's
+    tail count if the vertex is its head, minus the tail slots it fills."""
+    return [[len(e.tails) * (e.head == v) - e.tails.count(v) for e in edges] for v in vertices]
 
 
 def _unbalanced(h: Hypergraph, gamma) -> int | None:
@@ -181,19 +154,39 @@ def _unbalanced(h: Hypergraph, gamma) -> int | None:
     return next((v for v, b in enumerate(balance) if b), None)
 
 
-def farkas_direction(h: Hypergraph) -> tuple[Fraction, ...] | None:
-    """A vector with sum of tail values > tail-count times head value on
-    every edge; exists exactly when no circulation does."""
+def _circulation_solve(h: Hypergraph) -> tuple[Circulation | None, tuple[Fraction, ...] | None]:
+    """(circulation, None) when the circulation polytope, B gamma = 0 with
+    gamma >= 0 summing to 1, is nonempty, else (None, eta) with eta the
+    Farkas direction of its phase-one duals: one solve, both answers
+    re-checked.  An edgeless hypergraph has the zero direction."""
     if not h.edges:
-        return tuple([ZERO] * h.n_vertices)
-    sol, dual = _circulation_solve(h)
+        return None, tuple([ZERO] * h.n_vertices)
+    rows = _balance_rows(h.edges, range(h.n_vertices)) + [[1] * len(h.edges)]
+    sol, dual = solve_nonneg(rows, [0] * h.n_vertices + [1])
     if sol is not None:
-        return None
+        gamma = tuple(sol)
+        if not all(g >= 0 for g in gamma) or sum(gamma) != 1:
+            raise CertificateCheckFailed(f"circulation {gamma} is not a normalized flow")
+        v = _unbalanced(h, _scaled(gamma)[1])
+        if v is not None:
+            raise CertificateCheckFailed(f"circulation {gamma} does not balance at {v}")
+        return Circulation(gamma), None
     eta = tuple(dual[: h.n_vertices])
     for e in h.edges:
         if not sum(eta[v] for v in e.tails) > len(e.tails) * eta[e.head]:
             raise CertificateCheckFailed(f"direction {eta} is not strict on edge {e}")
-    return eta
+    return None, eta
+
+
+def find_circulation(h: Hypergraph) -> Circulation | None:
+    """A normalized circulation if the polytope is nonempty, else None."""
+    return _circulation_solve(h)[0]
+
+
+def farkas_direction(h: Hypergraph) -> tuple[Fraction, ...] | None:
+    """A vector with sum of tail values > tail-count times head value on
+    every edge; exists exactly when no circulation does."""
+    return _circulation_solve(h)[1]
 
 
 # -- genericity certification -------------------------------------------------
@@ -289,19 +282,10 @@ def _tie_sum(chosen, gamma) -> int:
     return sum(g * r.eqs[0][1] for g, r in zip(gamma, chosen))
 
 
-def _contains_any(mask: int, masks: set[int]) -> bool:
-    # walk the proper nonempty submasks of mask: 2^|mask| - 2 set lookups
-    sub = (mask - 1) & mask
-    while sub:
-        if sub in masks:
-            return True
-        sub = (sub - 1) & mask
-    return False
-
-
 def _cofactor_circulation(edges: Sequence[Edge], active: Sequence[int]) -> tuple[int, ...] | None:
     """The positive int circulation of edges whose distinct heads are the
-    active vertices and cover their tails, or None when there is none.
+    active vertices and cover their tails, if they form a minimal
+    circulating set, else None.
 
     The balance rows of all active vertices but the last span the balance
     matrix's row space.  One fraction-free Gauss-Jordan reduction of those
@@ -309,12 +293,13 @@ def _cofactor_circulation(edges: Sequence[Edge], active: Sequence[int]) -> tuple
     d, the determinant of the pivot columns.  When the rank is k - 1 the
     one free column f spans the kernel, the signed maximal minors scaled:
     d at f and, at each row's pivot column, minus that row's entry at f.
-    A circulation exists iff they share a sign.  Only a set none of whose
-    proper subsets circulates is asked, so a lower rank, a kernel of
-    dimension two or more, means it has no positive circulation.
+    A circulation exists iff they share a sign.  A circulating proper
+    subset's circulation, padded with zeros, lies in the kernel, so a set
+    containing one has a second free column or a kernel vector with a zero
+    entry, and gets None: the kernel alone decides minimality.
     """
     k = len(edges)
-    rows = [[len(e.tails) * (e.head == v) - e.tails.count(v) for e in edges] for v in active[:-1]]
+    rows = _balance_rows(edges, active[:-1])
     pivots: list[int] = []
     free = -1
     prev = 1
@@ -378,9 +363,9 @@ def _circulating_point(pencil: TropicalPencil):
 
     By the module's lemma a minimal circulating set has at most n edges,
     with distinct heads whose bitmask equals its tails' bitmask, so only
-    _head_covering_sets are enumerated.  Those not containing a smaller
-    circulating set are decided by _cofactor_circulation, whose circulation
-    is re-checked.
+    _head_covering_sets are enumerated, and each is decided by
+    _cofactor_circulation alone, which answers None on a set containing a
+    smaller circulating set; its circulation is re-checked.
     """
     n = pencil.n
     den = pencil._constraints[0]
@@ -411,12 +396,8 @@ def _circulating_point(pencil: TropicalPencil):
         if live:
             edges.append(edge)
             reasons.append(live)
-    minimal: set[int] = set()  # circulating edge subsets, as bitmasks
     for size in range(1, min(n, len(edges)) + 1):
         for combo, heads in _head_covering_sets(edges, size):
-            mask = sum(1 << idx for idx in combo)
-            if minimal and _contains_any(mask, minimal):
-                continue
             graph = Hypergraph(n, tuple(edges[idx] for idx in combo))
             active = [v for v in range(n) if heads >> v & 1]
             gamma = _cofactor_circulation(graph.edges, active)
@@ -424,7 +405,6 @@ def _circulating_point(pencil: TropicalPencil):
                 continue
             if not all(g > 0 for g in gamma) or _unbalanced(graph, gamma) is not None:
                 raise CertificateCheckFailed(f"{gamma} is not a positive circulation of {graph}")
-            minimal.add(mask)
             for chosen in itertools.product(*(reasons[idx] for idx in combo)):
                 options = _options(chosen)
                 if options is None:

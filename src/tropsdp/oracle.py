@@ -420,9 +420,6 @@ def _validate_point(
         else:
             eta, rho0 = perturb_to_interior(piece, x)
             target = tuple(v + rho0 * d for v, d in zip(x, eta))
-            if not metzler_strict_member(piece, target):
-                rec.fail(f"perturbation not strict in piece sigma={sorted(choice.sigma)}")
-                continue
         if piece is pencil and target is x:
             # a Metzler pencil is its own piece: same lift, same point, same matrix
             psd = rec.psd

@@ -283,15 +283,25 @@ def _step(a, p: int, rows, cols, prev) -> None:
             ai[j] = _divide(x, prev) if x and prev is not None else x
 
 
+def _int_scaled(entries):
+    """(rows, D, L): the entry rows after t -> t^D and A -> L A, D and L the
+    lcms of exponent and coefficient denominators: int terms, signs kept."""
+    terms = [term for row in entries for x in row for term in x.terms]
+    d, f = lcm(*(e.denominator for e, _ in terms)), lcm(*(c.denominator for _, c in terms))
+    return [[PuiseuxPoly(tuple((int(e * d), int(c * f)) for e, c in x.terms)) for x in row]
+            for row in entries], d, f
+
+
 def principal_minor(a: PuiseuxSymMatrix, index_set: Iterable[int]) -> PuiseuxPoly:
     """Exact determinant of the submatrix on the given (0-based) indices by
-    _step, pivoting on each column's first nonzero row, a swap a sign flip."""
+    _step on its _int_scaled rows, pivoting on each column's first nonzero
+    row, a swap a sign flip; then exponents / D and coefficients / L^k."""
     idx = tuple(sorted(set(int(i) for i in index_set)))
     if not idx:
         raise ValueError("index set must be nonempty")
     if idx[0] < 0 or idx[-1] >= a.m:
         raise ValueError(f"index set {idx!r} out of range for dimension {a.m}")
-    rows = [[a.entries[i][j] for j in idx] for i in idx]
+    rows, d, f = _int_scaled([[a.entries[i][j] for j in idx] for i in idx])
     k, sign, prev = len(idx), 1, None
     for p in range(k):
         r = next((r for r in range(p, k) if rows[r][p]), None)
@@ -301,7 +311,10 @@ def principal_minor(a: PuiseuxSymMatrix, index_set: Iterable[int]) -> PuiseuxPol
             rows[p], rows[r], sign = rows[r], rows[p], -sign
         _step(rows, p, range(p + 1, k), range(p + 1, k), prev)
         prev = rows[p][p]
-    return prev if sign > 0 else neg(prev)
+    det = prev if sign > 0 else neg(prev)
+    if d == f == 1:
+        return det
+    return PuiseuxPoly(tuple((Fraction(e, d), Fraction(c, f ** k)) for e, c in det.terms))
 
 
 def _nonzero_pairs(entries) -> list[tuple[int, int]]:
@@ -389,10 +402,7 @@ def _psd_verdict(entries, outer: bool, blocks) -> bool:
 
 def is_psd(a: PuiseuxSymMatrix) -> bool:
     """True iff every principal minor is nonnegative: _psd_verdict on the
-    components of the nonzero pattern, after t -> t^D and A -> L A (D, L the
-    lcms of exponent and coefficient denominators) make every term ints."""
-    terms = [term for row in a.entries for x in row for term in x.terms]
-    d, f = lcm(*(e.denominator for e, _ in terms)), lcm(*(c.denominator for _, c in terms))
-    rows = [[PuiseuxPoly(tuple((int(e * d), int(c * f)) for e, c in x.terms)) for x in row] for row in a.entries]
+    components of the nonzero pattern of the _int_scaled rows."""
+    rows = _int_scaled(a.entries)[0]
     pairs = _nonzero_pairs(rows)
     return _psd_verdict(rows, _minor_conditions(rows, pairs)[0], _components(a.m, pairs))

@@ -66,6 +66,23 @@ def test_hypergraph_output(capsys):
     assert obj["direction"] is None
 
 
+def test_hypergraph_direction_from_one_solve(capsys, monkeypatch):
+    # edges but no circulation: one phase-one solve gives both answers
+    from tropsdp import hypergraphs
+
+    calls = []
+    solve = hypergraphs.solve_nonneg
+    monkeypatch.setattr(
+        hypergraphs, "solve_nonneg", lambda rows, rhs: calls.append(rows) or solve(rows, rhs)
+    )
+    code, out, _ = run(capsys, "hypergraph", FIXTURES / "polygon9.json", "--at", "0,8,8")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["edges"] == [{"tails": [0], "head": 1}, {"tails": [0], "head": 2}]
+    assert obj["circulation"] is None and obj["direction"] == ["1", "0", "0"]
+    assert len(calls) == 1
+
+
 def test_decompose_round_trips(capsys):
     code, out, _ = run(
         capsys, "decompose", FIXTURES / "quadrant_ray.json", "--diamond", "1,2:>="

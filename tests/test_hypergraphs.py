@@ -21,7 +21,6 @@ from tropsdp.hypergraphs import (
     Hypergraph,
     Witness,
     _candidate_edges,
-    _contains_any,
     build_tangent_hypergraph,
     certify_generic_general,
     certify_generic_metzler,
@@ -200,7 +199,10 @@ def test_cofactor_kernel_matches_lp():
 
 def test_minimal_circulating_sets_have_distinct_heads_exhaustive():
     # criterion 7's 3-vertex hypergraphs: each inclusion-minimal circulating
-    # set has as many edges as active vertices, and distinct heads
+    # set has as many edges as active vertices, and distinct heads; and the
+    # kernel answers None on every head-covering set (distinct heads, tails
+    # among them) that contains a circulating proper subset, so the search
+    # needs no registry of the minimal sets it has found
     vertices = 3
     candidates = [
         Edge(tails, head)
@@ -210,10 +212,15 @@ def test_minimal_circulating_sets_have_distinct_heads_exhaustive():
     ]
     circulating: set = set()
     sizes = []
+    covering = 0
     for size in range(1, 5):
         for combo in itertools.combinations(candidates, size):
             if any(combo[:k] + combo[k + 1 :] in circulating for k in range(size)):
                 circulating.add(combo)  # circulates, but is not minimal
+                heads = [e.head for e in combo]
+                if len(set(heads)) == size and {v for e in combo for v in e.tails} <= set(heads):
+                    assert hypergraphs._cofactor_circulation(combo, sorted(heads)) is None, combo
+                    covering += 1
                 continue
             circ = find_circulation(Hypergraph(vertices, combo))
             if circ is None:
@@ -226,6 +233,7 @@ def test_minimal_circulating_sets_have_distinct_heads_exhaustive():
             assert tuple(F(g, sum(gamma)) for g in gamma) == circ.gamma
             sizes.append(size)
     assert sorted(set(sizes)) == [1, 2, 3] and len(sizes) > 100, len(sizes)
+    assert covering > 500, covering
 
 
 def test_canonical_lift_entries(hyp):
@@ -523,21 +531,6 @@ def test_perturb_rejects_nonmember(poly9):
 def test_perturb_interior_gives_zero_direction(poly9):
     eta, rho0 = perturb_to_interior(poly9, (Z, F(2), F(5)))
     assert eta == (Z, Z, Z) and rho0 > 0
-
-
-def test_submask_walk_matches_subset_scan():
-    # the minimality test of the subset enumeration: is some earlier
-    # (hence distinct) circulating subset contained in this combination?
-    rng = random.Random(61)
-    hits = 0
-    for _ in range(400):
-        n = rng.randint(1, 8)
-        mask = rng.randrange(1, 1 << n)
-        masks = {rng.randrange(1, 1 << n) for _ in range(rng.randint(0, 6))} - {mask}
-        expected = any(ms & mask == ms for ms in masks)
-        assert _contains_any(mask, masks) == expected
-        hits += expected
-    assert 50 < hits < 350
 
 
 _BOGUS_KERNEL = """
