@@ -138,7 +138,7 @@ def cmd_hypergraph(args) -> int:
 
 
 def _box(args):
-    """(lo, hi, step) of --box "lo,hi" and --step, step > 0."""
+    """(lo, hi, step) of --box "lo,hi" and --step, lo <= hi and step > 0."""
     try:
         lo, hi = (Fraction(v) for v in args.box.split(","))
         step = Fraction(args.step)
@@ -146,6 +146,8 @@ def _box(args):
         raise CliError(f"bad box/step: {exc}") from exc
     if step <= 0:
         raise CliError("step must be positive")
+    if lo > hi:
+        raise CliError(f"empty box {args.box!r}: lo > hi")
     return lo, hi, step
 
 
@@ -173,9 +175,12 @@ def cmd_slice(args) -> int:
             if not name.startswith("x"):
                 raise ValueError(f"bad variable {name!r}")
             k = int(name[1:])
-            fixed[k] = Fraction(value)
+            value = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise CliError(f"bad --fix {spec_!r}: {exc}") from exc
+        if k in fixed:
+            raise CliError(f"--fix x{k} given twice")
+        fixed[k] = value
     n_coords = pencil.n if homogeneous else pencil.n - 1
     if any(not 0 <= k < n_coords for k in fixed):
         raise CliError(f"--fix variable out of range x0..x{n_coords - 1}")
@@ -244,9 +249,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parse_args keeps no state between calls (each
+# returns a fresh Namespace, and --fix appends to a new list), so repeated
+# main() calls in one process share it.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line and return its exit code; callable repeatedly."""
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

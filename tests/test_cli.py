@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 
 from conftest import FIXTURES
@@ -133,6 +137,37 @@ def test_slice_errors(capsys):
     assert code == 2 and "free variables" in err
 
 
+def test_slice_refuses_a_variable_fixed_twice(capsys):
+    code, out, err = run(
+        capsys, "slice", FIXTURES / "polygon9.json", "--fix", "x0=0", "--fix", "x0=1",
+        "--box", "0,8", "--step", "1",
+    )
+    assert code == 2 and out == "" and "--fix x0 given twice" in err
+
+
+def test_empty_box_is_refused(capsys):
+    # lo > hi has no points: refused with the box named, for both grid verbs
+    code, out, err = run(
+        capsys, "validate", FIXTURES / "m1_distinct.json", "--box", "2,-2", "--step", "1"
+    )
+    assert code == 2 and out == "" and "empty box '2,-2'" in err
+    code, out, err = run(
+        capsys, "slice", FIXTURES / "polygon9.json", "--fix", "x0=0", "--box", "8,0",
+        "--step", "1",
+    )
+    assert code == 2 and out == "" and "empty box '8,0'" in err
+    # lo == hi is a one-point axis
+    code, out, err = run(
+        capsys, "validate", FIXTURES / "m1_distinct.json", "--box", "1,1", "--step", "1"
+    )
+    assert code == 0 and len(out.splitlines()) == 1 and "1 points, 0 failures" in err
+    code, out, _ = run(
+        capsys, "slice", FIXTURES / "polygon9.json", "--fix", "x0=0", "--box", "8,8",
+        "--step", "1",
+    )
+    assert code == 0 and out.splitlines() == ["x1,x2,member", "8,8,1"]
+
+
 def test_oversized_grids_exit_before_enumerating(capsys):
     # (10^9 + 1)^2 points on two free coordinates: refused from the count,
     # with no row printed
@@ -236,3 +271,45 @@ def test_every_fixture_parses_and_round_trips():
         pencil, homogeneous = load_pencil(path)
         roundtrip = pencil_from_obj(pencil_to_obj(pencil, homogeneous))
         assert roundtrip == (pencil, homogeneous)
+
+
+def test_main_builds_no_parser_per_call(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, "generic", FIXTURES / "m1_distinct.json")[0] == 0
+    assert run(capsys, "member", FIXTURES / "line_pencil.json", "--at", "0,0,0")[0] == 0
+    assert built == []
+
+
+def test_main_keeps_no_state_between_calls(capsys):
+    polygon = ("slice", FIXTURES / "polygon9.json", "--box", "0,8", "--step", "1")
+    assert run(capsys, *polygon, "--fix", "x0=0")[0] == 0
+    code, out, err = run(capsys, *polygon)
+    assert code == 2 and out == "" and "need exactly 2 free variables" in err
+    first = run(capsys, "validate", FIXTURES / "m1_distinct.json")
+    assert run(capsys, "validate", FIXTURES / "m1_distinct.json", "--step", "1")[0] == 0
+    assert run(capsys, "validate", FIXTURES / "m1_distinct.json") == first
+
+
+def _fresh_cli(*argv):
+    """The ``python -m tropsdp.cli`` process run on argv, in a new interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "tropsdp.cli", *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=60, check=False,
+    )
+
+
+def test_fresh_interpreter_matches_in_process_main(capsys):
+    fresh = _fresh_cli("generic", FIXTURES / "m1_distinct.json")
+    code, out, _ = run(capsys, "generic", FIXTURES / "m1_distinct.json")
+    assert (fresh.returncode, fresh.stdout) == (code, out)
+    fresh = _fresh_cli("--help")
+    assert fresh.returncode == 0
+    assert "{member,generic,decompose,hypergraph,validate,slice}" in fresh.stdout
