@@ -28,6 +28,17 @@ candidates, and the kernel, the signed maximal minors of B_C without one
 active row, decides each one in integers.  It also decides minimality: a
 circulating proper subset's circulation, padded with zeros, lies in the
 kernel, so the kernel then has no positive spanning vector.
+
+One search, on the full support, decides every stratum.  Let x in R^S
+circulate for the pencil restricted to the variables S, and set every
+coordinate outside S to min(x) - (max v - min v) - 1, v ranging over the
+pencil's finite values.  Every family with a member in S keeps its maximum
+and its maximizers, since the members outside S lie strictly below; so
+every constraint tight at x, both sides finite, stays tight with the same
+edges, and the constraints whose families lie wholly outside S can only
+add edges.  The circulation, padded with zeros, circulates at the extended
+point on the full pencil, in the same (sigma, diamond) piece.  This is
+why certify_generic_metzler and certify_generic_general each search once.
 """
 
 from __future__ import annotations
@@ -49,7 +60,6 @@ from .pencils import (
     decompose,
     metzler_member,
     metzler_strict_member,
-    stratum_restrict,
 )
 from .signed import is_minus_inf
 
@@ -458,36 +468,36 @@ def certify_generic_metzler(
     return Witness(x=res[0], edges=graph.edges, gamma=circ.gamma)
 
 
-def _strata(n: int):
-    for size in range(n, 0, -1):
-        yield from itertools.combinations(range(n), size)
-
-
 def certify_generic_general(
     pencil: TropicalPencil, max_m: int = 4, max_n: int = 4
 ) -> Certificate | Witness:
     """Certify every stratum of every Metzler (sigma, diamond) piece.
 
-    Strata go from the full support down.  Each stratum is searched once
-    over the atoms of all 3^(m(m-1)/2) pieces together: whether an edge
-    set circulates does not depend on the piece, and a reason product is
+    One search over the full support decides every stratum, by the
+    module's extension lemma: a circulating point x of a stratum extends
+    to one of the full support, in the same piece, by setting each missing
+    coordinate to min(x) - (max v - min v) - 1 over the pencil's finite
+    values v, below every family maximum.  The search runs over the
+    atoms of all 3^(m(m-1)/2) pieces together: whether an edge set
+    circulates does not depend on the piece, and a reason product is
     tried only when its atoms are compatible, i.e. give no pair two
     options.  Every piece that completes a compatible choice has the
     chosen tight edges at the point found, so a witness names the piece
     from the options it picked, with every unpicked pair in sigma, and is
     re-checked on that piece's tangent hypergraph.  A Metzler pencil is
-    its own single piece: its atoms are its constraints.
+    its own single piece: its atoms are its constraints.  The witness's
+    stratum is always every variable.
     """
     _check_bounds(pencil, max_m, max_n)
-    for support in _strata(pencil.n):
-        res = _circulating_point(stratum_restrict(pencil, support))
-        if res is not None:
-            x, options = res
-            diamond = {p: d for p, d in options.items() if d != "sigma"}
-            sigma = set(itertools.combinations(range(pencil.m), 2)) - diamond.keys()
-            choice = SigmaChoice.make(pencil.m, sigma, diamond)
-            graph, circ = _circulation_at(stratum_restrict(decompose(pencil, choice), support), x)
-            return Witness(x, graph.edges, circ.gamma, choice.sigma, choice.diamond, support)
+    res = _circulating_point(pencil)
+    if res is not None:
+        x, options = res
+        diamond = {p: d for p, d in options.items() if d != "sigma"}
+        sigma = set(itertools.combinations(range(pencil.m), 2)) - diamond.keys()
+        choice = SigmaChoice.make(pencil.m, sigma, diamond)
+        graph, circ = _circulation_at(decompose(pencil, choice), x)
+        return Witness(x, graph.edges, circ.gamma, choice.sigma, choice.diamond,
+                       tuple(range(pencil.n)))
     if check_assumption_nondeg(pencil):
         raise CertificateCheckFailed("a degenerate minor escaped the genericity search")
     return Certificate()

@@ -373,7 +373,9 @@ def _validate_point(
             if not member:
                 rec.fail("all--inf point must be a member")
             return rec
-        sub = stratum_restrict(pencil, support)
+        # one sub-pencil per support, so its constraint table and hash are built once
+        sub = _cached(cache, ("stratum", pencil, support),
+                      lambda: stratum_restrict(pencil, support))
         sub_x = tuple(x[k] for k in support)
         sub_lattice = _lattice(sub, sub_x)
         if general_member(sub, sub_x, sub_lattice) != member:

@@ -426,6 +426,57 @@ def test_union_search_matches_reference_sweep():
     assert n4_witnesses >= 4, n4_witnesses
 
 
+def test_stratum_points_extend_to_the_full_support():
+    # the module's extension lemma, built: a point the search finds on a
+    # proper stratum, with every missing coordinate set below the margin,
+    # circulates on the full pencil in the piece its options name
+    rng = random.Random(610)
+    hits = 0
+    for metzler, pool in [(True, 1), (False, 1), (True, 2), (False, 2)] * 100:
+        p = random_pencil(rng, max_m=4, max_n=4, metzler=metzler, value_pool=pool)
+        values = [a.value for mat in p.matrices for row in mat for a in row if a.sign]
+        found = 0
+        for size in range(1, p.n):
+            for support in itertools.combinations(range(p.n), size):
+                res = hypergraphs._circulating_point(stratum_restrict(p, support))
+                if res is None:
+                    continue
+                x, options = res
+                full = [min(x) - (max(values) - min(values)) - 1] * p.n
+                for k, v in zip(support, x):
+                    full[k] = v
+                diamond = {q: d for q, d in options.items() if d != "sigma"}
+                sigma = set(itertools.combinations(range(p.m), 2)) - diamond.keys()
+                piece = decompose(p, SigmaChoice.make(p.m, sigma, diamond))
+                graph = build_tangent_hypergraph(piece, full)
+                assert find_circulation(graph) is not None, (p, support)
+                found += 1
+        if found:
+            assert isinstance(certify_generic_general(p), Witness), p
+        hits += found
+    assert hits >= 200, hits
+
+
+def test_certification_searches_once(monkeypatch):
+    # one search on the full support decides every stratum
+    calls = []
+    real = hypergraphs._circulating_point
+    monkeypatch.setattr(hypergraphs, "_circulating_point", lambda p: calls.append(p) or real(p))
+    rng = random.Random(611)
+    pencils = [load_pencil(path)[0] for path in sorted(FIXTURES.glob("*.json"))]
+    pencils += [random_pencil(rng, 4, 4, metz, 0.7, pool)
+                for metz in (True, False) for pool in (1, 7) for _ in range(10)]
+    kinds = set()
+    for p in pencils:
+        calls.clear()
+        res = certify_generic_general(p, max_m=max(p.m, 4))
+        assert len(calls) == 1 and calls[0] is p, p
+        kinds.add(type(res))
+        if isinstance(res, Witness):
+            assert res.stratum == tuple(range(p.n))
+    assert kinds == {Certificate, Witness}
+
+
 def _count_lps(monkeypatch):
     calls = []
     real = hypergraphs.feasible_point

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import random_pencil, reference_solve_nonneg
 from tropsdp import hypergraphs, lp
 from tropsdp.lp import difference_feasible, feasible_point, solve_nonneg
+from tropsdp.pencils import stratum_restrict
 
 
 def test_feasible_system():
@@ -118,9 +120,20 @@ def test_matches_reference_simplex(kind):
     assert solve_nonneg([[]] * 3, [0, 2, -1]) == reference_solve_nonneg([[]] * 3, [0, 2, -1])
 
 
+def _search_every_stratum(pencil):
+    """The circulation search on each support of the pencil, the full support
+    first, until one has a circulating point.  Certification searches the
+    full support alone; the lower strata ask further systems, which widen
+    the corpora below."""
+    for size in range(pencil.n, 0, -1):
+        for support in itertools.combinations(range(pencil.n), size):
+            if hypergraphs._circulating_point(stratum_restrict(pencil, support)) is not None:
+                return
+
+
 def test_feasible_point_matches_reference_on_certification_systems(monkeypatch):
-    # every LP that genericity certification of seeded random pencils asks,
-    # solved by both kernels
+    # every LP that the circulation search asks on the strata of seeded
+    # random pencils, solved by both kernels
     systems = []
     original = lp.solve_nonneg
 
@@ -132,13 +145,11 @@ def test_feasible_point_matches_reference_on_certification_systems(monkeypatch):
     monkeypatch.setattr(hypergraphs, "solve_nonneg", record)
     rng = random.Random(7)
     for metzler in (True, False) * 36:
-        pencil = random_pencil(rng, max_m=3, max_n=3, metzler=metzler, value_pool=7)
-        hypergraphs.certify_generic_general(pencil)
+        _search_every_stratum(random_pencil(rng, max_m=3, max_n=3, metzler=metzler, value_pool=7))
     # most reasons are difference systems the simplex no longer sees; larger
     # pencils bring the reasons and joint products that still reach it
     for metzler in (True, False) * 36:
-        pencil = random_pencil(rng, max_m=4, max_n=4, metzler=metzler, value_pool=7)
-        hypergraphs.certify_generic_general(pencil)
+        _search_every_stratum(random_pencil(rng, max_m=4, max_n=4, metzler=metzler, value_pool=7))
     assert len(systems) > 500
     for rows, rhs in systems:
         assert original(rows, rhs) == reference_solve_nonneg(rows, rhs)
@@ -192,8 +203,8 @@ def test_difference_test_declines_other_rows():
 
 
 def test_difference_test_matches_simplex_on_certification_systems(monkeypatch):
-    # every reason system that genericity certification of seeded pencils
-    # asks: the negative-cycle test decides most of them, the simplex agrees
+    # every reason system that the circulation search asks on the strata of
+    # seeded pencils: the negative-cycle test decides most, the simplex agrees
     systems = []
     real = hypergraphs.difference_feasible
     monkeypatch.setattr(
@@ -202,7 +213,7 @@ def test_difference_test_matches_simplex_on_certification_systems(monkeypatch):
     rng = random.Random(72)
     for metzler, pool in [(True, 7), (False, 7), (True, 2), (False, 2)] * 12:
         pencil = random_pencil(rng, max_m=4, max_n=4, metzler=metzler, value_pool=pool)
-        hypergraphs.certify_generic_general(pencil)
+        _search_every_stratum(pencil)
     verdicts = {True: 0, False: 0, None: 0}
     for n, eqs, ges in systems:
         got = real(n, eqs, ges)

@@ -425,6 +425,22 @@ def test_stratum_membership_is_decided_once(monkeypatch):
     assert len(set(calls)) == len(calls) == len(grid) + bottoms
 
 
+def test_each_support_is_restricted_once(monkeypatch):
+    # the sub-pencil of a support is built once per call and serves every
+    # point on it; each point validated alone gives the same record
+    pencil = load_pencil(FIXTURES / "polygon9.json")[0]
+    grid = sorted(set(with_bottoms([(Z, a, b) for a, b in grid_points(2, -2, 2, 1)])))
+    alone = [cross_validate(pencil, [x], assume_certified=True)[0] for x in grid]
+    calls = []
+    real = oracle.stratum_restrict
+    monkeypatch.setattr(oracle, "stratum_restrict", lambda p, s: calls.append(s) or real(p, s))
+    records = cross_validate(pencil, grid, max_m=9)
+    supports = {tuple(k for k, v in enumerate(x) if not is_minus_inf(v)) for x in grid}
+    assert sorted(calls) == sorted(s for s in supports if len(s) < pencil.n)
+    assert len(calls) == 3 and sum(any(map(is_minus_inf, x)) for x in grid) > 10
+    assert records == alone
+
+
 def lattice_pencil(rng: random.Random, m: int, metzler: bool) -> TropicalPencil:
     """Seeded m x m pencil, n = 1..3, with values over the coprime denominators
     1, 2, 3, 5 and 7; off-diagonal entries are negative when metzler is set."""
