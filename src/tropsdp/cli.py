@@ -27,12 +27,11 @@ from .pencils import (
     decompose,
     general_member,
     load_pencil,
-    metzler_member,
     parse_point,
     pencil_to_obj,
     slice_members,
 )
-from .signed import MINUS_INF, is_minus_inf
+from .signed import MINUS_INF, is_minus_inf, parse_rational
 
 
 class CliError(Exception):
@@ -60,12 +59,9 @@ def _point_for(pencil, homogeneous, text):
 def cmd_member(args) -> int:
     pencil, homogeneous = _load(args.file)
     x = _point_for(pencil, homogeneous, args.at)
-    if pencil.is_metzler:
-        verdict = metzler_member(pencil, x)
-        predicate = "metzler"
-    else:
-        verdict = general_member(pencil, x)
-        predicate = "general"
+    # on a Metzler pencil general_member is metzler_member's verdict
+    verdict = general_member(pencil, x)
+    predicate = "metzler" if pencil.is_metzler else "general"
     print(json.dumps({"member": verdict, "predicate": predicate}))
     return 0 if verdict else 1
 
@@ -140,9 +136,9 @@ def cmd_hypergraph(args) -> int:
 def _box(args):
     """(lo, hi, step) of --box "lo,hi" and --step, lo <= hi and step > 0."""
     try:
-        lo, hi = (Fraction(v) for v in args.box.split(","))
-        step = Fraction(args.step)
-    except (ValueError, ZeroDivisionError) as exc:
+        lo, hi = (parse_rational(v) for v in args.box.split(","))
+        step = parse_rational(args.step)
+    except ValueError as exc:
         raise CliError(f"bad box/step: {exc}") from exc
     if step <= 0:
         raise CliError("step must be positive")
@@ -175,8 +171,8 @@ def cmd_slice(args) -> int:
             if not name.startswith("x"):
                 raise ValueError(f"bad variable {name!r}")
             k = int(name[1:])
-            value = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
+            value = parse_rational(value)
+        except ValueError as exc:
             raise CliError(f"bad --fix {spec_!r}: {exc}") from exc
         if k in fixed:
             raise CliError(f"--fix x{k} given twice")
@@ -195,8 +191,8 @@ def cmd_slice(args) -> int:
     labels = [str(v) for v in axis]
     write = sys.stdout.write
     write("x1,x2,member\n")
-    verdicts = slice_members(pencil, base, tuple(free), axis)
-    for (a, b), verdict in zip(itertools.product(labels, repeat=2), verdicts):
+    members = slice_members(pencil, base, tuple(free), axis)
+    for (a, b), verdict in zip(itertools.product(labels, repeat=2), members):
         write(f"{a},{b},{int(verdict)}\n")
     return 0
 

@@ -38,7 +38,7 @@ every constraint tight at x, both sides finite, stays tight with the same
 edges, and the constraints whose families lie wholly outside S can only
 add edges.  The circulation, padded with zeros, circulates at the extended
 point on the full pencil, in the same (sigma, diamond) piece.  This is
-why certify_generic_metzler and certify_generic_general each search once.
+why certify_generic_general searches once.
 """
 
 from __future__ import annotations
@@ -105,9 +105,9 @@ class Witness:
     x: tuple[Fraction, ...]
     edges: tuple[Edge, ...]
     gamma: tuple[Fraction, ...]
-    sigma: frozenset[tuple[int, int]] | None = None
-    diamond: tuple[tuple[tuple[int, int], str], ...] | None = None
-    stratum: tuple[int, ...] | None = None
+    sigma: frozenset[tuple[int, int]]
+    diamond: tuple[tuple[tuple[int, int], str], ...]
+    stratum: tuple[int, ...]
 
 
 def result_to_obj(res) -> dict:
@@ -116,9 +116,9 @@ def result_to_obj(res) -> dict:
         return {"status": "generic"}
     return {
         "status": "witness",
-        "sigma": [[i + 1, j + 1] for (i, j) in sorted(res.sigma or ())],
-        "diamond": {f"{i + 1},{j + 1}": d for (i, j), d in (res.diamond or ())},
-        "stratum": list(res.stratum or ()),
+        "sigma": [[i + 1, j + 1] for (i, j) in sorted(res.sigma)],
+        "diamond": {f"{i + 1},{j + 1}": d for (i, j), d in res.diamond},
+        "stratum": list(res.stratum),
         "x": [str(v) for v in res.x],
         "circulation": {str(i): str(g) for i, g in enumerate(res.gamma)},
     }
@@ -363,13 +363,14 @@ def _head_covering_sets(edges: Sequence[Edge], size: int, start=0, combo=(), tai
 def _circulating_point(pencil: TropicalPencil):
     """None when generic, else (x, pair -> option of the atoms used).
 
-    One search over the union of the atoms of every piece: each distinct
-    reason system is decided once, each inclusion-minimal circulating set
-    of live edges is tried with every product of reasons from a common
-    piece, and a product whose tie sum is nonzero is skipped without an LP.
-    A reason whose rows are all differences is decided by the negative-cycle
-    test on its int rows; the simplex runs, on the real rows, only for the
-    other reasons, the joint products, and the point of a one-edge witness.
+    One search over the union of the atoms of every piece: each reason of
+    each candidate edge is decided, an edge is live while one of its
+    reasons has a point, each inclusion-minimal circulating set of live
+    edges is tried with every product of reasons from a common piece, and a
+    product whose tie sum is nonzero is skipped without an LP.  A reason
+    whose rows are all differences is decided by the negative-cycle test on
+    its int rows; the simplex runs, on the real rows, only for the other
+    reasons, the joint products, and the point of a one-edge witness.
 
     By the module's lemma a minimal circulating set has at most n edges,
     with distinct heads whose bitmask equals its tails' bitmask, so only
@@ -386,7 +387,6 @@ def _circulating_point(pencil: TropicalPencil):
         return feasible_point(n, *(tuple((a, Fraction(c, den)) for a, c in rows)
                                    for rows in (eqs, ges)))
 
-    verdicts: dict[tuple, bool] = {}  # reason rows -> whether they have a point
     points: dict[tuple, list | None] = {}  # reason rows -> the simplex's point
     edges: list[Edge] = []
     reasons: list[list[_Reason]] = []  # the live reasons of each edge
@@ -394,13 +394,10 @@ def _circulating_point(pencil: TropicalPencil):
         live = []
         for r in cand[edge]:
             key = (r.eqs, r.ges)
-            verdict = verdicts.get(key)
+            verdict = difference_feasible(n, *key)
             if verdict is None:
-                verdict = difference_feasible(n, *key)
-                if verdict is None:
-                    points[key] = point(*key)
-                    verdict = points[key] is not None
-                verdicts[key] = verdict
+                points[key] = point(*key)
+                verdict = points[key] is not None
             if verdict:
                 live.append(r)
         if live:
@@ -437,37 +434,6 @@ def _circulating_point(pencil: TropicalPencil):
     return None
 
 
-def _circulation_at(piece: TropicalPencil, x) -> tuple[Hypergraph, Circulation]:
-    graph = build_tangent_hypergraph(piece, x)
-    circ = find_circulation(graph)
-    if circ is None:
-        raise CertificateCheckFailed(f"the tangent hypergraph at witness {x} does not circulate")
-    return graph, circ
-
-
-def _check_bounds(pencil: TropicalPencil, max_m: int, max_n: int) -> None:
-    if pencil.m > max_m or pencil.n > max_n:
-        raise DimensionTooLarge(f"m = {pencil.m}, n = {pencil.n} exceed bounds ({max_m}, {max_n})")
-
-
-def certify_generic_metzler(
-    pencil: TropicalPencil, max_m: int = 4, max_n: int = 4
-) -> Certificate | Witness:
-    """Decide whether some real point's tangent hypergraph circulates.
-
-    A Certificate implies the nondegeneracy assumption and regularity of
-    the real part of the tropical spectrahedron; a Witness carries the
-    point and a valid circulation of its tangent hypergraph.
-    """
-    _require_metzler(pencil)
-    _check_bounds(pencil, max_m, max_n)
-    res = _circulating_point(pencil)
-    if res is None:
-        return Certificate()
-    graph, circ = _circulation_at(pencil, res[0])
-    return Witness(x=res[0], edges=graph.edges, gamma=circ.gamma)
-
-
 def certify_generic_general(
     pencil: TropicalPencil, max_m: int = 4, max_n: int = 4
 ) -> Certificate | Witness:
@@ -488,14 +454,18 @@ def certify_generic_general(
     its own single piece: its atoms are its constraints.  The witness's
     stratum is always every variable.
     """
-    _check_bounds(pencil, max_m, max_n)
+    if pencil.m > max_m or pencil.n > max_n:
+        raise DimensionTooLarge(f"m = {pencil.m}, n = {pencil.n} exceed bounds ({max_m}, {max_n})")
     res = _circulating_point(pencil)
     if res is not None:
         x, options = res
         diamond = {p: d for p, d in options.items() if d != "sigma"}
         sigma = set(itertools.combinations(range(pencil.m), 2)) - diamond.keys()
         choice = SigmaChoice.make(pencil.m, sigma, diamond)
-        graph, circ = _circulation_at(decompose(pencil, choice), x)
+        graph = build_tangent_hypergraph(decompose(pencil, choice), x)
+        circ = find_circulation(graph)
+        if circ is None:
+            raise CertificateCheckFailed(f"the tangent hypergraph at witness {x} does not circulate")
         return Witness(x, graph.edges, circ.gamma, choice.sigma, choice.diamond,
                        tuple(range(pencil.n)))
     if check_assumption_nondeg(pencil):

@@ -109,18 +109,18 @@ def _lift_table(pencil: TropicalPencil, canonical: bool, f: int = 1) -> tuple:
     return tuple(table)
 
 
-def lift_matrices(pencil: TropicalPencil, canonical: bool) -> tuple[PuiseuxSymMatrix, ...]:
-    """The lift of _lift_table as n series matrices, each finite entry a
-    monomial c * t^value with Fraction terms, -inf a zero entry."""
+def _series_pencil(pencil: TropicalPencil, table) -> PuiseuxPencil:
+    """A _lift_table at S = D as a series pencil: each term a monomial
+    c * t^value with Fraction exponent, every other entry zero."""
     den = pencil._constraints[0]
     rows = [[[_ZERO] * pencil.m for _ in range(pencil.m)] for _ in range(pencil.n)]
-    for i, j, terms in _lift_table(pencil, canonical):
+    for i, j, terms in table:
         for k, e, c in terms:
             rows[k][i][j] = rows[k][j][i] = PuiseuxPoly.monomial(c, Fraction(e, den))
-    return tuple(PuiseuxSymMatrix.from_rows(mat) for mat in rows)
+    return PuiseuxPencil(pencil.m, pencil.n, tuple(map(PuiseuxSymMatrix.from_rows, rows)))
 
 
-def canonical_lift(pencil: TropicalPencil) -> tuple[PuiseuxSymMatrix, ...]:
+def canonical_lift(pencil: TropicalPencil) -> PuiseuxPencil:
     """The entry-wise series lift whose spectrahedron tropicalizes exactly.
 
     Negative entries become -t^value, positive (diagonal) entries become
@@ -128,18 +128,12 @@ def canonical_lift(pencil: TropicalPencil) -> tuple[PuiseuxSymMatrix, ...]:
     points of the tropical set land inside the inner minor relaxation.
     """
     _require_metzler(pencil)
-    return lift_matrices(pencil, True)
+    return _series_pencil(pencil, _lift_table(pencil, True))
 
 
 def entrywise_lift(pencil: TropicalPencil) -> PuiseuxPencil:
     """Plain sval-faithful lift: sign * t^value per entry, 0 for -inf."""
-    mats = lift_matrices(pencil, False)
-    return PuiseuxPencil(pencil.m, pencil.n, mats)
-
-
-def canonical_lift_pencil(pencil: TropicalPencil) -> PuiseuxPencil:
-    """The Metzler-only lift with the m*n diagonal factor, as a pencil."""
-    return PuiseuxPencil(pencil.m, pencil.n, canonical_lift(pencil))
+    return _series_pencil(pencil, _lift_table(pencil, False))
 
 
 def evaluate_pencil(bp: PuiseuxPencil, bx: Sequence[PuiseuxPoly]) -> PuiseuxSymMatrix:
@@ -295,11 +289,6 @@ def _lift_at(cache: dict, pencil: TropicalPencil, x, lattice=None):
             out.append((e, c))
         rows[i][j] = rows[j][i] = PuiseuxPoly(tuple(out))
     return rows, pairs, blocks
-
-
-def _evaluate_on_lattice(cache: dict, pencil: TropicalPencil, x) -> PuiseuxSymMatrix:
-    """The matrix of _lift_at, without its sparsity."""
-    return PuiseuxSymMatrix.from_rows(_lift_at(cache, pencil, x)[0])
 
 
 def _pieces(cache: dict, pencil: TropicalPencil, x, lattice):

@@ -32,6 +32,7 @@ from .signed import (
     TROP_MINUS_INF,
     format_signed,
     is_minus_inf,
+    parse_rational,
     parse_signed,
 )
 
@@ -409,39 +410,61 @@ def stratum_restrict(pencil: TropicalPencil, support: Iterable[int]) -> Tropical
 # indices with i <= j; omitted entries are -inf.
 
 
+#: Most matrix cells a pencil document may declare: m * m for each of its n
+#: matrices, and the constant matrix of an affine document.
+PENCIL_CELL_LIMIT = 2**16
+
+
+def _json_int(record, key) -> int:
+    # a JSON integer only: int() would take 2.7 or "3", and bool is an int
+    value = record[key]
+    if type(value) is not int:
+        raise TypeError(f"{key!r} must be a JSON integer, got {value!r}")
+    return value
+
+
 def pencil_from_obj(obj) -> tuple[TropicalPencil, bool]:
-    """Parse a pencil document; returns the homogenized pencil and the flag."""
+    """Parse a pencil document; returns the homogenized pencil and the flag.
+
+    Raises DimensionTooLarge, naming the size, when the header declares more
+    than PENCIL_CELL_LIMIT cells, before any matrix is built."""
     if not isinstance(obj, dict):
         raise PencilFormatError("document must be a JSON object")
     try:
-        m = int(obj["m"])
-        n = int(obj["n"])
-        homogeneous = bool(obj["homogeneous"])
+        m, n = _json_int(obj, "m"), _json_int(obj, "n")
+        homogeneous = obj["homogeneous"]
+        if type(homogeneous) is not bool:
+            raise TypeError(f"'homogeneous' must be a JSON bool, got {homogeneous!r}")
         matrices = obj["matrices"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise PencilFormatError(f"missing or malformed header field: {exc}") from exc
     if m < 1 or n < 1:
         raise PencilFormatError("m and n must be positive")
+    count = n if homogeneous else n + 1
+    if count * m * m > PENCIL_CELL_LIMIT:
+        raise DimensionTooLarge(f"{count} x {m} x {m} = {count * m * m} matrix cells, "
+                                f"above the limit of {PENCIL_CELL_LIMIT}")
     if not isinstance(matrices, list):
         raise PencilFormatError("'matrices' must be a list")
     k_max = n - 1 if homogeneous else n
     built: dict[int, list[list[SignedTrop]]] = {}
     for entry in matrices:
         try:
-            k = int(entry["k"])
+            k = _json_int(entry, "k")
             entries = entry["entries"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise PencilFormatError(f"malformed matrix record: {exc}") from exc
         if not 0 <= k <= k_max:
             raise PencilFormatError(f"matrix index k = {k} out of range 0..{k_max}")
+        if not isinstance(entries, list):
+            raise PencilFormatError(f"'entries' of matrix {k} must be a list")
         if k in built:
             raise PencilFormatError(f"duplicate matrix index k = {k}")
         rows = [[TROP_MINUS_INF] * m for _ in range(m)]
         seen = set()
         for cell in entries:
             try:
-                i = int(cell["i"])
-                j = int(cell["j"])
+                i, j = _json_int(cell, "i"), _json_int(cell, "j")
                 coeff = parse_signed(str(cell["coeff"]))
             except (KeyError, TypeError, ValueError) as exc:
                 raise PencilFormatError(f"malformed entry in matrix {k}: {exc}") from exc
@@ -491,7 +514,7 @@ def load_pencil(path) -> tuple[TropicalPencil, bool]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or an int past the digit limit
             raise PencilFormatError(f"invalid JSON: {exc}") from exc
     return pencil_from_obj(obj)
 
@@ -505,8 +528,8 @@ def parse_point(text: str) -> tuple[ExtRat, ...]:
             out.append(MINUS_INF)
         else:
             try:
-                out.append(Fraction(piece))
-            except (ValueError, ZeroDivisionError) as exc:
+                out.append(parse_rational(piece))
+            except ValueError as exc:
                 raise ValueError(f"bad coordinate {piece!r}") from exc
     return tuple(out)
 

@@ -9,6 +9,7 @@ equal sign (or with the bottom element) and keeps the larger value.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -136,6 +137,22 @@ def format_signed(a: SignedTrop) -> str:
     return ("+" if a.sign > 0 else "-") + str(a.value)
 
 
+# Fraction's grammar without the exponent: Fraction("1e10000000") builds a
+# ten-million-digit integer before anything can refuse it
+_RATIONAL = re.compile(r"\s*[+-]?(\d+(/\d+)?|\d*\.\d+|\d+\.)\s*")
+
+
+def parse_rational(text: str) -> Fraction:
+    """A rational read from outside text: "p", "p/q" or a decimal, signed.
+    Exponent notation, a zero denominator or anything else raises ValueError."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"not a rational without exponent: {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
+
+
 def parse_signed(text: str) -> SignedTrop:
     """Inverse of format_signed; raises ValueError on malformed input."""
     s = text.strip()
@@ -144,7 +161,7 @@ def parse_signed(text: str) -> SignedTrop:
     if not s or s[0] not in "+-":
         raise ValueError(f"missing sign character in tropical number {text!r}")
     try:
-        value = Fraction(s[1:])
-    except (ValueError, ZeroDivisionError) as exc:
+        value = parse_rational(s[1:])
+    except ValueError as exc:
         raise ValueError(f"bad rational in tropical number {text!r}") from exc
     return SignedTrop(1 if s[0] == "+" else -1, value)

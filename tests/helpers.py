@@ -28,7 +28,7 @@ from tropsdp.hypergraphs import (
 from tropsdp.oracle import (
     ValidationRecord,
     _cached,
-    canonical_lift_pencil,
+    canonical_lift,
     entrywise_lift,
     evaluate_pencil,
     monomial_lift,
@@ -404,7 +404,7 @@ def _reference_strict_pieces(pieces_by_sigma, x):
 
 
 def _fraction_lift(pencil: TropicalPencil):
-    return canonical_lift_pencil(pencil) if pencil.is_metzler else entrywise_lift(pencil)
+    return canonical_lift(pencil) if pencil.is_metzler else entrywise_lift(pencil)
 
 
 def reference_validate_point(

@@ -40,8 +40,45 @@ def test_member_affine_point_length(capsys):
 def test_member_malformed_inputs(capsys):
     code, _, err = run(capsys, "member", FIXTURES / "line_pencil.json", "--at", "0,0,q/0")
     assert code == 2 and "bad coordinate" in err
+    code, _, err = run(capsys, "member", FIXTURES / "line_pencil.json", "--at", "0,0,1/0")
+    assert code == 2 and "bad coordinate '1/0'" in err
     code, _, err = run(capsys, "member", FIXTURES / "nonexistent.json", "--at", "0")
     assert code == 2
+
+
+def test_exponent_notation_is_refused_fast(capsys, tmp_path):
+    # Fraction("1e10000000") would build a ten-million-digit integer; every
+    # rational read from outside text refuses exponent notation instead
+    doc = json.loads((FIXTURES / "m1_distinct.json").read_text())
+    doc["matrices"][0]["entries"][0]["coeff"] = "+1e10000000"
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps(doc))
+    for argv in (
+        ("member", FIXTURES / "quadrant_ray.json", "--at", "0,1e10000000,0"),
+        ("member", path, "--at", "0"),
+        ("validate", FIXTURES / "m1_distinct.json", "--box=-1,1E10000000", "--step", "1"),
+        ("validate", FIXTURES / "m1_distinct.json", "--step", "1e-10000000"),
+        ("slice", FIXTURES / "polygon9.json", "--fix", "x0=1e10000000", "--box", "0,8",
+         "--step", "1"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert code == 2 and out == "" and "10000000" in err, (argv, err)
+
+
+def test_oversized_header_is_refused_before_building(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"m": 1000000, "n": 1, "homogeneous": true, "matrices": []}')
+    start = time.perf_counter()
+    code, out, err = run(capsys, "member", path, "--at", "0")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "1 x 1000000 x 1000000 = 1000000000000 matrix cells, above the limit of 65536" in err
+    # an integer past Python's digit limit is a format error, not a bare ValueError
+    path.write_text('{"m": ' + "9" * 5000 + ', "n": 1, "homogeneous": true, "matrices": []}')
+    code, out, err = run(capsys, "member", path, "--at", "0")
+    assert code == 2 and out == "" and "cannot load pencil" in err
 
 
 def test_generic_exit_codes(capsys):

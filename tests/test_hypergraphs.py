@@ -23,7 +23,6 @@ from tropsdp.hypergraphs import (
     _candidate_edges,
     build_tangent_hypergraph,
     certify_generic_general,
-    certify_generic_metzler,
     farkas_direction,
     find_circulation,
     perturb_to_interior,
@@ -237,19 +236,19 @@ def test_minimal_circulating_sets_have_distinct_heads_exhaustive():
 
 
 def test_canonical_lift_entries(hyp):
-    mats = canonical_lift(hyp)
+    mats = canonical_lift(hyp).matrices
     # (-)3 -> -t^3 pattern: check the fixture's (-)0 entries and diagonal factor
     assert mats[0].entries[0][0] == P.monomial(12, 0)  # m*n = 12 on +0
     assert mats[1].entries[0][0] == P.monomial(-1, 0)  # -t^0 on (-)0
     assert mats[2].entries[0][0] == P.zero()  # -inf -> 0
     explicit = pencil_of(1, 1, {(0, 0, 0): neg(3)})
-    assert canonical_lift(explicit)[0].entries[0][0] == P.monomial(-1, 3)
+    assert canonical_lift(explicit).matrices[0].entries[0][0] == P.monomial(-1, 3)
     diag = pencil_of(3, 2, {(0, 0, 0): pos(2)})
-    assert canonical_lift(diag)[0].entries[0][0] == P.monomial(6, 2)
+    assert canonical_lift(diag).matrices[0].entries[0][0] == P.monomial(6, 2)
 
 
 def test_canonical_lift_svals_match(hyp):
-    mats = canonical_lift(hyp)
+    mats = canonical_lift(hyp).matrices
     for k in range(hyp.n):
         for i in range(hyp.m):
             for j in range(hyp.m):
@@ -268,9 +267,15 @@ def test_canonical_lift_requires_metzler(quad_ray):
         canonical_lift(quad_ray)
 
 
+def _all_pairs(m):
+    return frozenset(itertools.combinations(range(m), 2))
+
+
 def test_certify_metzler_witness(hyp):
-    res = certify_generic_metzler(hyp)
+    res = certify_generic_general(hyp)
     assert isinstance(res, Witness)
+    # a Metzler pencil is its own single piece
+    assert res.sigma == _all_pairs(hyp.m) and res.diamond == ()
     g = build_tangent_hypergraph(hyp, res.x)
     assert g.edges == res.edges
     circ = find_circulation(g)
@@ -279,7 +284,7 @@ def test_certify_metzler_witness(hyp):
 
 def test_certify_metzler_certificate():
     diag = pencil_of(2, 2, {(0, 0, 0): "+0", (0, 1, 1): "+5", (1, 0, 0): "+1", (1, 1, 1): "+3"})
-    assert isinstance(certify_generic_metzler(diag), Certificate)
+    assert isinstance(certify_generic_general(diag), Certificate)
 
 
 def test_certificate_implies_no_grid_circulation():
@@ -289,7 +294,7 @@ def test_certificate_implies_no_grid_circulation():
     while found < 5:
         p = random_pencil(rng, max_m=3, max_n=2, metzler=True, value_pool=7)
         try:
-            res = certify_generic_metzler(p)
+            res = certify_generic_general(p)
         except DimensionTooLarge:
             continue
         if not isinstance(res, Certificate):
@@ -304,14 +309,15 @@ def test_certificate_implies_no_grid_circulation():
 
 def test_certify_degenerate_minor_gives_witness():
     degen = pencil_of(2, 2, {**DEGENERATE, (1, 0, 0): "+0", (1, 1, 1): "+0"})
-    res = certify_generic_metzler(degen)
+    res = certify_generic_general(degen)
     assert isinstance(res, Witness)
+    assert res.sigma == _all_pairs(degen.m) and res.diamond == ()
     g = build_tangent_hypergraph(degen, res.x)
     assert find_circulation(g) is not None
 
 
 def _count_decisions(monkeypatch):
-    # every distinct reason goes first to the negative-cycle test, which
+    # every candidate reason goes first to the negative-cycle test, which
     # decides it or declines it to the simplex: one call per reason decision
     decisions, lps = [], []
     test, simplex = hypergraphs.difference_feasible, hypergraphs.feasible_point
@@ -328,7 +334,7 @@ def test_single_edge_witness_reuses_the_filter_point(monkeypatch):
     # and one LP, for the witness's point, as all four are differences
     degen = pencil_of(2, 2, {**DEGENERATE, (1, 0, 0): "+0", (1, 1, 1): "+0"})
     decisions, lps = _count_decisions(monkeypatch)
-    res = certify_generic_metzler(degen)
+    res = certify_generic_general(degen)
     filter_calls = len({(r.eqs, r.ges) for rs in _candidate_edges(degen).values() for r in rs})
     assert len(decisions) == filter_calls == 4
     assert len(lps) == 1
@@ -336,15 +342,18 @@ def test_single_edge_witness_reuses_the_filter_point(monkeypatch):
         x=(Z, F(1)),
         edges=(Edge((0, 0), 0), Edge((0, 1), 0)),
         gamma=(F(1), Z),
+        sigma=_all_pairs(2),
+        diamond=(),
+        stratum=(0, 1),
     )
 
 
 def test_certify_bounds():
     big = pencil_of(5, 1, {(0, i, i): pos(i) for i in range(5)})
     with pytest.raises(DimensionTooLarge):
-        certify_generic_metzler(big)
-    with pytest.raises(DimensionTooLarge):
         certify_generic_general(big)
+    with pytest.raises(DimensionTooLarge):
+        certify_generic_general(big, max_m=5, max_n=0)
     certify_generic_general(big, max_m=5)
 
 
@@ -523,16 +532,18 @@ def test_search_decides_sets_without_the_circulation_lp(monkeypatch):
     assert witnesses >= 3 and {3, 4} <= largest, (witnesses, largest)
 
 
-def test_live_filter_solves_each_reason_once(monkeypatch):
+def test_live_filter_decides_each_edge_reason(monkeypatch):
     # the diagonal edge (1) -> 0 and the pair edge (0, 1) -> 0 both realize
-    # the tie x1 - x0 = 2 with no maximality rows: one system, two edges
+    # the tie x1 - x0 = 2 with no maximality rows: one system, two edges.
+    # Each edge's reason is decided on its own, by the negative-cycle test;
+    # no memo spans edges, since equal systems are this rare
     p = pencil_of(2, 2, {(0, 0, 0): "-2", (1, 0, 0): "+0", (0, 1, 1): "+0", (0, 0, 1): "-1"})
     cand = _candidate_edges(p)
     assert {e.tails for e in cand} == {(1,), (0, 1)}
     assert len({(r.eqs, r.ges) for rs in cand.values() for r in rs}) == 1
     decisions, lps = _count_decisions(monkeypatch)
-    assert isinstance(certify_generic_metzler(p), Certificate)
-    assert len(decisions) == 1 and not lps
+    assert isinstance(certify_generic_general(p), Certificate)
+    assert len(decisions) == 2 and not lps
 
 
 @pytest.mark.parametrize("pool, verdict", [(2, Witness), (7, Certificate)])

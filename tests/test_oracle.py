@@ -30,7 +30,6 @@ from tropsdp.errors import NotCertified
 from tropsdp.oracle import (
     PuiseuxPencil,
     SandwichVerdict,
-    canonical_lift_pencil,
     cross_validate,
     default_grid,
     entrywise_lift,
@@ -85,7 +84,7 @@ def test_monomial_lift_examples():
 
 def test_evaluate_pencil_examples():
     hyp = load_pencil(FIXTURES / "line_pencil.json")[0]
-    lift = PuiseuxPencil(4, 3, canonical_lift(hyp))
+    lift = canonical_lift(hyp)
     zero = evaluate_pencil(lift, monomial_lift((MINUS_INF,) * 3))
     assert all(not e for row in zero.entries for e in row)
     at_origin = evaluate_pencil(lift, monomial_lift((Z, Z, Z)))
@@ -205,7 +204,7 @@ def test_homogenization_consistency_at_samples():
     again = homogenize(affine.matrices[0], base)
     # the canonical lift's diagonal factor makes monomial lifts decide
     # membership exactly on this instance
-    bp = PuiseuxPencil(affine.m, affine.n, canonical_lift(affine))
+    bp = canonical_lift(affine)
     for _ in range(40):
         x = tuple(F(rng.randint(-4, 4), 2) for _ in range(2))
         assert general_member(affine, (Z, *x)) == general_member(again, (Z, *x))
@@ -250,7 +249,7 @@ def test_default_grid_shape():
 
 def test_zero_matrix_is_psd():
     hyp = load_pencil(FIXTURES / "line_pencil.json")[0]
-    lift = PuiseuxPencil(4, 3, canonical_lift(hyp))
+    lift = canonical_lift(hyp)
     assert psd_member(lift, monomial_lift((MINUS_INF,) * 3))
 
 
@@ -270,7 +269,7 @@ def recomputed_checks(pencil, x, member):
         return {"sout": True, "sin": True, "psd": True}
     pencil = stratum_restrict(pencil, support)
     x = tuple(x[k] for k in support)
-    lift = canonical_lift_pencil(pencil) if pencil.is_metzler else entrywise_lift(pencil)
+    lift = canonical_lift(pencil) if pencil.is_metzler else entrywise_lift(pencil)
     bx = monomial_lift(x)
     # a member point of a non-Metzler pencil is checked piece by piece only
     recorded = pencil.is_metzler or not member
@@ -473,7 +472,7 @@ def test_lattice_table_matches_evaluate_pencil():
     for m, metzler, _ in itertools.product(range(1, 6), (True, False), range(4)):
         pencil = lattice_pencil(rng, m, metzler)
         kinds |= 1 << pencil.is_metzler
-        lift = canonical_lift_pencil(pencil) if pencil.is_metzler else entrywise_lift(pencil)
+        lift = canonical_lift(pencil) if pencil.is_metzler else entrywise_lift(pencil)
         den = lcm(*(a.value.denominator for mat in pencil.matrices for row in mat for a in row if a.sign))
         points = [
             tuple(F(rng.randint(-8, 8), rng.choice((1, 2, 3, 5, 7))) for _ in range(pencil.n))
@@ -492,7 +491,7 @@ def test_lattice_table_matches_evaluate_pencil():
                 for mat in lift.matrices
             ))
             want = evaluate_pencil(on_lattice, tuple(P(((int(v * scale), 1),)) for v in x))
-            got = oracle._evaluate_on_lattice({}, pencil, x)
+            got = series_matrix(oracle._lift_at({}, pencil, x)[0])
             for i, j in itertools.product(range(pencil.m), repeat=2):
                 assert got.entries[i][j].terms == want.entries[i][j].terms, (pencil, x, i, j)
                 assert all(type(e) is int and type(c) is int for e, c in got.entries[i][j].terms)
@@ -604,7 +603,7 @@ def test_compiled_blocks_hold_every_nonzero_entry(monkeypatch):
         assert all(r.ok for r in cross_validate(pencil, grid, max_m=9))
     line = load_pencil(FIXTURES / "line_pencil.json")[0]
     for x in default_grid(line.n):
-        oracle._evaluate_on_lattice({}, line, x)
+        oracle._lift_at({}, line, x)
     fixture_points = seen["points"]
     rng = random.Random(91)
     pieces = 0
@@ -731,7 +730,7 @@ def test_lattice_terms_are_ints(monkeypatch):
         records = cross_validate(pencil, grid, assume_certified=True)
         assert all(r.ok for r in records)
         for x in grid_points(pencil.n, F(-1, 7), F(1, 5), F(1, 3)):
-            a = oracle._evaluate_on_lattice({}, pencil, x)
+            a = series_matrix(oracle._lift_at({}, pencil, x)[0])
             for row in a.entries:
                 for entry in row:
                     int_terms(entry)

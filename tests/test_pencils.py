@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from tropsdp.errors import CirculationExists, DimensionTooLarge, NotMetzler, PencilFormatError
 from tropsdp.hypergraphs import build_tangent_hypergraph, perturb_to_interior
 from tropsdp.pencils import (
+    PENCIL_CELL_LIMIT,
     SigmaChoice,
     check_assumption_nondeg,
     decompose,
@@ -430,10 +432,38 @@ def test_format_errors():
             ],
         },
         {**good, "matrices": [{"k": 0, "entries": []}, {"k": 0, "entries": []}]},
+        # header and index fields take JSON integers and a JSON bool only:
+        # int() and bool() would read 2.7 as 2, true as 1 and "no" as true
+        {**good, "m": 2.7},
+        {**good, "m": "1"},
+        {**good, "n": True},
+        {**good, "homogeneous": "no"},
+        {**good, "homogeneous": 1},
+        {**good, "matrices": [{"k": 0.0, "entries": []}]},
+        {**good, "matrices": [{"k": False, "entries": []}]},
+        {**good, "matrices": [{"k": 0, "entries": [{"i": True, "j": 1, "coeff": "+0"}]}]},
+        {**good, "matrices": [{"k": 0, "entries": [{"i": 1, "j": 1.0, "coeff": "+0"}]}]},
+        {**good, "matrices": [{"k": 0, "entries": [{"i": 1, "j": 1, "coeff": "+1e3"}]}]},
+        {**good, "matrices": [{"k": 0, "entries": 5}]},
     ]
     for bad in bad_cases:
         with pytest.raises(PencilFormatError):
             pencil_from_obj(bad)
+
+
+def test_declared_size_is_bounded_before_building():
+    # an empty 256 x 256 header fills exactly PENCIL_CELL_LIMIT cells; one
+    # more row, or the constant matrix of an affine document, is refused
+    # from the header alone, without building the matrices
+    assert PENCIL_CELL_LIMIT == 256 * 256
+    header = {"m": 256, "n": 1, "homogeneous": True, "matrices": []}
+    assert pencil_from_obj(header)[0].m == 256
+    for big in ({**header, "m": 257}, {**header, "homogeneous": False},
+                {**header, "m": 10**6, "n": 10**6}):
+        start = time.perf_counter()
+        with pytest.raises(DimensionTooLarge, match="above the limit of 65536"):
+            pencil_from_obj(big)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_polygon_vertices_on_boundary(poly9):

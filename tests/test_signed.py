@@ -14,6 +14,7 @@ from tropsdp.signed import (
     format_signed,
     modulus,
     neg,
+    parse_rational,
     parse_signed,
     pos,
     tadd,
@@ -100,6 +101,18 @@ def test_parse_rejects_garbage():
     for bad in ["", "7/2", "inf", "+q/0", "+1/0", "--", "+"]:
         with pytest.raises(ValueError):
             parse_signed(bad)
+
+
+def test_parse_rational_is_fraction_without_exponents():
+    for text, want in [("7/2", F(7, 2)), ("-3", F(-3)), (" +0.25 ", F(1, 4)), (".5", F(1, 2)),
+                       ("5.", F(5)), ("-0/3", F(0))]:
+        assert parse_rational(text) == want == F(text)
+    # exponents, zero denominators and non-numbers: all ValueError
+    for bad in ["1e3", "1E-3", "2.5e1", "1/0", "inf", "nan", "", "1/-2", "1 / 2", "0x10"]:
+        with pytest.raises(ValueError):
+            parse_rational(bad)
+    with pytest.raises(ValueError, match="bad rational"):
+        parse_signed("+1e10000000")
 
 
 @settings(max_examples=300, deadline=None)
