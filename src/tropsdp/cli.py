@@ -21,7 +21,7 @@ from .hypergraphs import (
     certify_generic_general,
     result_to_obj,
 )
-from .oracle import cross_validate, grid_axis, grid_points
+from .oracle import cross_validate, grid_axis
 from .pencils import (
     SigmaChoice,
     decompose,
@@ -73,40 +73,34 @@ def cmd_generic(args) -> int:
     return 0 if isinstance(result, Certificate) else 1
 
 
-def _parse_pairs(text):
-    pairs = []
-    if text:
-        for piece in text.split(";"):
-            piece = piece.strip()
-            if not piece:
-                continue
-            try:
-                i, j = (int(v) for v in piece.split(","))
-            except ValueError as exc:
-                raise CliError(f"bad pair {piece!r}") from exc
-            pairs.append((i - 1, j - 1))
+def _parse_pairs(text, directed):
+    """{(i, j): direction}, 0-based, of the ";"-separated entries of --sigma
+    ("i,j", direction None) or, when directed, --diamond ("i,j:>=" or
+    "i,j:<="), 1-based; a pair listed twice is refused."""
+    option = "--diamond" if directed else "--sigma"
+    pairs = {}
+    for piece in text.split(";"):
+        piece = piece.strip()
+        if not piece:
+            continue
+        try:
+            pair, direction = piece.split(":") if directed else (piece, None)
+            i, j = (int(v) for v in pair.split(","))
+        except ValueError as exc:
+            raise CliError(f"bad {option} entry {piece!r}") from exc
+        if directed and direction not in (">=", "<="):
+            raise CliError(f"bad direction {direction!r}")
+        if (i - 1, j - 1) in pairs:
+            raise CliError(f"{option} lists pair {i},{j} twice")
+        pairs[(i - 1, j - 1)] = direction
     return pairs
 
 
 def cmd_decompose(args) -> int:
     pencil, _ = _load(args.file)
-    sigma = _parse_pairs(args.sigma)
-    diamond = {}
-    if args.diamond:
-        for piece in args.diamond.split(";"):
-            piece = piece.strip()
-            if not piece:
-                continue
-            try:
-                pair, direction = piece.split(":")
-                i, j = (int(v) for v in pair.split(","))
-            except ValueError as exc:
-                raise CliError(f"bad diamond entry {piece!r}") from exc
-            if direction not in (">=", "<="):
-                raise CliError(f"bad direction {direction!r}")
-            diamond[(i - 1, j - 1)] = direction
     try:
-        choice = SigmaChoice.make(pencil.m, sigma, diamond)
+        choice = SigmaChoice.make(pencil.m, _parse_pairs(args.sigma, False),
+                                  _parse_pairs(args.diamond, True))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     piece = decompose(pencil, choice)
@@ -150,8 +144,10 @@ def _box(args):
 def cmd_validate(args) -> int:
     pencil, homogeneous = _load(args.file)
     free = pencil.n if homogeneous else pencil.n - 1
-    base = grid_points(free, *_box(args))
-    grid = base if homogeneous else [(Fraction(0),) + p for p in base]
+    # lazy: cross_validate certifies before it draws a point
+    grid = itertools.product(grid_axis(free, *_box(args)), repeat=free)
+    if not homogeneous:
+        grid = ((Fraction(0),) + p for p in grid)
     records = cross_validate(pencil, grid, max_m=args.max_m, max_n=args.max_n)
     bad = 0
     for rec in records:

@@ -58,7 +58,6 @@ from .pencils import (
     _sides,
     check_assumption_nondeg,
     decompose,
-    metzler_member,
     metzler_strict_member,
 )
 from .signed import is_minus_inf
@@ -124,25 +123,47 @@ def result_to_obj(res) -> dict:
     }
 
 
-def build_tangent_hypergraph(pencil: TropicalPencil, x: Sequence[Fraction]) -> Hypergraph:
-    """Edges of the tight constraints at a finite point of R^n."""
+def _tangent(pencil: TropicalPencil, x: Sequence[Fraction]):
+    """(edges, slack, member) at a finite point x of R^n: one _sides pass on
+    one _lattice.
+
+    edges are the hyperedges of the tight constraints, sorted; slack is the
+    least positive gap below a family max or between a constraint's two
+    sides, or None; member is metzler_member's verdict.  At a finite point
+    of a Metzler pencil every rhs is finite and no pair's parts tie, so a
+    constraint fails exactly when its lhs is -inf or below its rhs.
+    """
     _require_metzler(pencil)
     if len(x) != pencil.n:
         raise ValueError(f"expected {pencil.n} coordinates, got {len(x)}")
     if any(is_minus_inf(v) for v in x):
         raise ValueError("tangent hypergraph is defined at finite points only")
-    _, f, X = _lattice(pencil, x)
+    lattice = scale, f, X = _lattice(pencil, x)
     edges: set[Edge] = set()
-    for (_, left, right), lhs, rhs, _, tops in _sides(pencil, x):
-        if lhs is None or lhs != rhs:
-            continue
-        # the maximizers of each left family are tails, those of the right side heads
-        args = [[k for k, c in fam if c * f + X[k] == t] for fam, t in zip(left + right, tops)]
-        heads = [l for arg in args[len(left):] for l in arg]
-        edges.update(Edge(tuple(sorted(tails)), l)
-                     for tails in itertools.product(*args[:len(left)]) for l in heads)
+    slacks = []
+    member = True
+    for (_, left, right), lhs, rhs, _, tops in _sides(pencil, x, lattice):
+        # every family's terms against the value they are held to, on the scale S
+        values = [[(k, c * f + X[k]) for k, c in fam] for fam in left + right]
+        slacks += [t - v for fam, t in zip(values, tops) for _, v in fam if v < t]
+        if lhs is None or lhs < rhs:
+            member = False
+        elif lhs > rhs:
+            slacks.append(lhs - rhs)
+        else:
+            # the maximizers of each left family are tails, those of the right side heads
+            args = [[k for k, v in fam if v == t] for fam, t in zip(values, tops)]
+            heads = [l for arg in args[len(left):] for l in arg]
+            edges.update(Edge(tuple(sorted(tails)), l)
+                         for tails in itertools.product(*args[:len(left)]) for l in heads)
     ordered = tuple(sorted(edges, key=lambda e: (len(e.tails), e.tails, e.head)))
-    return Hypergraph(pencil.n, ordered)
+    slack = Fraction(min(slacks), scale) if slacks else None
+    return ordered, slack, member
+
+
+def build_tangent_hypergraph(pencil: TropicalPencil, x: Sequence[Fraction]) -> Hypergraph:
+    """Edges of the tight constraints at a finite point of R^n."""
+    return Hypergraph(pencil.n, _tangent(pencil, x)[0])
 
 
 def _balance_rows(edges: Sequence[Edge], vertices) -> list[list[int]]:
@@ -367,10 +388,10 @@ def _circulating_point(pencil: TropicalPencil):
     each candidate edge is decided, an edge is live while one of its
     reasons has a point, each inclusion-minimal circulating set of live
     edges is tried with every product of reasons from a common piece, and a
-    product whose tie sum is nonzero is skipped without an LP.  A reason
-    whose rows are all differences is decided by the negative-cycle test on
-    its int rows; the simplex runs, on the real rows, only for the other
-    reasons, the joint products, and the point of a one-edge witness.
+    product of two or more reasons whose tie sum is nonzero is skipped
+    without an LP.  A reason whose rows are all differences is decided by
+    the negative-cycle test; the simplex runs only for the other reasons and
+    the products.  Both read the int rows.
 
     By the module's lemma a minimal circulating set has at most n edges,
     with distinct heads whose bitmask equals its tails' bitmask, so only
@@ -383,22 +404,19 @@ def _circulating_point(pencil: TropicalPencil):
     cand = _candidate_edges(pencil)
 
     def point(eqs, ges):
-        # the simplex on the real rows, constants c / D
-        return feasible_point(n, *(tuple((a, Fraction(c, den)) for a, c in rows)
-                                   for rows in (eqs, ges)))
+        # the simplex on the int rows: every constant is D times the real
+        # one, so Bland's pivots are those of the real rows, at D times the
+        # real point
+        y = feasible_point(n, eqs, ges)
+        return None if y is None else tuple(v / den for v in y)
 
-    points: dict[tuple, list | None] = {}  # reason rows -> the simplex's point
     edges: list[Edge] = []
     reasons: list[list[_Reason]] = []  # the live reasons of each edge
     for edge in sorted(cand, key=lambda e: (len(e.tails), e.tails, e.head)):
         live = []
         for r in cand[edge]:
-            key = (r.eqs, r.ges)
-            verdict = difference_feasible(n, *key)
-            if verdict is None:
-                points[key] = point(*key)
-                verdict = points[key] is not None
-            if verdict:
+            verdict = difference_feasible(n, r.eqs, r.ges)
+            if verdict or verdict is None and point(r.eqs, r.ges) is not None:
                 live.append(r)
         if live:
             edges.append(edge)
@@ -414,23 +432,16 @@ def _circulating_point(pencil: TropicalPencil):
                 raise CertificateCheckFailed(f"{gamma} is not a positive circulation of {graph}")
             for chosen in itertools.product(*(reasons[idx] for idx in combo)):
                 options = _options(chosen)
-                if options is None:
+                if options is None or size > 1 and _tie_sum(chosen, gamma):
                     continue
-                if size == 1:
-                    # one reason's system is the filter's: its point, solved
-                    # now if the negative-cycle test decided it
-                    key = (chosen[0].eqs, chosen[0].ges)
-                    x = points[key] if key in points else point(*key)
-                    if x is None:
-                        raise CertificateCheckFailed(
-                            f"reason {key} passed the negative-cycle test but has no point")
-                elif _tie_sum(chosen, gamma):
-                    continue
-                else:
-                    x = point(tuple(row for r in chosen for row in r.eqs),
-                              tuple(row for r in chosen for row in r.ges))
+                x = point(tuple(row for r in chosen for row in r.eqs),
+                          tuple(row for r in chosen for row in r.ges))
                 if x is not None:
-                    return tuple(x), options
+                    return x, options
+                if size == 1:
+                    # one reason's system is the filter's, which found it live
+                    raise CertificateCheckFailed(
+                        f"reason {chosen[0].eqs, chosen[0].ges} is live but has no point")
     return None
 
 
@@ -483,28 +494,14 @@ def perturb_to_interior(
     fixed, so each constraint is affine in rho on (0, rho0] and strictness
     at rho0 (checked) propagates down to 0.
     """
-    _require_metzler(pencil)
-    if not metzler_member(pencil, x):
+    edges, slack, member = _tangent(pencil, x)
+    if not member:
         raise ValueError("point is not in the tropical spectrahedron")
-    eta = farkas_direction(build_tangent_hypergraph(pencil, x))
+    eta = farkas_direction(Hypergraph(pencil.n, edges))
     if eta is None:
         raise CirculationExists("tangent hypergraph at the point admits a circulation")
-
-    # every positive gap below a family max or between the two sides,
-    # on the integer scale S of the pass
-    scale, f, X = _lattice(pencil, x)
-    slacks = []
-    for (_, left, right), lhs, rhs, _, tops in _sides(pencil, x):
-        slacks += [t - c * f - X[k] for fam, t in zip(left + right, tops)
-                   for k, c in fam if c * f + X[k] < t]
-        if lhs > rhs:
-            slacks.append(lhs - rhs)
-
     spread = max((abs(v) for v in eta), default=ZERO)
-    if not slacks or spread == 0:
-        rho0 = Fraction(1)
-    else:
-        rho0 = Fraction(min(slacks), scale) / (8 * spread)
+    rho0 = Fraction(1) if slack is None or spread == 0 else slack / (8 * spread)
     x2 = tuple(v + rho0 * d for v, d in zip(x, eta))
     if not metzler_strict_member(pencil, x2):
         raise CertificateCheckFailed("perturbation failed its own strictness check")

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import CertificateCheckFailed, DimensionTooLarge, NotCertified
 from .hypergraphs import Certificate, certify_generic_general, perturb_to_interior
@@ -85,12 +85,12 @@ def monomial_lift(x: Sequence[ExtRat]) -> tuple[PuiseuxPoly, ...]:
     )
 
 
-def _lift_table(pencil: TropicalPencil, canonical: bool, f: int = 1) -> tuple:
-    """The entry-wise series lift on the lattice S = f * D, D the lcm of the
+def _lift_table(pencil: TropicalPencil, canonical: bool) -> tuple:
+    """The entry-wise series lift on the lattice D, the lcm of the
     denominators of the pencil's finite values (pencil._constraints[0]).
 
     It has a row (i, j, terms) for every upper-triangle entry with a finite
-    value, a term (k, S * value, coefficient) per finite value.  This is the
+    value, a term (k, D * value, coefficient) per finite value.  This is the
     one place that picks lift coefficients: -1 for negative entries and, for
     positive ones, m*n under the canonical lift, 1 otherwise (the plain sign).
     """
@@ -100,7 +100,7 @@ def _lift_table(pencil: TropicalPencil, canonical: bool, f: int = 1) -> tuple:
     for i in range(pencil.m):
         for j in range(i, pencil.m):
             terms = tuple(
-                (k, a.value.numerator * (den // a.value.denominator) * f, pos if a.sign > 0 else -1)
+                (k, a.value.numerator * (den // a.value.denominator), pos if a.sign > 0 else -1)
                 for k, mat in enumerate(pencil.matrices)
                 if (a := mat[i][j]).sign
             )
@@ -110,7 +110,7 @@ def _lift_table(pencil: TropicalPencil, canonical: bool, f: int = 1) -> tuple:
 
 
 def _series_pencil(pencil: TropicalPencil, table) -> PuiseuxPencil:
-    """A _lift_table at S = D as a series pencil: each term a monomial
+    """A _lift_table as a series pencil: each term a monomial
     c * t^value with Fraction exponent, every other entry zero."""
     den = pencil._constraints[0]
     rows = [[[_ZERO] * pencil.m for _ in range(pencil.m)] for _ in range(pencil.n)]
@@ -248,13 +248,13 @@ def _cached(cache: dict, key, build):
     return hit
 
 
-def _compile_lift(pencil: TropicalPencil, f: int):
+def _compile_lift(pencil: TropicalPencil):
     """(table, pairs, blocks): the _lift_table of the pencil (canonical iff
-    Metzler) at lattice factor f, the off-diagonal (i, j) of its rows, and
+    Metzler), the off-diagonal (i, j) of its rows, and
     the components those pairs make of range(m).  Only a listed pair can be
     nonzero at a point, so pairs serve _minor_conditions and blocks
     _psd_verdict."""
-    table = _lift_table(pencil, pencil.is_metzler, f)
+    table = _lift_table(pencil, pencil.is_metzler)
     pairs = tuple((i, j) for i, j, _ in table if i != j)
     return table, pairs, _components(pencil.m, pairs)
 
@@ -265,23 +265,24 @@ def _lift_at(cache: dict, pencil: TropicalPencil, x, lattice=None):
     compiled sparsity; lattice is _lattice(pencil, x) when the caller has
     already taken it.
 
-    a is taken after t -> t^S with S the lattice of pencils._lattice: every
-    term is then a pair of ints.  The substitution keeps the order and
-    commutes with add and mul, so every sign read is unchanged.  An entry
-    merges its table terms c * t^(e + S * x_k), summing equal exponents and
+    a is taken after t -> t^S with (S, f, X) the lattice of
+    pencils._lattice: every term is then a pair of ints.  The substitution
+    keeps the order and commutes with add and mul, so every sign read is
+    unchanged.  An entry merges its table terms c * t^(e * f + X[k]), e on
+    the table's lattice D = S / f, summing equal exponents and
     dropping zero sums: the canonical series evaluate_pencil would form,
     without its products, sums and zero tests.  A one-term entry is that
     term, c never being 0."""
-    scale, f, X = lattice or _lattice(pencil, x)
-    table, pairs, blocks = _cached(cache, ("lift", pencil, scale), lambda: _compile_lift(pencil, f))
+    _, f, X = lattice or _lattice(pencil, x)
+    table, pairs, blocks = _cached(cache, ("lift", pencil), lambda: _compile_lift(pencil))
     rows = [[_ZERO] * pencil.m for _ in range(pencil.m)]
     for i, j, terms in table:
         if len(terms) == 1:
             (k, e, c), = terms
-            rows[i][j] = rows[j][i] = PuiseuxPoly(((e + X[k], c),))
+            rows[i][j] = rows[j][i] = PuiseuxPoly(((e * f + X[k], c),))
             continue
         out: list = []
-        for e, c in sorted([(e + X[k], c) for k, e, c in terms], reverse=True):
+        for e, c in sorted([(e * f + X[k], c) for k, e, c in terms], reverse=True):
             if out and out[-1][0] == e:
                 c += out.pop()[1]
                 if not c:
@@ -320,7 +321,7 @@ def _pieces(cache: dict, pencil: TropicalPencil, x, lattice):
 
 def cross_validate(
     pencil: TropicalPencil,
-    grid: Sequence[Sequence[ExtRat]],
+    grid: Iterable[Sequence[ExtRat]],
     *,
     assume_certified: bool = False,
     max_m: int = 4,
@@ -333,7 +334,8 @@ def cross_validate(
     soundness checks run regardless).  Non-member points must fall outside
     the outer relaxation of the lift; member points must land inside the
     inner relaxation of the canonical lift of a qualifying Metzler piece,
-    strictly perturbed first when they sit on the boundary.
+    strictly perturbed first when they sit on the boundary.  The grid may
+    be any iterable, a lazy one too: it is read only after certification.
     """
     if not assume_certified:
         result = certify_generic_general(pencil, max_m=max_m, max_n=max_n)
@@ -352,30 +354,25 @@ def _validate_point(
     pencil: TropicalPencil, x, member: bool, cache: dict, lattice
 ) -> ValidationRecord:
     """The record at x, whose membership verdict the caller has decided from
-    lattice, the point's _lattice(pencil, x), which the lift reads too."""
+    lattice, the point's _lattice(pencil, x), which the lift reads too.  A
+    point with a -inf coordinate is validated on its support's sub-pencil."""
     rec = ValidationRecord(x=x, member=member)
     support = tuple(k for k, v in enumerate(x) if not is_minus_inf(v))
+    if not support:
+        # all coordinates -inf: the zero matrix, trivially inside
+        rec.sout = rec.sin = rec.psd = True
+        if not member:
+            rec.fail("all--inf point must be a member")
+        return rec
     if len(support) < pencil.n:
-        if not support:
-            # all coordinates -inf: the zero matrix, trivially inside
-            rec.sout = rec.sin = rec.psd = True
-            if not member:
-                rec.fail("all--inf point must be a member")
-            return rec
-        # one sub-pencil per support, so its constraint table and hash are built once
-        sub = _cached(cache, ("stratum", pencil, support),
-                      lambda: stratum_restrict(pencil, support))
-        sub_x = tuple(x[k] for k in support)
-        sub_lattice = _lattice(sub, sub_x)
-        if general_member(sub, sub_x, sub_lattice) != member:
+        # the rest runs on the support's sub-pencil, built once per call
+        pencil = _cached(cache, ("stratum", pencil, support),
+                         lambda: stratum_restrict(pencil, support))
+        x = tuple(x[k] for k in support)
+        lattice = _lattice(pencil, x)
+        if general_member(pencil, x, lattice) != member:
             rec.fail("membership disagrees with its support stratum")
             return rec
-        inner = _validate_point(sub, sub_x, member, cache, sub_lattice)
-        rec.sout, rec.sin, rec.psd = inner.sout, inner.sin, inner.psd
-        if not inner.ok:
-            rec.ok = False
-            rec.failures = inner.failures
-        return rec
 
     metz = pencil.is_metzler
     # the one evaluation of the pencil at x; every verdict below reads it

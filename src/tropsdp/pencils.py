@@ -343,13 +343,18 @@ def decompose(pencil: TropicalPencil, choice: SigmaChoice) -> TropicalPencil:
     Block structure: the original diagonal with off-diagonal entries turned
     into negated moduli inside sigma and erased outside, plus one extra
     diagonal row per complement pair carrying that pair's off-diagonal
-    polynomial, sign-flipped when the direction is "<=".
+    polynomial, sign-flipped when the direction is "<=".  Raises
+    DimensionTooLarge, naming the size, before anything is built when the
+    piece has more than PENCIL_CELL_LIMIT matrix cells.
     """
     if choice.m != pencil.m:
         raise ValueError("choice built for a different dimension")
     comp = [p for p, _ in choice.diamond]
     dirs = dict(choice.diamond)
     m2 = pencil.m + len(comp)
+    if pencil.n * m2 * m2 > PENCIL_CELL_LIMIT:
+        raise DimensionTooLarge(f"piece of {pencil.n} x {m2} x {m2} = {pencil.n * m2 * m2} "
+                                f"matrix cells, above the limit of {PENCIL_CELL_LIMIT}")
     mats = []
     for k in range(pencil.n):
         src = pencil.matrices[k]

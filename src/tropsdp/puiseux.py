@@ -78,10 +78,6 @@ class PuiseuxPoly:
     def __mul__(self, other: "PuiseuxPoly") -> "PuiseuxPoly":
         return mul(self, other)
 
-    def lc(self) -> Fraction:
-        """Leading coefficient; 0 for the zero series."""
-        return self.terms[0][1] if self.terms else Fraction(0)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

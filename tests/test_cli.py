@@ -135,6 +135,36 @@ def test_decompose_round_trips(capsys):
     assert homogeneous and piece.m == 3 and piece.is_metzler
 
 
+def test_decompose_refuses_repeated_and_malformed_pairs(capsys):
+    # --sigma and --diamond share one parser: a pair listed twice is refused
+    ray = FIXTURES / "quadrant_ray.json"
+    for argv, message in (
+        (("--diamond", "1,2:>=;1,2:<="), "--diamond lists pair 1,2 twice"),
+        (("--sigma", "1,2;1,2"), "--sigma lists pair 1,2 twice"),
+        (("--diamond", "1,2"), "bad --diamond entry '1,2'"),
+        (("--sigma", "1,2:>="), "bad --sigma entry '1,2:>='"),
+        (("--diamond", "1,2:>"), "bad direction '>'"),
+        (("--sigma", "1,2", "--diamond", "1,2:>="), "partition"),
+    ):
+        code, out, err = run(capsys, "decompose", ray, *argv)
+        assert code == 2 and out == "" and message in err, (argv, err)
+    code, out, _ = run(capsys, "decompose", ray, "--sigma", " 1,2 ; ")
+    assert code == 0 and json.loads(out)["m"] == 2
+
+
+def test_decompose_output_is_bounded(capsys, tmp_path):
+    # the header's 8 x 90 x 90 cells pass its limit; with all 4005 pairs in
+    # diamond the piece would be 8 matrices of 4095 x 4095
+    path = tmp_path / "wide.json"
+    path.write_text('{"m": 90, "n": 8, "homogeneous": true, "matrices": []}')
+    diamond = ";".join(f"{i},{j}:>=" for i in range(1, 91) for j in range(i + 1, 91))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "decompose", path, "--diamond", diamond)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "8 x 4095 x 4095 = 134152200 matrix cells, above the limit of 65536" in err
+
+
 def test_slice_quadrant_union_diagonal(capsys):
     code, out, _ = run(
         capsys,
@@ -217,6 +247,24 @@ def test_oversized_grids_exit_before_enumerating(capsys):
         assert time.perf_counter() - start < 1
         assert code == 2 and out == ""
         assert "grid has 1000000002000000001 points" in err
+
+
+def test_validate_refusal_draws_no_grid_point(capsys, monkeypatch):
+    # 97^3 = 912673 points at step 1/24: validate certifies first, so a
+    # witness or an oversized pencil is refused before a point is drawn
+    from tropsdp import cli
+
+    grids = []
+    real = cli.cross_validate
+    monkeypatch.setattr(cli, "cross_validate",
+                        lambda pencil, grid, **kw: grids.append(grid) or real(pencil, grid, **kw))
+    for name, refusal in (("line_pencil.json", "NotCertified"),
+                          ("polygon9.json", "DimensionTooLarge")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "validate", FIXTURES / name, "--step", "1/24")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == "" and refusal in err
+        assert next(grids.pop()) == (-2, -2, -2)
 
 
 def test_validate_zero_failures(capsys):

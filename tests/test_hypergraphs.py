@@ -14,7 +14,7 @@ import pytest
 from conftest import FIXTURES
 from helpers import pencil_of, random_pencil, reference_certify_general, reference_unbalanced
 from tropsdp.errors import CirculationExists, DimensionTooLarge, NotMetzler
-from tropsdp import canonical_lift, hypergraphs
+from tropsdp import canonical_lift, hypergraphs, pencils
 from tropsdp.hypergraphs import (
     Certificate,
     Edge,
@@ -30,7 +30,10 @@ from tropsdp.hypergraphs import (
 )
 from tropsdp.pencils import (
     SigmaChoice,
+    _lattice as pencils_lattice,
+    _sides as pencils_sides,
     decompose,
+    general_member,
     load_pencil,
     metzler_strict_member,
     stratum_restrict,
@@ -578,6 +581,32 @@ def test_perturb_boundary_points(poly9):
         # the bound must hold on the whole interval, spot-check the midpoint
         mid = tuple(v + rho0 / 2 * d for v, d in zip(x, eta))
         assert metzler_strict_member(poly9, mid)
+
+
+def test_perturbation_makes_one_pass_at_the_point(poly9, monkeypatch):
+    # one _lattice and one _sides pass at x give the edges, the slacks and
+    # membership; the second pass is the strictness re-check at x2, which
+    # scales x2 itself.  Neither metzler_member nor build_tangent_hypergraph
+    # is called.
+    x = next(x for x in ((Z, F(a), F(b)) for a, b in [(1, 4), (4, 1), (2, 4), (8, 8)])
+             if general_member(poly9, x) and not metzler_strict_member(poly9, x))
+    lattices = {"hypergraphs": [], "pencils": []}
+    passes = []
+    for name, module in (("hypergraphs", hypergraphs), ("pencils", pencils)):
+        monkeypatch.setattr(module, "_lattice", lambda p, y, seen=lattices[name]:
+                            seen.append(y) or pencils_lattice(p, y))
+        monkeypatch.setattr(module, "_sides", lambda p, y, lattice=None:
+                            passes.append(y) or pencils_sides(p, y, lattice))
+
+    def refuse(*args):
+        raise AssertionError("perturb_to_interior reached a separate pass")
+
+    monkeypatch.setattr(pencils, "metzler_member", refuse)
+    monkeypatch.setattr(hypergraphs, "build_tangent_hypergraph", refuse)
+    eta, rho0 = perturb_to_interior(poly9, x)
+    x2 = tuple(v + rho0 * d for v, d in zip(x, eta))
+    assert x2 != x and passes == [x, x2]
+    assert lattices == {"hypergraphs": [x], "pencils": [x2]}
 
 
 def test_perturb_rejects_circulation(hyp):

@@ -133,16 +133,29 @@ def _search_every_stratum(pencil):
 
 def test_feasible_point_matches_reference_on_certification_systems(monkeypatch):
     # every LP that the circulation search asks on the strata of seeded
-    # random pencils, solved by both kernels
+    # random pencils, solved by both kernels.  The search passes int rows
+    # whose constants are D times the real ones, D the stratum's lcm of
+    # value denominators: on the real rows the simplex makes the same
+    # pivots, so its point is exactly 1/D times the int rows' point.
     systems = []
+    points = []  # (n, eqs, ges, D) of each feasible_point the search asks
     original = lp.solve_nonneg
+    search, point = hypergraphs._circulating_point, hypergraphs.feasible_point
+    den = []
 
     def record(rows, rhs):
         systems.append((rows, rhs))
         return original(rows, rhs)
 
+    def searched(pencil):
+        den[:] = [pencil._constraints[0]]
+        return search(pencil)
+
     monkeypatch.setattr(lp, "solve_nonneg", record)
     monkeypatch.setattr(hypergraphs, "solve_nonneg", record)
+    monkeypatch.setattr(hypergraphs, "_circulating_point", searched)
+    monkeypatch.setattr(hypergraphs, "feasible_point",
+                        lambda n, eqs, ges: points.append((n, eqs, ges, *den)) or point(n, eqs, ges))
     rng = random.Random(7)
     for metzler in (True, False) * 36:
         _search_every_stratum(random_pencil(rng, max_m=3, max_n=3, metzler=metzler, value_pool=7))
@@ -153,6 +166,13 @@ def test_feasible_point_matches_reference_on_certification_systems(monkeypatch):
     assert len(systems) > 500
     for rows, rhs in systems:
         assert original(rows, rhs) == reference_solve_nonneg(rows, rhs)
+    monkeypatch.undo()
+    assert sum(d > 1 for *_, d in points) > 200
+    for n, eqs, ges, d in points:
+        assert all(type(c) is int for rows in (eqs, ges) for _, c in rows)
+        y = feasible_point(n, eqs, ges)
+        real = feasible_point(n, *([(a, F(c, d)) for a, c in rows] for rows in (eqs, ges)))
+        assert (y is None and real is None) or y == [d * v for v in real], (n, eqs, ges, d)
 
 
 def _difference_row(rng, n, kind):

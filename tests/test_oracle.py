@@ -165,9 +165,28 @@ def test_valuation_monotonicity():
 
 
 def test_cross_validate_requires_certificate():
+    # certification comes first: a witness refuses the grid before a point
+    # of it is drawn, so a lazy grid of any size costs nothing
     hyp = load_pencil(FIXTURES / "line_pencil.json")[0]
+    grid = iter([(Z, Z, Z), (Z, Z, F(1))])
     with pytest.raises(NotCertified):
-        cross_validate(hyp, [(Z, Z, Z)])
+        cross_validate(hyp, grid)
+    assert next(grid) == (Z, Z, Z)
+
+
+def test_lift_is_compiled_once_per_pencil(monkeypatch):
+    # the lift table is on the pencil's own lattice D; points with
+    # denominators 1, 2 and 3 rescale their coordinates, not the table
+    calls = []
+    real = oracle._compile_lift
+    monkeypatch.setattr(oracle, "_compile_lift", lambda p: calls.append(p) or real(p))
+    axis = sorted({F(a, d) for d in (1, 2, 3) for a in range(-d, d + 1)})
+    for name in ("quadrant_ray.json", "polygon9.json"):
+        pencil = load_pencil(FIXTURES / name)[0]
+        calls.clear()
+        grid = with_bottoms([(Z, a, b) for a, b in itertools.product(axis, repeat=2)])
+        assert all(r.ok for r in cross_validate(pencil, grid, max_m=9))
+        assert len(calls) == len(set(calls)) > 1, name
 
 
 def test_cross_validate_quadrant_ray():

@@ -12,6 +12,7 @@ from tropsdp.hypergraphs import build_tangent_hypergraph, perturb_to_interior
 from tropsdp.pencils import (
     PENCIL_CELL_LIMIT,
     SigmaChoice,
+    TropicalPencil,
     check_assumption_nondeg,
     decompose,
     enumerate_choices,
@@ -180,13 +181,6 @@ def test_slice_kernel_matches_predicates():
                 assert verdict == metzler_member(pencil, x), (pencil, x)
         points += len(got)
     assert points > 5000
-
-
-def _outcome(call):
-    try:
-        return call()
-    except (ValueError, CirculationExists) as exc:
-        return type(exc)
 
 
 def _parity_cases(rng: random.Random):
@@ -464,6 +458,24 @@ def test_declared_size_is_bounded_before_building():
         with pytest.raises(DimensionTooLarge, match="above the limit of 65536"):
             pencil_from_obj(big)
         assert time.perf_counter() - start < 0.1
+
+
+def test_decompose_size_is_bounded_before_building():
+    # with all three pairs of a 3 x 3 pencil in diamond a piece is 6 x 6, so
+    # n = 1820 fills 65520 cells and n = 1821 is refused, as is the
+    # 8 x 4095 x 4095 piece of an empty 90 x 90 pencil with every pair in
+    # diamond, before any matrix is built
+    empty = ((TROP_MINUS_INF,) * 3,) * 3
+    choice = SigmaChoice.make(3, [], {(0, 1): ">=", (0, 2): "<=", (1, 2): ">="})
+    assert decompose(TropicalPencil(3, 1820, (empty,) * 1820), choice).m == 6
+    with pytest.raises(DimensionTooLarge, match="1821 x 6 x 6 = 65556 matrix cells"):
+        decompose(TropicalPencil(3, 1821, (empty,) * 1821), choice)
+    big = pencil_from_obj({"m": 90, "n": 8, "homogeneous": True, "matrices": []})[0]
+    choice = SigmaChoice.make(90, [], {p: ">=" for p in itertools.combinations(range(90), 2)})
+    start = time.perf_counter()
+    with pytest.raises(DimensionTooLarge, match="8 x 4095 x 4095 = 134152200 matrix cells"):
+        decompose(big, choice)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_polygon_vertices_on_boundary(poly9):
