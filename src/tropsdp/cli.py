@@ -12,6 +12,7 @@ import itertools
 import json
 import sys
 from fractions import Fraction
+from operator import getitem
 
 from .errors import PencilFormatError
 from .hypergraphs import (
@@ -21,7 +22,7 @@ from .hypergraphs import (
     certify_generic_general,
     result_to_obj,
 )
-from .oracle import cross_validate, grid_axis
+from .oracle import cross_validate, grid_axis, record_lines
 from .pencils import (
     SigmaChoice,
     decompose,
@@ -149,11 +150,8 @@ def cmd_validate(args) -> int:
     if not homogeneous:
         grid = ((Fraction(0),) + p for p in grid)
     records = cross_validate(pencil, grid, max_m=args.max_m, max_n=args.max_n)
-    bad = 0
-    for rec in records:
-        print(json.dumps(rec.to_obj()))
-        if not rec.ok:
-            bad += 1
+    sys.stdout.writelines(record_lines(records))
+    bad = sum(not rec.ok for rec in records)
     print(f"{len(records)} points, {bad} failures", file=sys.stderr)
     return 0 if bad == 0 else 1
 
@@ -185,11 +183,12 @@ def cmd_slice(args) -> int:
         base = [Fraction(0), *base]
         free = [k + 1 for k in free]
     labels = [str(v) for v in axis]
+    # a row's lines are its label joined by each column's suffix for its verdict
+    suffixes = [(f",{b},0\n", f",{b},1\n") for b in labels]
     write = sys.stdout.write
     write("x1,x2,member\n")
-    members = slice_members(pencil, base, tuple(free), axis)
-    for (a, b), verdict in zip(itertools.product(labels, repeat=2), members):
-        write(f"{a},{b},{int(verdict)}\n")
+    for a, row in zip(labels, slice_members(pencil, base, tuple(free), axis)):
+        write(a + a.join(map(getitem, suffixes, row)))
     return 0
 
 

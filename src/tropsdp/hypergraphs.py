@@ -494,10 +494,18 @@ def perturb_to_interior(
     fixed, so each constraint is affine in rho on (0, rho0] and strictness
     at rho0 (checked) propagates down to 0.
     """
-    edges, slack, member = _tangent(pencil, x)
+    return _interior_step(pencil, x, _tangent(pencil, x), farkas_direction)[:2]
+
+
+def _interior_step(pencil: TropicalPencil, x, tangent, direction):
+    """(eta, rho0, x + rho0 * eta): perturb_to_interior's answer and the
+    point it checks, from tangent, the _tangent(pencil, x) its caller has
+    taken, with eta = direction(graph) on its tangent hypergraph:
+    farkas_direction, or a caller's cached form of it."""
+    edges, slack, member = tangent
     if not member:
         raise ValueError("point is not in the tropical spectrahedron")
-    eta = farkas_direction(Hypergraph(pencil.n, edges))
+    eta = direction(Hypergraph(pencil.n, edges))
     if eta is None:
         raise CirculationExists("tangent hypergraph at the point admits a circulation")
     spread = max((abs(v) for v in eta), default=ZERO)
@@ -505,4 +513,4 @@ def perturb_to_interior(
     x2 = tuple(v + rho0 * d for v, d in zip(x, eta))
     if not metzler_strict_member(pencil, x2):
         raise CertificateCheckFailed("perturbation failed its own strictness check")
-    return eta, rho0
+    return eta, rho0, x2

@@ -12,13 +12,21 @@ asserts exactly those implications.
 from __future__ import annotations
 
 import itertools
+import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CertificateCheckFailed, DimensionTooLarge, NotCertified
-from .hypergraphs import Certificate, certify_generic_general, perturb_to_interior
+from .hypergraphs import (
+    Certificate,
+    _interior_step,
+    _tangent,
+    certify_generic_general,
+    farkas_direction,
+)
 from .pencils import (
     SigmaChoice,
     TropicalPencil,
@@ -29,7 +37,6 @@ from .pencils import (
     decompose,
     format_point,
     general_member,
-    metzler_strict_member,
     stratum_restrict,
 )
 from .polynomials import TropPoly, eval_part, tropicalize
@@ -202,7 +209,11 @@ def grid_axis(n: int, lo, hi, step) -> list[Fraction]:
         raise DimensionTooLarge(
             f"grid has {count**n} points, above the limit of {GRID_POINT_LIMIT}"
         )
-    return [lo + i * step for i in range(count)]
+    # each value one Fraction over the common denominator of lo and step
+    den = math.lcm(lo.denominator, step.denominator)
+    start = lo.numerator * (den // lo.denominator)
+    stride = step.numerator * (den // step.denominator)
+    return [Fraction(start + i * stride, den) for i in range(count)]
 
 
 def grid_points(n: int, lo, hi, step) -> list[tuple[Fraction, ...]]:
@@ -238,6 +249,26 @@ class ValidationRecord:
             "checks": {"sout": self.sout, "sin": self.sin, "psd": self.psd},
             "ok": self.ok,
         }
+
+
+_RECORD = '{"x": [%s], "member": %s, "checks": {"sout": %s, "sin": %s, "psd": %s}, "ok": %s}\n'
+_JSON = {True: "true", False: "false", None: "null"}
+
+
+class _Labels(dict):
+    # coordinate -> its JSON string, formatted on first use
+    def __missing__(self, v):
+        label = self[v] = json.dumps(format_point((v,))[0])
+        return label
+
+
+def record_lines(records: Iterable[ValidationRecord]) -> Iterator[str]:
+    """json.dumps(rec.to_obj()) of each record and a newline, filled into one
+    fixed template; each coordinate's label is formatted once per call."""
+    label = _Labels().__getitem__
+    for rec in records:
+        yield _RECORD % (", ".join(map(label, rec.x)), _JSON[rec.member], _JSON[rec.sout],
+                         _JSON[rec.sin], _JSON[rec.psd], _JSON[rec.ok])
 
 
 def _cached(cache: dict, key, build):
@@ -403,11 +434,13 @@ def _validate_point(
         rec.fail("no sigma piece family contains the member point")
         return rec
     for choice, piece in pieces:
-        if metzler_strict_member(piece, x):
+        # one tangent pass: x is strict iff a member with no tight edge
+        tangent = edges, _, member = _tangent(piece, x)
+        if member and not edges:
             target = x
         else:
-            eta, rho0 = perturb_to_interior(piece, x)
-            target = tuple(v + rho0 * d for v, d in zip(x, eta))
+            target = _interior_step(piece, x, tangent, lambda graph: _cached(
+                cache, ("direction", graph), lambda: farkas_direction(graph)))[2]
         if piece is pencil and target is x:
             # a Metzler pencil is its own piece: same lift, same point, same matrix
             psd = rec.psd

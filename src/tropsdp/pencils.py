@@ -18,9 +18,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add, and_, eq, ge, or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionTooLarge, NotMetzler, PencilFormatError
@@ -227,29 +229,40 @@ def slice_members(
     base: Sequence[ExtRat],
     free: tuple[int, int],
     axis: Sequence[Fraction],
-) -> Iterator[bool]:
-    """general_member at every point of a 2-D slice, in lexicographic order.
+) -> Iterator[list[bool]]:
+    """general_member on a 2-D slice, one list of verdicts per grid row.
 
-    The points are base with coordinates free[0], free[1] set to (a, b), for
-    (a, b) in product(axis, axis); base's values there are ignored.  On the
-    slice each family max of the pencil's constraint table is
-    max(c, a + u, b + w), compiled once in integers scaled by the lcm of
-    every denominator involved and evaluated a grid row at a time.  With R
-    the largest scaled modulus, a finite family value lies in [-2R, 2R]; a
-    missing term gets the coefficient -7R - 1, so a family that is -inf on
-    the whole slice stays below -6R and every comparison general_member
-    makes keeps its outcome.
+    The points are base with coordinates free[0], free[1] set to (a, b);
+    row a holds the verdicts at (a, b) for b in axis, and the rows come for
+    a in axis.  axis must be ascending, else ValueError; base's values at
+    free are ignored.  On the slice each family max of the
+    pencil's constraint table is max(c, a + u, b + w), compiled once in
+    integers scaled by the lcm of every denominator involved.  Along a row
+    b + w ascends, so the family is that shifted row clipped from below at
+    k = max(c, a + u): [k] * i + row[i:], with i the number of entries <= k.
+    A family with no term in free[0] is clipped at c once per slice.
+
+    With R the largest scaled modulus, a finite family value lies in
+    [-2R, 2R]; a missing term gets the coefficient low = -7R - 1, so a
+    dropped a + low never beats a finite term.  The one family that is -inf
+    on the whole slice has no term in free[0] either: it reads
+    max(low, b + low), where a per-point max would read
+    max(a + low, b + low).  Both stay below -6R, so a sum with it stays
+    below -4R, the least a sum of two finite values can be, and every
+    comparison general_member makes keeps its outcome.
     """
     _check_point(pencil, base)
     p, q = free
     if p == q or not (0 <= p < pencil.n and 0 <= q < pencil.n):
         raise ValueError(f"free coordinates {free!r} must be two distinct indices")
+    if any(x > y for x, y in zip(axis, axis[1:])):
+        raise ValueError("the slice axis must be ascending")
     fixed = [(k, v) for k, v in enumerate(base) if k not in free and not is_minus_inf(v)]
     den, table = pencil._constraints
     scale = math.lcm(den, *(v.denominator for _, v in fixed), *(v.denominator for v in axis))
     g = scale // den  # table terms are on D, the slice on the common scale
-    xs = {k: int(v * scale) for k, v in fixed}
-    bs = [int(b * scale) for b in axis]
+    xs = {k: v.numerator * (scale // v.denominator) for k, v in fixed}
+    bs = [b.numerator * (scale // b.denominator) for b in axis]
     coeffs = [c * g for _, left, right in table for fam in left + right for _, c in fam]
     low = -7 * max(map(abs, coeffs + list(xs.values()) + bs), default=0) - 1
     # (c, u, w) of each family on the slice; index 0 is -inf on the whole slice
@@ -278,24 +291,35 @@ def slice_members(
                 diag.append((sides[0], rhs))
             else:
                 pairs.append((*sides, rhs, family(right[0]), family(right[1])))
-    terms = list(index)
-    shifted = [[b + w for b in bs] for _, _, w in terms]
+
+    def clip(row, k):
+        i = bisect_right(row, k)
+        return [k] * i + row[i:]
+
+    still = []  # the rows of the families with no term in free[0]
+    moving = []  # (index, c, u, shifted row) of the others
+    for i, (c, u, w) in enumerate(index):
+        row = [b + w for b in bs]
+        if u == low:
+            still.append(clip(row, c))
+        else:
+            still.append(None)
+            moving.append((i, c, u, row))
     for a in bs:
-        vals = []
-        for (c, u, _), row in zip(terms, shifted):
-            k = c if c > a + u else a + u
-            vals.append([k if k > t else t for t in row])
+        vals = still.copy()
+        for i, c, u, row in moving:
+            vals[i] = clip(row, c if c > a + u else a + u)
         ok = [True] * len(bs)
         for left, right in diag:
-            ok = [o and x >= y for o, x, y in zip(ok, vals[left], vals[right])]
+            ok = list(map(and_, ok, map(ge, vals[left], vals[right])))
         for lhs_i, lhs_j, rhs, plus, minus in pairs:
-            si, sj, r = vals[lhs_i], vals[lhs_j], vals[rhs]
+            r = vals[rhs]
+            holds = map(ge, map(add, vals[lhs_i], vals[lhs_j]), map(add, r, r))
             if plus and minus:
-                ok = [o and (x == y or s + t >= 2 * z)
-                      for o, s, t, z, x, y in zip(ok, si, sj, r, vals[plus], vals[minus])]
-            else:  # one part is -inf on the whole slice: no tie
-                ok = [o and s + t >= 2 * z for o, s, t, z in zip(ok, si, sj, r)]
-        yield from ok
+                holds = map(or_, map(eq, vals[plus], vals[minus]), holds)
+            # else one part is -inf on the whole slice: no tie
+            ok = list(map(and_, ok, holds))
+        yield ok
 
 
 @dataclass(frozen=True)

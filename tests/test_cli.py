@@ -336,6 +336,23 @@ def test_generic_output_is_pinned(capsys):
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (want, digest), name
 
 
+
+#: first 16 hex digits of the sha256 of slice's stdout for the raster
+#: benchmark's two fixture calls: the row kernel and the row writer must
+#: leave every byte as it is.
+SLICE_DIGESTS = [
+    (["polygon9.json", "--fix", "x0=0", "--box", "0,8", "--step", "1/8"], "6a11828e54a8408c"),
+    (["quadrant_ray.json", "--fix", "x0=0", "--box=-4,4", "--step", "1/8"], "aeb42148dcd4b69b"),
+]
+
+
+def test_slice_output_is_pinned(capsys):
+    for (name, *flags), digest in SLICE_DIGESTS:
+        code, out, _ = run(capsys, "slice", FIXTURES / name, *flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, (name, *flags)
+
+
 def test_cli_determinism(capsys):
     first = run(capsys, "slice", FIXTURES / "polygon9.json", "--fix", "x0=0",
                 "--box", "0,8", "--step", "1/2")

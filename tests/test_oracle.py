@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -30,6 +31,7 @@ from tropsdp.errors import NotCertified
 from tropsdp.oracle import (
     PuiseuxPencil,
     SandwichVerdict,
+    ValidationRecord,
     cross_validate,
     default_grid,
     entrywise_lift,
@@ -37,17 +39,14 @@ from tropsdp.oracle import (
     grid_points,
     monomial_lift,
     psd_member,
+    record_lines,
     sin_member,
     sout_member,
     sval_pencil,
     valuation_sandwich_check,
 )
 from tropsdp import puiseux
-from tropsdp.hypergraphs import (
-    Certificate,
-    certify_generic_general,
-    perturb_to_interior,
-)
+from tropsdp.hypergraphs import Certificate, certify_generic_general
 from tropsdp.pencils import (
     SigmaChoice,
     TropicalPencil,
@@ -403,11 +402,13 @@ def validation_outcome(validate):
 def test_lattice_records_match_fraction_path(monkeypatch):
     perturbed = []
 
-    def counting_perturb(piece, x):
-        perturbed.append(x)
-        return perturb_to_interior(piece, x)
+    real = oracle._interior_step
 
-    monkeypatch.setattr(oracle, "perturb_to_interior", counting_perturb)
+    def counting_perturb(piece, x, *rest):
+        perturbed.append(x)
+        return real(piece, x, *rest)
+
+    monkeypatch.setattr(oracle, "_interior_step", counting_perturb)
     denominators = set()
     for pencil, grid, max_m in lattice_cases():
         denominators.update(
@@ -441,6 +442,23 @@ def test_stratum_membership_is_decided_once(monkeypatch):
     assert bottoms > 10
     # once per point, and once more on the support stratum of a point with a -inf
     assert len(set(calls)) == len(calls) == len(grid) + bottoms
+
+
+
+def test_record_lines_match_to_obj():
+    # the template line of a record is json.dumps of its to_obj: with null
+    # checks (the support-disagreement return), a -inf coordinate, a failure,
+    # and every record of a validated grid with -inf coordinates
+    stratum = ValidationRecord(x=(Z, MINUS_INF, F(-3, 2)), member=False)
+    stratum.fail("membership disagrees with its support stratum")
+    bottom = ValidationRecord(x=(MINUS_INF, F(7, 3)), member=True, sout=True, sin=False, psd=True)
+    failing = ValidationRecord(x=(Z, F(2)), member=False, sout=True, sin=False, psd=False)
+    failing.fail("non-member point satisfies the outer minor inequalities")
+    pencil = load_pencil(FIXTURES / "quadrant_ray.json")[0]
+    grid = with_bottoms([(Z, a, b) for a, b in grid_points(2, -2, 2, F(1, 2))])
+    records = [stratum, bottom, failing, *cross_validate(pencil, grid)]
+    assert [r.psd for r in records[:3]] == [None, True, False]
+    assert list(record_lines(records)) == [json.dumps(r.to_obj()) + "\n" for r in records]
 
 
 def test_each_support_is_restricted_once(monkeypatch):

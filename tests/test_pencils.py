@@ -6,6 +6,8 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tropsdp.errors import CirculationExists, DimensionTooLarge, NotMetzler, PencilFormatError
 from tropsdp.hypergraphs import build_tangent_hypergraph, perturb_to_interior
@@ -166,12 +168,15 @@ def _slice_case(rng: random.Random):
     return pencil, base, free, axis
 
 
+flat = itertools.chain.from_iterable
+
+
 def test_slice_kernel_matches_predicates():
     rng = random.Random(34)
     points = 0
     for _ in range(250):
         pencil, base, free, axis = _slice_case(rng)
-        got = list(slice_members(pencil, base, free, axis))
+        got = list(flat(slice_members(pencil, base, free, axis)))
         assert len(got) == len(axis) ** 2
         for verdict, (a, b) in zip(got, ((a, b) for a in axis for b in axis)):
             x = list(base)
@@ -250,23 +255,53 @@ def test_slice_kernel_edge_cases():
     # x1 unfixed -inf: row 0's diagonal has only its negative part left, so
     # the whole slice fails; a pair with -inf diagonals holds only on a tie
     neg_only = pencil_of(1, 3, {(0, 0, 0): "-0", (1, 0, 0): "+0", (2, 0, 0): "-1"})
-    assert list(slice_members(neg_only, (MINUS_INF,) * 3, (0, 2), [Z, F(1)])) == [False] * 4
+    assert list(flat(slice_members(neg_only, (MINUS_INF,) * 3, (0, 2), [Z, F(1)]))) == [False] * 4
     tie = pencil_of(2, 2, {(0, 0, 1): "+0", (1, 0, 1): "-0"})
     axis = [F(-1), Z, F(1)]
-    assert list(slice_members(tie, (Z, Z), (0, 1), axis)) == [a == b for a in axis for b in axis]
+    assert list(flat(slice_members(tie, (Z, Z), (0, 1), axis))) == [
+        a == b for a in axis for b in axis]
     # the negative part is the constant -40, below every axis value: the
     # terms it lacks must stay below it, so x1 - 20 >= -40 is all that counts
     far = pencil_of(1, 3, {(0, 0, 0): neg(-20), (1, 0, 0): pos(-20)})
     axis = [F(v) for v in range(-30, 31, 6)]
-    got = list(slice_members(far, (F(-20), Z, Z), (1, 2), axis))
+    got = list(flat(slice_members(far, (F(-20), Z, Z), (1, 2), axis)))
     assert got == [a >= -20 for a in axis for b in axis]
     # row 0's positive diagonal part is -inf on the slice (x3 unfixed): the
     # largest row-1 part must not make up for it against a low off-diagonal
     gap = pencil_of(2, 4, {(3, 0, 0): pos(0), (2, 1, 1): pos(10), (0, 0, 1): neg(-10)})
     axis = [F(v) for v in range(-10, 11, 5)]
-    assert not any(slice_members(gap, (F(-10), Z, Z, MINUS_INF), (1, 2), axis))
+    assert not any(flat(slice_members(gap, (F(-10), Z, Z, MINUS_INF), (1, 2), axis)))
     with pytest.raises(ValueError):
         list(slice_members(tie, (Z, Z), (1, 1), axis))
+    # the rows clip an ascending shifted row: a decreasing axis is refused
+    with pytest.raises(ValueError, match="ascending"):
+        next(slice_members(tie, (Z, Z), (0, 1), axis[::-1]))
+
+
+# integers often, so that a pair's positive and negative parts tie
+slice_values = st.one_of(st.integers(-6, 6).map(F),
+                         st.fractions(min_value=-9, max_value=9, max_denominator=7))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_slice_rows_match_general_member(data):
+    # one row per axis value, each general_member's verdict at every point,
+    # with -inf among the fixed coordinates and repeated axis values allowed
+    pencil = random_pencil(random.Random(data.draw(st.integers(0, 2**32))), max_m=3, max_n=4)
+    assume(pencil.n >= 2)
+    free = tuple(data.draw(st.permutations(range(pencil.n)))[:2])
+    base = data.draw(st.lists(st.one_of(st.just(MINUS_INF), slice_values),
+                              min_size=pencil.n, max_size=pencil.n))
+    axis = sorted(data.draw(st.lists(slice_values, min_size=1, max_size=9)))
+    rows = list(slice_members(pencil, base, free, axis))
+    assert len(rows) == len(axis)
+    for a, row in zip(axis, rows):
+        assert len(row) == len(axis)
+        for b, verdict in zip(axis, row):
+            x = list(base)
+            x[free[0]], x[free[1]] = a, b
+            assert verdict == general_member(pencil, x), (pencil, x)
 
 
 @pytest.mark.parametrize(
