@@ -28,15 +28,16 @@ from .hypergraphs import (
     farkas_direction,
 )
 from .pencils import (
-    SigmaChoice,
     TropicalPencil,
+    _check_point,
     _holds,
     _lattice,
+    _member,
     _require_metzler,
     _sides,
+    _sigma_choices,
     decompose,
     format_point,
-    general_member,
     stratum_restrict,
 )
 from .polynomials import TropPoly, eval_part, tropicalize
@@ -198,17 +199,20 @@ GRID_POINT_LIMIT = 10**6
 def grid_axis(n: int, lo, hi, step) -> list[Fraction]:
     """The axis lo, lo + step, ... <= hi of the grid_points(n, ...) box.
 
-    Raises DimensionTooLarge, naming the count, when the n-dimensional grid
-    would have more than GRID_POINT_LIMIT points.
+    Raises DimensionTooLarge when the n-dimensional grid would have more
+    than GRID_POINT_LIMIT points, naming the count while it has at most 128
+    bits.  A count of 2 or more per axis has
+    count**n >= 2**(n * (count.bit_length() - 1)), which passes the limit
+    well before 128 bits, so a larger power is never formed.
     """
     lo, hi, step = Fraction(lo), Fraction(hi), Fraction(step)
     if step <= 0:
         raise ValueError("step must be positive")
     count = max(0, (hi - lo) // step + 1)
-    if count**n > GRID_POINT_LIMIT:
-        raise DimensionTooLarge(
-            f"grid has {count**n} points, above the limit of {GRID_POINT_LIMIT}"
-        )
+    small = n * count.bit_length() <= 128
+    if count > 1 and (not small or count**n > GRID_POINT_LIMIT):
+        size = count**n if small else f"more than {GRID_POINT_LIMIT}"
+        raise DimensionTooLarge(f"grid has {size} points, above the limit of {GRID_POINT_LIMIT}")
     # each value one Fraction over the common denominator of lo and step
     den = math.lcm(lo.denominator, step.denominator)
     start = lo.numerator * (den // lo.denominator)
@@ -323,30 +327,23 @@ def _lift_at(cache: dict, pencil: TropicalPencil, x, lattice=None):
     return rows, pairs, blocks
 
 
-def _pieces(cache: dict, pencil: TropicalPencil, x, lattice):
-    """The sigma whose every diamond piece contains the member point x, with
-    those pieces in enumeration order, or (None, ()) if there is none.
+def _pieces(cache: dict, pencil: TropicalPencil, x, lattice) -> tuple[TropicalPencil, ...]:
+    """The Metzler pieces of the sigma whose every diamond piece contains the
+    member point x, in enumeration order.
 
     A Metzler pencil is its own single piece.  Otherwise a piece contains x
     iff x meets its sigma pairs' constraints and both directions of every
     other pair, i.e. a tie: so sigma is the set of pairs whose constraint
-    holds at x, valid when every other pair ties, and only its 2^|diamond|
-    pieces are built, cached for the call under (pencil, sigma).
+    holds at x.  At a member point every other pair ties, so only its
+    2^|diamond| pieces are built, cached for the call under (pencil, sigma).
     """
-    pairs = list(itertools.combinations(range(pencil.m), 2))
     if pencil.is_metzler:
-        return frozenset(pairs), ((SigmaChoice(pencil.m, frozenset(pairs), ()), pencil),)
-    diamond = []
-    for (key, left, _), lhs, rhs, tie, _ in _sides(pencil, x, lattice):
-        if len(left) == 2 and not _holds(lhs, rhs):
-            if not tie:
-                return None, ()
-            diamond.append(key)
-    sigma = frozenset(pairs).difference(diamond)
-    return sigma, _cached(cache, ("pieces", pencil, sigma), lambda: tuple(
-        (choice, decompose(pencil, choice))
-        for dirs in itertools.product((">=", "<="), repeat=len(diamond))
-        for choice in [SigmaChoice(pencil.m, sigma, tuple(zip(diamond, dirs)))]
+        return (pencil,)
+    diamond = [key for (key, left, _), lhs, rhs, _, _ in _sides(pencil, x, lattice)
+               if len(left) == 2 and not _holds(lhs, rhs)]
+    sigma = frozenset(itertools.combinations(range(pencil.m), 2)).difference(diamond)
+    return _cached(cache, ("pieces", pencil, sigma), lambda: tuple(
+        decompose(pencil, choice) for choice in _sigma_choices(pencil.m, sigma)
     ))
 
 
@@ -373,26 +370,21 @@ def cross_validate(
         if not isinstance(result, Certificate):
             raise NotCertified("pencil has a circulation witness; oracle out of scope")
     cache: dict = {}
-    records = []
-    for x in map(tuple, sorted(grid)):
-        lattice = _lattice(pencil, x)
-        member = general_member(pencil, x, lattice)
-        records.append(_validate_point(pencil, x, member, cache, lattice))
-    return records
+    return [_validate_point(pencil, x, cache) for x in map(tuple, sorted(grid))]
 
 
-def _validate_point(
-    pencil: TropicalPencil, x, member: bool, cache: dict, lattice
-) -> ValidationRecord:
-    """The record at x, whose membership verdict the caller has decided from
-    lattice, the point's _lattice(pencil, x), which the lift reads too.  A
-    point with a -inf coordinate is validated on its support's sub-pencil."""
-    rec = ValidationRecord(x=x, member=member)
+def _validate_point(pencil: TropicalPencil, x, cache: dict) -> ValidationRecord:
+    """The record at x.  Membership and the lift read the one
+    _lattice(pencil, x); a point with a -inf coordinate is validated on its
+    support's sub-pencil."""
+    _check_point(pencil, x)
+    lattice = _lattice(pencil, x)
+    rec = ValidationRecord(x=x, member=_member(pencil, x, lattice))
     support = tuple(k for k, v in enumerate(x) if not is_minus_inf(v))
     if not support:
         # all coordinates -inf: the zero matrix, trivially inside
         rec.sout = rec.sin = rec.psd = True
-        if not member:
+        if not rec.member:
             rec.fail("all--inf point must be a member")
         return rec
     if len(support) < pencil.n:
@@ -401,7 +393,7 @@ def _validate_point(
                          lambda: stratum_restrict(pencil, support))
         x = tuple(x[k] for k in support)
         lattice = _lattice(pencil, x)
-        if general_member(pencil, x, lattice) != member:
+        if _member(pencil, x, lattice) != rec.member:
             rec.fail("membership disagrees with its support stratum")
             return rec
 
@@ -410,7 +402,7 @@ def _validate_point(
     a, pairs, blocks = _lift_at(cache, pencil, x, lattice)
     rec.sout, rec.sin = _minor_conditions(a, pairs)
 
-    if not member:
+    if not rec.member:
         rec.psd = _psd_verdict(a, rec.sout, blocks)
         if rec.sout:
             rec.fail("non-member point satisfies the outer minor inequalities")
@@ -429,11 +421,7 @@ def _validate_point(
         if not rec.sout:
             rec.fail("member point escapes the outer set")
 
-    sigma, pieces = _pieces(cache, pencil, x, lattice)
-    if sigma is None:
-        rec.fail("no sigma piece family contains the member point")
-        return rec
-    for choice, piece in pieces:
+    for piece in _pieces(cache, pencil, x, lattice):
         # one tangent pass: x is strict iff a member with no tight edge
         tangent = edges, _, member = _tangent(piece, x)
         if member and not edges:
@@ -449,9 +437,7 @@ def _validate_point(
             outer = _minor_conditions(b, piece_pairs)[0]
             psd = _psd_verdict(b, outer, piece_blocks)
         if not psd:
-            rec.fail(
-                f"strict point of piece sigma={sorted(choice.sigma)} lifts outside PSD"
-            )
+            rec.fail("strict point of a Metzler piece of its sigma lifts outside PSD")
     return rec
 
 

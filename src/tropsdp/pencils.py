@@ -213,15 +213,14 @@ def metzler_strict_member(pencil: TropicalPencil, x: Sequence[Fraction]) -> bool
     return all(lhs is not None and lhs > rhs for _, lhs, rhs, _, _ in _sides(pencil, x))
 
 
-def general_member(pencil: TropicalPencil, x: Sequence[ExtRat], lattice=None) -> bool:
+def general_member(pencil: TropicalPencil, x: Sequence[ExtRat]) -> bool:
     """Membership for arbitrary sign patterns.
 
     The pair constraint may also be discharged by an exact tie between the
-    positive and negative off-diagonal parts.  A caller that also lifts x
-    may pass its _lattice(pencil, x), so the point is scaled once.
+    positive and negative off-diagonal parts.
     """
     _check_point(pencil, x)
-    return _member(pencil, x, lattice)
+    return _member(pencil, x)
 
 
 def slice_members(
@@ -348,17 +347,21 @@ class SigmaChoice:
         return SigmaChoice(m, frozenset(tuple(p) for p in sigma), dia)
 
 
+def _sigma_choices(m: int, sigma: frozenset[tuple[int, int]]) -> Iterator[SigmaChoice]:
+    """The 2^|diamond| choices of sigma, diamond its complement in pair
+    order, each direction tuple in product order, ">=" first."""
+    comp = [p for p in itertools.combinations(range(m), 2) if p not in sigma]
+    for dirs in itertools.product((">=", "<="), repeat=len(comp)):
+        yield SigmaChoice(m, sigma, tuple(zip(comp, dirs)))
+
+
 def enumerate_choices(m: int, max_m: int = 5):
     """All (sigma, diamond) pairs in a fixed order: larger sigma first."""
     if m > max_m:
         raise DimensionTooLarge(f"m = {m} exceeds choice-enumeration bound {max_m}")
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    p = len(pairs)
-    for mask in range(2**p - 1, -1, -1):
-        sigma = frozenset(pairs[b] for b in range(p) if mask >> b & 1)
-        comp = [pairs[b] for b in range(p) if not mask >> b & 1]
-        for dirs in itertools.product((">=", "<="), repeat=len(comp)):
-            yield SigmaChoice(m, sigma, tuple(zip(comp, dirs)))
+    pairs = list(itertools.combinations(range(m), 2))
+    for mask in range(2 ** len(pairs) - 1, -1, -1):
+        yield from _sigma_choices(m, frozenset(p for b, p in enumerate(pairs) if mask >> b & 1))
 
 
 def decompose(pencil: TropicalPencil, choice: SigmaChoice) -> TropicalPencil:

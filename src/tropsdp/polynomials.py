@@ -70,13 +70,6 @@ class TropPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def support(self, part: str | None = None) -> set[tuple[int, ...]]:
-        """Multi-index set; restrict to the "+" or "-" part if requested."""
-        if part is None:
-            return set(self.coeffs)
-        want = 1 if part == "+" else -1
-        return {alpha for alpha, a in self.coeffs.items() if a.sign == want}
-
 
 def _monomial_value(alpha: tuple[int, ...], mod: ExtRat, x: Sequence[ExtRat]) -> ExtRat:
     # |a| + <alpha, x>; a variable absent from the monomial cannot poison it
@@ -119,27 +112,21 @@ def evaluate(poly: TropPoly, x: Sequence[SignedTrop]) -> EvalResult:
     """
     if len(x) != poly.n:
         raise ValueError(f"expected {poly.n} coordinates, got {len(x)}")
+    moduli = [v.value for v in x]
     best: ExtRat = MINUS_INF
     best_signs: set[int] = set()
     for alpha, a in poly.coeffs.items():
-        sign = a.sign
-        value: ExtRat = a.value
-        dead = False
-        for k, e in enumerate(alpha):
-            if e:
-                xk = x[k]
-                if xk.sign == 0:
-                    dead = True
-                    break
-                if e % 2:
-                    sign *= xk.sign
-                value = value + e * xk.value
-        if dead:
+        value = _monomial_value(alpha, a.value, moduli)
+        if is_minus_inf(value):
             continue
+        sign = a.sign
+        for k, e in enumerate(alpha):
+            if e % 2:
+                sign *= x[k].sign
         if value > best:
             best = value
             best_signs = {sign}
-        elif value == best and not is_minus_inf(best):
+        elif value == best:
             best_signs.add(sign)
     if is_minus_inf(best):
         return TROP_MINUS_INF
@@ -156,10 +143,7 @@ def argmax(poly: TropPoly, x: Sequence[Fraction]) -> frozenset[tuple[int, ...]]:
         raise ValueError(f"expected {poly.n} coordinates, got {len(x)}")
     if any(is_minus_inf(v) for v in x):
         raise ValueError("argmax is defined at finite points only")
-    values = {
-        alpha: a.value + sum(e * x[k] for k, e in enumerate(alpha) if e)
-        for alpha, a in poly.coeffs.items()
-    }
+    values = {alpha: _monomial_value(alpha, a.value, x) for alpha, a in poly.coeffs.items()}
     top = max(values.values())
     return frozenset(alpha for alpha, v in values.items() if v == top)
 

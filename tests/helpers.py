@@ -480,9 +480,7 @@ def reference_validate_point(
             piece_lift = _cached(cache, ("fraction lift", piece), lambda: _fraction_lift(piece))
             psd = reference_is_psd(evaluate_pencil(piece_lift, monomial_lift(target)))
         if not psd:
-            rec.fail(
-                f"strict point of piece sigma={sorted(choice.sigma)} lifts outside PSD"
-            )
+            rec.fail("strict point of a Metzler piece of its sigma lifts outside PSD")
     return rec
 
 

@@ -105,6 +105,8 @@ def test_hypergraph_output(capsys):
     ]
     assert obj["circulation"] == {"0": "1/3", "1": "1/3", "2": "1/3"}
     assert obj["direction"] is None
+    code, out, err = run(capsys, "hypergraph", FIXTURES / "line_pencil.json", "--at=-inf,0,0")
+    assert code == 2 and out == "" and "requires a finite point" in err
 
 
 def test_hypergraph_direction_from_one_solve(capsys, monkeypatch):
@@ -202,6 +204,12 @@ def test_slice_errors(capsys):
         capsys, "slice", FIXTURES / "quadrant_ray.json", "--box=-2,2", "--step", "1"
     )
     assert code == 2 and "free variables" in err
+    for fix, refusal in (("y0=0", "bad variable 'y0'"), ("x9=0", "out of range x0..x2")):
+        code, out, err = run(
+            capsys, "slice", FIXTURES / "polygon9.json", "--fix", fix, "--box", "0,8",
+            "--step", "1",
+        )
+        assert code == 2 and out == "" and refusal in err, (fix, err)
 
 
 def test_slice_refuses_a_variable_fixed_twice(capsys):
@@ -247,6 +255,26 @@ def test_oversized_grids_exit_before_enumerating(capsys):
         assert time.perf_counter() - start < 1
         assert code == 2 and out == ""
         assert "grid has 1000000002000000001 points" in err
+
+
+def test_grid_size_is_decided_without_forming_its_power(capsys, tmp_path):
+    # 9^65536 points on the default box, (10^300)^65536 on a wide one and
+    # about 10^16000 on a slice: each refused from a bound on the per-axis
+    # count, without forming the power
+    wide = tmp_path / "wide.json"
+    wide.write_text('{"m": 1, "n": 65536, "homogeneous": true, "matrices": []}')
+    nines = "9" * 4000
+    for argv in (
+        ("validate", wide),
+        ("validate", wide, "--box=0," + "9" * 300, "--step", "1"),
+        ("slice", FIXTURES / "polygon9.json", "--fix", "x0=0", f"--box=0,{nines}",
+         "--step", f"1/{nines}"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv[:2]
+        assert code == 2 and out == "" and "DimensionTooLarge" in err, (argv[:2], err)
+        assert "grid has more than 1000000 points" in err
 
 
 def test_validate_refusal_draws_no_grid_point(capsys, monkeypatch):

@@ -429,9 +429,9 @@ def test_lattice_records_match_fraction_path(monkeypatch):
 
 def test_stratum_membership_is_decided_once(monkeypatch):
     calls = []
-    real = oracle.general_member
+    real = oracle._member
     monkeypatch.setattr(
-        oracle, "general_member", lambda p, x, *rest: calls.append((p, x)) or real(p, x, *rest)
+        oracle, "_member", lambda p, x, *rest: calls.append((p, x)) or real(p, x, *rest)
     )
     pencil = load_pencil(FIXTURES / "quadrant_ray.json")[0]
     # a point listed twice is validated twice, so each point is listed once
@@ -442,6 +442,13 @@ def test_stratum_membership_is_decided_once(monkeypatch):
     assert bottoms > 10
     # once per point, and once more on the support stratum of a point with a -inf
     assert len(set(calls)) == len(calls) == len(grid) + bottoms
+
+
+def test_cross_validate_refuses_a_point_of_the_wrong_length():
+    pencil = load_pencil(FIXTURES / "quadrant_ray.json")[0]
+    for x in [(Z, F(1)), (Z, F(1), F(2), F(3))]:
+        with pytest.raises(ValueError, match=f"expected 3 coordinates, got {len(x)}"):
+            cross_validate(pencil, [(Z, Z, Z), x], assume_certified=True)
 
 
 

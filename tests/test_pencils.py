@@ -444,6 +444,8 @@ def test_format_errors():
     }
     pencil_from_obj(good)
     bad_cases = [
+        [good],
+        {**good, "matrices": {}},
         {**good, "m": 0},
         {**good, "matrices": [{"k": 1, "entries": []}]},
         {**good, "matrices": [{"k": 0, "entries": [{"i": 1, "j": 1, "coeff": "q/0"}]}]},

@@ -43,6 +43,11 @@ def test_evaluate_with_bottom_coordinates():
     const = TropPoly(1, {(0,): pos(7)})
     assert evaluate(const, (TROP_MINUS_INF,)) == pos(7)
     assert eval_part(const, "+", (MINUS_INF,)) == F(7)
+    # eval_part drops the terms that use a -inf coordinate and keeps the others
+    p = TropPoly(2, {(1, 0): pos(5), (0, 2): pos(1), (1, 1): neg(9)})
+    assert eval_part(p, "+", (MINUS_INF, F(3))) == F(7)
+    assert eval_part(p, "-", (MINUS_INF, F(3))) == MINUS_INF
+    assert eval_part(p, "+", (F(0), MINUS_INF)) == F(5)
 
 
 def test_argmax_examples():
