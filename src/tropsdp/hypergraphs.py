@@ -24,10 +24,11 @@ sums.  Let C be an inclusion-minimal circulating set with active set U
 kernel of B_C is one-dimensional, so |C| = rank + 1 <= |U|; every vertex
 of U heads an edge of C, so |C| = |U| and the heads are distinct.  Hence
 only sets of at most n edges with distinct heads covering their tails are
-candidates, and the kernel, the signed maximal minors of B_C without one
-active row, decides each one in integers.  It also decides minimality: a
-circulating proper subset's circulation, padded with zeros, lies in the
-kernel, so the kernel then has no positive spanning vector.
+candidates.  C is a circuit of B, so every proper subset of C has
+independent columns (Rockafellar, "The elementary vectors of a subspace of
+R^N", 1969).  The search drops a prefix once a fraction-free echelon finds
+its columns dependent; a full set whose last column then reduces to zero
+has a kernel line, a minimal circulation iff its spanning vector has one sign.
 
 One search, on the full support, decides every stratum.  Let x in R^S
 circulate for the pencil restricted to the variables S, and set every
@@ -313,72 +314,59 @@ def _tie_sum(chosen, gamma) -> int:
     return sum(g * r.eqs[0][1] for g, r in zip(gamma, chosen))
 
 
-def _cofactor_circulation(edges: Sequence[Edge], active: Sequence[int]) -> tuple[int, ...] | None:
-    """The positive int circulation of edges whose distinct heads are the
-    active vertices and cover their tails, if they form a minimal
-    circulating set, else None.
+def _reduced(col, comb, echelon):
+    """col, and comb, the edge combination it stands for, reduced against echelon."""
+    for v, p, w in echelon:
+        f = col[p]
+        if f:
+            d = v[p]
+            col = [d * a - f * b for a, b in zip(col, v)]
+            comb = [d * a - f * b for a, b in zip(comb, w)]
+    return col, comb
 
-    The balance rows of all active vertices but the last span the balance
-    matrix's row space.  One fraction-free Gauss-Jordan reduction of those
-    k - 1 rows over the k edges (Bareiss 1968) leaves every pivot equal to
-    d, the determinant of the pivot columns.  When the rank is k - 1 the
-    one free column f spans the kernel, the signed maximal minors scaled:
-    d at f and, at each row's pivot column, minus that row's entry at f.
-    A circulation exists iff they share a sign.  A circulating proper
-    subset's circulation, padded with zeros, lies in the kernel, so a set
-    containing one has a second free column or a kernel vector with a zero
-    entry, and gets None: the kernel alone decides minimality.
+
+def _circulating_sets(edges: Sequence[Edge], size: int, columns, start=0, combo=(), tails=0,
+                      heads=0, echelon=(), pending=None):
+    """(combo, gamma): the minimal circulating sets of size edges, as index
+    tuples in itertools.combinations order, each with its positive int
+    circulation; columns[idx] is the balance column of edges[idx].  Heads
+    are distinct, a prefix's tails and heads span at most size vertices,
+    and the tails equal the heads at the last edge.  echelon holds the
+    prefix's columns fraction-free reduced, each with its pivot row and
+    int combination, but for the newest, pending, reduced only once a
+    longer set needs it: zero, the prefix is dependent and the branch ends.
+    At the last edge a zero column spans the set's kernel.
     """
-    k = len(edges)
-    rows = _balance_rows(edges, active[:-1])
-    pivots: list[int] = []
-    free = -1
-    prev = 1
-    for j in range(k):
-        r = len(pivots)
-        p = next((i for i in range(r, k - 1) if rows[i][j]), None)
-        if p is None:
-            if free >= 0:
-                return None
-            free = j
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        top = rows[r]
-        d = top[j]
-        for i, row in enumerate(rows):
-            if i != r:
-                f = row[j]
-                rows[i] = [(d * v - f * t) // prev for v, t in zip(row, top)]
-        pivots.append(j)
-        prev = d
-    gamma = [0] * k
-    gamma[free] = prev
-    for row, j in zip(rows, pivots):
-        gamma[j] = -row[free]
-    if all(g > 0 for g in gamma):
-        return tuple(gamma)
-    if all(g < 0 for g in gamma):
-        return tuple(-g for g in gamma)
-    return None
-
-
-def _head_covering_sets(edges: Sequence[Edge], size: int, start=0, combo=(), tails=0, heads=0):
-    """(combo, heads): the index tuples of size edges with distinct heads
-    whose tails lie among those heads, in itertools.combinations order,
-    each with its heads' bitmask.  A prefix is dropped as soon as its
-    tails and heads span more than size vertices."""
+    last = len(combo) + 1 == size
     for idx in range(start, len(edges)):
         e = edges[idx]
-        if heads >> e.head & 1:
-            continue
         t = tails | 1 << e.tails[0] | 1 << e.tails[-1]
         h = heads | 1 << e.head
-        if (t | h).bit_count() > size:
+        if h == heads or (t | h).bit_count() > size or last and t != h:
             continue
-        if len(combo) + 1 < size:
-            yield from _head_covering_sets(edges, size, idx + 1, combo + (idx,), t, h)
-        elif t == h:
-            yield combo + (idx,), h
+        if not combo:
+            # one edge: its column is zero iff its tails lie in its head, else its head pivots
+            if t != h:
+                yield from _circulating_sets(edges, size, columns, idx + 1, (idx,), t, h,
+                                             ((columns[idx], e.head, [1] + [0] * (size - 1)),))
+            elif last:
+                yield (idx,), (1,)
+            continue
+        if pending:
+            col, comb = _reduced(*pending, echelon)
+            if not any(col):
+                return
+            echelon += ((col, next(r for r, a in enumerate(col) if a), comb),)
+            pending = None
+        comb = [0] * size
+        comb[len(combo)] = 1
+        if not last:
+            yield from _circulating_sets(edges, size, columns, idx + 1, combo + (idx,), t, h,
+                                         echelon, (columns[idx], comb))
+            continue
+        col, comb = _reduced(columns[idx], comb, echelon)
+        if not any(col) and (min(comb) > 0 or max(comb) < 0):
+            yield combo + (idx,), tuple(abs(g) for g in comb)
 
 
 def _circulating_point(pencil: TropicalPencil):
@@ -394,10 +382,9 @@ def _circulating_point(pencil: TropicalPencil):
     the products.  Both read the int rows.
 
     By the module's lemma a minimal circulating set has at most n edges,
-    with distinct heads whose bitmask equals its tails' bitmask, so only
-    _head_covering_sets are enumerated, and each is decided by
-    _cofactor_circulation alone, which answers None on a set containing a
-    smaller circulating set; its circulation is re-checked.
+    with distinct heads whose bitmask equals its tails' bitmask, and no
+    dependent proper subset; _circulating_sets yields exactly these sets,
+    and each one's circulation is re-checked.
     """
     n = pencil.n
     den = pencil._constraints[0]
@@ -421,13 +408,10 @@ def _circulating_point(pencil: TropicalPencil):
         if live:
             edges.append(edge)
             reasons.append(live)
+    columns = list(zip(*_balance_rows(edges, range(n))))
     for size in range(1, min(n, len(edges)) + 1):
-        for combo, heads in _head_covering_sets(edges, size):
+        for combo, gamma in _circulating_sets(edges, size, columns):
             graph = Hypergraph(n, tuple(edges[idx] for idx in combo))
-            active = [v for v in range(n) if heads >> v & 1]
-            gamma = _cofactor_circulation(graph.edges, active)
-            if gamma is None:
-                continue
             if not all(g > 0 for g in gamma) or _unbalanced(graph, gamma) is not None:
                 raise CertificateCheckFailed(f"{gamma} is not a positive circulation of {graph}")
             for chosen in itertools.product(*(reasons[idx] for idx in combo)):

@@ -186,6 +186,7 @@ def sin_member(bp: PuiseuxPencil, bx: Sequence[PuiseuxPoly]) -> bool:
 
 def psd_member(bp: PuiseuxPencil, bx: Sequence[PuiseuxPoly]) -> bool:
     """Exact semidefiniteness of the evaluated pencil (is_psd)."""
+    _check_nonneg_point(bx)
     return is_psd(evaluate_pencil(bp, bx))
 
 

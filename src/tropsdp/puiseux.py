@@ -230,8 +230,8 @@ class PuiseuxSymMatrix:
         for row in self.entries:
             if len(row) != m:
                 raise ValueError("matrix is not square")
-        # tuple equality compares only entries that are distinct objects, so a
-        # matrix with one object per symmetric pair, as the oracle builds, is cheap
+        # tuple equality compares only distinct objects, so one object per
+        # symmetric pair, as _series_pencil and evaluate_pencil build, is cheap
         if self.entries != tuple(zip(*self.entries)):
             i, j = next(
                 (i, j) for i in range(m) for j in range(i)

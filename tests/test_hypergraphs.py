@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -170,10 +172,16 @@ def _minimal_circulating(h):
     return circ
 
 
-def test_cofactor_kernel_matches_lp():
+def _generated(edges, size, n_vertices):
+    """Everything the search's generator yields for edges at this size."""
+    columns = list(zip(*hypergraphs._balance_rows(edges, range(n_vertices))))
+    return list(hypergraphs._circulating_sets(edges, size, columns))
+
+
+def test_circulating_sets_kernel_matches_lp():
     # one edge per active vertex as head, tails among the active vertices:
-    # the kernel gives a circulation exactly when the set is a minimal
-    # circulating set, and then the LP's, scaled
+    # the generator yields the whole set exactly when it is a minimal
+    # circulating set, and then with the LP's circulation, scaled
     rng = random.Random(62)
     seen = {"minimal": 0, "not minimal": 0, "self-loop": 0, "doubled tail": 0}
     for _ in range(400):
@@ -184,13 +192,15 @@ def test_cofactor_kernel_matches_lp():
             for head in rng.sample(active, len(active))
         )
         h = Hypergraph(nv, edges)
-        gamma = hypergraphs._cofactor_circulation(edges, active)
+        found = _generated(edges, len(edges), nv)
         circ = _minimal_circulating(h)
-        assert (gamma is None) == (circ is None), (h, gamma, circ)
-        if gamma is None:
+        assert bool(found) == (circ is not None), (h, found, circ)
+        if not found:
             seen["not minimal"] += 1
             continue
         seen["minimal"] += 1
+        [(combo, gamma)] = found
+        assert combo == tuple(range(len(edges)))
         assert all(type(g) is int and g > 0 for g in gamma)
         assert tuple(F(g, sum(gamma)) for g in gamma) == circ.gamma
         assert hypergraphs._unbalanced(h, gamma) is None
@@ -202,7 +212,7 @@ def test_cofactor_kernel_matches_lp():
 def test_minimal_circulating_sets_have_distinct_heads_exhaustive():
     # criterion 7's 3-vertex hypergraphs: each inclusion-minimal circulating
     # set has as many edges as active vertices, and distinct heads; and the
-    # kernel answers None on every head-covering set (distinct heads, tails
+    # generator yields nothing on a head-covering set (distinct heads, tails
     # among them) that contains a circulating proper subset, so the search
     # needs no registry of the minimal sets it has found
     vertices = 3
@@ -221,7 +231,7 @@ def test_minimal_circulating_sets_have_distinct_heads_exhaustive():
                 circulating.add(combo)  # circulates, but is not minimal
                 heads = [e.head for e in combo]
                 if len(set(heads)) == size and {v for e in combo for v in e.tails} <= set(heads):
-                    assert hypergraphs._cofactor_circulation(combo, sorted(heads)) is None, combo
+                    assert _generated(combo, size, vertices) == [], combo
                     covering += 1
                 continue
             circ = find_circulation(Hypergraph(vertices, combo))
@@ -231,11 +241,51 @@ def test_minimal_circulating_sets_have_distinct_heads_exhaustive():
             heads = [e.head for e in combo]
             active = sorted({v for e in combo for v in e.tails} | set(heads))
             assert len(combo) == len(active) == len(set(heads)), combo
-            gamma = hypergraphs._cofactor_circulation(combo, active)
+            [(indices, gamma)] = _generated(combo, size, vertices)
+            assert indices == tuple(range(size))
             assert tuple(F(g, sum(gamma)) for g in gamma) == circ.gamma
             sizes.append(size)
     assert sorted(set(sizes)) == [1, 2, 3] and len(sizes) > 100, len(sizes)
     assert covering > 500, covering
+
+
+def test_circulating_sets_match_brute_force_in_order():
+    # the generator's sets, size by size, are the filtered
+    # itertools.combinations: distinct heads, tails among the heads, a
+    # circulation, and no circulating proper subset.  The order is what
+    # keeps the search's first hit, and so every witness, as it is.
+    rng = random.Random(2105)
+    seen = {"self-loop": 0, "doubled self-loop": 0, "doubled tail": 0, "with a circulating subset": 0}
+    yielded = set()
+    for _ in range(60):
+        nv = rng.randint(1, 4)
+        pool = [Edge(tails, head) for head in range(nv)
+                for tails in [(v,) for v in range(nv)]
+                + list(itertools.combinations_with_replacement(range(nv), 2))]
+        edges = rng.sample(pool, min(len(pool), rng.randint(2, 9)))
+        for size in range(1, nv + 1):
+            want = []
+            for combo in itertools.combinations(range(len(edges)), size):
+                chosen = tuple(edges[i] for i in combo)
+                heads = {e.head for e in chosen}
+                if len(heads) < size or not {v for e in chosen for v in e.tails} <= heads:
+                    continue
+                h = Hypergraph(nv, chosen)
+                if _minimal_circulating(h) is not None:
+                    want.append(combo)
+                elif find_circulation(h) is not None:
+                    seen["with a circulating subset"] += 1
+            got = _generated(edges, size, nv)
+            assert [combo for combo, _ in got] == want, (edges, size)
+            for combo, gamma in got:
+                chosen = [edges[i] for i in combo]
+                assert all(g > 0 for g in gamma)
+                assert hypergraphs._unbalanced(Hypergraph(nv, tuple(chosen)), gamma) is None
+                yielded.add(size)
+                seen["self-loop"] += any(e.tails == (e.head,) for e in chosen)
+                seen["doubled self-loop"] += any(e.tails == (e.head, e.head) for e in chosen)
+                seen["doubled tail"] += any(e.tails[0] == e.tails[-1] != e.head for e in chosen)
+    assert yielded == {1, 2, 3, 4} and min(seen.values()) > 30, (yielded, seen)
 
 
 def test_canonical_lift_entries(hyp):
@@ -513,17 +563,23 @@ def test_tie_sum_filter_keeps_witnesses(monkeypatch):
 
 
 def test_search_decides_sets_without_the_circulation_lp(monkeypatch):
-    # the cofactor kernel decides every candidate set, each of at most n
-    # edges; find_circulation runs only on a witness's tangent hypergraph
+    # the echelon of the generator decides every candidate set, each of at
+    # most n edges; find_circulation runs only on a witness's tangent
+    # hypergraph
     rng = random.Random(609)
     pencils = [_sized_pencil(rng, 3, 3, metzler, 1) for metzler in (True, False) for _ in range(10)]
     pencils += [_sized_pencil(rng, 4, 4, True, 7) for _ in range(3)]
     lps, sizes = [], []
-    find, kernel = hypergraphs.find_circulation, hypergraphs._cofactor_circulation
+    find, generate = hypergraphs.find_circulation, hypergraphs._circulating_sets
+
+    def sets(edges, size, columns, *prefix):
+        # the generator recurses through the module: count the search's calls
+        if not prefix:
+            sizes.append(size)
+        return generate(edges, size, columns, *prefix)
+
     monkeypatch.setattr(hypergraphs, "find_circulation", lambda h: lps.append(h) or find(h))
-    monkeypatch.setattr(
-        hypergraphs, "_cofactor_circulation", lambda e, a: sizes.append(len(e)) or kernel(e, a)
-    )
+    monkeypatch.setattr(hypergraphs, "_circulating_sets", sets)
     witnesses, largest = 0, set()
     for p in pencils:
         lps.clear()
@@ -547,6 +603,28 @@ def test_live_filter_decides_each_edge_reason(monkeypatch):
     decisions, lps = _count_decisions(monkeypatch)
     assert isinstance(certify_generic_general(p), Certificate)
     assert len(decisions) == 2 and not lps
+
+
+#: sha256 of the first 30 witnesses of test_witness_bytes_are_pinned, one
+#: generic stdout line each: the search's first hit, the circulation of its
+#: tangent hypergraph and the piece it names must stay exact, beyond the
+#: one fixture witness that GENERIC_DIGESTS pins.
+WITNESS_DIGEST = "3511be5929a861b94461404ac5251657301a4ec4ba642ac1906e260603ee4023"
+
+
+def test_witness_bytes_are_pinned():
+    rng = random.Random(2121)
+    digest, found, tried = hashlib.sha256(), 0, 0
+    while found < 30:
+        p = random_pencil(rng, max_m=4, max_n=5, metzler=tried % 2 == 0, value_pool=2)
+        tried += 1
+        if p.n < 3:
+            continue
+        res = certify_generic_general(p, 4, 5)
+        if isinstance(res, Witness):
+            digest.update((json.dumps(result_to_obj(res)) + "\n").encode())
+            found += 1
+    assert digest.hexdigest() == WITNESS_DIGEST, tried
 
 
 @pytest.mark.parametrize("pool, verdict", [(2, Witness), (7, Certificate)])
@@ -646,18 +724,18 @@ for name, (call, bogus) in cases.items():
         print("raised:", name)
 hg.solve_nonneg = kernel
 line = load_pencil(PATH)[0]
-cofactors = hg._cofactor_circulation
+generator = hg._circulating_sets
 searches = {
-    "search gamma not positive": lambda edges, active: (0,) * len(edges),
-    "search gamma unbalanced": lambda edges, active: (1,) * (len(edges) - 1) + (2,),
+    "search gamma not positive": lambda size: (0,) * size,
+    "search gamma unbalanced": lambda size: (1,) * (size - 1) + (2,),
 }
 for name, bogus in searches.items():
-    hg._cofactor_circulation = bogus
+    hg._circulating_sets = lambda edges, size, columns: iter([(tuple(range(size)), bogus(size))])
     try:
         hg.certify_generic_general(line)
     except CertificateCheckFailed:
         print("raised:", name)
-hg._cofactor_circulation = cofactors
+hg._circulating_sets = generator
 cycle_test = hg.difference_feasible
 hg.difference_feasible = lambda n, eqs, ges=(): True
 try:

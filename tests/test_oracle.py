@@ -116,9 +116,14 @@ def test_sout_sin_examples():
 
 
 def test_point_must_be_nonnegative():
+    # all three membership tests refuse a point outside the nonnegative
+    # orthant, whatever the pencil: psd_member on this one would say True
     diag = PuiseuxPencil(1, 1, (series_matrix([[one]]),))
-    with pytest.raises(ValueError):
-        sout_member(diag, (P.constant(-1),))
+    negative = PuiseuxPencil(1, 1, (series_matrix([[P.constant(-1)]]),))
+    for pencil in (diag, negative):
+        for member in (sout_member, sin_member, psd_member):
+            with pytest.raises(ValueError, match="entry-wise nonnegative"):
+                member(pencil, (P.constant(-1),))
 
 
 def test_sandwich_chain_random():
