@@ -365,6 +365,10 @@ def cross_validate(
     inner relaxation of the canonical lift of a qualifying Metzler piece,
     strictly perturbed first when they sit on the boundary.  The grid may
     be any iterable, a lazy one too: it is read only after certification.
+
+    Membership is decided at every point.  The lift verdicts and the piece
+    check run once per class of translates along the all-ones direction,
+    exact since A(x + lambda * 1) = t^lambda * A(x) (see _validate_point).
     """
     if not assume_certified:
         result = certify_generic_general(pencil, max_m=max_m, max_n=max_n)
@@ -377,7 +381,21 @@ def cross_validate(
 def _validate_point(pencil: TropicalPencil, x, cache: dict) -> ValidationRecord:
     """The record at x.  Membership and the lift read the one
     _lattice(pencil, x); a point with a -inf coordinate is validated on its
-    support's sub-pencil."""
+    support's sub-pencil.
+
+    The predicate under test, _member and the stratum's _member, runs at
+    every point; _class_record's verdicts and failures are shared by the
+    translates x + lambda * 1.  Lemma: a pencil is homogeneous, so its lift
+    has A(x + lambda * 1) = t^lambda * A(x).  Each order-1 minor gains
+    t^lambda, each order-2 minor and inner bound t^(2 lambda), and PSD is
+    kept; both sides of each constraint gain len(left) * lambda, so sigma,
+    the tangent edges and slack, the Farkas direction and rho0 are kept and
+    the perturbed target moves by lambda * 1.  The key is the (sub-)pencil,
+    the membership and x_k - x_first in lowest terms (S // g, d // g), which
+    two points share iff they are translates.  The first point of a class in
+    sorted order builds its entry, so an exception is raised where a
+    per-point run raises it.
+    """
     _check_point(pencil, x)
     lattice = _lattice(pencil, x)
     rec = ValidationRecord(x=x, member=_member(pencil, x, lattice))
@@ -397,13 +415,26 @@ def _validate_point(pencil: TropicalPencil, x, cache: dict) -> ValidationRecord:
         if _member(pencil, x, lattice) != rec.member:
             rec.fail("membership disagrees with its support stratum")
             return rec
+    scale, _, X = lattice
+    diffs = [v - X[0] for v in X]
+    g = math.gcd(scale, *diffs)
+    key = ("class", pencil, rec.member, scale // g, tuple(v // g for v in diffs))
+    first = _cached(cache, key, lambda: _class_record(cache, pencil, x, lattice, rec.member))
+    rec.sout, rec.sin, rec.psd = first.sout, first.sin, first.psd
+    for message in first.failures:
+        rec.fail(message)
+    return rec
 
-    metz = pencil.is_metzler
+
+def _class_record(cache: dict, pencil: TropicalPencil, x, lattice, member: bool):
+    """The lift verdicts and failures at the finite point x of the pencil,
+    member its verdict: what every translate x + lambda * 1 shares."""
+    rec = ValidationRecord(x=x, member=member)
     # the one evaluation of the pencil at x; every verdict below reads it
     a, pairs, blocks = _lift_at(cache, pencil, x, lattice)
     rec.sout, rec.sin = _minor_conditions(a, pairs)
 
-    if not rec.member:
+    if not member:
         rec.psd = _psd_verdict(a, rec.sout, blocks)
         if rec.sout:
             rec.fail("non-member point satisfies the outer minor inequalities")
@@ -413,7 +444,7 @@ def _validate_point(pencil: TropicalPencil, x, cache: dict) -> ValidationRecord:
             rec.fail("non-member point satisfies the inner minor inequalities")
         return rec
 
-    if metz:
+    if pencil.is_metzler:
         rec.psd = _psd_verdict(a, rec.sout, blocks)
         if not rec.sin:
             rec.fail("member point escapes the inner set of the canonical lift")
@@ -424,8 +455,8 @@ def _validate_point(pencil: TropicalPencil, x, cache: dict) -> ValidationRecord:
 
     for piece in _pieces(cache, pencil, x, lattice):
         # one tangent pass: x is strict iff a member with no tight edge
-        tangent = edges, _, member = _tangent(piece, x)
-        if member and not edges:
+        tangent = edges, _, inside = _tangent(piece, x)
+        if inside and not edges:
             target = x
         else:
             target = _interior_step(piece, x, tangent, lambda graph: _cached(

@@ -138,8 +138,9 @@ def format_signed(a: SignedTrop) -> str:
 
 
 # Fraction's grammar without the exponent: Fraction("1e10000000") builds a
-# ten-million-digit integer before anything can refuse it
-_RATIONAL = re.compile(r"\s*[+-]?(\d+(/\d+)?|\d*\.\d+|\d+\.)\s*")
+# ten-million-digit integer before anything can refuse it.  ASCII digits and
+# spaces only: Fraction also reads Unicode digits, so "\u0663" would be 3
+_RATIONAL = re.compile(r"\s*[+-]?(\d+(/\d+)?|\d*\.\d+|\d+\.)\s*", re.ASCII)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -67,6 +67,25 @@ def test_exponent_notation_is_refused_fast(capsys, tmp_path):
         assert code == 2 and out == "" and "10000000" in err, (argv, err)
 
 
+def test_non_ascii_digits_are_refused(capsys, tmp_path):
+    # Fraction reads "\u0663" (Arabic-Indic three) as 3; outside text may
+    # spell a rational in ASCII digits only
+    doc = json.loads((FIXTURES / "m1_distinct.json").read_text())
+    doc["matrices"][0]["entries"][0]["coeff"] = "+\u0663"
+    path = tmp_path / "arabic.json"
+    path.write_text(json.dumps(doc))
+    for argv, text in (
+        (("member", path, "--at", "0,0"), "\u0663"),
+        (("generic", path), "\u0663"),
+        (("member", FIXTURES / "quadrant_ray.json", "--at", "0,\u0661,0"), "\u0661"),
+        (("validate", FIXTURES / "m1_distinct.json", "--step", "1/\uff12"), "\uff12"),
+        (("slice", FIXTURES / "polygon9.json", "--fix", "x0=\u0660", "--box", "0,8",
+          "--step", "1"), "\u0660"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and f"{text}'" in err, (argv, err)
+
+
 def test_oversized_header_is_refused_before_building(capsys, tmp_path):
     path = tmp_path / "huge.json"
     path.write_text('{"m": 1000000, "n": 1, "homogeneous": true, "matrices": []}')

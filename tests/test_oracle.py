@@ -449,6 +449,99 @@ def test_stratum_membership_is_decided_once(monkeypatch):
     assert len(set(calls)) == len(calls) == len(grid) + bottoms
 
 
+def translates(points):
+    """The points with translates along the all-ones direction onto other
+    lattices, then with one coordinate at -inf."""
+    shifts = (0, F(1, 2), F(-1, 3), 1, F(5, 7))
+    return with_bottoms([tuple(v + shift for v in p) for p in points for shift in shifts])
+
+
+def class_cases():
+    """(pencil, grid): certified seeded pencils, Metzler and not, m <= 4
+    and n <= 3, value pools 2 (ties) and 7, on translates of member and
+    random points, -inf coordinates, repeated points and unsorted grids;
+    affine x0 = 0 grids of the fixtures; line_pencil, which circulates."""
+    rng = random.Random(2207)
+    kinds = Counter()
+    while len(kinds) < 8 or min(kinds.values()) < 2:
+        pool = rng.choice((2, 7))
+        pencil = random_pencil(rng, max_m=4, max_n=3, metzler=rng.random() < 0.5,
+                               value_pool=pool)
+        kind = pencil.is_metzler, pool, pencil.m > 2
+        if kinds[kind] >= 2 or min(pencil.m, pencil.n) < 2:
+            continue
+        members = [x for x in grid_points(pencil.n, -6, 6, 1) if general_member(pencil, x)]
+        if not members or not isinstance(certify_generic_general(pencil), Certificate):
+            continue
+        kinds[kind] += 1
+        points = rng.sample(members, min(3, len(members))) + [
+            tuple(F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(pencil.n))
+            for _ in range(3)
+        ]
+        grid = translates(points)
+        grid += rng.sample(grid, 5)
+        rng.shuffle(grid)
+        yield pencil, grid
+    yield pencil_of(1, 2, {(0, 0, 0): "+0", (1, 0, 0): "-0"}), [(Z, F(1)), (F(1, 2), F(3, 2))]
+    for name in ["affine_quadrant", "quadrant_ray"]:
+        pencil = load_pencil(FIXTURES / f"{name}.json")[0]
+        grid = [(Z, *p) for p in grid_points(pencil.n - 1, -2, 2, F(1, 2))]
+        yield pencil, with_bottoms(grid[::-1])
+    # its tangent hypergraph circulates at the member points (c, c, c)
+    line = load_pencil(FIXTURES / "line_pencil.json")[0]
+    yield line, translates([(F(-1), F(2), Z), (F(1, 2), F(1, 2), F(1, 2))])
+
+
+def test_class_records_match_per_point_validation():
+    """cross_validate, which validates once per class of translates, gives
+    the records and failures, or raises the exception, of _validate_point on
+    a fresh cache per point and of the Fraction-termed reference."""
+    seen = Counter()
+    for pencil, grid in class_cases():
+        memo = validation_outcome(lambda: cross_validate(pencil, grid, assume_certified=True))
+        each = validation_outcome(lambda: [
+            oracle._validate_point(pencil, tuple(x), {}) for x in sorted(grid)
+        ])
+        cache = {}
+        fraction = validation_outcome(lambda: [
+            reference_validate_point(pencil, tuple(x), 5, cache) for x in sorted(grid)
+        ])
+        assert memo == each == fraction, pencil
+        if isinstance(memo, tuple):
+            seen["raised"] += 1
+            continue
+        for obj, _ in memo:
+            seen[pencil.is_metzler, obj["member"]] += 1
+    assert seen["raised"] == 1
+    assert min(seen[key] for key in itertools.product((True, False), (True, False))) > 20, seen
+
+
+def test_grid_point_lift_runs_once_per_class(monkeypatch):
+    lifted = []
+    real = oracle._lift_at
+
+    def counting(cache, pencil, x, lattice=None):
+        if lattice is not None:  # a grid point's lift; a piece's target has none
+            lifted.append(x)
+        return real(cache, pencil, x, lattice)
+
+    monkeypatch.setattr(oracle, "_lift_at", counting)
+    for name in ["polygon9", "quadrant_ray"]:
+        pencil = load_pencil(FIXTURES / f"{name}.json")[0]
+        lifted.clear()
+        records = cross_validate(pencil, default_grid(3), assume_certified=True)
+        assert all(r.ok for r in records) and len(records) == 729
+        # 9^3 - 8^3 classes, each lifted at its first point: the lowest translate
+        assert lifted == [r.x for r in records if min(r.x) == -2] and len(lifted) == 217
+        # the same translate class on three supports: three entries, never shared
+        lifted.clear()
+        cross_validate(pencil, [
+            x for a, b in grid_points(2, -2, 2, 1)
+            for x in [(MINUS_INF, a, b), (a, MINUS_INF, b), (a, b, MINUS_INF)]
+        ], assume_certified=True)
+        assert len(lifted) == 3 * (5**2 - 4**2)
+
+
 def test_cross_validate_refuses_a_point_of_the_wrong_length():
     pencil = load_pencil(FIXTURES / "quadrant_ray.json")[0]
     for x in [(Z, F(1)), (Z, F(1), F(2), F(3))]:
@@ -626,6 +719,13 @@ def test_sparse_minors_and_psd_blocks_match_dense(case):
     assert puiseux._psd_verdict(a.entries, want[0], blocks) == reference_is_psd(a)
 
 
+def validate_each(pencil, grid):
+    """cross_validate's records without certification, each point on a fresh
+    cache: every point runs the whole oracle, not once per class of
+    translates, so a count per point stays one."""
+    return [oracle._validate_point(pencil, tuple(x), {}) for x in sorted(grid)]
+
+
 def test_compiled_blocks_hold_every_nonzero_entry(monkeypatch):
     """At every point the oracle evaluates, each nonzero off-diagonal entry
     is a compiled pair and each component of the nonzero pattern lies inside
@@ -649,7 +749,7 @@ def test_compiled_blocks_hold_every_nonzero_entry(monkeypatch):
 
     monkeypatch.setattr(oracle, "_lift_at", checked)
     for pencil, grid in validation_cases():
-        assert all(r.ok for r in cross_validate(pencil, grid, max_m=9))
+        assert all(r.ok for r in validate_each(pencil, grid))
     line = load_pencil(FIXTURES / "line_pencil.json")[0]
     for x in default_grid(line.n):
         oracle._lift_at({}, line, x)
@@ -753,12 +853,13 @@ def test_only_outer_points_reach_the_higher_minors(monkeypatch):
     monkeypatch.setattr(puiseux, "_block_psd", block)
     monkeypatch.setattr(oracle, "_psd_verdict", verdict)
     polygon9 = load_pencil(FIXTURES / "polygon9.json")[0]
-    records = cross_validate(polygon9, default_grid(3), assume_certified=True)
+    records = validate_each(polygon9, default_grid(3))
     assert all(r.ok for r in records) and len(verdicts) >= len(records) == 729
     assert eliminated == [] and not any(big for _, big, _ in verdicts)
     verdicts.clear()
     pencil = pencil_from_obj(M4X2)[0]
-    assert all(r.ok for r in cross_validate(pencil, default_grid(2)))
+    assert isinstance(certify_generic_general(pencil), Certificate)
+    assert all(r.ok for r in validate_each(pencil, default_grid(2)))
     assert all(reached == (outer and big) for outer, big, reached in verdicts)
     counts = Counter(outer for outer, big, _ in verdicts if big)
     assert counts[True] > 30 and counts[False] > 30

@@ -108,11 +108,16 @@ def test_parse_rational_is_fraction_without_exponents():
                        ("5.", F(5)), ("-0/3", F(0))]:
         assert parse_rational(text) == want == F(text)
     # exponents, zero denominators and non-numbers: all ValueError
-    for bad in ["1e3", "1E-3", "2.5e1", "1/0", "inf", "nan", "", "1/-2", "1 / 2", "0x10"]:
+    for bad in ["1e3", "1E-3", "2.5e1", "1/0", "inf", "nan", "", "1/-2", "1 / 2", "0x10",
+                "\u0663", "+\u0663/2", "1/\uff12", "\u0661.5", "\u00a01"]:
         with pytest.raises(ValueError):
             parse_rational(bad)
     with pytest.raises(ValueError, match="bad rational"):
         parse_signed("+1e10000000")
+    # Fraction itself reads Unicode digits: "\u0663" is Arabic-Indic three
+    assert F("\u0663") == 3
+    with pytest.raises(ValueError, match="bad rational"):
+        parse_signed("+\u0663")
 
 
 @settings(max_examples=300, deadline=None)
