@@ -2,7 +2,8 @@
 hypergraph inspection, grid validation, and 2-D slice rasters.
 
 Exit codes: 0 success (member / generic / zero failures), 1 negative
-outcome (non-member / witness / failures), 2 any error.
+outcome (non-member / witness / failures), 2 any error, 141 (128 + SIGPIPE)
+when the reader of stdout hung up before the output was written.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from fractions import Fraction
 from operator import getitem
@@ -32,7 +34,7 @@ from .pencils import (
     pencil_to_obj,
     slice_members,
 )
-from .signed import MINUS_INF, is_minus_inf, parse_rational
+from .signed import MINUS_INF, ExtRat, _check_count, is_minus_inf, parse_rational
 
 
 class CliError(Exception):
@@ -40,26 +42,27 @@ class CliError(Exception):
 
 
 def _load(path):
+    """(pencil, lead), lead the coordinates a point of the file leaves out:
+    () for a homogeneous file, (0,) for an affine one, whose x0 is fixed."""
     try:
-        return load_pencil(path)
+        pencil, homogeneous = load_pencil(path)
     except (OSError, PencilFormatError) as exc:
         raise CliError(f"cannot load pencil {path}: {exc}") from exc
+    return pencil, () if homogeneous else (Fraction(0),)
 
 
-def _point_for(pencil, homogeneous, text):
+def _point_for(pencil, lead, text):
     try:
         x = parse_point(text)
+        _check_count(pencil.n - len(lead), x)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    want = pencil.n if homogeneous else pencil.n - 1
-    if len(x) != want:
-        raise CliError(f"expected {want} coordinates, got {len(x)}")
-    return x if homogeneous else (Fraction(0),) + x
+    return lead + x
 
 
 def cmd_member(args) -> int:
-    pencil, homogeneous = _load(args.file)
-    x = _point_for(pencil, homogeneous, args.at)
+    pencil, lead = _load(args.file)
+    x = _point_for(pencil, lead, args.at)
     # on a Metzler pencil general_member is metzler_member's verdict
     verdict = general_member(pencil, x)
     predicate = "metzler" if pencil.is_metzler else "general"
@@ -110,8 +113,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_hypergraph(args) -> int:
-    pencil, homogeneous = _load(args.file)
-    x = _point_for(pencil, homogeneous, args.at)
+    pencil, lead = _load(args.file)
+    x = _point_for(pencil, lead, args.at)
     if any(is_minus_inf(v) for v in x):
         raise CliError("tangent hypergraph requires a finite point")
     graph = build_tangent_hypergraph(pencil, x)
@@ -143,12 +146,10 @@ def _box(args):
 
 
 def cmd_validate(args) -> int:
-    pencil, homogeneous = _load(args.file)
-    free = pencil.n if homogeneous else pencil.n - 1
+    pencil, lead = _load(args.file)
+    free = pencil.n - len(lead)
     # lazy: cross_validate certifies before it draws a point
-    grid = itertools.product(grid_axis(free, *_box(args)), repeat=free)
-    if not homogeneous:
-        grid = ((Fraction(0),) + p for p in grid)
+    grid = (lead + p for p in itertools.product(grid_axis(free, *_box(args)), repeat=free))
     records = cross_validate(pencil, grid, max_m=args.max_m, max_n=args.max_n)
     sys.stdout.writelines(record_lines(records))
     bad = sum(not rec.ok for rec in records)
@@ -157,31 +158,30 @@ def cmd_validate(args) -> int:
 
 
 def cmd_slice(args) -> int:
-    pencil, homogeneous = _load(args.file)
-    fixed: dict[int, Fraction] = {}
+    pencil, lead = _load(args.file)
+    fixed: dict[int, ExtRat] = {}
     for spec_ in args.fix or []:
         try:
             name, value = spec_.split("=")
             if not name.startswith("x"):
                 raise ValueError(f"bad variable {name!r}")
             k = int(name[1:])
-            value = parse_rational(value)
+            value = parse_point(value)  # one coordinate, read as --at reads one
+            _check_count(1, value)
         except ValueError as exc:
             raise CliError(f"bad --fix {spec_!r}: {exc}") from exc
         if k in fixed:
             raise CliError(f"--fix x{k} given twice")
-        fixed[k] = value
-    n_coords = pencil.n if homogeneous else pencil.n - 1
+        fixed[k] = value[0]
+    n_coords = pencil.n - len(lead)
     if any(not 0 <= k < n_coords for k in fixed):
         raise CliError(f"--fix variable out of range x0..x{n_coords - 1}")
     free = [k for k in range(n_coords) if k not in fixed]
     if len(free) != 2:
         raise CliError(f"need exactly 2 free variables after fixing, got {len(free)}")
     axis = grid_axis(2, *_box(args))
-    base = [fixed.get(k, MINUS_INF) for k in range(n_coords)]
-    if not homogeneous:
-        base = [Fraction(0), *base]
-        free = [k + 1 for k in free]
+    base = [*lead, *(fixed.get(k, MINUS_INF) for k in range(n_coords))]
+    free = [k + len(lead) for k in free]
     labels = [str(v) for v in axis]
     # a row's lines are its label joined by each column's suffix for its verdict
     suffixes = [(f",{b},0\n", f",{b},1\n") for b in labels]
@@ -250,7 +250,16 @@ def main(argv=None) -> int:
     """Run one command line and return its exit code; callable repeatedly."""
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader hung up: what is left goes to devnull, so the final
+        # flush stays quiet, and the status is a shell's for SIGPIPE
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return 141
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

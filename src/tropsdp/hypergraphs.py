@@ -61,7 +61,7 @@ from .pencils import (
     decompose,
     metzler_strict_member,
 )
-from .signed import is_minus_inf
+from .signed import _check_count, is_minus_inf
 
 ZERO = Fraction(0)
 
@@ -135,8 +135,7 @@ def _tangent(pencil: TropicalPencil, x: Sequence[Fraction]):
     constraint fails exactly when its lhs is -inf or below its rhs.
     """
     _require_metzler(pencil)
-    if len(x) != pencil.n:
-        raise ValueError(f"expected {pencil.n} coordinates, got {len(x)}")
+    _check_count(pencil.n, x)
     if any(is_minus_inf(v) for v in x):
         raise ValueError("tangent hypergraph is defined at finite points only")
     lattice = scale, f, X = _lattice(pencil, x)

@@ -29,7 +29,6 @@ from .hypergraphs import (
 )
 from .pencils import (
     TropicalPencil,
-    _check_point,
     _holds,
     _lattice,
     _member,
@@ -55,7 +54,7 @@ from .puiseux import (
     sign_of,
     sval,
 )
-from .signed import ExtRat, is_minus_inf
+from .signed import ExtRat, _check_count, is_minus_inf
 
 
 @dataclass(frozen=True)
@@ -67,8 +66,7 @@ class PuiseuxPencil:
     matrices: tuple[PuiseuxSymMatrix, ...]
 
     def __post_init__(self):
-        if len(self.matrices) != self.n:
-            raise ValueError(f"expected {self.n} matrices, got {len(self.matrices)}")
+        _check_count(self.n, self.matrices, "matrices")
         for mat in self.matrices:
             if mat.m != self.m:
                 raise ValueError("matrix dimension mismatch")
@@ -146,8 +144,7 @@ def entrywise_lift(pencil: TropicalPencil) -> PuiseuxPencil:
 
 def evaluate_pencil(bp: PuiseuxPencil, bx: Sequence[PuiseuxPoly]) -> PuiseuxSymMatrix:
     """Exact sum of coordinate times matrix."""
-    if len(bx) != bp.n:
-        raise ValueError(f"expected {bp.n} coordinates, got {len(bx)}")
+    _check_count(bp.n, bx)
     rows = [[PuiseuxPoly.zero()] * bp.m for _ in range(bp.m)]
     for k in range(bp.n):
         coord = bx[k]
@@ -396,7 +393,7 @@ def _validate_point(pencil: TropicalPencil, x, cache: dict) -> ValidationRecord:
     sorted order builds its entry, so an exception is raised where a
     per-point run raises it.
     """
-    _check_point(pencil, x)
+    _check_count(pencil.n, x)
     lattice = _lattice(pencil, x)
     rec = ValidationRecord(x=x, member=_member(pencil, x, lattice))
     support = tuple(k for k, v in enumerate(x) if not is_minus_inf(v))

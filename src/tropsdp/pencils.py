@@ -32,6 +32,7 @@ from .signed import (
     ExtRat,
     SignedTrop,
     TROP_MINUS_INF,
+    _check_count,
     format_signed,
     is_minus_inf,
     parse_rational,
@@ -50,8 +51,7 @@ class TropicalPencil:
     matrices: tuple[Matrix, ...]
 
     def __post_init__(self):
-        if len(self.matrices) != self.n:
-            raise ValueError(f"expected {self.n} matrices, got {len(self.matrices)}")
+        _check_count(self.n, self.matrices, "matrices")
         for mat in self.matrices:
             if len(mat) != self.m or any(len(row) != self.m for row in mat):
                 raise ValueError("matrix dimension mismatch")
@@ -167,18 +167,8 @@ def _member(pencil: TropicalPencil, x: Sequence[ExtRat], lattice=None) -> bool:
 
 def qij_poly(pencil: TropicalPencil, i: int, j: int) -> TropPoly:
     """The degree-1 tropical polynomial with coefficient Q^(k)_ij on X_k."""
-    coeffs = {}
-    for k in range(pencil.n):
-        a = pencil.matrices[k][i][j]
-        if a.sign != 0:
-            alpha = tuple(1 if t == k else 0 for t in range(pencil.n))
-            coeffs[alpha] = a
-    return TropPoly(pencil.n, coeffs)
-
-
-def _check_point(pencil: TropicalPencil, x: Sequence[ExtRat]) -> None:
-    if len(x) != pencil.n:
-        raise ValueError(f"expected {pencil.n} coordinates, got {len(x)}")
+    return TropPoly(pencil.n, {tuple(int(t == k) for t in range(pencil.n)): mat[i][j]
+                               for k, mat in enumerate(pencil.matrices)})
 
 
 def _require_metzler(pencil: TropicalPencil) -> None:
@@ -196,7 +186,7 @@ def metzler_member(pencil: TropicalPencil, x: Sequence[ExtRat]) -> bool:
     parts tie only when the rhs is -inf and the pair holds anyway.
     """
     _require_metzler(pencil)
-    _check_point(pencil, x)
+    _check_count(pencil.n, x)
     return _member(pencil, x)
 
 
@@ -207,7 +197,7 @@ def metzler_strict_member(pencil: TropicalPencil, x: Sequence[Fraction]) -> bool
     they hold identically and have no strict form.
     """
     _require_metzler(pencil)
-    _check_point(pencil, x)
+    _check_count(pencil.n, x)
     if any(is_minus_inf(v) for v in x):
         raise ValueError("strict membership is defined for finite points only")
     return all(lhs is not None and lhs > rhs for _, lhs, rhs, _, _ in _sides(pencil, x))
@@ -219,7 +209,7 @@ def general_member(pencil: TropicalPencil, x: Sequence[ExtRat]) -> bool:
     The pair constraint may also be discharged by an exact tie between the
     positive and negative off-diagonal parts.
     """
-    _check_point(pencil, x)
+    _check_count(pencil.n, x)
     return _member(pencil, x)
 
 
@@ -250,7 +240,7 @@ def slice_members(
     below -4R, the least a sum of two finite values can be, and every
     comparison general_member makes keeps its outcome.
     """
-    _check_point(pencil, base)
+    _check_count(pencil.n, base)
     p, q = free
     if p == q or not (0 <= p < pencil.n and 0 <= q < pencil.n):
         raise ValueError(f"free coordinates {free!r} must be two distinct indices")

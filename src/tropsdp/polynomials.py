@@ -10,14 +10,16 @@ value in the semifield, and callers branch on it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
-from .puiseux import SeriesPolynomial, sval
+from .puiseux import SeriesPolynomial, _CoefficientMap, sval
 from .signed import (
     MINUS_INF,
     ExtRat,
     SignedTrop,
     TROP_MINUS_INF,
+    _check_count,
+    format_signed,
     is_minus_inf,
 )
 
@@ -35,33 +37,16 @@ VANISHES = _Vanishes()
 EvalResult = Union[SignedTrop, _Vanishes]
 
 
-class TropPoly:
+class TropPoly(_CoefficientMap):
     """Tropical polynomial in n variables; coefficients indexed by multi-index."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, n: int, coeffs: Mapping[tuple[int, ...], SignedTrop]):
-        self.n = int(n)
-        clean: dict[tuple[int, ...], SignedTrop] = {}
-        for alpha, a in coeffs.items():
-            alpha = tuple(int(e) for e in alpha)
-            if len(alpha) != self.n or any(e < 0 for e in alpha):
-                raise ValueError(f"bad multi-index {alpha!r} for {self.n} variables")
-            if a.sign == 0:
-                continue  # -inf coefficients are never stored
-            clean[alpha] = a
-        self.coeffs = clean
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TropPoly)
-            and self.n == other.n
-            and self.coeffs == other.coeffs
-        )
+    @staticmethod
+    def _is_zero(a: SignedTrop) -> bool:
+        return a.sign == 0  # -inf coefficients are never stored
 
     def __repr__(self):
-        from .signed import format_signed
-
         body = ", ".join(
             f"{alpha}: {format_signed(a)}" for alpha, a in sorted(self.coeffs.items())
         )
@@ -90,8 +75,7 @@ def eval_part(poly: TropPoly, part: str, x: Sequence[ExtRat]) -> ExtRat:
     """
     if part not in ("+", "-"):
         raise ValueError(f"part must be '+' or '-', got {part!r}")
-    if len(x) != poly.n:
-        raise ValueError(f"expected {poly.n} coordinates, got {len(x)}")
+    _check_count(poly.n, x)
     want = 1 if part == "+" else -1
     best: ExtRat = MINUS_INF
     for alpha, a in poly.coeffs.items():
@@ -110,8 +94,7 @@ def evaluate(poly: TropPoly, x: Sequence[SignedTrop]) -> EvalResult:
     comparison; if every term dies (or the polynomial is zero) the result is
     -inf, not VANISHES.
     """
-    if len(x) != poly.n:
-        raise ValueError(f"expected {poly.n} coordinates, got {len(x)}")
+    _check_count(poly.n, x)
     moduli = [v.value for v in x]
     best: ExtRat = MINUS_INF
     best_signs: set[int] = set()
@@ -139,8 +122,7 @@ def argmax(poly: TropPoly, x: Sequence[Fraction]) -> frozenset[tuple[int, ...]]:
     """Maximizing multi-indices of |a_alpha| + <alpha, x> at a finite point."""
     if poly.is_zero():
         raise ValueError("argmax of the zero polynomial is undefined")
-    if len(x) != poly.n:
-        raise ValueError(f"expected {poly.n} coordinates, got {len(x)}")
+    _check_count(poly.n, x)
     if any(is_minus_inf(v) for v in x):
         raise ValueError("argmax is defined at finite points only")
     values = {alpha: _monomial_value(alpha, a.value, x) for alpha, a in poly.coeffs.items()}

@@ -21,7 +21,7 @@ from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CertificateCheckFailed
-from .signed import MINUS_INF, ExtRat, SignedTrop, TROP_MINUS_INF
+from .signed import MINUS_INF, ExtRat, SignedTrop, TROP_MINUS_INF, _check_count
 
 
 @dataclass(frozen=True)
@@ -183,32 +183,39 @@ def sval(x: PuiseuxPoly) -> SignedTrop:
     return SignedTrop(1 if c > 0 else -1, e)
 
 
-class SeriesPolynomial:
-    """Polynomial in n variables with PuiseuxPoly coefficients."""
+class _CoefficientMap:
+    """A polynomial in n variables as a map from multi-indices to its nonzero
+    coefficients, for the tropical and the series side alike: a subclass
+    gives only _is_zero, its own zero test on a coefficient."""
 
     __slots__ = ("n", "coeffs")
 
-    def __init__(self, n: int, coeffs: Mapping[tuple[int, ...], PuiseuxPoly]):
-        self.n = n
-        clean: dict[tuple[int, ...], PuiseuxPoly] = {}
+    def __init__(self, n: int, coeffs: Mapping[tuple[int, ...], object]):
+        self.n = n = int(n)
+        clean = {}
         for alpha, c in coeffs.items():
-            alpha = tuple(int(a) for a in alpha)
-            if len(alpha) != n or any(a < 0 for a in alpha):
+            alpha = tuple(int(e) for e in alpha)
+            if len(alpha) != n or any(e < 0 for e in alpha):
                 raise ValueError(f"bad multi-index {alpha!r} for {n} variables")
-            if c:
+            if not self._is_zero(c):
                 clean[alpha] = c
         self.coeffs = clean
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SeriesPolynomial)
-            and self.n == other.n
-            and self.coeffs == other.coeffs
-        )
+        return type(other) is type(self) and self.n == other.n and self.coeffs == other.coeffs
+
+
+class SeriesPolynomial(_CoefficientMap):
+    """Polynomial in n variables with PuiseuxPoly coefficients."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _is_zero(c: PuiseuxPoly) -> bool:
+        return not c
 
     def evaluate(self, point: Sequence[PuiseuxPoly]) -> PuiseuxPoly:
-        if len(point) != self.n:
-            raise ValueError(f"expected {self.n} coordinates, got {len(point)}")
+        _check_count(self.n, point)
         total = PuiseuxPoly.zero()
         for alpha, c in sorted(self.coeffs.items()):
             term = c

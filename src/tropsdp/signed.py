@@ -68,6 +68,13 @@ def is_minus_inf(v: ExtRat) -> bool:
     return isinstance(v, _MinusInf)
 
 
+def _check_count(n: int, x, what: str = "coordinates") -> None:
+    """The one count rule of points and pencils: ValueError unless x holds n
+    items, named by what."""
+    if len(x) != n:
+        raise ValueError(f"expected {n} {what}, got {len(x)}")
+
+
 @dataclass(frozen=True)
 class SignedTrop:
     """A signed tropical number (sign, value); sign 0 iff value is -inf."""

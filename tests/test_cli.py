@@ -4,12 +4,17 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 from conftest import FIXTURES
+from helpers import pencil_of, random_pencil
 from tropsdp.cli import main
+from tropsdp.pencils import general_member, homogenize, load_pencil, pencil_to_obj
+from tropsdp.signed import MINUS_INF, pos
 
 
 def run(capsys, *argv):
@@ -462,3 +467,66 @@ def test_fresh_interpreter_matches_in_process_main(capsys):
     fresh = _fresh_cli("--help")
     assert fresh.returncode == 0
     assert "{member,generic,decompose,hypergraph,validate,slice}" in fresh.stdout
+
+
+def _seeded_slice_files(tmp_path):
+    """Seeded pencils with three file coordinates: homogeneous ones, and
+    affine ones whose constant matrix is a seeded diagonal."""
+    rng = random.Random(61)
+    paths = []
+    while len(paths) < 6:
+        pencil = random_pencil(rng, max_m=3, max_n=3, metzler=len(paths) % 3 == 0, value_pool=3)
+        if pencil.n != 3:
+            continue
+        homogeneous = len(paths) % 2 == 0
+        if not homogeneous:
+            q0 = pencil_of(pencil.m, 1, {(0, i, i): pos(rng.randint(-3, 3)) for i in range(pencil.m)})
+            pencil = homogenize(q0.matrices[0], pencil)
+        path = tmp_path / f"seeded{len(paths)}.json"
+        path.write_text(json.dumps(pencil_to_obj(pencil, homogeneous)))
+        paths.append(path)
+    return paths
+
+
+def test_fix_takes_minus_inf_like_at(capsys, tmp_path):
+    # --fix reads its value as --at reads a coordinate: each verdict of a
+    # slice through x_k = -inf is general_member's at that point
+    files = [FIXTURES / "quadrant_ray.json", FIXTURES / "polygon9.json"]
+    files += _seeded_slice_files(tmp_path)
+    verdicts = set()
+    for path in files:
+        pencil, homogeneous = load_pencil(path)
+        assert pencil.n - (not homogeneous) == 3
+        for k in range(3):
+            code, out, err = run(capsys, "slice", path, f"--fix=x{k}=-inf", "--box=-2,2",
+                                 "--step", "1/2")
+            assert code == 0 and err == "", (path, k, err)
+            lines = out.splitlines()
+            assert lines[0] == "x1,x2,member" and len(lines) == 1 + 9 * 9
+            free = [j for j in range(3) if j != k]
+            for line in lines[1:]:
+                a, b, member = line.split(",")
+                x = [MINUS_INF] * 3
+                x[free[0]], x[free[1]] = Fraction(a), Fraction(b)
+                if not homogeneous:
+                    x = [Fraction(0), *x]
+                assert member == str(int(general_member(pencil, x))), (path, x)
+                verdicts.add(member)
+    assert verdicts == {"0", "1"}
+    # a --fix value is one coordinate
+    code, out, err = run(capsys, "slice", FIXTURES / "quadrant_ray.json", "--fix=x0=0,1",
+                         "--box", "0,1", "--step", "1")
+    assert code == 2 and out == "" and "bad --fix 'x0=0,1'" in err
+
+
+def test_closed_stdout_exits_141_quietly():
+    # a raster of 263,169 rows, far past any pipe buffer: the reader takes
+    # one line and hangs up, and the writer exits 141 with nothing on stderr
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
+    argv = ["slice", FIXTURES / "polygon9.json", "--fix", "x0=0", "--box", "0,8", "--step", "1/64"]
+    proc = subprocess.Popen([sys.executable, "-m", "tropsdp.cli", *map(str, argv)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"x1,x2,member\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")

@@ -152,3 +152,24 @@ def test_minus_inf_coefficients_dropped():
     assert p.coeffs == {(1,): pos(0)}
     assert not p.is_zero()
     assert TropPoly(1, {(0,): TROP_MINUS_INF}).is_zero()
+
+
+def test_both_polynomial_types_compare_by_n_and_nonzero_coefficients():
+    # TropPoly and SeriesPolynomial share one coefficient map: zero
+    # coefficients drop out, and equality reads n and what is left
+    assert TropPoly(2, {(1, 0): pos(1), (0, 1): TROP_MINUS_INF}) == TropPoly(2, {(1, 0): pos(1)})
+    assert TropPoly(1, {(1,): pos(1)}) != TropPoly(1, {(1,): neg(1)})
+    assert TropPoly(2, {}) != TropPoly(1, {})
+    t = P.t_power(1)
+    assert SeriesPolynomial(1, {(0,): t, (1,): P.zero()}) == SeriesPolynomial(1, {(0,): t})
+    assert SeriesPolynomial(1, {(0,): t}) != SeriesPolynomial(1, {(0,): P.t_power(2)})
+    assert SeriesPolynomial(2, {}) != SeriesPolynomial(1, {})
+    # the two types never compare equal, not even as zero polynomials
+    assert TropPoly(1, {}) != SeriesPolynomial(1, {})
+    assert SeriesPolynomial(1, {}) != TropPoly(1, {})
+    assert TropPoly(1, {}) != "TropPoly(n=1, {})"
+
+
+def test_both_polynomial_types_take_n_as_an_int():
+    for poly in (TropPoly(F(2), {(1, 0): pos(1)}), SeriesPolynomial(F(2), {(1, 0): P.t_power(1)})):
+        assert type(poly.n) is int and poly.n == 2
