@@ -27,6 +27,7 @@ from .hypergraphs import (
 from .oracle import cross_validate, grid_axis, record_lines
 from .pencils import (
     SigmaChoice,
+    _lattice_lcm,
     decompose,
     general_member,
     load_pencil,
@@ -34,7 +35,7 @@ from .pencils import (
     pencil_to_obj,
     slice_members,
 )
-from .signed import MINUS_INF, ExtRat, _check_count, is_minus_inf, parse_rational
+from .signed import MINUS_INF, ExtRat, _check_count, parse_rational
 
 
 class CliError(Exception):
@@ -57,6 +58,7 @@ def _point_for(pencil, lead, text):
         _check_count(pencil.n - len(lead), x)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    _lattice_lcm(x, "--at")
     return lead + x
 
 
@@ -115,8 +117,6 @@ def cmd_decompose(args) -> int:
 def cmd_hypergraph(args) -> int:
     pencil, lead = _load(args.file)
     x = _point_for(pencil, lead, args.at)
-    if any(is_minus_inf(v) for v in x):
-        raise CliError("tangent hypergraph requires a finite point")
     graph = build_tangent_hypergraph(pencil, x)
     circ, eta = _circulation_solve(graph)
     obj = {
@@ -132,14 +132,12 @@ def cmd_hypergraph(args) -> int:
 
 
 def _box(args):
-    """(lo, hi, step) of --box "lo,hi" and --step, lo <= hi and step > 0."""
+    """(lo, hi, step) of --box "lo,hi" and --step, lo <= hi."""
     try:
         lo, hi = (parse_rational(v) for v in args.box.split(","))
         step = parse_rational(args.step)
     except ValueError as exc:
         raise CliError(f"bad box/step: {exc}") from exc
-    if step <= 0:
-        raise CliError("step must be positive")
     if lo > hi:
         raise CliError(f"empty box {args.box!r}: lo > hi")
     return lo, hi, step
@@ -173,6 +171,7 @@ def cmd_slice(args) -> int:
         if k in fixed:
             raise CliError(f"--fix x{k} given twice")
         fixed[k] = value[0]
+    _lattice_lcm(fixed.values(), "--fix")
     n_coords = pencil.n - len(lead)
     if any(not 0 <= k < n_coords for k in fixed):
         raise CliError(f"--fix variable out of range x0..x{n_coords - 1}")

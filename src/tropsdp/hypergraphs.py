@@ -386,7 +386,7 @@ def _circulating_point(pencil: TropicalPencil):
     and each one's circulation is re-checked.
     """
     n = pencil.n
-    den = pencil._constraints[0]
+    den = pencil._terms[0]
     cand = _candidate_edges(pencil)
 
     def point(eqs, ges):
@@ -477,18 +477,17 @@ def perturb_to_interior(
     fixed, so each constraint is affine in rho on (0, rho0] and strictness
     at rho0 (checked) propagates down to 0.
     """
-    return _interior_step(pencil, x, _tangent(pencil, x), farkas_direction)[:2]
+    return _interior_step(pencil, x, _tangent(pencil, x))[:2]
 
 
-def _interior_step(pencil: TropicalPencil, x, tangent, direction):
+def _interior_step(pencil: TropicalPencil, x, tangent):
     """(eta, rho0, x + rho0 * eta): perturb_to_interior's answer and the
     point it checks, from tangent, the _tangent(pencil, x) its caller has
-    taken, with eta = direction(graph) on its tangent hypergraph:
-    farkas_direction, or a caller's cached form of it."""
+    taken, with eta the farkas_direction of its tangent hypergraph."""
     edges, slack, member = tangent
     if not member:
         raise ValueError("point is not in the tropical spectrahedron")
-    eta = direction(Hypergraph(pencil.n, edges))
+    eta = farkas_direction(Hypergraph(pencil.n, edges))
     if eta is None:
         raise CirculationExists("tangent hypergraph at the point admits a circulation")
     spread = max((abs(v) for v in eta), default=ZERO)

@@ -25,7 +25,6 @@ from .hypergraphs import (
     _interior_step,
     _tangent,
     certify_generic_general,
-    farkas_direction,
 )
 from .pencils import (
     TropicalPencil,
@@ -92,33 +91,22 @@ def monomial_lift(x: Sequence[ExtRat]) -> tuple[PuiseuxPoly, ...]:
 
 
 def _lift_table(pencil: TropicalPencil, canonical: bool) -> tuple:
-    """The entry-wise series lift on the lattice D, the lcm of the
-    denominators of the pencil's finite values (pencil._constraints[0]).
+    """The entry-wise series lift on the lattice D of pencil._terms.
 
     It has a row (i, j, terms) for every upper-triangle entry with a finite
     value, a term (k, D * value, coefficient) per finite value.  This is the
     one place that picks lift coefficients: -1 for negative entries and, for
     positive ones, m*n under the canonical lift, 1 otherwise (the plain sign).
     """
-    den = pencil._constraints[0]
     pos = pencil.m * pencil.n if canonical else 1
-    table = []
-    for i in range(pencil.m):
-        for j in range(i, pencil.m):
-            terms = tuple(
-                (k, a.value.numerator * (den // a.value.denominator), pos if a.sign > 0 else -1)
-                for k, mat in enumerate(pencil.matrices)
-                if (a := mat[i][j]).sign
-            )
-            if terms:
-                table.append((i, j, terms))
-    return tuple(table)
+    return tuple((i, j, tuple((k, c, pos if s > 0 else -1) for k, s, c in terms))
+                 for (i, j), terms in pencil._terms[1].items() if terms)
 
 
 def _series_pencil(pencil: TropicalPencil, table) -> PuiseuxPencil:
     """A _lift_table as a series pencil: each term a monomial
     c * t^value with Fraction exponent, every other entry zero."""
-    den = pencil._constraints[0]
+    den = pencil._terms[0]
     rows = [[[_ZERO] * pencil.m for _ in range(pencil.m)] for _ in range(pencil.n)]
     for i, j, terms in table:
         for k, e, c in terms:
@@ -456,8 +444,7 @@ def _class_record(cache: dict, pencil: TropicalPencil, x, lattice, member: bool)
         if inside and not edges:
             target = x
         else:
-            target = _interior_step(piece, x, tangent, lambda graph: _cached(
-                cache, ("direction", graph), lambda: farkas_direction(graph)))[2]
+            target = _interior_step(piece, x, tangent)[2]
         if piece is pencil and target is x:
             # a Metzler pencil is its own piece: same lift, same point, same matrix
             psd = rec.psd

@@ -75,38 +75,41 @@ class TropicalPencil:
         return self._hash
 
     @cached_property
+    def _terms(self):
+        """(D, entries), the one integer compile of the values: D is their
+        _lattice_lcm, and entries maps every upper-triangle (i, j), in row
+        order, to its finite coefficients as (k, sign, D * value) int triples
+        in k order."""
+        cells = {(i, j): [(k, mat[i][j]) for k, mat in enumerate(self.matrices) if mat[i][j].sign]
+                 for i in range(self.m) for j in range(i, self.m)}
+        den = _lattice_lcm((a.value for cell in cells.values() for _, a in cell), "pencil's")
+        return den, {ij: tuple((k, a.sign, a.value.numerator * (den // a.value.denominator))
+                               for k, a in cell) for ij, cell in cells.items()}
+
+    @cached_property
     def is_metzler(self) -> bool:
         """Every off-diagonal coefficient tropically negative or -inf."""
-        return all(
-            mat[i][j].sign <= 0
-            for mat in self.matrices
-            for i in range(self.m)
-            for j in range(self.m)
-            if i != j
-        )
+        return all(s < 0 for (i, j), terms in self._terms[1].items() if i != j
+                   for _, s, _ in terms)
 
     @cached_property
     def _constraints(self):
         """(D, table): the order-1/order-2 constraints that can fail, on ints.
 
-        D is the lcm of the denominators of the pencil's finite values, and a
-        family is a tuple of (k, D * value) int pairs, one per finite
-        coefficient of an entry, in k order.  A constraint is (key, left,
-        right): its lhs is the sum of the left families' maxima, its rhs
-        len(left) times the max of the right families.  Row i gives
-        (i, (pos_ii,), (neg_ii,)); then each pair i < j gives
-        ((i, j), (pos_ii, pos_jj), (pos_ij, neg_ij)), which also holds when
-        its two right maxima tie.  A row with no negative part and a pair
-        with no finite off-diagonal entry have rhs -inf at every point, so
-        they always hold and are dropped; the rest keep this order.
+        D is the lattice of _terms, and a family is a tuple of (k, D * value)
+        int pairs, one per finite coefficient of an entry, in k order.  A
+        constraint is (key, left, right): its lhs is the sum of the left
+        families' maxima, its rhs len(left) times the max of the right
+        families.  Row i gives (i, (pos_ii,), (neg_ii,)); then each pair
+        i < j gives ((i, j), (pos_ii, pos_jj), (pos_ij, neg_ij)), which also
+        holds when its two right maxima tie.  A row with no negative part
+        and a pair with no finite off-diagonal entry have rhs -inf at every
+        point, so they always hold and are dropped; the rest keep this order.
         """
-        den = math.lcm(*(a.value.denominator for mat in self.matrices for row in mat
-                         for a in row if a.sign))
+        den, entries = self._terms
 
         def part(i, j, sign):
-            return tuple((k, a.value.numerator * (den // a.value.denominator))
-                         for k, a in enumerate(mat[i][j] for mat in self.matrices)
-                         if a.sign == sign)
+            return tuple((k, c) for k, s, c in entries[i, j] if s == sign)
 
         pos = [part(i, i, 1) for i in range(self.m)]
         rows = [(i, (pos[i],), (part(i, i, -1),)) for i in range(self.m)]
@@ -395,15 +398,11 @@ def decompose(pencil: TropicalPencil, choice: SigmaChoice) -> TropicalPencil:
 def check_assumption_nondeg(pencil: TropicalPencil) -> list[tuple[int, int, int]]:
     """Pairs (k, i, j) where two positive diagonal coefficients exactly
     balance twice the off-diagonal modulus; empty means nondegenerate."""
-    bad = []
-    for k in range(pencil.n):
-        mat = pencil.matrices[k]
-        for i in range(pencil.m):
-            for j in range(i + 1, pencil.m):
-                if mat[i][i].sign == 1 and mat[j][j].sign == 1:
-                    if mat[i][i].value + mat[j][j].value == 2 * mat[i][j].value:
-                        bad.append((k, i, j))
-    return bad
+    entries = pencil._terms[1]
+    pos = [{k: c for k, s, c in entries[i, i] if s > 0} for i in range(pencil.m)]
+    return sorted((k, i, j) for (i, j), terms in entries.items() if i != j
+                  for k, _, c in terms if k in pos[i] and k in pos[j]
+                  and pos[i][k] + pos[j][k] == 2 * c)
 
 
 def homogenize(q0: Matrix, pencil: TropicalPencil) -> TropicalPencil:
@@ -435,6 +434,19 @@ def stratum_restrict(pencil: TropicalPencil, support: Iterable[int]) -> Tropical
 #: Most matrix cells a pencil document may declare: m * m for each of its n
 #: matrices, and the constant matrix of an affine document.
 PENCIL_CELL_LIMIT = 2**16
+#: Most bits the lcm of the denominators of a pencil's or a point's values may have.
+LATTICE_BITS_LIMIT = 2**14
+
+
+def _lattice_lcm(values: Iterable[ExtRat], what: str) -> int:
+    """The lcm of the finite values' denominators, one distinct denominator
+    at a time: DimensionTooLarge as soon as it passes LATTICE_BITS_LIMIT."""
+    den = 1
+    for d in dict.fromkeys(v.denominator for v in values if not is_minus_inf(v)):
+        if (den := math.lcm(den, d)).bit_length() > LATTICE_BITS_LIMIT:
+            raise DimensionTooLarge(f"lcm of the {what} denominators reaches {den.bit_length()} "
+                                    f"bits, above the limit of {LATTICE_BITS_LIMIT}")
+    return den
 
 
 def _json_int(record, key) -> int:

@@ -1,5 +1,6 @@
-"""Shared builders for pencil-level tests, and reference kernels: the dense
-Fraction simplex, the dict-based Puiseux add and mul, the per-point
+"""Shared builders for pencil-level tests, and reference kernels: the
+SignedTrop matrix loops behind is_metzler, the nondegeneracy check and the
+series lifts, the dense Fraction simplex, the dict-based Puiseux add and mul, the per-point
 slice raster, the per-constraint Fraction loops behind membership, tangent
 edges and perturbation slacks, semidefiniteness from the Leibniz sum of
 every principal minor, the oracle's per-point checks on Fraction-termed
@@ -87,6 +88,35 @@ def random_pencil(
                     sign = 1 if rng.random() < 0.5 else -1
                 entries[(k, i, j)] = SignedTrop(sign, value)
     return pencil_of(m, n, entries)
+
+
+def reference_is_metzler(pencil: TropicalPencil) -> bool:
+    """is_metzler as a loop over the SignedTrop matrices."""
+    return all(mat[i][j].sign <= 0 for mat in pencil.matrices
+               for i in range(pencil.m) for j in range(pencil.m) if i != j)
+
+
+def reference_nondeg(pencil: TropicalPencil) -> list[tuple[int, int, int]]:
+    """check_assumption_nondeg as a loop over the SignedTrop matrices, in
+    (k, i, j) order, comparing Fraction values."""
+    bad = []
+    for k, mat in enumerate(pencil.matrices):
+        for i in range(pencil.m):
+            for j in range(i + 1, pencil.m):
+                if mat[i][i].sign == 1 and mat[j][j].sign == 1:
+                    if mat[i][i].value + mat[j][j].value == 2 * mat[i][j].value:
+                        bad.append((k, i, j))
+    return bad
+
+
+def reference_lift_entries(pencil: TropicalPencil, canonical: bool) -> list:
+    """[k][i][j] entries of canonical_lift (canonical) or entrywise_lift, one
+    monomial per SignedTrop entry: coefficient m*n (canonical) or 1 for a
+    positive entry, -1 for a negative one, t to the Fraction value; 0 for -inf."""
+    plus = pencil.m * pencil.n if canonical else 1
+    return [[[PuiseuxPoly.zero() if not a.sign else
+              PuiseuxPoly.monomial(plus if a.sign > 0 else -1, a.value) for a in row]
+             for row in mat] for mat in pencil.matrices]
 
 
 def reference_solve_nonneg(

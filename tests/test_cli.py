@@ -105,6 +105,42 @@ def test_oversized_header_is_refused_before_building(capsys, tmp_path):
     assert code == 2 and out == "" and "cannot load pencil" in err
 
 
+def _m1_file(path, coeffs):
+    # a homogeneous m = 1 pencil whose matrix k holds only entry (1,1) coeffs[k]
+    path.write_text(json.dumps({"m": 1, "n": len(coeffs), "homogeneous": True, "matrices": [
+        {"k": k, "entries": [{"i": 1, "j": 1, "coeff": c}]} for k, c in enumerate(coeffs)]}))
+    return path
+
+
+def test_lattice_limit_refuses_large_denominators(capsys, tmp_path):
+    # 2^9000 and 3^6000 have an lcm of about 18.5k bits, above the 2^14 limit:
+    # refused before any value is scaled, whether in the pencil or in a point
+    big = (f"1/{2**9000}", f"1/{3**6000}")
+    pencil = _m1_file(tmp_path / "big.json", [f"+{v}" for v in big] + ["-0"])
+    flat = _m1_file(tmp_path / "flat.json", ["+0", "+0", "-1", "+0"])
+    for argv in (
+        ("member", pencil, "--at", "0,0,0"),
+        ("generic", pencil),
+        ("validate", pencil),
+        ("member", flat, "--at", f"{big[0]},{big[1]},0,0"),
+        ("slice", flat, f"--fix=x0={big[0]}", f"--fix=x1={big[1]}", "--box", "0,1",
+         "--step", "1"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv[0]
+        assert code == 2 and out == "" and err.startswith("error: DimensionTooLarge: "), err
+        assert "above the limit of 16384" in err
+    # one denominator of 2^14000, 4,215 digits, is under the limit; at 0 the
+    # positive part 2^-14000 beats the negative part 0 by that much
+    pencil = _m1_file(tmp_path / "under.json", [f"+1/{2**14000}", "-0"])
+    assert run(capsys, "member", pencil, "--at", "0,0")[:2] == (0, '{"member": true, '
+                                                                '"predicate": "metzler"}\n')
+    assert run(capsys, "member", pencil, "--at", f"0,1/{2**14000}")[0] == 0
+    assert run(capsys, "member", pencil, "--at", f"0,1/{2**13999}")[0] == 1
+    assert run(capsys, "generic", pencil)[:2] == (0, '{"status": "generic"}\n')
+
+
 def test_generic_exit_codes(capsys):
     code, out, _ = run(capsys, "generic", FIXTURES / "line_pencil.json")
     assert code == 1
@@ -129,8 +165,13 @@ def test_hypergraph_output(capsys):
     ]
     assert obj["circulation"] == {"0": "1/3", "1": "1/3", "2": "1/3"}
     assert obj["direction"] is None
+    # the library's own finite-point rule reaches the user; on a non-Metzler
+    # pencil its Metzler check comes first
     code, out, err = run(capsys, "hypergraph", FIXTURES / "line_pencil.json", "--at=-inf,0,0")
-    assert code == 2 and out == "" and "requires a finite point" in err
+    assert code == 2 and out == ""
+    assert err == "error: ValueError: tangent hypergraph is defined at finite points only\n"
+    code, out, err = run(capsys, "hypergraph", FIXTURES / "quadrant_ray.json", "--at=-inf,0,0")
+    assert code == 2 and out == "" and err.startswith("error: NotMetzler: ")
 
 
 def test_hypergraph_direction_from_one_solve(capsys, monkeypatch):
@@ -223,7 +264,7 @@ def test_slice_errors(capsys):
         capsys, "slice", FIXTURES / "quadrant_ray.json", "--fix", "x0=0",
         "--box=-2,2", "--step", "0",
     )
-    assert code == 2 and "step" in err
+    assert code == 2 and err == "error: ValueError: step must be positive\n"
     code, _, err = run(
         capsys, "slice", FIXTURES / "quadrant_ray.json", "--box=-2,2", "--step", "1"
     )

@@ -22,12 +22,15 @@ from conftest import FIXTURES
 from helpers import (
     pencil_of,
     random_pencil,
+    reference_is_metzler,
     reference_is_psd,
+    reference_lift_entries,
     reference_minor_conditions,
+    reference_nondeg,
     reference_validate_point,
 )
 from tropsdp import canonical_lift, oracle
-from tropsdp.errors import NotCertified
+from tropsdp.errors import NotCertified, NotMetzler
 from tropsdp.oracle import (
     PuiseuxPencil,
     SandwichVerdict,
@@ -50,6 +53,7 @@ from tropsdp.hypergraphs import Certificate, certify_generic_general
 from tropsdp.pencils import (
     SigmaChoice,
     TropicalPencil,
+    check_assumption_nondeg,
     decompose,
     general_member,
     homogenize,
@@ -430,6 +434,62 @@ def test_lattice_records_match_fraction_path(monkeypatch):
         assert lattice == fraction, pencil
     assert {3, 7, 9} <= denominators
     assert len(perturbed) > 50
+
+
+def terms_cases():
+    """Seeded pencils, Metzler and not, with -inf entries, value pools 2 and
+    7, the values of each matrix divided by one of 1, 3, 7 and 9, so that a
+    pencil mixes them; in every other pool-2 pencil, each pair with two
+    positive diagonal entries has odds 4:1 of an off-diagonal value that
+    balances them, a degenerate minor.  Then the affine fixture."""
+    rng = random.Random(2410)
+    for count in range(120):
+        pool = (2, 7)[count % 3 == 0]
+        base = random_pencil(rng, max_m=4, max_n=3, metzler=count % 2 == 0, value_pool=pool)
+        entries = {(k, i, j): a for k, mat in enumerate(base.matrices)
+                   for i in range(base.m) for j in range(i, base.m) if (a := mat[i][j]).sign}
+        if pool == 2 and count % 4 < 2:
+            for k, mat in enumerate(base.matrices):
+                for i, j in itertools.combinations(range(base.m), 2):
+                    if mat[i][i].sign == mat[j][j].sign == 1 and rng.random() < 0.8:
+                        sign = -1 if base.is_metzler else rng.choice((1, -1))
+                        entries[k, i, j] = SignedTrop(sign, (mat[i][i].value + mat[j][j].value) / 2)
+        divisor = [rng.choice((1, 3, 7, 9)) for _ in range(base.n)]
+        yield pencil_of(base.m, base.n, {key: SignedTrop(a.sign, a.value / divisor[key[0]])
+                                         for key, a in entries.items()})
+    yield load_pencil(FIXTURES / "affine_quadrant.json")[0]
+
+
+def test_terms_readers_match_the_matrix_loops():
+    # is_metzler, check_assumption_nondeg and both series lifts read the
+    # integer compile pencil._terms; each must equal its loop over the
+    # SignedTrop matrices, entry by entry and in (k, i, j) order
+    seen = Counter()
+    for pencil in terms_cases():
+        metzler = reference_is_metzler(pencil)
+        assert pencil.is_metzler == metzler, pencil
+        bad = reference_nondeg(pencil)
+        assert check_assumption_nondeg(pencil) == bad, pencil
+        lifts = [(False, entrywise_lift)]
+        if metzler:
+            lifts.append((True, canonical_lift))
+        else:
+            with pytest.raises(NotMetzler):
+                canonical_lift(pencil)
+        for canonical, lift in lifts:
+            bp = lift(pencil)
+            assert (bp.m, bp.n) == (pencil.m, pencil.n)
+            entries = [[list(row) for row in mat.entries] for mat in bp.matrices]
+            assert entries == reference_lift_entries(pencil, canonical), pencil
+        dens = {a.value.denominator for mat in pencil.matrices for row in mat for a in row
+                if a.sign}
+        seen["metzler" if metzler else "general"] += 1
+        seen["minus inf"] += any(not a.sign for mat in pencil.matrices for row in mat
+                                 for a in row)
+        seen["mixed denominators"] += len(dens & {3, 7, 9}) >= 2
+        seen["degenerate"] += len(bad) > 0
+        seen["several degenerate"] += len(bad) > 1
+    assert min(seen.values()) >= 5, seen
 
 
 def test_stratum_membership_is_decided_once(monkeypatch):

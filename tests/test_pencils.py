@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from tropsdp.errors import CirculationExists, DimensionTooLarge, NotMetzler, PencilFormatError
 from tropsdp.hypergraphs import build_tangent_hypergraph, perturb_to_interior
 from tropsdp.pencils import (
+    LATTICE_BITS_LIMIT,
     PENCIL_CELL_LIMIT,
     SigmaChoice,
     TropicalPencil,
@@ -495,6 +496,25 @@ def test_declared_size_is_bounded_before_building():
         with pytest.raises(DimensionTooLarge, match="above the limit of 65536"):
             pencil_from_obj(big)
         assert time.perf_counter() - start < 0.1
+
+
+def test_lattice_is_bounded_before_scaling():
+    # 400 distinct denominators of 1,000 digits each: their lcm would have
+    # about 1.3 million bits, but the running lcm passes LATTICE_BITS_LIMIT
+    # after five of them, so every reader of the values refuses at once
+    assert LATTICE_BITS_LIMIT == 2**14
+    rng = random.Random(1)
+    pencil = pencil_of(1, 400, {(k, 0, 0): SignedTrop(1, F(1, rng.randrange(10**999, 10**1000)))
+                                for k in range(400)})
+    for reader in (lambda p: p.is_metzler, lambda p: p._constraints, check_assumption_nondeg,
+                   lambda p: general_member(p, [F(0)] * 400)):
+        start = time.perf_counter()
+        with pytest.raises(DimensionTooLarge, match="above the limit of 16384"):
+            reader(pencil)
+        assert time.perf_counter() - start < 0.5
+    # the limit counts distinct denominators: 400 copies of one are one
+    same = pencil_of(1, 400, {(k, 0, 0): SignedTrop(1, F(1, 10**1000 + 1)) for k in range(400)})
+    assert same.is_metzler and same._terms[0] == 10**1000 + 1
 
 
 def test_decompose_size_is_bounded_before_building():
