@@ -52,6 +52,16 @@ def _load(path):
     return pencil, () if homogeneous else (Fraction(0),)
 
 
+def ascii_int(text: str) -> int:
+    """An index or bound field of the command line: ASCII digits, surrounding
+    space stripped; int() alone would also take "+", "_" and other digits.
+    argparse names a type= function in its refusal: "invalid ascii_int value"."""
+    text = text.strip()
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a number of ASCII digits: {text!r}")
+    return int(text)
+
+
 def _point_for(pencil, lead, text):
     try:
         x = parse_point(text)
@@ -91,7 +101,7 @@ def _parse_pairs(text, directed):
             continue
         try:
             pair, direction = piece.split(":") if directed else (piece, None)
-            i, j = (int(v) for v in pair.split(","))
+            i, j = (ascii_int(v) for v in pair.split(","))
         except ValueError as exc:
             raise CliError(f"bad {option} entry {piece!r}") from exc
         if directed and direction not in (">=", "<="):
@@ -163,7 +173,7 @@ def cmd_slice(args) -> int:
             name, value = spec_.split("=")
             if not name.startswith("x"):
                 raise ValueError(f"bad variable {name!r}")
-            k = int(name[1:])
+            k = ascii_int(name[1:])
             value = parse_point(value)  # one coordinate, read as --at reads one
             _check_count(1, value)
         except ValueError as exc:
@@ -206,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generic", help="certify genericity or find a witness")
     p.add_argument("file")
-    p.add_argument("--max-m", type=int, default=4)
-    p.add_argument("--max-n", type=int, default=4)
+    p.add_argument("--max-m", type=ascii_int, default=4)
+    p.add_argument("--max-n", type=ascii_int, default=4)
     p.set_defaults(func=cmd_generic)
 
     p = sub.add_parser("decompose", help="emit one Metzler piece as pencil JSON")
@@ -225,9 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--box", default="-2,2", help='"lo,hi"')
     p.add_argument("--step", default="1/2")
-    p.add_argument("--max-m", type=int, default=4)
-    p.add_argument("--max-n", type=int, default=4)
-    p.add_argument("--psd-bound", type=int, help="ignored: PSD testing has no dimension bound")
+    p.add_argument("--max-m", type=ascii_int, default=4)
+    p.add_argument("--max-n", type=ascii_int, default=4)
+    p.add_argument("--psd-bound", type=ascii_int, help="ignored: PSD testing has no dimension bound")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("slice", help="CSV raster of a 2-D slice")

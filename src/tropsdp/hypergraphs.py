@@ -130,9 +130,11 @@ def _tangent(pencil: TropicalPencil, x: Sequence[Fraction]):
 
     edges are the hyperedges of the tight constraints, sorted; slack is the
     least positive gap below a family max or between a constraint's two
-    sides, or None; member is metzler_member's verdict.  At a finite point
-    of a Metzler pencil every rhs is finite and no pair's parts tie, so a
-    constraint fails exactly when its lhs is -inf or below its rhs.
+    sides, or None; member is metzler_member's verdict.  Each family's terms
+    are held to a top read from the same pass: a left family's own max and,
+    on the right, rhs / len(left).  At a finite point of a Metzler pencil
+    every rhs is finite and no pair's parts tie, so a constraint fails
+    exactly when its lhs is -inf or below its rhs.
     """
     _require_metzler(pencil)
     _check_count(pencil.n, x)
@@ -142,9 +144,11 @@ def _tangent(pencil: TropicalPencil, x: Sequence[Fraction]):
     edges: set[Edge] = set()
     slacks = []
     member = True
-    for (_, left, right), lhs, rhs, _, tops in _sides(pencil, x, lattice):
-        # every family's terms against the value they are held to, on the scale S
+    for (_, left, right), lhs, rhs, _ in _sides(pencil, x, lattice):
+        # every family's terms and top on the scale S; an empty left family's is None
         values = [[(k, c * f + X[k]) for k, c in fam] for fam in left + right]
+        tops = [max((v for _, v in fam), default=None) for fam in values[:len(left)]]
+        tops += [rhs // len(left)] * len(right)
         slacks += [t - v for fam, t in zip(values, tops) for _, v in fam if v < t]
         if lhs is None or lhs < rhs:
             member = False
@@ -343,14 +347,6 @@ def _circulating_sets(edges: Sequence[Edge], size: int, columns, start=0, combo=
         h = heads | 1 << e.head
         if h == heads or (t | h).bit_count() > size or last and t != h:
             continue
-        if not combo:
-            # one edge: its column is zero iff its tails lie in its head, else its head pivots
-            if t != h:
-                yield from _circulating_sets(edges, size, columns, idx + 1, (idx,), t, h,
-                                             ((columns[idx], e.head, [1] + [0] * (size - 1)),))
-            elif last:
-                yield (idx,), (1,)
-            continue
         if pending:
             col, comb = _reduced(*pending, echelon)
             if not any(col):
@@ -473,18 +469,13 @@ def perturb_to_interior(
     """A direction and step bound moving a member point strictly inside.
 
     Returns (eta, rho0) with x + rho*eta strictly feasible for every
-    rational 0 < rho <= rho0.  rho0 keeps every family's maximizer set
-    fixed, so each constraint is affine in rho on (0, rho0] and strictness
-    at rho0 (checked) propagates down to 0.
+    rational 0 < rho <= rho0: eta is the farkas_direction of the tangent
+    hypergraph at x, and rho0 comes from the slack of the same _tangent
+    pass.  rho0 keeps every family's maximizer set fixed, so each
+    constraint is affine in rho on (0, rho0] and strictness at rho0
+    (checked with metzler_strict_member) propagates down to 0.
     """
-    return _interior_step(pencil, x, _tangent(pencil, x))[:2]
-
-
-def _interior_step(pencil: TropicalPencil, x, tangent):
-    """(eta, rho0, x + rho0 * eta): perturb_to_interior's answer and the
-    point it checks, from tangent, the _tangent(pencil, x) its caller has
-    taken, with eta the farkas_direction of its tangent hypergraph."""
-    edges, slack, member = tangent
+    edges, slack, member = _tangent(pencil, x)
     if not member:
         raise ValueError("point is not in the tropical spectrahedron")
     eta = farkas_direction(Hypergraph(pencil.n, edges))
@@ -492,7 +483,6 @@ def _interior_step(pencil: TropicalPencil, x, tangent):
         raise CirculationExists("tangent hypergraph at the point admits a circulation")
     spread = max((abs(v) for v in eta), default=ZERO)
     rho0 = Fraction(1) if slack is None or spread == 0 else slack / (8 * spread)
-    x2 = tuple(v + rho0 * d for v, d in zip(x, eta))
-    if not metzler_strict_member(pencil, x2):
+    if not metzler_strict_member(pencil, tuple(v + rho0 * d for v, d in zip(x, eta))):
         raise CertificateCheckFailed("perturbation failed its own strictness check")
-    return eta, rho0, x2
+    return eta, rho0

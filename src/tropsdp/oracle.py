@@ -14,18 +14,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CertificateCheckFailed, DimensionTooLarge, NotCertified
-from .hypergraphs import (
-    Certificate,
-    _interior_step,
-    _tangent,
-    certify_generic_general,
-)
+from .hypergraphs import Certificate, certify_generic_general, perturb_to_interior
 from .pencils import (
     TropicalPencil,
     _holds,
@@ -36,6 +32,7 @@ from .pencils import (
     _sigma_choices,
     decompose,
     format_point,
+    metzler_strict_member,
     stratum_restrict,
 )
 from .polynomials import TropPoly, eval_part, tropicalize
@@ -189,7 +186,9 @@ def grid_axis(n: int, lo, hi, step) -> list[Fraction]:
     than GRID_POINT_LIMIT points, naming the count while it has at most 128
     bits.  A count of 2 or more per axis has
     count**n >= 2**(n * (count.bit_length() - 1)), which passes the limit
-    well before 128 bits, so a larger power is never formed.
+    well before 128 bits, so a larger power is never formed.  It also
+    raises DimensionTooLarge when a value's numerator or denominator could
+    have more digits than sys.get_int_max_str_digits() lets str() write.
     """
     lo, hi, step = Fraction(lo), Fraction(hi), Fraction(step)
     if step <= 0:
@@ -203,6 +202,10 @@ def grid_axis(n: int, lo, hi, step) -> list[Fraction]:
     den = math.lcm(lo.denominator, step.denominator)
     start = lo.numerator * (den // lo.denominator)
     stride = step.numerator * (den // step.denominator)
+    # Python before 3.10.7 has no such limit
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits and max(den, abs(start), abs(start + (count - 1) * stride)) >= 10**digits:
+        raise DimensionTooLarge(f"grid values reach 10^{digits}, past str()'s digit limit")
     return [Fraction(start + i * stride, den) for i in range(count)]
 
 
@@ -289,27 +292,17 @@ def _lift_at(cache: dict, pencil: TropicalPencil, x, lattice=None):
     a is taken after t -> t^S with (S, f, X) the lattice of
     pencils._lattice: every term is then a pair of ints.  The substitution
     keeps the order and commutes with add and mul, so every sign read is
-    unchanged.  An entry merges its table terms c * t^(e * f + X[k]), e on
-    the table's lattice D = S / f, summing equal exponents and
-    dropping zero sums: the canonical series evaluate_pencil would form,
-    without its products, sums and zero tests.  A one-term entry is that
-    term, c never being 0."""
+    unchanged.  An entry is the add of its table terms c * t^(e * f + X[k]),
+    e on the table's lattice D = S / f, c never 0: the series
+    evaluate_pencil would form, without its products."""
     _, f, X = lattice or _lattice(pencil, x)
     table, pairs, blocks = _cached(cache, ("lift", pencil), lambda: _compile_lift(pencil))
     rows = [[_ZERO] * pencil.m for _ in range(pencil.m)]
     for i, j, terms in table:
-        if len(terms) == 1:
-            (k, e, c), = terms
-            rows[i][j] = rows[j][i] = PuiseuxPoly(((e * f + X[k], c),))
-            continue
-        out: list = []
-        for e, c in sorted([(e * f + X[k], c) for k, e, c in terms], reverse=True):
-            if out and out[-1][0] == e:
-                c += out.pop()[1]
-                if not c:
-                    continue
-            out.append((e, c))
-        rows[i][j] = rows[j][i] = PuiseuxPoly(tuple(out))
+        entry = _ZERO
+        for k, e, c in terms:
+            entry = add(entry, PuiseuxPoly(((e * f + X[k], c),)))
+        rows[i][j] = rows[j][i] = entry
     return rows, pairs, blocks
 
 
@@ -325,7 +318,7 @@ def _pieces(cache: dict, pencil: TropicalPencil, x, lattice) -> tuple[TropicalPe
     """
     if pencil.is_metzler:
         return (pencil,)
-    diamond = [key for (key, left, _), lhs, rhs, _, _ in _sides(pencil, x, lattice)
+    diamond = [key for (key, left, _), lhs, rhs, _ in _sides(pencil, x, lattice)
                if len(left) == 2 and not _holds(lhs, rhs)]
     sigma = frozenset(itertools.combinations(range(pencil.m), 2)).difference(diamond)
     return _cached(cache, ("pieces", pencil, sigma), lambda: tuple(
@@ -439,12 +432,11 @@ def _class_record(cache: dict, pencil: TropicalPencil, x, lattice, member: bool)
             rec.fail("member point escapes the outer set")
 
     for piece in _pieces(cache, pencil, x, lattice):
-        # one tangent pass: x is strict iff a member with no tight edge
-        tangent = edges, _, inside = _tangent(piece, x)
-        if inside and not edges:
+        if metzler_strict_member(piece, x):
             target = x
         else:
-            target = _interior_step(piece, x, tangent)[2]
+            eta, rho0 = perturb_to_interior(piece, x)
+            target = tuple(v + rho0 * d for v, d in zip(x, eta))
         if piece is pencil and target is x:
             # a Metzler pencil is its own piece: same lift, same point, same matrix
             psd = rec.psd

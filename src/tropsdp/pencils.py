@@ -130,12 +130,11 @@ def _lattice(pencil: TropicalPencil, x: Sequence[ExtRat]):
 def _sides(pencil: TropicalPencil, x: Sequence[ExtRat], lattice=None):
     """The one pass over pencil._constraints at x.
 
-    Yields (constraint, lhs, rhs, tie, tops) per constraint, scaled by S as
-    in _lattice, with None for -inf; lattice is _lattice(pencil, x) when the
-    caller has already taken it.  lhs and rhs are its two sides, tie
+    Yields (constraint, lhs, rhs, tie) per constraint, scaled by S as in
+    _lattice, with None for -inf; lattice is _lattice(pencil, x) when the
+    caller has already taken it.  lhs and rhs are its two sides, and tie
     says whether the right families' maxima are equal, which only a pair's
-    two parts can be, and tops gives, per family of left + right, the value
-    its terms are held to: a left family's own max, the right side's max.
+    two parts can be.
     """
     _, f, X = lattice or _lattice(pencil, x)
 
@@ -156,7 +155,7 @@ def _sides(pencil: TropicalPencil, x: Sequence[ExtRat], lattice=None):
         lhs = None if None in tops else sum(tops)
         rhs = None if best is None else len(left) * best
         tie = len(rights) == 2 and rights[0] == rights[1]
-        yield con, lhs, rhs, tie, tops + [best] * len(right)
+        yield con, lhs, rhs, tie
 
 
 def _holds(lhs, rhs) -> bool:
@@ -165,7 +164,7 @@ def _holds(lhs, rhs) -> bool:
 
 
 def _member(pencil: TropicalPencil, x: Sequence[ExtRat], lattice=None) -> bool:
-    return all(tie or _holds(lhs, rhs) for _, lhs, rhs, tie, _ in _sides(pencil, x, lattice))
+    return all(tie or _holds(lhs, rhs) for _, lhs, rhs, tie in _sides(pencil, x, lattice))
 
 
 def qij_poly(pencil: TropicalPencil, i: int, j: int) -> TropPoly:
@@ -203,7 +202,7 @@ def metzler_strict_member(pencil: TropicalPencil, x: Sequence[Fraction]) -> bool
     _check_count(pencil.n, x)
     if any(is_minus_inf(v) for v in x):
         raise ValueError("strict membership is defined for finite points only")
-    return all(lhs is not None and lhs > rhs for _, lhs, rhs, _, _ in _sides(pencil, x))
+    return all(lhs is not None and lhs > rhs for _, lhs, rhs, _ in _sides(pencil, x))
 
 
 def general_member(pencil: TropicalPencil, x: Sequence[ExtRat]) -> bool:

@@ -10,9 +10,12 @@ import sys
 import time
 from fractions import Fraction
 
+import pytest
+
 from conftest import FIXTURES
 from helpers import pencil_of, random_pencil
 from tropsdp.cli import main
+from tropsdp.oracle import grid_axis
 from tropsdp.pencils import general_member, homogenize, load_pencil, pencil_to_obj
 from tropsdp.signed import MINUS_INF, pos
 
@@ -320,6 +323,68 @@ def test_oversized_grids_exit_before_enumerating(capsys):
         assert time.perf_counter() - start < 1
         assert code == 2 and out == ""
         assert "grid has 1000000002000000001 points" in err
+
+
+def test_grid_values_past_the_digit_limit_are_refused(capsys):
+    # each rational is under str()'s digit limit, but a grid value's
+    # denominator is q1 * q2: refused before a record or a row is written
+    q1, q2 = 10**4000 + 1, 10**4000 + 3
+    box, step = f"--box=1/{q1},2", f"--step={q2 - 7}/{q2}"
+    for argv in (
+        ("validate", FIXTURES / "m1_distinct.json"),
+        ("validate", FIXTURES / "quadrant_ray.json"),
+        ("validate", FIXTURES / "polygon9.json", "--max-m", "9"),
+        ("slice", FIXTURES / "polygon9.json", "--fix", "x0=0"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, box, step)
+        assert time.perf_counter() - start < 1, argv[:2]
+        assert code == 2 and out == "" and "DimensionTooLarge" in err, (argv[:2], err)
+    # a denominator of as many digits as the limit allows is written
+    limit = sys.get_int_max_str_digits()
+    den = 10 ** (limit - 1) + 1
+    code, out, _ = run(capsys, "validate", FIXTURES / "m1_distinct.json", f"--box=1/{den},1",
+                       "--step", "1")
+    assert code == 0 and json.loads(out)["x"] == [f"1/{den}"] * 2
+    # with the limit off, str() writes any int and nothing is refused
+    sys.set_int_max_str_digits(0)
+    try:
+        assert len(grid_axis(2, Fraction(1, q1), 2, Fraction(q2 - 7, q2))) == 3
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_index_fields_take_ascii_digits_only(capsys):
+    # int() would read "0_1" as 1, "+0" and "\u0660" as 0, and "1_0" as 10
+    ray, m1 = FIXTURES / "quadrant_ray.json", FIXTURES / "m1_distinct.json"
+    box = ("--box", "0,1", "--step", "1")
+    for argv, field in (
+        (("slice", ray, "--fix=x0_1=0", *box), "'0_1'"),
+        (("slice", ray, "--fix=x\u0660=0", *box), "'\u0660'"),
+        (("slice", ray, "--fix=x+0=0", *box), "'+0'"),
+        (("decompose", ray, "--sigma", "0_1,2"), "'0_1,2'"),
+        (("decompose", ray, "--diamond", "\u0661,\u0662:>="), "'\u0661,\u0662:>='"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and field in err, (argv, err)
+    for argv in (
+        ("generic", m1, "--max-m", "\u0664"),
+        ("generic", m1, "--max-m", "1_0"),
+        ("generic", m1, "--max-n", "+4"),
+        ("validate", m1, "--psd-bound", "\uff13"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in argv])
+        assert exc.value.code == 2, argv
+        assert f"{argv[-2]}: invalid" in capsys.readouterr().err
+    # ASCII digits with surrounding space read as before
+    assert run(capsys, "slice", ray, "--fix=x 0 =0", *box) == run(
+        capsys, "slice", ray, "--fix=x0=0", *box)
+    code, out, _ = run(capsys, "decompose", ray, "--sigma", " 1 , 2 ")
+    assert code == 0 and json.loads(out)["m"] == 2
+    assert run(capsys, "generic", m1, "--max-m", " 04", "--max-n", "2")[:2] == (
+        0, '{"status": "generic"}\n')
+    assert run(capsys, "validate", m1, "--psd-bound", "9")[0] == 0
 
 
 def test_grid_size_is_decided_without_forming_its_power(capsys, tmp_path):

@@ -347,6 +347,88 @@ def test_cross_validate_records_match_public_predicates():
     assert min(seen.values()) > 50
 
 
+NON_MEMBER_FAILURES = [
+    "non-member point satisfies the outer minor inequalities",
+    "non-member point lifts to a semidefinite matrix",
+    "non-member point satisfies the inner minor inequalities",
+]
+METZLER_MEMBER_FAILURES = [
+    "member point escapes the inner set of the canonical lift",
+    "member point lifts to a non-semidefinite matrix",
+    "member point escapes the outer set",
+]
+PIECE_FAILURE = "strict point of a Metzler piece of its sigma lifts outside PSD"
+
+
+def test_wrong_verdicts_are_reported_as_failures(monkeypatch, capsys):
+    # every rec.fail of the oracle, reached by making the verdict it reads
+    # wrong: each message must land in the record of the point that failed
+    from tropsdp import cli
+
+    real_minor, real_psd = oracle._minor_conditions, oracle._psd_verdict
+    real_member, real_class = oracle._member, oracle._class_record
+    metzler = load_pencil(FIXTURES / "m1_distinct.json")[0]
+    general = load_pencil(FIXTURES / "quadrant_ray.json")[0]
+    cases = [(metzler, grid_points(2, -2, 2, 1)), (general, grid_points(3, -1, 1, 1))]
+    truth = [cross_validate(pencil, grid) for pencil, grid in cases]
+    assert all(r.ok for records in truth for r in records)
+
+    # wrong lift verdicts; _psd_verdict is handed back the true outer verdict
+    monkeypatch.setattr(oracle, "_minor_conditions",
+                        lambda a, pairs: tuple(not v for v in real_minor(a, pairs)))
+    monkeypatch.setattr(oracle, "_psd_verdict",
+                        lambda a, outer, blocks: not real_psd(a, not outer, blocks))
+    classes = []
+    monkeypatch.setattr(oracle, "_class_record",
+                        lambda *args: classes.append(args[2]) or real_class(*args))
+    for (pencil, grid), expected in zip(cases, truth):
+        classes.clear()
+        records = cross_validate(pencil, grid)
+        members = set()
+        for rec, true in zip(records, expected):
+            assert rec.x == true.x and rec.member == true.member
+            assert (rec.sout, rec.sin) == (not true.sout, not true.sin)
+            assert rec.psd == (None if true.psd is None else not true.psd)
+            if not rec.member:
+                assert rec.failures == NON_MEMBER_FAILURES
+            elif pencil.is_metzler:
+                assert rec.failures == METZLER_MEMBER_FAILURES + [PIECE_FAILURE]
+            else:
+                assert rec.failures and set(rec.failures) == {PIECE_FAILURE}
+            members.add(rec.member)
+        assert members == {True, False}
+        assert [json.loads(line)["ok"] for line in record_lines(records)] == [False] * len(grid)
+        # translates x + lambda * 1 share one class record and its failures
+        shared: dict = {}
+        for rec in records:
+            key = rec.member, tuple(v - rec.x[0] for v in rec.x)
+            assert shared.setdefault(key, rec.failures) == rec.failures
+        assert len(classes) == len(shared) < len(records)
+
+    code = cli.main(["validate", str(FIXTURES / "m1_distinct.json")])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == "81 points, 81 failures\n"
+    assert all(json.loads(line)["ok"] is False for line in out.splitlines())
+
+    # wrong membership verdicts: at the all--inf point, and on support strata
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "_member", lambda pencil, x, lattice=None: (
+        real_member(pencil, x, lattice) != (pencil.n < general.n or all(map(is_minus_inf, x)))
+    ))
+    bottoms = [(MINUS_INF,) * 3, (MINUS_INF, Z, F(1)), (Z, MINUS_INF, Z), (Z, F(1), Z)]
+    records = cross_validate(general, bottoms)
+    assert [r.failures for r in records] == [
+        ["all--inf point must be a member"],
+        ["membership disagrees with its support stratum"],
+        ["membership disagrees with its support stratum"],
+        [],
+    ]
+    assert [r.member for r in records] == [False] + [general_member(general, x)
+                                                     for x in bottoms[1:]]
+    assert [(r.sout, r.sin, r.psd) for r in records[1:3]] == [(None, None, None)] * 2
+    assert [json.loads(line)["ok"] for line in record_lines(records)] == [False] * 3 + [True]
+
+
 def test_cross_validate_caches_do_not_outlive_the_call():
     def live(cls):
         return sum(isinstance(o, cls) for o in gc.get_objects())
@@ -411,13 +493,13 @@ def validation_outcome(validate):
 def test_lattice_records_match_fraction_path(monkeypatch):
     perturbed = []
 
-    real = oracle._interior_step
+    real = oracle.perturb_to_interior
 
-    def counting_perturb(piece, x, *rest):
+    def counting_perturb(piece, x):
         perturbed.append(x)
-        return real(piece, x, *rest)
+        return real(piece, x)
 
-    monkeypatch.setattr(oracle, "_interior_step", counting_perturb)
+    monkeypatch.setattr(oracle, "perturb_to_interior", counting_perturb)
     denominators = set()
     for pencil, grid, max_m in lattice_cases():
         denominators.update(
