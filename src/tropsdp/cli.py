@@ -9,7 +9,6 @@ when the reader of stdout hung up before the output was written.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -24,7 +23,7 @@ from .hypergraphs import (
     certify_generic_general,
     result_to_obj,
 )
-from .oracle import cross_validate, grid_axis, record_lines
+from .oracle import grid_axis, record_lines, validate_grid
 from .pencils import (
     SigmaChoice,
     _lattice_lcm,
@@ -155,10 +154,9 @@ def _box(args):
 
 def cmd_validate(args) -> int:
     pencil, lead = _load(args.file)
-    free = pencil.n - len(lead)
-    # lazy: cross_validate certifies before it draws a point
-    grid = (lead + p for p in itertools.product(grid_axis(free, *_box(args)), repeat=free))
-    records = cross_validate(pencil, grid, max_m=args.max_m, max_n=args.max_n)
+    axis = grid_axis(pencil.n - len(lead), *_box(args))
+    # validate_grid certifies before it draws a point
+    records = list(validate_grid(pencil, lead, axis, max_m=args.max_m, max_n=args.max_n))
     sys.stdout.writelines(record_lines(records))
     bad = sum(not rec.ok for rec in records)
     print(f"{len(records)} points, {bad} failures", file=sys.stderr)

@@ -33,6 +33,7 @@ from .pencils import (
     decompose,
     format_point,
     metzler_strict_member,
+    slice_members,
     stratum_restrict,
 )
 from .polynomials import TropPoly, eval_part, tropicalize
@@ -50,7 +51,7 @@ from .puiseux import (
     sign_of,
     sval,
 )
-from .signed import ExtRat, _check_count, is_minus_inf
+from .signed import MINUS_INF, ExtRat, _check_count, is_minus_inf
 
 
 @dataclass(frozen=True)
@@ -326,6 +327,12 @@ def _pieces(cache: dict, pencil: TropicalPencil, x, lattice) -> tuple[TropicalPe
     ))
 
 
+def _certify(pencil: TropicalPencil, max_m: int, max_n: int) -> None:
+    result = certify_generic_general(pencil, max_m=max_m, max_n=max_n)
+    if not isinstance(result, Certificate):
+        raise NotCertified("pencil has a circulation witness; oracle out of scope")
+
+
 def cross_validate(
     pencil: TropicalPencil,
     grid: Iterable[Sequence[ExtRat]],
@@ -344,24 +351,72 @@ def cross_validate(
     strictly perturbed first when they sit on the boundary.  The grid may
     be any iterable, a lazy one too: it is read only after certification.
 
-    Membership is decided at every point.  The lift verdicts and the piece
-    check run once per class of translates along the all-ones direction,
-    exact since A(x + lambda * 1) = t^lambda * A(x) (see _validate_point).
+    This is the driver for any grid, -inf coordinates included: each
+    point's membership is _member's verdict on its own _lattice, taken by
+    _validate_point.  The lift verdicts and the piece check run once per
+    class of translates along the all-ones direction, exact since
+    A(x + lambda * 1) = t^lambda * A(x) (see _point_record).
     """
     if not assume_certified:
-        result = certify_generic_general(pencil, max_m=max_m, max_n=max_n)
-        if not isinstance(result, Certificate):
-            raise NotCertified("pencil has a circulation witness; oracle out of scope")
+        _certify(pencil, max_m, max_n)
     cache: dict = {}
     return [_validate_point(pencil, x, cache) for x in map(tuple, sorted(grid))]
 
 
-def _validate_point(pencil: TropicalPencil, x, cache: dict) -> ValidationRecord:
-    """The record at x.  Membership and the lift read the one
-    _lattice(pencil, x); a point with a -inf coordinate is validated on its
-    support's sub-pencil.
+def validate_grid(
+    pencil: TropicalPencil,
+    lead: Sequence[ExtRat],
+    axis: Sequence[Fraction],
+    *,
+    max_m: int = 4,
+    max_n: int = 4,
+) -> Iterator[ValidationRecord]:
+    """cross_validate's records on the grid lead + axis^(n - len(lead)), in
+    lexicographic order, for a finite ascending axis; the pencil is
+    certified before the first record.
 
-    The predicate under test, _member and the stratum's _member, runs at
+    Membership comes a grid row at a time from slice_members on the last
+    two free coordinates, one call per value of the leading ones (a single
+    row when one coordinate is free), and every point reads the one
+    _lattice of the grid's values: its scale may exceed a point's own, but
+    the class key is in lowest terms and every lift verdict is read after
+    t -> t^S for some S > 0, so each record is _validate_point's.
+    """
+    free = pencil.n - len(lead)
+    if free < 1:
+        raise ValueError("the grid needs at least one free coordinate")
+    _certify(pencil, max_m, max_n)
+    scale, f, X = _lattice(pencil, (*lead, *axis))
+    # each coordinate as its (value, scaled int) pair; a point unzips into both
+    cols = tuple(zip(axis, X[len(lead):]))
+    tail = tuple(range(pencil.n - min(free, 2), pencil.n))
+    cache: dict = {}
+    for prefix in itertools.product(cols, repeat=free - len(tail)):
+        head = (*zip(lead, X), *prefix)
+        base = [v for v, _ in head] + [MINUS_INF] * len(tail)
+        starts = [(*head, a) for a in cols] if len(tail) == 2 else [head]
+        for start, row in zip(starts, slice_members(pencil, base, tail, axis)):
+            for col, member in zip(cols, row):
+                x, ints = zip(*start, col)
+                yield _point_record(pencil, x, member, (scale, f, ints), cache)
+
+
+def _validate_point(pencil: TropicalPencil, x, cache: dict) -> ValidationRecord:
+    """The record at x: membership is _member's verdict on the one
+    _lattice(pencil, x), which _point_record's lift reads too.  This is
+    cross_validate's per-point path and the reference validate_grid's
+    records must match."""
+    _check_count(pencil.n, x)
+    lattice = _lattice(pencil, x)
+    return _point_record(pencil, x, _member(pencil, x, lattice), lattice, cache)
+
+
+def _point_record(pencil: TropicalPencil, x, member: bool, lattice, cache: dict) -> ValidationRecord:
+    """The record at x, member its verdict and lattice a (S, f, X) of
+    pencils._lattice for x; a point with a -inf coordinate (None in X) is
+    validated on its support's sub-pencil.
+
+    The predicate under test, member and the stratum's _member, is read at
     every point; _class_record's verdicts and failures are shared by the
     translates x + lambda * 1.  Lemma: a pencil is homogeneous, so its lift
     has A(x + lambda * 1) = t^lambda * A(x).  Each order-1 minor gains
@@ -374,30 +429,29 @@ def _validate_point(pencil: TropicalPencil, x, cache: dict) -> ValidationRecord:
     sorted order builds its entry, so an exception is raised where a
     per-point run raises it.
     """
-    _check_count(pencil.n, x)
-    lattice = _lattice(pencil, x)
-    rec = ValidationRecord(x=x, member=_member(pencil, x, lattice))
-    support = tuple(k for k, v in enumerate(x) if not is_minus_inf(v))
-    if not support:
-        # all coordinates -inf: the zero matrix, trivially inside
-        rec.sout = rec.sin = rec.psd = True
-        if not rec.member:
-            rec.fail("all--inf point must be a member")
-        return rec
-    if len(support) < pencil.n:
+    rec = ValidationRecord(x=x, member=member)
+    scale, _, X = lattice
+    if None in X:
+        support = tuple(k for k, v in enumerate(X) if v is not None)
+        if not support:
+            # all coordinates -inf: the zero matrix, trivially inside
+            rec.sout = rec.sin = rec.psd = True
+            if not member:
+                rec.fail("all--inf point must be a member")
+            return rec
         # the rest runs on the support's sub-pencil, built once per call
         pencil = _cached(cache, ("stratum", pencil, support),
                          lambda: stratum_restrict(pencil, support))
         x = tuple(x[k] for k in support)
         lattice = _lattice(pencil, x)
-        if _member(pencil, x, lattice) != rec.member:
+        if _member(pencil, x, lattice) != member:
             rec.fail("membership disagrees with its support stratum")
             return rec
-    scale, _, X = lattice
+        scale, _, X = lattice
     diffs = [v - X[0] for v in X]
     g = math.gcd(scale, *diffs)
-    key = ("class", pencil, rec.member, scale // g, tuple(v // g for v in diffs))
-    first = _cached(cache, key, lambda: _class_record(cache, pencil, x, lattice, rec.member))
+    key = ("class", pencil, member, scale // g, tuple(v // g for v in diffs))
+    first = _cached(cache, key, lambda: _class_record(cache, pencil, x, lattice, member))
     rec.sout, rec.sin, rec.psd = first.sout, first.sin, first.psd
     for message in first.failures:
         rec.fail(message)

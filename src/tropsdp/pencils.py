@@ -218,15 +218,17 @@ def general_member(pencil: TropicalPencil, x: Sequence[ExtRat]) -> bool:
 def slice_members(
     pencil: TropicalPencil,
     base: Sequence[ExtRat],
-    free: tuple[int, int],
+    free: tuple[int, ...],
     axis: Sequence[Fraction],
 ) -> Iterator[list[bool]]:
     """general_member on a 2-D slice, one list of verdicts per grid row.
 
     The points are base with coordinates free[0], free[1] set to (a, b);
     row a holds the verdicts at (a, b) for b in axis, and the rows come for
-    a in axis.  axis must be ascending, else ValueError; base's values at
-    free are ignored.  On the slice each family max of the
+    a in axis.  With one free coordinate the points are base with free[0]
+    set to b, and the one row holds their verdicts.  axis must be finite
+    and ascending, else ValueError; base's values at free are ignored.
+    On the slice each family max of the
     pencil's constraint table is max(c, a + u, b + w), compiled once in
     integers scaled by the lcm of every denominator involved.  Along a row
     b + w ascends, so the family is that shifted row clipped from below at
@@ -243,9 +245,13 @@ def slice_members(
     comparison general_member makes keeps its outcome.
     """
     _check_count(pencil.n, base)
-    p, q = free
-    if p == q or not (0 <= p < pencil.n and 0 <= q < pencil.n):
-        raise ValueError(f"free coordinates {free!r} must be two distinct indices")
+    if len(set(free)) != len(free) or len(free) not in (1, 2) or not all(
+            0 <= k < pencil.n for k in free):
+        raise ValueError(f"free coordinates {free!r} must be one or two distinct indices")
+    # one free coordinate: no family has a term that moves with a, so one row
+    p, q = free if len(free) == 2 else (None, *free)
+    if any(map(is_minus_inf, axis)):
+        raise ValueError("slice axis value -inf: the axis must be finite")
     if any(x > y for x, y in zip(axis, axis[1:])):
         raise ValueError("the slice axis must be ascending")
     fixed = [(k, v) for k, v in enumerate(base) if k not in free and not is_minus_inf(v)]
@@ -296,7 +302,7 @@ def slice_members(
         else:
             still.append(None)
             moving.append((i, c, u, row))
-    for a in bs:
+    for a in bs if p is not None else [None]:
         vals = still.copy()
         for i, c, u, row in moving:
             vals[i] = clip(row, c if c > a + u else a + u)

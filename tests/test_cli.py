@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -15,7 +16,9 @@ import pytest
 from conftest import FIXTURES
 from helpers import pencil_of, random_pencil
 from tropsdp.cli import main
-from tropsdp.oracle import grid_axis
+from tropsdp.errors import NotCertified
+from tropsdp.hypergraphs import Certificate, certify_generic_general
+from tropsdp.oracle import cross_validate, grid_axis, record_lines
 from tropsdp.pencils import general_member, homogenize, load_pencil, pencil_to_obj
 from tropsdp.signed import MINUS_INF, pos
 
@@ -410,19 +413,26 @@ def test_grid_size_is_decided_without_forming_its_power(capsys, tmp_path):
 def test_validate_refusal_draws_no_grid_point(capsys, monkeypatch):
     # 97^3 = 912673 points at step 1/24: validate certifies first, so a
     # witness or an oversized pencil is refused before a point is drawn
-    from tropsdp import cli
+    from tropsdp import cli, oracle
 
-    grids = []
-    real = cli.cross_validate
-    monkeypatch.setattr(cli, "cross_validate",
-                        lambda pencil, grid, **kw: grids.append(grid) or real(pencil, grid, **kw))
+    grids, drawn = [], []
+    real = cli.validate_grid
+    monkeypatch.setattr(cli, "validate_grid", lambda pencil, lead, axis, **kw: (
+        grids.append((lead, axis)) or real(pencil, lead, axis, **kw)))
+    # every grid point's membership row and record goes through these two
+    real_rows, real_record = oracle.slice_members, oracle._point_record
+    monkeypatch.setattr(oracle, "slice_members",
+                        lambda *args: drawn.append(args) or real_rows(*args))
+    monkeypatch.setattr(oracle, "_point_record",
+                        lambda *args: drawn.append(args) or real_record(*args))
     for name, refusal in (("line_pencil.json", "NotCertified"),
                           ("polygon9.json", "DimensionTooLarge")):
         start = time.perf_counter()
         code, out, err = run(capsys, "validate", FIXTURES / name, "--step", "1/24")
         assert time.perf_counter() - start < 1
         assert code == 2 and out == "" and refusal in err
-        assert next(grids.pop()) == (-2, -2, -2)
+        lead, axis = grids.pop()
+        assert (*lead, axis[0], axis[-1], len(axis)) == (-2, 2, 97) and drawn == []
 
 
 def test_validate_zero_failures(capsys):
@@ -466,6 +476,53 @@ VALIDATE_DIGESTS = [
     (["m1_distinct.json", "--box=-1,1", "--step", "1/3"],
      "9e332f01ed96907cf0b4db2e20ee07392d4e39b123691c6144d6508052ffaca2"),
 ]
+
+
+def _certified_pencils(seed: int):
+    """(pencil, homogeneous): one seeded pencil with a certificate for each
+    of 1, 2 and 3 free coordinates, homogeneous and affine, m = 2 or 3."""
+    rng = random.Random(seed)
+    wanted = [(free, homogeneous) for free in (1, 2, 3) for homogeneous in (True, False)]
+    while wanted:
+        pencil = random_pencil(rng, max_m=3, max_n=4, value_pool=3)
+        for free, homogeneous in wanted:
+            if pencil.m > 1 and pencil.n == free + (not homogeneous) and isinstance(
+                    certify_generic_general(pencil), Certificate):
+                wanted.remove((free, homogeneous))
+                yield pencil, homogeneous
+                break
+
+
+def test_validate_prints_cross_validate_records(capsys, tmp_path):
+    # the verb's row-kernel driver against the per-point reference driver on
+    # the same grid: every fixture, then seeded certified pencils with one,
+    # two and three free coordinates, each homogeneous and affine
+    cases = [(FIXTURES / name, ["--max-m", "9"]) for name in sorted(
+        p.name for p in FIXTURES.glob("*.json"))]
+    for i, (pencil, homogeneous) in enumerate(_certified_pencils(15)):
+        path = tmp_path / f"certified{i}.json"
+        path.write_text(json.dumps(pencil_to_obj(pencil, homogeneous=homogeneous)))
+        cases += [(path, ["--step", step]) for step in ("1/2", "1/3")]
+    free_counts, verdicts = set(), set()
+    for path, flags in cases:
+        code, out, err = run(capsys, "validate", path, *flags)
+        pencil, homogeneous = load_pencil(path)
+        lead = () if homogeneous else (Fraction(0),)
+        free = pencil.n - len(lead)
+        step = flags[1] if flags[0] == "--step" else "1/2"
+        grid = [lead + x for x in itertools.product(grid_axis(free, -2, 2, Fraction(step)),
+                                                     repeat=free)]
+        try:
+            records = cross_validate(pencil, grid, max_m=9)
+        except NotCertified:
+            assert code == 2 and out == "" and "NotCertified" in err, path.name
+            continue
+        assert out == "".join(record_lines(records)), (path.name, flags)
+        assert err == f"{len(grid)} points, 0 failures\n" and code == 0
+        free_counts.add((free, homogeneous))
+        verdicts.update((free, rec.member) for rec in records)
+    assert free_counts >= {(f, h) for f in (1, 2, 3) for h in (True, False)}
+    assert verdicts == {(f, v) for f in (1, 2, 3) for v in (True, False)}
 
 
 def test_validate_output_is_pinned(capsys):

@@ -46,6 +46,7 @@ from tropsdp.oracle import (
     sin_member,
     sout_member,
     sval_pencil,
+    validate_grid,
     valuation_sandwich_check,
 )
 from tropsdp import puiseux
@@ -682,6 +683,26 @@ def test_grid_point_lift_runs_once_per_class(monkeypatch):
             for x in [(MINUS_INF, a, b), (a, MINUS_INF, b), (a, b, MINUS_INF)]
         ], assume_certified=True)
         assert len(lifted) == 3 * (5**2 - 4**2)
+
+
+def test_validate_grid_matches_cross_validate():
+    # the row-kernel driver, also with -inf and nonzero values in its lead,
+    # against the per-point driver on the same grid, Metzler and general
+    axis = [F(v, 3) for v in range(-4, 5)]
+    for name in ("m1_distinct.json", "quadrant_ray.json"):
+        pencil = load_pencil(FIXTURES / name)[0]
+        leads = [(), (Z,), (MINUS_INF,), (F(5, 2),), (MINUS_INF, F(-1, 2)), (F(1), F(-1, 2))]
+        seen = set()
+        for lead in [lead for lead in leads if len(lead) < pencil.n]:
+            grid = [lead + p for p in itertools.product(axis, repeat=pencil.n - len(lead))]
+            records = list(validate_grid(pencil, lead, axis))
+            assert records == cross_validate(pencil, grid), (name, lead)
+            seen.update(r.member for r in records)
+        assert seen == {True, False}, name
+        with pytest.raises(ValueError, match="at least one free coordinate"):
+            next(validate_grid(pencil, (Z,) * pencil.n, axis))
+        with pytest.raises(ValueError, match="axis value -inf"):
+            next(validate_grid(pencil, (), [MINUS_INF, *axis]))
 
 
 def test_cross_validate_refuses_a_point_of_the_wrong_length():

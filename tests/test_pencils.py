@@ -177,15 +177,21 @@ def test_slice_kernel_matches_predicates():
     points = 0
     for _ in range(250):
         pencil, base, free, axis = _slice_case(rng)
-        got = list(flat(slice_members(pencil, base, free, axis)))
-        assert len(got) == len(axis) ** 2
-        for verdict, (a, b) in zip(got, ((a, b) for a in axis for b in axis)):
-            x = list(base)
-            x[free[0]], x[free[1]] = a, b
-            assert verdict == general_member(pencil, x), (pencil, x)
-            if pencil.is_metzler:
-                assert verdict == metzler_member(pencil, x), (pencil, x)
-        points += len(got)
+        # the 2-D slice, then the line through its second free coordinate,
+        # whose one row is every verdict
+        for free in free, free[1:]:
+            rows = list(slice_members(pencil, base, free, axis))
+            assert len(rows) == (len(axis) if len(free) == 2 else 1)
+            got = list(flat(rows))
+            assert len(got) == len(axis) ** len(free)
+            for verdict, values in zip(got, itertools.product(axis, repeat=len(free))):
+                x = list(base)
+                for k, v in zip(free, values):
+                    x[k] = v
+                assert verdict == general_member(pencil, x), (pencil, x)
+                if pencil.is_metzler:
+                    assert verdict == metzler_member(pencil, x), (pencil, x)
+            points += len(got)
     assert points > 5000
 
 
@@ -272,8 +278,15 @@ def test_slice_kernel_edge_cases():
     gap = pencil_of(2, 4, {(3, 0, 0): pos(0), (2, 1, 1): pos(10), (0, 0, 1): neg(-10)})
     axis = [F(v) for v in range(-10, 11, 5)]
     assert not any(flat(slice_members(gap, (F(-10), Z, Z, MINUS_INF), (1, 2), axis)))
-    with pytest.raises(ValueError):
-        list(slice_members(tie, (Z, Z), (1, 1), axis))
+    for free in (1, 1), (), (0, 1, 0), (2,):
+        with pytest.raises(ValueError, match="distinct indices"):
+            list(slice_members(tie, (Z, Z), free, axis))
+    # one free coordinate: one row, empty too; an axis value of -inf is named
+    assert list(slice_members(tie, (Z, Z), (1,), axis)) == [[b == 0 for b in axis]]
+    assert list(slice_members(tie, (Z, Z), (1,), [])) == [[]]
+    for free in (0, 1), (1,):
+        with pytest.raises(ValueError, match="axis value -inf"):
+            next(slice_members(tie, (Z, Z), free, [MINUS_INF, Z]))
     # the rows clip an ascending shifted row: a decreasing axis is refused
     with pytest.raises(ValueError, match="ascending"):
         next(slice_members(tie, (Z, Z), (0, 1), axis[::-1]))
