@@ -23,7 +23,7 @@ from .hypergraphs import (
     certify_generic_general,
     result_to_obj,
 )
-from .oracle import grid_axis, record_lines, validate_grid
+from .oracle import _HEAD, _grid_walk, _label, _line_tail, grid_axis
 from .pencils import (
     SigmaChoice,
     _lattice_lcm,
@@ -155,11 +155,25 @@ def _box(args):
 def cmd_validate(args) -> int:
     pencil, lead = _load(args.file)
     axis = grid_axis(pencil.n - len(lead), *_box(args))
-    # validate_grid certifies before it draws a point
-    records = list(validate_grid(pencil, lead, axis, max_m=args.max_m, max_n=args.max_n))
-    sys.stdout.writelines(record_lines(records))
-    bad = sum(not rec.ok for rec in records)
-    print(f"{len(records)} points, {bad} failures", file=sys.stderr)
+    # a point's line is its row's start, its last coordinate's label and its
+    # class record's tail, each formatted once; the walk holds every class
+    # record to its end, so a record's id() keys its tail
+    opening = _HEAD + "".join(_label(v) + ", " for v in lead)
+    labels = [_label(v) for v in axis]
+    tails: dict[int, str] = {}
+    lines, bad = [], 0
+    # _grid_walk certifies before it draws a point; nothing is written until
+    # the whole grid is validated
+    for head, row in _grid_walk(pencil, lead, axis, args.max_m, args.max_n):
+        start = opening + "".join(labels[i] + ", " for i in head)
+        for label, rec in zip(labels, row):
+            tail = tails.get(id(rec))
+            if tail is None:
+                tail = tails[id(rec)] = _line_tail(rec)
+            lines.append(start + label + tail)
+            bad += not rec.ok
+    sys.stdout.writelines(lines)
+    print(f"{len(lines)} points, {bad} failures", file=sys.stderr)
     return 0 if bad == 0 else 1
 
 

@@ -15,7 +15,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -245,24 +245,30 @@ class ValidationRecord:
         }
 
 
-_RECORD = '{"x": [%s], "member": %s, "checks": {"sout": %s, "sin": %s, "psd": %s}, "ok": %s}\n'
+# the one record line format: _HEAD, the coordinates' _labels joined by ", ",
+# then the _line_tail of the record's verdicts
+_HEAD = '{"x": ['
+_TAIL = '], "member": %s, "checks": {"sout": %s, "sin": %s, "psd": %s}, "ok": %s}\n'
 _JSON = {True: "true", False: "false", None: "null"}
 
 
-class _Labels(dict):
-    # coordinate -> its JSON string, formatted on first use
-    def __missing__(self, v):
-        label = self[v] = json.dumps(format_point((v,))[0])
-        return label
+def _label(v: ExtRat) -> str:
+    """A coordinate as json.dumps writes it in a record's "x" list."""
+    return json.dumps(format_point((v,))[0])
+
+
+def _line_tail(rec: ValidationRecord) -> str:
+    """What follows a record's coordinates in its line: its verdicts, its ok
+    and the newline."""
+    return _TAIL % (_JSON[rec.member], _JSON[rec.sout], _JSON[rec.sin], _JSON[rec.psd],
+                    _JSON[rec.ok])
 
 
 def record_lines(records: Iterable[ValidationRecord]) -> Iterator[str]:
-    """json.dumps(rec.to_obj()) of each record and a newline, filled into one
-    fixed template; each coordinate's label is formatted once per call."""
-    label = _Labels().__getitem__
+    """json.dumps(rec.to_obj()) of each record and a newline, written from the
+    one line format."""
     for rec in records:
-        yield _RECORD % (", ".join(map(label, rec.x)), _JSON[rec.member], _JSON[rec.sout],
-                         _JSON[rec.sin], _JSON[rec.psd], _JSON[rec.ok])
+        yield _HEAD + ", ".join(map(_label, rec.x)) + _line_tail(rec)
 
 
 def _cached(cache: dict, key, build):
@@ -275,20 +281,22 @@ def _cached(cache: dict, key, build):
 
 def _compile_lift(pencil: TropicalPencil):
     """(table, pairs, blocks): the _lift_table of the pencil (canonical iff
-    Metzler), the off-diagonal (i, j) of its rows, and
-    the components those pairs make of range(m).  Only a listed pair can be
-    nonzero at a point, so pairs serve _minor_conditions and blocks
-    _psd_verdict."""
-    table = _lift_table(pencil, pencil.is_metzler)
+    Metzler) with its diagonal rows first, the off-diagonal (i, j) of its
+    rows, and the components those pairs make of range(m).  Only a listed
+    pair can be nonzero at a point, so pairs serve _minor_conditions and
+    blocks _psd_verdict."""
+    table = sorted(_lift_table(pencil, pencil.is_metzler), key=lambda row: row[0] != row[1])
     pairs = tuple((i, j) for i, j, _ in table if i != j)
     return table, pairs, _components(pencil.m, pairs)
 
 
-def _lift_at(cache: dict, pencil: TropicalPencil, x, lattice=None):
+def _lift_at(cache: dict, pencil: TropicalPencil, x, lattice=None, stop=False):
     """(a, pairs, blocks): a the entry rows of the lift of the pencil
     (canonical iff Metzler) evaluated at t^x, x finite, pairs and blocks its
     compiled sparsity; lattice is _lattice(pencil, x) when the caller has
-    already taken it.
+    already taken it.  With stop, a is None as soon as a diagonal entry has
+    a negative lead; the diagonal rows come first, so no off-diagonal entry
+    is summed then.
 
     a is taken after t -> t^S with (S, f, X) the lattice of
     pencils._lattice: every term is then a pair of ints.  The substitution
@@ -303,8 +311,31 @@ def _lift_at(cache: dict, pencil: TropicalPencil, x, lattice=None):
         entry = _ZERO
         for k, e, c in terms:
             entry = add(entry, PuiseuxPoly(((e * f + X[k], c),)))
+        if stop and i == j and sign_of(entry) < 0:
+            return None, pairs, blocks
         rows[i][j] = rows[j][i] = entry
     return rows, pairs, blocks
+
+
+def _lift_verdicts(cache: dict, pencil: TropicalPencil, x, lattice=None):
+    """(outer, inner, psd) of the lift at x, as _lift_at takes it:
+    _minor_conditions of its rows and their PSD verdict.
+
+    A diagonal entry with a negative lead fails its order-1 minor, and there
+    _minor_conditions gives (False, False) and _psd_verdict False, so the
+    lift stops at the first one.  Sandwich lemma: inner implies PSD.  For
+    m <= 2 inner is outer, which is PSD there.  For m > 2 inner makes every
+    row with a_ii = 0 zero; drop those.  Scaling the rest by the inverse
+    square roots of their diagonal (real Puiseux series form a real closed
+    field) gives a unit diagonal and m - 1 off-diagonal entries of modulus
+    at most 1/(m-1) per row: diagonally dominant, hence PSD.  So only a
+    lift outside the inner set is eliminated (_psd_verdict).
+    """
+    a, pairs, blocks = _lift_at(cache, pencil, x, lattice, stop=True)
+    if a is None:
+        return False, False, False
+    outer, inner = _minor_conditions(a, pairs)
+    return outer, inner, inner or _psd_verdict(a, outer, blocks)
 
 
 def _pieces(cache: dict, pencil: TropicalPencil, x, lattice) -> tuple[TropicalPencil, ...]:
@@ -355,12 +386,52 @@ def cross_validate(
     point's membership is _member's verdict on its own _lattice, taken by
     _validate_point.  The lift verdicts and the piece check run once per
     class of translates along the all-ones direction, exact since
-    A(x + lambda * 1) = t^lambda * A(x) (see _point_record).
+    A(x + lambda * 1) = t^lambda * A(x) (see _class_of).
     """
     if not assume_certified:
         _certify(pencil, max_m, max_n)
     cache: dict = {}
     return [_validate_point(pencil, x, cache) for x in map(tuple, sorted(grid))]
+
+
+def _grid_walk(
+    pencil: TropicalPencil,
+    lead: Sequence[ExtRat],
+    axis: Sequence[Fraction],
+    max_m: int,
+    max_n: int,
+) -> Iterator[tuple[tuple[int, ...], list[ValidationRecord]]]:
+    """The one walk of the grid lead + axis^(n - len(lead)), axis finite and
+    ascending, in lexicographic order; the pencil is certified first.
+
+    Yields (head, row) per grid row: head the axis indices of the free
+    coordinates before the last, row the _class_of record of the point
+    (*lead, *axis[head], b) for each b in axis.  Every class record stays in
+    the walk's cache until it ends, so a renderer may key on its id().
+
+    Membership comes a grid row at a time from slice_members on the last
+    two free coordinates, one call per value of the leading ones (a single
+    row when one coordinate is free), and every point reads the one
+    _lattice of the grid's values: its scale may exceed a point's own, but
+    the class key is in lowest terms and every lift verdict is read after
+    t -> t^S for some S > 0, so each class record is _validate_point's.
+    """
+    free = pencil.n - len(lead)
+    if free < 1:
+        raise ValueError("the grid needs at least one free coordinate")
+    _certify(pencil, max_m, max_n)
+    scale, f, X = _lattice(pencil, (*lead, *axis))
+    ints = X[len(lead):]
+    tail = tuple(range(pencil.n - min(free, 2), pencil.n))
+    cache: dict = {}
+    for prefix in itertools.product(range(len(axis)), repeat=free - len(tail)):
+        base = [*lead, *(axis[i] for i in prefix)] + [MINUS_INF] * len(tail)
+        heads = [(*prefix, a) for a in range(len(axis))] if len(tail) == 2 else [prefix]
+        for head, members in zip(heads, slice_members(pencil, base, tail, axis)):
+            start = (*lead, *(axis[i] for i in head))
+            start_ints = (*X[:len(lead)], *(ints[i] for i in head))
+            yield head, [_class_of(pencil, (*start, b), member, (scale, f, (*start_ints, B)), cache)
+                         for b, B, member in zip(axis, ints, members)]
 
 
 def validate_grid(
@@ -373,39 +444,21 @@ def validate_grid(
 ) -> Iterator[ValidationRecord]:
     """cross_validate's records on the grid lead + axis^(n - len(lead)), in
     lexicographic order, for a finite ascending axis; the pencil is
-    certified before the first record.
-
-    Membership comes a grid row at a time from slice_members on the last
-    two free coordinates, one call per value of the leading ones (a single
-    row when one coordinate is free), and every point reads the one
-    _lattice of the grid's values: its scale may exceed a point's own, but
-    the class key is in lowest terms and every lift verdict is read after
-    t -> t^S for some S > 0, so each record is _validate_point's.
+    certified before the first record.  Each is its point's class record
+    from _grid_walk, copied onto the point: the records are the ones
+    _validate_point gives (see _grid_walk).
     """
-    free = pencil.n - len(lead)
-    if free < 1:
-        raise ValueError("the grid needs at least one free coordinate")
-    _certify(pencil, max_m, max_n)
-    scale, f, X = _lattice(pencil, (*lead, *axis))
-    # each coordinate as its (value, scaled int) pair; a point unzips into both
-    cols = tuple(zip(axis, X[len(lead):]))
-    tail = tuple(range(pencil.n - min(free, 2), pencil.n))
-    cache: dict = {}
-    for prefix in itertools.product(cols, repeat=free - len(tail)):
-        head = (*zip(lead, X), *prefix)
-        base = [v for v, _ in head] + [MINUS_INF] * len(tail)
-        starts = [(*head, a) for a in cols] if len(tail) == 2 else [head]
-        for start, row in zip(starts, slice_members(pencil, base, tail, axis)):
-            for col, member in zip(cols, row):
-                x, ints = zip(*start, col)
-                yield _point_record(pencil, x, member, (scale, f, ints), cache)
+    for head, row in _grid_walk(pencil, lead, axis, max_m, max_n):
+        start = (*lead, *(axis[i] for i in head))
+        for b, first in zip(axis, row):
+            yield _record_at((*start, b), first)
 
 
 def _validate_point(pencil: TropicalPencil, x, cache: dict) -> ValidationRecord:
     """The record at x: membership is _member's verdict on the one
     _lattice(pencil, x), which _point_record's lift reads too.  This is
-    cross_validate's per-point path and the reference validate_grid's
-    records must match."""
+    cross_validate's per-point path and the reference _grid_walk's records
+    must match."""
     _check_count(pencil.n, x)
     lattice = _lattice(pencil, x)
     return _point_record(pencil, x, _member(pencil, x, lattice), lattice, cache)
@@ -413,8 +466,31 @@ def _validate_point(pencil: TropicalPencil, x, cache: dict) -> ValidationRecord:
 
 def _point_record(pencil: TropicalPencil, x, member: bool, lattice, cache: dict) -> ValidationRecord:
     """The record at x, member its verdict and lattice a (S, f, X) of
-    pencils._lattice for x; a point with a -inf coordinate (None in X) is
-    validated on its support's sub-pencil.
+    pencils._lattice for x: the verdicts and failures of its _class_of
+    record, copied onto x."""
+    return _record_at(x, _class_of(pencil, x, member, lattice, cache))
+
+
+def _record_at(x, first: ValidationRecord) -> ValidationRecord:
+    # a class record's verdicts and failures as the record at its translate x
+    return replace(first, x=x, failures=list(first.failures))
+
+
+def _class_key(pencil: TropicalPencil, member: bool, scale: int, X) -> tuple:
+    """The cache key of the class of translates of a finite point, whose
+    lattice has scale S and ints X: the pencil, the membership and
+    x_k - x_first in lowest terms (S // g, d // g), which two points share
+    iff they are translates."""
+    diffs = [v - X[0] for v in X]
+    g = math.gcd(scale, *diffs)
+    return "class", pencil, member, scale // g, tuple(v // g for v in diffs)
+
+
+def _class_of(pencil: TropicalPencil, x, member: bool, lattice, cache: dict) -> ValidationRecord:
+    """The record x shares with its class, built once per cache: member is
+    x's verdict and lattice a (S, f, X) of pencils._lattice for x; a point
+    with a -inf coordinate (None in X) is validated on its support's
+    sub-pencil.  The record's x is the class's first point.
 
     The predicate under test, member and the stratum's _member, is read at
     every point; _class_record's verdicts and failures are shared by the
@@ -423,51 +499,52 @@ def _point_record(pencil: TropicalPencil, x, member: bool, lattice, cache: dict)
     t^lambda, each order-2 minor and inner bound t^(2 lambda), and PSD is
     kept; both sides of each constraint gain len(left) * lambda, so sigma,
     the tangent edges and slack, the Farkas direction and rho0 are kept and
-    the perturbed target moves by lambda * 1.  The key is the (sub-)pencil,
-    the membership and x_k - x_first in lowest terms (S // g, d // g), which
-    two points share iff they are translates.  The first point of a class in
-    sorted order builds its entry, so an exception is raised where a
-    per-point run raises it.
+    the perturbed target moves by lambda * 1.  The key is _class_key's.  The
+    first point of a class in sorted order builds its entry, so an exception
+    is raised where a per-point run raises it.
     """
-    rec = ValidationRecord(x=x, member=member)
     scale, _, X = lattice
     if None in X:
         support = tuple(k for k, v in enumerate(X) if v is not None)
         if not support:
             # all coordinates -inf: the zero matrix, trivially inside
-            rec.sout = rec.sin = rec.psd = True
-            if not member:
-                rec.fail("all--inf point must be a member")
-            return rec
+            return _cached(cache, ("bottom", member), lambda: _bottom_record(x, member))
         # the rest runs on the support's sub-pencil, built once per call
         pencil = _cached(cache, ("stratum", pencil, support),
                          lambda: stratum_restrict(pencil, support))
         x = tuple(x[k] for k in support)
         lattice = _lattice(pencil, x)
         if _member(pencil, x, lattice) != member:
-            rec.fail("membership disagrees with its support stratum")
-            return rec
+            return _cached(cache, ("disagrees", member), lambda: _disagreeing_record(x, member))
         scale, _, X = lattice
-    diffs = [v - X[0] for v in X]
-    g = math.gcd(scale, *diffs)
-    key = ("class", pencil, member, scale // g, tuple(v // g for v in diffs))
-    first = _cached(cache, key, lambda: _class_record(cache, pencil, x, lattice, member))
-    rec.sout, rec.sin, rec.psd = first.sout, first.sin, first.psd
-    for message in first.failures:
-        rec.fail(message)
+    return _cached(cache, _class_key(pencil, member, scale, X),
+                   lambda: _class_record(cache, pencil, x, lattice, member))
+
+
+def _bottom_record(x, member: bool) -> ValidationRecord:
+    rec = ValidationRecord(x=x, member=member, sout=True, sin=True, psd=True)
+    if not member:
+        rec.fail("all--inf point must be a member")
+    return rec
+
+
+def _disagreeing_record(x, member: bool) -> ValidationRecord:
+    rec = ValidationRecord(x=x, member=member)
+    rec.fail("membership disagrees with its support stratum")
     return rec
 
 
 def _class_record(cache: dict, pencil: TropicalPencil, x, lattice, member: bool):
     """The lift verdicts and failures at the finite point x of the pencil,
-    member its verdict: what every translate x + lambda * 1 shares."""
+    member its verdict: what every translate x + lambda * 1 shares.  The
+    verdicts are _lift_verdicts', so a lift stops at a negative diagonal
+    entry and PSD is read from the inner set where it holds."""
     rec = ValidationRecord(x=x, member=member)
     # the one evaluation of the pencil at x; every verdict below reads it
-    a, pairs, blocks = _lift_at(cache, pencil, x, lattice)
-    rec.sout, rec.sin = _minor_conditions(a, pairs)
+    rec.sout, rec.sin, psd = _lift_verdicts(cache, pencil, x, lattice)
 
     if not member:
-        rec.psd = _psd_verdict(a, rec.sout, blocks)
+        rec.psd = psd
         if rec.sout:
             rec.fail("non-member point satisfies the outer minor inequalities")
         if rec.psd:
@@ -477,7 +554,7 @@ def _class_record(cache: dict, pencil: TropicalPencil, x, lattice, member: bool)
         return rec
 
     if pencil.is_metzler:
-        rec.psd = _psd_verdict(a, rec.sout, blocks)
+        rec.psd = psd
         if not rec.sin:
             rec.fail("member point escapes the inner set of the canonical lift")
         if not rec.psd:
@@ -495,9 +572,7 @@ def _class_record(cache: dict, pencil: TropicalPencil, x, lattice, member: bool)
             # a Metzler pencil is its own piece: same lift, same point, same matrix
             psd = rec.psd
         else:
-            b, piece_pairs, piece_blocks = _lift_at(cache, piece, target)
-            outer = _minor_conditions(b, piece_pairs)[0]
-            psd = _psd_verdict(b, outer, piece_blocks)
+            psd = _lift_verdicts(cache, piece, target)[2]
         if not psd:
             rec.fail("strict point of a Metzler piece of its sigma lifts outside PSD")
     return rec

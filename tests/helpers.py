@@ -62,6 +62,22 @@ def pencil_of(m: int, n: int, entries: dict) -> TropicalPencil:
     return TropicalPencil.from_rows(m, n, mats)
 
 
+def wide_denominator_pencil(digits: int) -> dict:
+    """Pencil JSON of a 4 x 4 x 4 Metzler pencil from random.Random(3):
+    every entry i <= j of every matrix, "+" on the diagonal and "-" off it,
+    with value randint(-9, 9) / randrange(10**(digits - 1), 10**digits), so
+    its lattice has thousands of bits."""
+    rng = random.Random(3)
+    matrices = []
+    for k in range(4):
+        entries = []
+        for i, j in itertools.combinations_with_replacement(range(1, 5), 2):
+            value = F(rng.randint(-9, 9), rng.randrange(10 ** (digits - 1), 10**digits))
+            entries.append({"i": i, "j": j, "coeff": ("+" if i == j else "-") + str(value)})
+        matrices.append({"k": k, "entries": entries})
+    return {"m": 4, "n": 4, "homogeneous": True, "matrices": matrices}
+
+
 def random_pencil(
     rng: random.Random,
     max_m: int = 3,

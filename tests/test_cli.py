@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import FIXTURES
-from helpers import pencil_of, random_pencil
+from helpers import pencil_of, random_pencil, wide_denominator_pencil
 from tropsdp.cli import main
 from tropsdp.errors import NotCertified
 from tropsdp.hypergraphs import Certificate, certify_generic_general
@@ -416,15 +416,15 @@ def test_validate_refusal_draws_no_grid_point(capsys, monkeypatch):
     from tropsdp import cli, oracle
 
     grids, drawn = [], []
-    real = cli.validate_grid
-    monkeypatch.setattr(cli, "validate_grid", lambda pencil, lead, axis, **kw: (
-        grids.append((lead, axis)) or real(pencil, lead, axis, **kw)))
-    # every grid point's membership row and record goes through these two
-    real_rows, real_record = oracle.slice_members, oracle._point_record
+    real = cli._grid_walk
+    monkeypatch.setattr(cli, "_grid_walk", lambda pencil, lead, axis, *bounds: (
+        grids.append((lead, axis)) or real(pencil, lead, axis, *bounds)))
+    # every grid point's membership row and class record goes through these two
+    real_rows, real_class = oracle.slice_members, oracle._class_of
     monkeypatch.setattr(oracle, "slice_members",
                         lambda *args: drawn.append(args) or real_rows(*args))
-    monkeypatch.setattr(oracle, "_point_record",
-                        lambda *args: drawn.append(args) or real_record(*args))
+    monkeypatch.setattr(oracle, "_class_of",
+                        lambda *args: drawn.append(args) or real_class(*args))
     for name, refusal in (("line_pencil.json", "NotCertified"),
                           ("polygon9.json", "DimensionTooLarge")):
         start = time.perf_counter()
@@ -461,6 +461,19 @@ def test_validate_needs_no_psd_bound(capsys):
     code, out, err = run(capsys, "validate", FIXTURES / "polygon9.json", "--max-m", "9")
     assert code == 0 and "729 points, 0 failures" in err
     assert run(capsys, "validate", FIXTURES / "polygon9.json", "--max-m", "9", "--psd-bound", "2")[1] == out
+
+
+def test_validate_wide_denominators_within_seconds(capsys, tmp_path):
+    # 20-digit denominators put the lift on a lattice of about 2,400 bits,
+    # where eliminating a 4 x 4 lift is slow: the points inside the inner
+    # set take PSD from the sandwich lemma, so none is eliminated
+    path = tmp_path / "wide20.json"
+    path.write_text(json.dumps(wide_denominator_pencil(20)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "validate", path, "--step", "1")
+    assert time.perf_counter() - start < 5
+    assert code == 0 and err == "625 points, 0 failures\n"
+    assert out.count('"member": true') > 0
 
 
 #: sha256 of validate's stdout per run: the records are exact, so a speed-up

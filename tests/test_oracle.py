@@ -66,6 +66,7 @@ from tropsdp.puiseux import (
     PuiseuxPoly as P,
     PuiseuxSymMatrix,
     SeriesPolynomial,
+    is_psd,
     principal_minor,
     sval,
 )
@@ -366,7 +367,7 @@ def test_wrong_verdicts_are_reported_as_failures(monkeypatch, capsys):
     # wrong: each message must land in the record of the point that failed
     from tropsdp import cli
 
-    real_minor, real_psd = oracle._minor_conditions, oracle._psd_verdict
+    real_verdicts = oracle._lift_verdicts
     real_member, real_class = oracle._member, oracle._class_record
     metzler = load_pencil(FIXTURES / "m1_distinct.json")[0]
     general = load_pencil(FIXTURES / "quadrant_ray.json")[0]
@@ -374,11 +375,9 @@ def test_wrong_verdicts_are_reported_as_failures(monkeypatch, capsys):
     truth = [cross_validate(pencil, grid) for pencil, grid in cases]
     assert all(r.ok for records in truth for r in records)
 
-    # wrong lift verdicts; _psd_verdict is handed back the true outer verdict
-    monkeypatch.setattr(oracle, "_minor_conditions",
-                        lambda a, pairs: tuple(not v for v in real_minor(a, pairs)))
-    monkeypatch.setattr(oracle, "_psd_verdict",
-                        lambda a, outer, blocks: not real_psd(a, not outer, blocks))
+    # wrong lift verdicts: every (outer, inner, psd) the oracle reads
+    monkeypatch.setattr(oracle, "_lift_verdicts",
+                        lambda *args: tuple(not v for v in real_verdicts(*args)))
     classes = []
     monkeypatch.setattr(oracle, "_class_record",
                         lambda *args: classes.append(args[2]) or real_class(*args))
@@ -663,10 +662,10 @@ def test_grid_point_lift_runs_once_per_class(monkeypatch):
     lifted = []
     real = oracle._lift_at
 
-    def counting(cache, pencil, x, lattice=None):
+    def counting(cache, pencil, x, lattice=None, **kw):
         if lattice is not None:  # a grid point's lift; a piece's target has none
             lifted.append(x)
-        return real(cache, pencil, x, lattice)
+        return real(cache, pencil, x, lattice, **kw)
 
     monkeypatch.setattr(oracle, "_lift_at", counting)
     for name in ["polygon9", "quadrant_ray"]:
@@ -896,7 +895,8 @@ def test_compiled_blocks_hold_every_nonzero_entry(monkeypatch):
     seen = {"points": 0, "cancelled": 0, "split": 0}
     real = oracle._lift_at
 
-    def checked(cache, pencil, x, lattice=None):
+    def checked(cache, pencil, x, lattice=None, **kw):
+        # the full lift, also where the oracle's stops at a negative diagonal
         a, pairs, blocks = real(cache, pencil, x, lattice)
         nonzero = puiseux._nonzero_pairs(a)
         assert set(nonzero) <= set(pairs), (pencil, x)
@@ -908,7 +908,7 @@ def test_compiled_blocks_hold_every_nonzero_entry(monkeypatch):
         seen["points"] += 1
         seen["cancelled"] += len(pairs) > len(nonzero)
         seen["split"] += len(comps) > len(blocks)
-        return a, pairs, blocks
+        return real(cache, pencil, x, lattice, **kw)
 
     monkeypatch.setattr(oracle, "_lift_at", checked)
     for pencil, grid in validation_cases():
@@ -978,6 +978,115 @@ def test_lift_verdicts_match_reference():
     assert seen[False, False, True] > 50
 
 
+def tied_diagonal_pencil(rng: random.Random, m: int) -> TropicalPencil:
+    """Seeded non-Metzler m x m pencil, n = 3: each diagonal entry is +a in
+    x0, -a in x1 and a lower negative value in x2, off-diagonal entries are
+    low.  On the plane x0 = x1 the first two terms of the entrywise lift
+    cancel, so its diagonal is negative there, member points included."""
+    entries = {}
+    for i in range(m):
+        a = rng.randint(0, 3)
+        entries.update({(0, i, i): SignedTrop(1, F(a)), (1, i, i): SignedTrop(-1, F(a)),
+                        (2, i, i): SignedTrop(-1, F(a - rng.randint(1, 3)))})
+    for i, j in itertools.combinations(range(m), 2):
+        entries[(rng.randrange(3), i, j)] = SignedTrop(rng.choice((1, -1)), F(rng.randint(-9, -5)))
+    return pencil_of(m, 3, entries)
+
+
+def test_lazy_lift_verdicts_match_the_full_lift():
+    """_lift_verdicts, which stops a lift at its first negative diagonal
+    entry and reads PSD from the inner set where it holds, equals
+    _minor_conditions and _psd_verdict on the full lift at every point of
+    seeded grids.  A lift stops exactly where a diagonal entry is negative;
+    the first such entry is seen at the first and at the last diagonal
+    index, and at member points."""
+    rng = random.Random(41)
+    stops = Counter()
+    pencils = [lattice_pencil(rng, m, metzler)
+               for m, metzler, _ in itertools.product(range(1, 6), (True, False), range(6))]
+    for pencil in pencils + [tied_diagonal_pencil(rng, m) for m in range(1, 5)]:
+        m = pencil.m
+        # the diagonal rows come first, so a stopped lift sums no other entry
+        diagonal = [i == j for i, j, _ in oracle._compile_lift(pencil)[0]]
+        assert diagonal == sorted(diagonal, reverse=True)
+        points = grid_points(pencil.n, -2, 2, F(1, 2) if pencil.n < 3 else 1)
+        cache = {}
+        for x in points + list(cancelling_points(pencil, rng)):
+            rows, pairs, blocks = oracle._lift_at(cache, pencil, x)
+            outer, inner = oracle._minor_conditions(rows, pairs)
+            full = (outer, inner, oracle._psd_verdict(rows, outer, blocks))
+            assert oracle._lift_verdicts(cache, pencil, x) == full, (pencil, x)
+            negative = [i for i in range(m) if puiseux.sign_of(rows[i][i]) < 0]
+            assert (oracle._lift_at(cache, pencil, x, stop=True)[0] is None) == bool(negative)
+            if negative and m > 1:
+                stops[negative[0] == 0, negative[0] == m - 1] += 1
+                stops["member"] += general_member(pencil, x)
+    assert stops[True, False] > 20 and stops[False, True] > 20 and stops["member"] > 5, stops
+
+
+def dominant_pencil(rng: random.Random, m: int, metzler: bool) -> TropicalPencil:
+    """Seeded m x m pencil, n = 1..3, whose positive diagonal values lie above
+    most off-diagonal ones, so that many points lift into the PSD cone;
+    off-diagonal entries are negative when metzler is set."""
+    n = rng.randint(1, 3)
+    entries = {}
+    for k, i in itertools.product(range(n), range(m)):
+        if rng.random() < 0.8:
+            entries[(k, i, i)] = SignedTrop(1, F(rng.randint(0, 3)))
+        for j in range(i + 1, m):
+            if rng.random() < 0.6:
+                sign = -1 if metzler else rng.choice((1, -1))
+                entries[(k, i, j)] = SignedTrop(sign, F(rng.randint(-4, 1)))
+    return pencil_of(m, n, entries)
+
+
+def rank_one_sum_pencil(rng: random.Random, m: int, flip: bool) -> TropicalPencil:
+    """Seeded m x m pencil, n = 2: matrix k has entries s_i s_j t^(u_i + u_j),
+    so each lift is a sum of rank-one PSD matrices.  Their 2 x 2 minors
+    vanish, so the lift is PSD at every point but often outside the inner
+    set: elimination decides there.  With flip, entry (0, m - 1) of matrix
+    0 has the other sign: where that matrix leads, every 2 x 2 minor still
+    vanishes (outer holds), but the 3 x 3 minor on 0, 1 and m - 1 is -4."""
+    entries = {}
+    for k in range(2):
+        u = [rng.randint(-2, 2) for _ in range(m)]
+        s = [rng.choice((1, -1)) for _ in range(m)]
+        for i, j in itertools.combinations_with_replacement(range(m), 2):
+            sign = -1 if flip and (k, i, j) == (0, 0, m - 1) else 1
+            entries[(k, i, j)] = SignedTrop(sign * s[i] * s[j], F(u[i] + u[j]))
+    return pencil_of(m, 2, entries)
+
+
+def test_inner_set_psd_verdict_agrees_with_elimination():
+    """The sandwich lemma of _lift_verdicts: the inner set lies inside the
+    PSD cone.  At every point of seeded grids, -inf coordinates included,
+    the verdict inner-or-eliminate equals is_psd's elimination and the
+    principal-minor reference on the evaluated lift, and at a finite point
+    it is the oracle's: Metzler and non-Metzler pencils with m up to 5."""
+    rng = random.Random(52)
+    seen = Counter()
+    pencils = [make(rng, m, metzler) for m, metzler, make in itertools.product(
+        range(1, 6), (True, False), (lattice_pencil, dominant_pencil) * 2)]
+    pencils += [rank_one_sum_pencil(rng, m, flip) for m in (3, 4, 5) for flip in (False, True)]
+    for pencil in pencils:
+        lift = canonical_lift(pencil) if pencil.is_metzler else entrywise_lift(pencil)
+        cache = {}
+        for x in with_bottoms(grid_points(pencil.n, -2, 2, 1 if pencil.n < 3 else 2)):
+            a = evaluate_pencil(lift, monomial_lift(x))
+            outer, inner = oracle._minor_conditions(a.entries, puiseux._nonzero_pairs(a.entries))
+            psd = is_psd(a)
+            assert (inner or psd) == psd == reference_is_psd(a), (pencil, x)
+            bottom = any(map(is_minus_inf, x))
+            if not bottom:
+                assert oracle._lift_verdicts(cache, pencil, x) == (outer, inner, psd), (pencil, x)
+            seen[pencil.m > 2, outer, inner, psd, bottom] += 1
+    # the lemma decides with and without -inf coordinates, where inner is
+    # strictly stronger than outer (m > 2); elimination decides the rest,
+    # both ways
+    assert min(seen[True, True, True, True, bottom] for bottom in (True, False)) > 20, seen
+    assert seen[True, True, False, True, False] > 20 and seen[True, True, False, False, False] > 20, seen
+
+
 #: Pool pencil M4x2p7:57 of the benchmark corpus: certified, Metzler, and
 #: its compiled blocks include one of three or more indices.
 M4X2 = {"m": 4, "n": 2, "homogeneous": True, "matrices": [
@@ -998,10 +1107,14 @@ M4X2 = {"m": 4, "n": 2, "homogeneous": True, "matrices": [
 
 def test_only_outer_points_reach_the_higher_minors(monkeypatch):
     """A PSD verdict eliminates a block (calls _block_psd) only when the
-    outer test passed and a compiled block has three or more indices."""
+    outer test passed and a compiled block has three or more indices.  The
+    oracle asks for one only outside the inner set (the sandwich lemma of
+    _lift_verdicts), so on a certified pencil's grid it eliminates nothing."""
     eliminated = []
     verdicts = []
+    read = []
     real_block, real_verdict = puiseux._block_psd, oracle._psd_verdict
+    real_read = oracle._lift_verdicts
 
     def block(entries, indices):
         eliminated.append(indices)
@@ -1015,14 +1128,22 @@ def test_only_outer_points_reach_the_higher_minors(monkeypatch):
 
     monkeypatch.setattr(puiseux, "_block_psd", block)
     monkeypatch.setattr(oracle, "_psd_verdict", verdict)
+    monkeypatch.setattr(oracle, "_lift_verdicts", lambda *args: read.append(args) or real_read(*args))
     polygon9 = load_pencil(FIXTURES / "polygon9.json")[0]
     records = validate_each(polygon9, default_grid(3))
-    assert all(r.ok for r in records) and len(verdicts) >= len(records) == 729
+    assert all(r.ok for r in records) and len(read) >= len(records) == 729
     assert eliminated == [] and not any(big for _, big, _ in verdicts)
     verdicts.clear()
     pencil = pencil_from_obj(M4X2)[0]
     assert isinstance(certify_generic_general(pencil), Certificate)
     assert all(r.ok for r in validate_each(pencil, default_grid(2)))
+    assert eliminated == [] and not any(outer for outer, _, _ in verdicts)
+    # every grid point's PSD verdict by elimination, as the lemma would skip it
+    verdicts.clear()
+    cache = {}
+    for x in default_grid(2):
+        rows, pairs, blocks = oracle._lift_at(cache, pencil, x)
+        oracle._psd_verdict(rows, oracle._minor_conditions(rows, pairs)[0], blocks)
     assert all(reached == (outer and big) for outer, big, reached in verdicts)
     counts = Counter(outer for outer, big, _ in verdicts if big)
     assert counts[True] > 30 and counts[False] > 30
