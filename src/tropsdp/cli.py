@@ -23,7 +23,7 @@ from .hypergraphs import (
     certify_generic_general,
     result_to_obj,
 )
-from .oracle import _HEAD, _grid_walk, _label, _line_tail, grid_axis
+from .oracle import _grid_lines, grid_axis
 from .pencils import (
     SigmaChoice,
     _lattice_lcm,
@@ -91,7 +91,7 @@ def cmd_generic(args) -> int:
 def _parse_pairs(text, directed):
     """{(i, j): direction}, 0-based, of the ";"-separated entries of --sigma
     ("i,j", direction None) or, when directed, --diamond ("i,j:>=" or
-    "i,j:<="), 1-based; a pair listed twice is refused."""
+    "i,j:<="), 1-based, i < j; a pair listed twice is refused."""
     option = "--diamond" if directed else "--sigma"
     pairs = {}
     for piece in text.split(";"):
@@ -103,6 +103,8 @@ def _parse_pairs(text, directed):
             i, j = (ascii_int(v) for v in pair.split(","))
         except ValueError as exc:
             raise CliError(f"bad {option} entry {piece!r}") from exc
+        if i >= j:
+            raise CliError(f"bad {option} entry {piece!r}: need i < j")
         if directed and direction not in (">=", "<="):
             raise CliError(f"bad direction {direction!r}")
         if (i - 1, j - 1) in pairs:
@@ -155,23 +157,12 @@ def _box(args):
 def cmd_validate(args) -> int:
     pencil, lead = _load(args.file)
     axis = grid_axis(pencil.n - len(lead), *_box(args))
-    # a point's line is its row's start, its last coordinate's label and its
-    # class record's tail, each formatted once; the walk holds every class
-    # record to its end, so a record's id() keys its tail
-    opening = _HEAD + "".join(_label(v) + ", " for v in lead)
-    labels = [_label(v) for v in axis]
-    tails: dict[int, str] = {}
-    lines, bad = [], 0
-    # _grid_walk certifies before it draws a point; nothing is written until
+    # _grid_lines certifies before it draws a point; nothing is written until
     # the whole grid is validated
-    for head, row in _grid_walk(pencil, lead, axis, args.max_m, args.max_n):
-        start = opening + "".join(labels[i] + ", " for i in head)
-        for label, rec in zip(labels, row):
-            tail = tails.get(id(rec))
-            if tail is None:
-                tail = tails[id(rec)] = _line_tail(rec)
-            lines.append(start + label + tail)
-            bad += not rec.ok
+    lines, bad = [], 0
+    for row, row_bad in _grid_lines(pencil, lead, axis, args.max_m, args.max_n):
+        lines += row
+        bad += row_bad
     sys.stdout.writelines(lines)
     print(f"{len(lines)} points, {bad} failures", file=sys.stderr)
     return 0 if bad == 0 else 1

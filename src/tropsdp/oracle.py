@@ -92,13 +92,15 @@ def _lift_table(pencil: TropicalPencil, canonical: bool) -> tuple:
     """The entry-wise series lift on the lattice D of pencil._terms.
 
     It has a row (i, j, terms) for every upper-triangle entry with a finite
-    value, a term (k, D * value, coefficient) per finite value.  This is the
-    one place that picks lift coefficients: -1 for negative entries and, for
-    positive ones, m*n under the canonical lift, 1 otherwise (the plain sign).
+    value, the diagonal rows first and each part in row order, and a term
+    (k, D * value, coefficient) per finite value.  This is the one place
+    that picks lift coefficients: -1 for negative entries and, for positive
+    ones, m*n under the canonical lift, 1 otherwise (the plain sign).
     """
     pos = pencil.m * pencil.n if canonical else 1
+    cells = sorted(pencil._terms[1].items(), key=lambda cell: cell[0][0] != cell[0][1])
     return tuple((i, j, tuple((k, c, pos if s > 0 else -1) for k, s, c in terms))
-                 for (i, j), terms in pencil._terms[1].items() if terms)
+                 for (i, j), terms in cells if terms)
 
 
 def _series_pencil(pencil: TropicalPencil, table) -> PuiseuxPencil:
@@ -245,34 +247,9 @@ class ValidationRecord:
         }
 
 
-# the one record line format: _HEAD, the coordinates' _labels joined by ", ",
-# then the _line_tail of the record's verdicts
-_HEAD = '{"x": ['
-_TAIL = '], "member": %s, "checks": {"sout": %s, "sin": %s, "psd": %s}, "ok": %s}\n'
-_JSON = {True: "true", False: "false", None: "null"}
-
-
-def _label(v: ExtRat) -> str:
-    """A coordinate as json.dumps writes it in a record's "x" list."""
-    return json.dumps(format_point((v,))[0])
-
-
-def _line_tail(rec: ValidationRecord) -> str:
-    """What follows a record's coordinates in its line: its verdicts, its ok
-    and the newline."""
-    return _TAIL % (_JSON[rec.member], _JSON[rec.sout], _JSON[rec.sin], _JSON[rec.psd],
-                    _JSON[rec.ok])
-
-
-def record_lines(records: Iterable[ValidationRecord]) -> Iterator[str]:
-    """json.dumps(rec.to_obj()) of each record and a newline, written from the
-    one line format."""
-    for rec in records:
-        yield _HEAD + ", ".join(map(_label, rec.x)) + _line_tail(rec)
-
-
 def _cached(cache: dict, key, build):
-    # cache is scoped to one cross_validate call, so nothing outlives it
+    # cache is scoped to one cross_validate or _grid_lines call, so nothing
+    # outlives it
     hit = cache.get(key)
     if hit is None:
         hit = cache[key] = build()
@@ -281,11 +258,10 @@ def _cached(cache: dict, key, build):
 
 def _compile_lift(pencil: TropicalPencil):
     """(table, pairs, blocks): the _lift_table of the pencil (canonical iff
-    Metzler) with its diagonal rows first, the off-diagonal (i, j) of its
-    rows, and the components those pairs make of range(m).  Only a listed
-    pair can be nonzero at a point, so pairs serve _minor_conditions and
-    blocks _psd_verdict."""
-    table = sorted(_lift_table(pencil, pencil.is_metzler), key=lambda row: row[0] != row[1])
+    Metzler), the off-diagonal (i, j) of its rows, and the components those
+    pairs make of range(m).  Only a listed pair can be nonzero at a point,
+    so pairs serve _minor_conditions and blocks _psd_verdict."""
+    table = _lift_table(pencil, pencil.is_metzler)
     pairs = tuple((i, j) for i, j, _ in table if i != j)
     return table, pairs, _components(pencil.m, pairs)
 
@@ -382,98 +358,79 @@ def cross_validate(
     strictly perturbed first when they sit on the boundary.  The grid may
     be any iterable, a lazy one too: it is read only after certification.
 
-    This is the driver for any grid, -inf coordinates included: each
-    point's membership is _member's verdict on its own _lattice, taken by
-    _validate_point.  The lift verdicts and the piece check run once per
-    class of translates along the all-ones direction, exact since
-    A(x + lambda * 1) = t^lambda * A(x) (see _class_of).
+    This is the driver for any grid, -inf coordinates included, and the
+    per-point reference of _grid_lines: each point's membership is
+    _member's verdict on its own _lattice, which its lift reads too.  The
+    lift verdicts and the piece check run once per class of translates
+    along the all-ones direction, exact since A(x + lambda * 1) =
+    t^lambda * A(x) (see _class_of); each point gets a copy of its class
+    record.
     """
     if not assume_certified:
         _certify(pencil, max_m, max_n)
     cache: dict = {}
-    return [_validate_point(pencil, x, cache) for x in map(tuple, sorted(grid))]
+    records = []
+    for x in map(tuple, sorted(grid)):
+        _check_count(pencil.n, x)
+        lattice = _lattice(pencil, x)
+        first = _class_of(pencil, x, _member(pencil, x, lattice), lattice, cache)
+        records.append(replace(first, x=x, failures=list(first.failures)))
+    return records
 
 
-def _grid_walk(
+def _grid_lines(
     pencil: TropicalPencil,
     lead: Sequence[ExtRat],
     axis: Sequence[Fraction],
     max_m: int,
     max_n: int,
-) -> Iterator[tuple[tuple[int, ...], list[ValidationRecord]]]:
+) -> Iterator[tuple[list[str], int]]:
     """The one walk of the grid lead + axis^(n - len(lead)), axis finite and
     ascending, in lexicographic order; the pencil is certified first.
 
-    Yields (head, row) per grid row: head the axis indices of the free
-    coordinates before the last, row the _class_of record of the point
-    (*lead, *axis[head], b) for each b in axis.  Every class record stays in
-    the walk's cache until it ends, so a renderer may key on its id().
+    Yields (lines, bad) per grid row, the row of the points
+    (*lead, *head, b) for b in axis: lines has json.dumps(rec.to_obj()) and
+    a newline for each of its cross_validate records, and bad counts the
+    ones not ok.  A line is its row's start, its last coordinate's label
+    and its class record's tail, each formatted once.  Every class record
+    stays in the walk's cache until it ends, so its id() keys its tail.
 
     Membership comes a grid row at a time from slice_members on the last
     two free coordinates, one call per value of the leading ones (a single
     row when one coordinate is free), and every point reads the one
     _lattice of the grid's values: its scale may exceed a point's own, but
     the class key is in lowest terms and every lift verdict is read after
-    t -> t^S for some S > 0, so each class record is _validate_point's.
+    t -> t^S for some S > 0, so each class record is cross_validate's.
     """
     free = pencil.n - len(lead)
-    if free < 1:
-        raise ValueError("the grid needs at least one free coordinate")
     _certify(pencil, max_m, max_n)
     scale, f, X = _lattice(pencil, (*lead, *axis))
     ints = X[len(lead):]
-    tail = tuple(range(pencil.n - min(free, 2), pencil.n))
+    last = tuple(range(pencil.n - min(free, 2), pencil.n))
     cache: dict = {}
-    for prefix in itertools.product(range(len(axis)), repeat=free - len(tail)):
-        base = [*lead, *(axis[i] for i in prefix)] + [MINUS_INF] * len(tail)
-        heads = [(*prefix, a) for a in range(len(axis))] if len(tail) == 2 else [prefix]
-        for head, members in zip(heads, slice_members(pencil, base, tail, axis)):
+    # the line format: the coordinates' json.dumps labels, then the verdicts
+    opening = '{"x": [' + "".join(json.dumps(v) + ", " for v in format_point(lead))
+    verdicts = '], "member": %s, "checks": {"sout": %s, "sin": %s, "psd": %s}, "ok": %s}\n'
+    words = {True: "true", False: "false", None: "null"}
+    tails: dict[int, str] = {}
+    labels = [json.dumps(v) for v in format_point(axis)]
+    for prefix in itertools.product(range(len(axis)), repeat=free - len(last)):
+        base = [*lead, *(axis[i] for i in prefix)] + [MINUS_INF] * len(last)
+        heads = [(*prefix, a) for a in range(len(axis))] if len(last) == 2 else [prefix]
+        for head, members in zip(heads, slice_members(pencil, base, last, axis)):
             start = (*lead, *(axis[i] for i in head))
             start_ints = (*X[:len(lead)], *(ints[i] for i in head))
-            yield head, [_class_of(pencil, (*start, b), member, (scale, f, (*start_ints, B)), cache)
-                         for b, B, member in zip(axis, ints, members)]
-
-
-def validate_grid(
-    pencil: TropicalPencil,
-    lead: Sequence[ExtRat],
-    axis: Sequence[Fraction],
-    *,
-    max_m: int = 4,
-    max_n: int = 4,
-) -> Iterator[ValidationRecord]:
-    """cross_validate's records on the grid lead + axis^(n - len(lead)), in
-    lexicographic order, for a finite ascending axis; the pencil is
-    certified before the first record.  Each is its point's class record
-    from _grid_walk, copied onto the point: the records are the ones
-    _validate_point gives (see _grid_walk).
-    """
-    for head, row in _grid_walk(pencil, lead, axis, max_m, max_n):
-        start = (*lead, *(axis[i] for i in head))
-        for b, first in zip(axis, row):
-            yield _record_at((*start, b), first)
-
-
-def _validate_point(pencil: TropicalPencil, x, cache: dict) -> ValidationRecord:
-    """The record at x: membership is _member's verdict on the one
-    _lattice(pencil, x), which _point_record's lift reads too.  This is
-    cross_validate's per-point path and the reference _grid_walk's records
-    must match."""
-    _check_count(pencil.n, x)
-    lattice = _lattice(pencil, x)
-    return _point_record(pencil, x, _member(pencil, x, lattice), lattice, cache)
-
-
-def _point_record(pencil: TropicalPencil, x, member: bool, lattice, cache: dict) -> ValidationRecord:
-    """The record at x, member its verdict and lattice a (S, f, X) of
-    pencils._lattice for x: the verdicts and failures of its _class_of
-    record, copied onto x."""
-    return _record_at(x, _class_of(pencil, x, member, lattice, cache))
-
-
-def _record_at(x, first: ValidationRecord) -> ValidationRecord:
-    # a class record's verdicts and failures as the record at its translate x
-    return replace(first, x=x, failures=list(first.failures))
+            row = opening + "".join(labels[i] + ", " for i in head)
+            lines, bad = [], 0
+            for b, B, label, member in zip(axis, ints, labels, members):
+                rec = _class_of(pencil, (*start, b), member, (scale, f, (*start_ints, B)), cache)
+                tail = tails.get(id(rec))
+                if tail is None:
+                    tail = tails[id(rec)] = verdicts % tuple(
+                        words[v] for v in (rec.member, rec.sout, rec.sin, rec.psd, rec.ok))
+                lines.append(row + label + tail)
+                bad += not rec.ok
+            yield lines, bad
 
 
 def _class_key(pencil: TropicalPencil, member: bool, scale: int, X) -> tuple:
@@ -487,10 +444,11 @@ def _class_key(pencil: TropicalPencil, member: bool, scale: int, X) -> tuple:
 
 
 def _class_of(pencil: TropicalPencil, x, member: bool, lattice, cache: dict) -> ValidationRecord:
-    """The record x shares with its class, built once per cache: member is
-    x's verdict and lattice a (S, f, X) of pencils._lattice for x; a point
-    with a -inf coordinate (None in X) is validated on its support's
-    sub-pencil.  The record's x is the class's first point.
+    """The record x shares with its class, built once per cache, for
+    cross_validate and _grid_lines alike: member is x's verdict and lattice
+    a (S, f, X) of pencils._lattice for x; a point with a -inf coordinate
+    (None in X) is validated on its support's sub-pencil.  The record's x
+    is the class's first point.
 
     The predicate under test, member and the stratum's _member, is read at
     every point; _class_record's verdicts and failures are shared by the

@@ -18,7 +18,7 @@ from helpers import pencil_of, random_pencil, wide_denominator_pencil
 from tropsdp.cli import main
 from tropsdp.errors import NotCertified
 from tropsdp.hypergraphs import Certificate, certify_generic_general
-from tropsdp.oracle import cross_validate, grid_axis, record_lines
+from tropsdp.oracle import cross_validate, grid_axis
 from tropsdp.pencils import general_member, homogenize, load_pencil, pencil_to_obj
 from tropsdp.signed import MINUS_INF, pos
 
@@ -209,7 +209,8 @@ def test_decompose_round_trips(capsys):
 
 
 def test_decompose_refuses_repeated_and_malformed_pairs(capsys):
-    # --sigma and --diamond share one parser: a pair listed twice is refused
+    # --sigma and --diamond share one parser: a pair listed twice or out of
+    # order (i >= j) is refused
     ray = FIXTURES / "quadrant_ray.json"
     for argv, message in (
         (("--diamond", "1,2:>=;1,2:<="), "--diamond lists pair 1,2 twice"),
@@ -218,6 +219,9 @@ def test_decompose_refuses_repeated_and_malformed_pairs(capsys):
         (("--sigma", "1,2:>="), "bad --sigma entry '1,2:>='"),
         (("--diamond", "1,2:>"), "bad direction '>'"),
         (("--sigma", "1,2", "--diamond", "1,2:>="), "partition"),
+        (("--sigma", "2,1"), "bad --sigma entry '2,1': need i < j"),
+        (("--sigma", "1,1"), "bad --sigma entry '1,1': need i < j"),
+        (("--diamond", "2,1:>="), "bad --diamond entry '2,1:>=': need i < j"),
     ):
         code, out, err = run(capsys, "decompose", ray, *argv)
         assert code == 2 and out == "" and message in err, (argv, err)
@@ -416,8 +420,8 @@ def test_validate_refusal_draws_no_grid_point(capsys, monkeypatch):
     from tropsdp import cli, oracle
 
     grids, drawn = [], []
-    real = cli._grid_walk
-    monkeypatch.setattr(cli, "_grid_walk", lambda pencil, lead, axis, *bounds: (
+    real = cli._grid_lines
+    monkeypatch.setattr(cli, "_grid_lines", lambda pencil, lead, axis, *bounds: (
         grids.append((lead, axis)) or real(pencil, lead, axis, *bounds)))
     # every grid point's membership row and class record goes through these two
     real_rows, real_class = oracle.slice_members, oracle._class_of
@@ -516,7 +520,7 @@ def test_validate_prints_cross_validate_records(capsys, tmp_path):
         path = tmp_path / f"certified{i}.json"
         path.write_text(json.dumps(pencil_to_obj(pencil, homogeneous=homogeneous)))
         cases += [(path, ["--step", step]) for step in ("1/2", "1/3")]
-    free_counts, verdicts = set(), set()
+    free_counts, verdicts, null_psd = set(), set(), set()
     for path, flags in cases:
         code, out, err = run(capsys, "validate", path, *flags)
         pencil, homogeneous = load_pencil(path)
@@ -530,12 +534,17 @@ def test_validate_prints_cross_validate_records(capsys, tmp_path):
         except NotCertified:
             assert code == 2 and out == "" and "NotCertified" in err, path.name
             continue
-        assert out == "".join(record_lines(records)), (path.name, flags)
+        assert out == "".join(json.dumps(rec.to_obj()) + "\n" for rec in records), (
+            path.name, flags)
         assert err == f"{len(grid)} points, 0 failures\n" and code == 0
         free_counts.add((free, homogeneous))
         verdicts.update((free, rec.member) for rec in records)
+        if '"psd": null' in out:
+            null_psd.add(path.name)
     assert free_counts >= {(f, h) for f in (1, 2, 3) for h in (True, False)}
     assert verdicts == {(f, v) for f in (1, 2, 3) for v in (True, False)}
+    # quadrant_ray's member points leave psd unset: its lines print a null
+    assert "quadrant_ray.json" in null_psd
 
 
 def test_validate_output_is_pinned(capsys):

@@ -34,7 +34,6 @@ from tropsdp.errors import NotCertified, NotMetzler
 from tropsdp.oracle import (
     PuiseuxPencil,
     SandwichVerdict,
-    ValidationRecord,
     cross_validate,
     default_grid,
     entrywise_lift,
@@ -42,11 +41,9 @@ from tropsdp.oracle import (
     grid_points,
     monomial_lift,
     psd_member,
-    record_lines,
     sin_member,
     sout_member,
     sval_pencil,
-    validate_grid,
     valuation_sandwich_check,
 )
 from tropsdp import puiseux
@@ -397,7 +394,7 @@ def test_wrong_verdicts_are_reported_as_failures(monkeypatch, capsys):
                 assert rec.failures and set(rec.failures) == {PIECE_FAILURE}
             members.add(rec.member)
         assert members == {True, False}
-        assert [json.loads(line)["ok"] for line in record_lines(records)] == [False] * len(grid)
+        assert [rec.to_obj()["ok"] for rec in records] == [False] * len(grid)
         # translates x + lambda * 1 share one class record and its failures
         shared: dict = {}
         for rec in records:
@@ -426,7 +423,7 @@ def test_wrong_verdicts_are_reported_as_failures(monkeypatch, capsys):
     assert [r.member for r in records] == [False] + [general_member(general, x)
                                                      for x in bottoms[1:]]
     assert [(r.sout, r.sin, r.psd) for r in records[1:3]] == [(None, None, None)] * 2
-    assert [json.loads(line)["ok"] for line in record_lines(records)] == [False] * 3 + [True]
+    assert [rec.to_obj()["ok"] for rec in records] == [False] * 3 + [True]
 
 
 def test_cross_validate_caches_do_not_outlive_the_call():
@@ -636,13 +633,13 @@ def class_cases():
 
 def test_class_records_match_per_point_validation():
     """cross_validate, which validates once per class of translates, gives
-    the records and failures, or raises the exception, of _validate_point on
-    a fresh cache per point and of the Fraction-termed reference."""
+    the records and failures, or raises the exception, of cross_validate on
+    one point at a time and of the Fraction-termed reference."""
     seen = Counter()
     for pencil, grid in class_cases():
         memo = validation_outcome(lambda: cross_validate(pencil, grid, assume_certified=True))
         each = validation_outcome(lambda: [
-            oracle._validate_point(pencil, tuple(x), {}) for x in sorted(grid)
+            cross_validate(pencil, [x], assume_certified=True)[0] for x in sorted(grid)
         ])
         cache = {}
         fraction = validation_outcome(lambda: [
@@ -684,48 +681,11 @@ def test_grid_point_lift_runs_once_per_class(monkeypatch):
         assert len(lifted) == 3 * (5**2 - 4**2)
 
 
-def test_validate_grid_matches_cross_validate():
-    # the row-kernel driver, also with -inf and nonzero values in its lead,
-    # against the per-point driver on the same grid, Metzler and general
-    axis = [F(v, 3) for v in range(-4, 5)]
-    for name in ("m1_distinct.json", "quadrant_ray.json"):
-        pencil = load_pencil(FIXTURES / name)[0]
-        leads = [(), (Z,), (MINUS_INF,), (F(5, 2),), (MINUS_INF, F(-1, 2)), (F(1), F(-1, 2))]
-        seen = set()
-        for lead in [lead for lead in leads if len(lead) < pencil.n]:
-            grid = [lead + p for p in itertools.product(axis, repeat=pencil.n - len(lead))]
-            records = list(validate_grid(pencil, lead, axis))
-            assert records == cross_validate(pencil, grid), (name, lead)
-            seen.update(r.member for r in records)
-        assert seen == {True, False}, name
-        with pytest.raises(ValueError, match="at least one free coordinate"):
-            next(validate_grid(pencil, (Z,) * pencil.n, axis))
-        with pytest.raises(ValueError, match="axis value -inf"):
-            next(validate_grid(pencil, (), [MINUS_INF, *axis]))
-
-
 def test_cross_validate_refuses_a_point_of_the_wrong_length():
     pencil = load_pencil(FIXTURES / "quadrant_ray.json")[0]
     for x in [(Z, F(1)), (Z, F(1), F(2), F(3))]:
         with pytest.raises(ValueError, match=f"expected 3 coordinates, got {len(x)}"):
             cross_validate(pencil, [(Z, Z, Z), x], assume_certified=True)
-
-
-
-def test_record_lines_match_to_obj():
-    # the template line of a record is json.dumps of its to_obj: with null
-    # checks (the support-disagreement return), a -inf coordinate, a failure,
-    # and every record of a validated grid with -inf coordinates
-    stratum = ValidationRecord(x=(Z, MINUS_INF, F(-3, 2)), member=False)
-    stratum.fail("membership disagrees with its support stratum")
-    bottom = ValidationRecord(x=(MINUS_INF, F(7, 3)), member=True, sout=True, sin=False, psd=True)
-    failing = ValidationRecord(x=(Z, F(2)), member=False, sout=True, sin=False, psd=False)
-    failing.fail("non-member point satisfies the outer minor inequalities")
-    pencil = load_pencil(FIXTURES / "quadrant_ray.json")[0]
-    grid = with_bottoms([(Z, a, b) for a, b in grid_points(2, -2, 2, F(1, 2))])
-    records = [stratum, bottom, failing, *cross_validate(pencil, grid)]
-    assert [r.psd for r in records[:3]] == [None, True, False]
-    assert list(record_lines(records)) == [json.dumps(r.to_obj()) + "\n" for r in records]
 
 
 def test_each_support_is_restricted_once(monkeypatch):
@@ -885,7 +845,7 @@ def validate_each(pencil, grid):
     """cross_validate's records without certification, each point on a fresh
     cache: every point runs the whole oracle, not once per class of
     translates, so a count per point stays one."""
-    return [oracle._validate_point(pencil, tuple(x), {}) for x in sorted(grid)]
+    return [cross_validate(pencil, [x], assume_certified=True)[0] for x in sorted(grid)]
 
 
 def test_compiled_blocks_hold_every_nonzero_entry(monkeypatch):
