@@ -15,7 +15,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -239,12 +239,15 @@ class ValidationRecord:
         self.failures.append(message)
 
     def to_obj(self) -> dict:
-        return {
+        obj = {
             "x": format_point(self.x),
             "member": self.member,
             "checks": {"sout": self.sout, "sin": self.sin, "psd": self.psd},
             "ok": self.ok,
         }
+        if not self.ok:
+            obj["failures"] = self.failures
+        return obj
 
 
 def _cached(cache: dict, key, build):
@@ -358,13 +361,14 @@ def cross_validate(
     strictly perturbed first when they sit on the boundary.  The grid may
     be any iterable, a lazy one too: it is read only after certification.
 
-    This is the driver for any grid, -inf coordinates included, and the
-    per-point reference of _grid_lines: each point's membership is
-    _member's verdict on its own _lattice, which its lift reads too.  The
-    lift verdicts and the piece check run once per class of translates
-    along the all-ones direction, exact since A(x + lambda * 1) =
-    t^lambda * A(x) (see _class_of); each point gets a copy of its class
-    record.
+    This is the driver for any grid and the only one that reads -inf
+    coordinates; it is the per-point reference of _grid_lines.  Each
+    point's membership is _member's verdict on its own _lattice, which its
+    lift reads too.  A point with a -inf coordinate is validated on its
+    support's sub-pencil, built once per call, and its membership there
+    must agree; the all--inf point is the zero matrix, trivially inside.
+    The lift verdicts and the piece check run once per class of
+    translates (_class_key); each point gets a copy of its class record.
     """
     if not assume_certified:
         _certify(pencil, max_m, max_n)
@@ -373,8 +377,27 @@ def cross_validate(
     for x in map(tuple, sorted(grid)):
         _check_count(pencil.n, x)
         lattice = _lattice(pencil, x)
-        first = _class_of(pencil, x, _member(pencil, x, lattice), lattice, cache)
-        records.append(replace(first, x=x, failures=list(first.failures)))
+        member = _member(pencil, x, lattice)
+        support = tuple(k for k, v in enumerate(lattice[2]) if v is not None)
+        sub, y = pencil, x
+        if 0 < len(support) < pencil.n:
+            sub = _cached(cache, ("stratum", support), lambda: stratum_restrict(pencil, support))
+            y = tuple(x[k] for k in support)
+            lattice = _lattice(sub, y)
+        if not support:
+            # all coordinates -inf: the zero matrix, trivially inside
+            rec = ValidationRecord(x, member, True, True, True)
+            if not member:
+                rec.fail("all--inf point must be a member")
+        elif sub is not pencil and _member(sub, y, lattice) != member:
+            rec = ValidationRecord(x, member)
+            rec.fail("membership disagrees with its support stratum")
+        else:
+            first = _cached(cache, _class_key(sub, member, lattice),
+                            lambda: _class_record(cache, sub, y, lattice, member))
+            rec = ValidationRecord(x, member, first.sout, first.sin, first.psd, first.ok,
+                                   list(first.failures))
+        records.append(rec)
     return records
 
 
@@ -392,8 +415,9 @@ def _grid_lines(
     (*lead, *head, b) for b in axis: lines has json.dumps(rec.to_obj()) and
     a newline for each of its cross_validate records, and bad counts the
     ones not ok.  A line is its row's start, its last coordinate's label
-    and its class record's tail, each formatted once.  Every class record
-    stays in the walk's cache until it ends, so its id() keys its tail.
+    and its class's tail, each formatted once: the first point of a class
+    builds its _class_record, whose tail and ok flag are kept under its
+    _class_key, and the record is dropped.
 
     Membership comes a grid row at a time from slice_members on the last
     two free coordinates, one call per value of the leading ones (a single
@@ -408,11 +432,8 @@ def _grid_lines(
     ints = X[len(lead):]
     last = tuple(range(pencil.n - min(free, 2), pencil.n))
     cache: dict = {}
-    # the line format: the coordinates' json.dumps labels, then the verdicts
     opening = '{"x": [' + "".join(json.dumps(v) + ", " for v in format_point(lead))
-    verdicts = '], "member": %s, "checks": {"sout": %s, "sin": %s, "psd": %s}, "ok": %s}\n'
-    words = {True: "true", False: "false", None: "null"}
-    tails: dict[int, str] = {}
+    tails: dict[tuple, tuple[str, bool]] = {}
     labels = [json.dumps(v) for v in format_point(axis)]
     for prefix in itertools.product(range(len(axis)), repeat=free - len(last)):
         base = [*lead, *(axis[i] for i in prefix)] + [MINUS_INF] * len(last)
@@ -423,73 +444,40 @@ def _grid_lines(
             row = opening + "".join(labels[i] + ", " for i in head)
             lines, bad = [], 0
             for b, B, label, member in zip(axis, ints, labels, members):
-                rec = _class_of(pencil, (*start, b), member, (scale, f, (*start_ints, B)), cache)
-                tail = tails.get(id(rec))
+                lattice = scale, f, (*start_ints, B)
+                key = _class_key(pencil, member, lattice)
+                tail = tails.get(key)
                 if tail is None:
-                    tail = tails[id(rec)] = verdicts % tuple(
-                        words[v] for v in (rec.member, rec.sout, rec.sin, rec.psd, rec.ok))
-                lines.append(row + label + tail)
-                bad += not rec.ok
+                    rec = _class_record(cache, pencil, (*start, b), lattice, member)
+                    # its line from the end of the x list, whose labels hold no "]"
+                    line = json.dumps(rec.to_obj())
+                    tail = tails[key] = line[line.index("]"):] + "\n", rec.ok
+                lines.append(row + label + tail[0])
+                bad += not tail[1]
             yield lines, bad
 
 
-def _class_key(pencil: TropicalPencil, member: bool, scale: int, X) -> tuple:
-    """The cache key of the class of translates of a finite point, whose
-    lattice has scale S and ints X: the pencil, the membership and
-    x_k - x_first in lowest terms (S // g, d // g), which two points share
-    iff they are translates."""
-    diffs = [v - X[0] for v in X]
-    g = math.gcd(scale, *diffs)
-    return "class", pencil, member, scale // g, tuple(v // g for v in diffs)
+def _class_key(pencil: TropicalPencil, member: bool, lattice) -> tuple:
+    """The cache key of the class of translates of a finite point x, whose
+    lattice (S, f, X) is a pencils._lattice for x: the pencil, member (x's
+    verdict) and x_k - x_first in lowest terms (S // g, d // g), which two
+    points share iff they are translates.
 
-
-def _class_of(pencil: TropicalPencil, x, member: bool, lattice, cache: dict) -> ValidationRecord:
-    """The record x shares with its class, built once per cache, for
-    cross_validate and _grid_lines alike: member is x's verdict and lattice
-    a (S, f, X) of pencils._lattice for x; a point with a -inf coordinate
-    (None in X) is validated on its support's sub-pencil.  The record's x
-    is the class's first point.
-
-    The predicate under test, member and the stratum's _member, is read at
-    every point; _class_record's verdicts and failures are shared by the
-    translates x + lambda * 1.  Lemma: a pencil is homogeneous, so its lift
-    has A(x + lambda * 1) = t^lambda * A(x).  Each order-1 minor gains
+    The predicate under test is read at every point; _class_record's
+    verdicts and failures are shared by the translates x + lambda * 1.
+    Lemma: a pencil is homogeneous, so its lift has
+    A(x + lambda * 1) = t^lambda * A(x).  Each order-1 minor gains
     t^lambda, each order-2 minor and inner bound t^(2 lambda), and PSD is
     kept; both sides of each constraint gain len(left) * lambda, so sigma,
     the tangent edges and slack, the Farkas direction and rho0 are kept and
-    the perturbed target moves by lambda * 1.  The key is _class_key's.  The
-    first point of a class in sorted order builds its entry, so an exception
-    is raised where a per-point run raises it.
+    the perturbed target moves by lambda * 1.  The first point of a class
+    in sorted order builds its record, so an exception is raised where a
+    per-point run raises it.
     """
     scale, _, X = lattice
-    if None in X:
-        support = tuple(k for k, v in enumerate(X) if v is not None)
-        if not support:
-            # all coordinates -inf: the zero matrix, trivially inside
-            return _cached(cache, ("bottom", member), lambda: _bottom_record(x, member))
-        # the rest runs on the support's sub-pencil, built once per call
-        pencil = _cached(cache, ("stratum", pencil, support),
-                         lambda: stratum_restrict(pencil, support))
-        x = tuple(x[k] for k in support)
-        lattice = _lattice(pencil, x)
-        if _member(pencil, x, lattice) != member:
-            return _cached(cache, ("disagrees", member), lambda: _disagreeing_record(x, member))
-        scale, _, X = lattice
-    return _cached(cache, _class_key(pencil, member, scale, X),
-                   lambda: _class_record(cache, pencil, x, lattice, member))
-
-
-def _bottom_record(x, member: bool) -> ValidationRecord:
-    rec = ValidationRecord(x=x, member=member, sout=True, sin=True, psd=True)
-    if not member:
-        rec.fail("all--inf point must be a member")
-    return rec
-
-
-def _disagreeing_record(x, member: bool) -> ValidationRecord:
-    rec = ValidationRecord(x=x, member=member)
-    rec.fail("membership disagrees with its support stratum")
-    return rec
+    diffs = [v - X[0] for v in X]
+    g = math.gcd(scale, *diffs)
+    return "class", pencil, member, scale // g, tuple(v // g for v in diffs)
 
 
 def _class_record(cache: dict, pencil: TropicalPencil, x, lattice, member: bool):

@@ -230,7 +230,7 @@ def slice_members(
     and ascending, else ValueError; base's values at free are ignored.
     On the slice each family max of the
     pencil's constraint table is max(c, a + u, b + w), compiled once in
-    integers scaled by the lcm of every denominator involved.  Along a row
+    the integers of the _lattice of base and axis.  Along a row
     b + w ascends, so the family is that shifted row clipped from below at
     k = max(c, a + u): [k] * i + row[i:], with i the number of entries <= k.
     A family with no term in free[0] is clipped at c once per slice.
@@ -254,12 +254,11 @@ def slice_members(
         raise ValueError("slice axis value -inf: the axis must be finite")
     if any(x > y for x, y in zip(axis, axis[1:])):
         raise ValueError("the slice axis must be ascending")
-    fixed = [(k, v) for k, v in enumerate(base) if k not in free and not is_minus_inf(v)]
-    den, table = pencil._constraints
-    scale = math.lcm(den, *(v.denominator for _, v in fixed), *(v.denominator for v in axis))
-    g = scale // den  # table terms are on D, the slice on the common scale
-    xs = {k: v.numerator * (scale // v.denominator) for k, v in fixed}
-    bs = [b.numerator * (scale // b.denominator) for b in axis]
+    fixed = [MINUS_INF if k in free else v for k, v in enumerate(base)]
+    _, g, X = _lattice(pencil, [*fixed, *axis])  # g = S / D scales the table's terms
+    xs = {k: v for k, v in enumerate(X[:pencil.n]) if v is not None}
+    bs = X[pencil.n:]
+    table = pencil._constraints[1]
     coeffs = [c * g for _, left, right in table for fam in left + right for _, c in fam]
     low = -7 * max(map(abs, coeffs + list(xs.values()) + bs), default=0) - 1
     # (c, u, w) of each family on the slice; index 0 is -inf on the whole slice

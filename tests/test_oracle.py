@@ -405,7 +405,12 @@ def test_wrong_verdicts_are_reported_as_failures(monkeypatch, capsys):
     code = cli.main(["validate", str(FIXTURES / "m1_distinct.json")])
     out, err = capsys.readouterr()
     assert code == 1 and err == "81 points, 81 failures\n"
-    assert all(json.loads(line)["ok"] is False for line in out.splitlines())
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert all(line["ok"] is False for line in lines)
+    # a failing line carries its record's failure texts
+    records = cross_validate(metzler, default_grid(2))
+    assert [line["failures"] for line in lines] == [r.failures for r in records]
+    assert out == "".join(json.dumps(r.to_obj()) + "\n" for r in records)
 
     # wrong membership verdicts: at the all--inf point, and on support strata
     monkeypatch.undo()
@@ -424,6 +429,8 @@ def test_wrong_verdicts_are_reported_as_failures(monkeypatch, capsys):
                                                      for x in bottoms[1:]]
     assert [(r.sout, r.sin, r.psd) for r in records[1:3]] == [(None, None, None)] * 2
     assert [rec.to_obj()["ok"] for rec in records] == [False] * 3 + [True]
+    assert [rec.to_obj().get("failures") for rec in records] == [
+        *(r.failures for r in records[:3]), None]
 
 
 def test_cross_validate_caches_do_not_outlive_the_call():
@@ -679,6 +686,29 @@ def test_grid_point_lift_runs_once_per_class(monkeypatch):
             for x in [(MINUS_INF, a, b), (a, MINUS_INF, b), (a, b, MINUS_INF)]
         ], assume_certified=True)
         assert len(lifted) == 3 * (5**2 - 4**2)
+
+
+def test_validate_builds_each_class_record_once(monkeypatch, capsys):
+    # the CLI walk builds a class's record at its first point, the lowest
+    # translate, and every later translate reuses that class's line tail
+    from tropsdp import cli
+
+    built = []
+    real = oracle._class_record
+    monkeypatch.setattr(oracle, "_class_record", lambda cache, pencil, x, *rest: (
+        built.append(x) or real(cache, pencil, x, *rest)))
+    lowest = [x for x in default_grid(3) if min(x) == -2]
+    for name, argv, expected in [
+        ("polygon9", ["--max-m", "9"], lowest),
+        ("quadrant_ray", [], lowest),
+        # an x0 = 0 grid has no translates: one class per point
+        ("affine_quadrant", [], [(Z, *p) for p in default_grid(2)]),
+    ]:
+        built.clear()
+        code = cli.main(["validate", str(FIXTURES / f"{name}.json"), *argv])
+        out, err = capsys.readouterr()
+        assert code == 0 and err.endswith(" points, 0 failures\n")
+        assert built == expected and len(built) == (217 if expected is lowest else 81)
 
 
 def test_cross_validate_refuses_a_point_of_the_wrong_length():
