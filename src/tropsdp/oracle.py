@@ -238,15 +238,21 @@ class ValidationRecord:
         self.ok = False
         self.failures.append(message)
 
+    def verdict(self) -> tuple:
+        """Every field to_obj prints after x, and to_obj reads them only from
+        here: records with equal verdicts print the same line tail."""
+        return self.member, self.sout, self.sin, self.psd, self.ok, tuple(self.failures)
+
     def to_obj(self) -> dict:
+        member, sout, sin, psd, ok, failures = self.verdict()
         obj = {
             "x": format_point(self.x),
-            "member": self.member,
-            "checks": {"sout": self.sout, "sin": self.sin, "psd": self.psd},
-            "ok": self.ok,
+            "member": member,
+            "checks": {"sout": sout, "sin": sin, "psd": psd},
+            "ok": ok,
         }
-        if not self.ok:
-            obj["failures"] = self.failures
+        if not ok:
+            obj["failures"] = list(failures)
         return obj
 
 
@@ -415,16 +421,22 @@ def _grid_lines(
     (*lead, *head, b) for b in axis: lines has json.dumps(rec.to_obj()) and
     a newline for each of its cross_validate records, and bad counts the
     ones not ok.  A line is its row's start, its last coordinate's label
-    and its class's tail, each formatted once: the first point of a class
-    builds its _class_record, whose tail and ok flag are kept under its
-    _class_key, and the record is dropped.
+    and its class's tail.  A class's first point builds its _class_record,
+    then drops it; a tail is rendered once per distinct
+    ValidationRecord.verdict, and a class keeps its tail and ok flag.
+
+    Lemma: on one lattice with one uniform axis, two grid points are
+    translates x + lambda * 1 exactly when their axis-index differences
+    agree.  So a class is keyed by member and the point's indices less its
+    first, which splits the grid as _class_key does, and a fixed lead
+    coordinate never moves: with a lead a point is its own class.
 
     Membership comes a grid row at a time from slice_members on the last
     two free coordinates, one call per value of the leading ones (a single
     row when one coordinate is free), and every point reads the one
     _lattice of the grid's values: its scale may exceed a point's own, but
-    the class key is in lowest terms and every lift verdict is read after
-    t -> t^S for some S > 0, so each class record is cross_validate's.
+    every lift verdict is read after t -> t^S for some S > 0, so each class
+    record is cross_validate's.
     """
     free = pencil.n - len(lead)
     _certify(pencil, max_m, max_n)
@@ -433,6 +445,7 @@ def _grid_lines(
     last = tuple(range(pencil.n - min(free, 2), pencil.n))
     cache: dict = {}
     opening = '{"x": [' + "".join(json.dumps(v) + ", " for v in format_point(lead))
+    classes: dict[tuple, tuple[str, bool]] = {}
     tails: dict[tuple, tuple[str, bool]] = {}
     labels = [json.dumps(v) for v in format_point(axis)]
     for prefix in itertools.product(range(len(axis)), repeat=free - len(last)):
@@ -442,16 +455,24 @@ def _grid_lines(
             start = (*lead, *(axis[i] for i in head))
             start_ints = (*X[:len(lead)], *(ints[i] for i in head))
             row = opening + "".join(labels[i] + ", " for i in head)
+            # a point's axis indices less its first (b's own if head is
+            # empty), or as they are with a lead
+            shift = head[0] if head and not lead else 0
+            shape = tuple(i - shift for i in head)
+            offsets = range(-shift, len(axis) - shift) if head or lead else itertools.repeat(0)
             lines, bad = [], 0
-            for b, B, label, member in zip(axis, ints, labels, members):
-                lattice = scale, f, (*start_ints, B)
-                key = _class_key(pencil, member, lattice)
-                tail = tails.get(key)
+            for b, B, label, member, offset in zip(axis, ints, labels, members, offsets):
+                key = member, shape, offset
+                tail = classes.get(key)
                 if tail is None:
+                    lattice = scale, f, (*start_ints, B)
                     rec = _class_record(cache, pencil, (*start, b), lattice, member)
-                    # its line from the end of the x list, whose labels hold no "]"
-                    line = json.dumps(rec.to_obj())
-                    tail = tails[key] = line[line.index("]"):] + "\n", rec.ok
+                    tail = tails.get(verdict := rec.verdict())
+                    if tail is None:
+                        # its line from the end of the x list, whose labels hold no "]"
+                        line = json.dumps(rec.to_obj())
+                        tail = tails[verdict] = line[line.index("]"):] + "\n", rec.ok
+                    classes[key] = tail
                 lines.append(row + label + tail[0])
                 bad += not tail[1]
             yield lines, bad

@@ -355,21 +355,39 @@ def _minor_conditions(entries, pairs) -> tuple[bool, bool]:
     pairs must list every (i, j), i < j, with a_ij != 0, and only those pairs
     are tested: once every a_ii >= 0, a pair with a_ij = 0 satisfies
     a_ii a_jj >= 0 = f a_ij^2 for both f.  f >= 1 and a_ij^2 >= 0, so inner
-    implies outer; each product is formed once and serves both.  outer says
-    that every principal minor of order 1 and 2 is nonnegative.
+    implies outer.  outer says that every principal minor of order 1 and 2
+    is nonnegative.
+
+    A pair is read from leading terms: a product has no cancellation, so
+    the lead of a_ii a_jj is lead(a_ii) lead(a_jj) and that of f a_ij^2 is
+    f lead(a_ij)^2.  Unequal lead exponents decide both inequalities, and
+    equal ones decide each by its coefficients c_ii c_jj against f c_ij^2.
+    Only when those coefficients are equal too are the products formed,
+    once for both f, and compared.
     """
     e, m = entries, len(entries)
     if any(sign_of(e[i][i]) < 0 for i in range(m)):
         return False, False
-    scale = PuiseuxPoly(((0, (m - 1) ** 2),)) if m > 2 else None
-    inner = True
+    f, inner = (m - 1) ** 2, True
     for i, j in pairs:
-        lhs = mul(e[i][i], e[j][j])
-        sq = mul(e[i][j], e[i][j])
-        if compare(lhs, sq) < 0:
+        aii, ajj, aij = e[i][i], e[j][j], e[i][j]
+        if not aij:
+            continue
+        if not aii or not ajj:
             return False, False
-        if inner and scale is not None:
-            inner = compare(lhs, mul(scale, sq)) >= 0
+        (ei, ci), (ej, cj), (eij, cij) = aii.terms[0], ajj.terms[0], aij.terms[0]
+        # (exponent, coefficient) of each lead, every coefficient positive
+        lead, sq, fsq = (ei + ej, ci * cj), (2 * eij, cij * cij), (2 * eij, f * cij * cij)
+        outer = (lead > sq) - (lead < sq)
+        scaled = (lead > fsq) - (lead < fsq) if inner else 1
+        if not outer or not scaled:
+            lhs, full = mul(aii, ajj), mul(aij, aij)
+            outer = outer or compare(lhs, full)
+            if not scaled:  # with f = 1 it is the outer inequality
+                scaled = outer if f == 1 else compare(lhs, mul(PuiseuxPoly(((0, f),)), full))
+        if outer < 0:
+            return False, False
+        inner = inner and scaled >= 0
     return True, inner
 
 

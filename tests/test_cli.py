@@ -423,12 +423,12 @@ def test_validate_refusal_draws_no_grid_point(capsys, monkeypatch):
     real = cli._grid_lines
     monkeypatch.setattr(cli, "_grid_lines", lambda pencil, lead, axis, *bounds: (
         grids.append((lead, axis)) or real(pencil, lead, axis, *bounds)))
-    # every grid point's membership row and class key goes through these two
-    real_rows, real_key = oracle.slice_members, oracle._class_key
+    # every grid point's membership row and class record goes through these two
+    real_rows, real_record = oracle.slice_members, oracle._class_record
     monkeypatch.setattr(oracle, "slice_members",
                         lambda *args: drawn.append(args) or real_rows(*args))
-    monkeypatch.setattr(oracle, "_class_key",
-                        lambda *args: drawn.append(args) or real_key(*args))
+    monkeypatch.setattr(oracle, "_class_record",
+                        lambda *args: drawn.append(args) or real_record(*args))
     for name, refusal in (("line_pencil.json", "NotCertified"),
                           ("polygon9.json", "DimensionTooLarge")):
         start = time.perf_counter()

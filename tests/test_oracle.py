@@ -13,6 +13,7 @@ from collections import Counter
 from fractions import Fraction as F
 from math import lcm
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -688,27 +689,65 @@ def test_grid_point_lift_runs_once_per_class(monkeypatch):
         assert len(lifted) == 3 * (5**2 - 4**2)
 
 
-def test_validate_builds_each_class_record_once(monkeypatch, capsys):
-    # the CLI walk builds a class's record at its first point, the lowest
-    # translate, and every later translate reuses that class's line tail
-    from tropsdp import cli
+# the one-variable m = 2 pencil of the CI's pinned validate records
+M2N1 = ('{"m": 2, "n": 1, "homogeneous": true, "matrices": [{"k": 0, "entries": ['
+        '{"i": 1, "j": 1, "coeff": "+0"}, {"i": 1, "j": 2, "coeff": "+1"}, '
+        '{"i": 2, "j": 2, "coeff": "+3"}]}]}')
 
-    built = []
-    real = oracle._class_record
+
+def test_validate_builds_each_class_record_once(monkeypatch, capsys, tmp_path):
+    # the CLI walk keys a class by axis-index differences: it builds a
+    # record exactly where a new _class_key first appears in lexicographic
+    # order, and renders a line tail once per distinct printed verdict
+    from tropsdp import cli
+    from tropsdp.pencils import _lattice, _member
+
+    built, rendered = [], []
+    real, real_obj = oracle._class_record, oracle.ValidationRecord.to_obj
     monkeypatch.setattr(oracle, "_class_record", lambda cache, pencil, x, *rest: (
         built.append(x) or real(cache, pencil, x, *rest)))
+    monkeypatch.setattr(oracle.ValidationRecord, "to_obj",
+                        lambda rec: rendered.append(rec) or real_obj(rec))
+    m2n1 = tmp_path / "m2n1.json"
+    m2n1.write_text(M2N1)
     lowest = [x for x in default_grid(3) if min(x) == -2]
-    for name, argv, expected in [
-        ("polygon9", ["--max-m", "9"], lowest),
-        ("quadrant_ray", [], lowest),
+    # line_pencil, the one fixture left out, has a witness and draws no point
+    for path, argv, step in [
+        (FIXTURES / "polygon9.json", ["--max-m", "9"], F(1, 2)),
+        (FIXTURES / "polygon9.json", ["--max-m", "9", "--step", "1/4"], F(1, 4)),
+        (FIXTURES / "quadrant_ray.json", [], F(1, 2)),
+        # the grid's lattice scale (3) exceeds its integer points' own
+        (FIXTURES / "quadrant_ray.json", ["--step", "1/3"], F(1, 3)),
+        (FIXTURES / "m1_distinct.json", [], F(1, 2)),
         # an x0 = 0 grid has no translates: one class per point
-        ("affine_quadrant", [], [(Z, *p) for p in default_grid(2)]),
+        (FIXTURES / "affine_quadrant.json", [], F(1, 2)),
+        (m2n1, [], F(1, 2)),
     ]:
         built.clear()
-        code = cli.main(["validate", str(FIXTURES / f"{name}.json"), *argv])
+        rendered.clear()
+        code = cli.main(["validate", str(path), *argv])
         out, err = capsys.readouterr()
         assert code == 0 and err.endswith(" points, 0 failures\n")
-        assert built == expected and len(built) == (217 if expected is lowest else 81)
+        pencil, homogeneous = load_pencil(path)
+        lead = () if homogeneous else (Z,)
+        keys, expected = set(), []
+        for x in grid_points(pencil.n - len(lead), -2, 2, step):
+            x = (*lead, *x)
+            lattice = _lattice(pencil, x)
+            key = oracle._class_key(pencil, _member(pencil, x, lattice), lattice)
+            if key not in keys:
+                keys.add(key)
+                expected.append(x)
+        assert built == expected, (path.name, argv)
+        tails = {line[line.index("]"):] for line in out.splitlines()}
+        assert len(rendered) == len(tails), (path.name, argv)
+        if path.name in ("polygon9.json", "quadrant_ray.json") and step == F(1, 2):
+            assert built == lowest and len(built) == 217
+            assert len(rendered) < 217
+        if path.name == "affine_quadrant.json":
+            assert len(built) == 81
+        if path == m2n1:
+            assert len(built) == 1  # one variable: every point a translate of the first
 
 
 def test_cross_validate_refuses_a_point_of_the_wrong_length():
@@ -869,6 +908,56 @@ def test_sparse_minors_and_psd_blocks_match_dense(case):
     assert oracle._minor_conditions(a.entries, nonzero) == want
     assert oracle._minor_conditions(a.entries, pairs) == want
     assert puiseux._psd_verdict(a.entries, want[0], blocks) == reference_is_psd(a)
+
+
+def int_poly(terms) -> P:
+    """The canonical int-termed series of (exponent, coefficient) pairs,
+    equal exponents summed and zero sums dropped."""
+    acc: dict = {}
+    for e, c in terms:
+        acc[e] = acc.get(e, 0) + c
+    return P(tuple((e, c) for e, c in sorted(acc.items(), reverse=True) if c))
+
+
+@st.composite
+def tied_matrices(draw):
+    """A symmetric m x m int-term series matrix, 2 <= m <= 5, whose pairs
+    tie at the top.  a_ii leads with ((m-1) s_i)^2 t^(2 d_i); a_ij is 0, a
+    free lead, or leads at t^(d_i + d_j) with (m-1)^2 s_i s_j, where
+    c_ii c_jj = c_ij^2, or with (m-1) s_i s_j, where c_ii c_jj =
+    (m-1)^2 c_ij^2, either sign.  The pair (0, 1) always ties.  Lower terms
+    are random, and an off-diagonal entry may carry top terms that cancel."""
+    m = draw(st.integers(2, 5))
+    d = [draw(st.integers(0, 3)) for _ in range(m)]
+    s = [draw(st.integers(1, 3)) for _ in range(m)]
+    lower = st.lists(st.tuples(st.integers(1, 3), st.integers(-4, 4).filter(bool)), max_size=3)
+    rows = [[P.zero()] * m for _ in range(m)]
+    for i, j in itertools.combinations_with_replacement(range(m), 2):
+        top = d[i] + d[j]
+        if i == j:
+            lead = ((m - 1) * s[i]) ** 2
+        else:
+            ties = [(m - 1) ** 2 * s[i] * s[j], (m - 1) * s[i] * s[j]]
+            free = [] if (i, j) == (0, 1) else [0, draw(st.integers(-9, 9))]
+            lead = draw(st.sampled_from(ties + free)) * draw(st.sampled_from((1, -1)))
+        terms = [(top, lead)] + [(top - e, c) for e, c in draw(lower)]
+        if i != j and draw(st.booleans()):
+            c = draw(st.integers(1, 4))
+            terms += [(top + 1, c), (top + 1, -c)]
+        rows[i][j] = rows[j][i] = int_poly(terms)
+    return series_matrix(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_matrices())
+def test_minors_tied_at_the_top_are_decided_by_the_products(a):
+    # the leads of the pair (0, 1) tie, so its products are formed and compared
+    want = reference_minor_conditions(a)
+    real, calls = puiseux.mul, []
+    with mock.patch.object(puiseux, "mul", lambda x, y: calls.append(1) or real(x, y)):
+        got = oracle._minor_conditions(a.entries, puiseux._nonzero_pairs(a.entries))
+    assert got == want and len(calls) >= 2
+    assert is_psd(a) == reference_is_psd(a)
 
 
 def validate_each(pencil, grid):
