@@ -368,13 +368,13 @@ def cross_validate(
     be any iterable, a lazy one too: it is read only after certification.
 
     This is the driver for any grid and the only one that reads -inf
-    coordinates; it is the per-point reference of _grid_lines.  Each
-    point's membership is _member's verdict on its own _lattice, which its
-    lift reads too.  A point with a -inf coordinate is validated on its
-    support's sub-pencil, built once per call, and its membership there
-    must agree; the all--inf point is the zero matrix, trivially inside.
-    The lift verdicts and the piece check run once per class of
-    translates (_class_key); each point gets a copy of its class record.
+    coordinates; it is the per-point reference of _grid_lines and shares
+    none of its classes.  It returns one record per grid point, duplicates
+    included, in sorted lexicographic order of the grid.  Each point's
+    membership is _member's verdict on its own _lattice, which its lift
+    reads too.  A point with a -inf coordinate is validated on its
+    support's sub-pencil, and its membership there must agree; the
+    all--inf point is the zero matrix, trivially inside.
     """
     if not assume_certified:
         _certify(pencil, max_m, max_n)
@@ -387,7 +387,7 @@ def cross_validate(
         support = tuple(k for k, v in enumerate(lattice[2]) if v is not None)
         sub, y = pencil, x
         if 0 < len(support) < pencil.n:
-            sub = _cached(cache, ("stratum", support), lambda: stratum_restrict(pencil, support))
+            sub = stratum_restrict(pencil, support)
             y = tuple(x[k] for k in support)
             lattice = _lattice(sub, y)
         if not support:
@@ -399,10 +399,8 @@ def cross_validate(
             rec = ValidationRecord(x, member)
             rec.fail("membership disagrees with its support stratum")
         else:
-            first = _cached(cache, _class_key(sub, member, lattice),
-                            lambda: _class_record(cache, sub, y, lattice, member))
-            rec = ValidationRecord(x, member, first.sout, first.sin, first.psd, first.ok,
-                                   list(first.failures))
+            rec = _class_record(cache, sub, y, lattice, member)
+            rec.x = x
         records.append(rec)
     return records
 
@@ -425,11 +423,20 @@ def _grid_lines(
     then drops it; a tail is rendered once per distinct
     ValidationRecord.verdict, and a class keeps its tail and ok flag.
 
-    Lemma: on one lattice with one uniform axis, two grid points are
-    translates x + lambda * 1 exactly when their axis-index differences
-    agree.  So a class is keyed by member and the point's indices less its
-    first, which splits the grid as _class_key does, and a fixed lead
-    coordinate never moves: with a lead a point is its own class.
+    Lemma: a pencil is homogeneous, so its lift has
+    A(x + lambda * 1) = t^lambda * A(x).  Each order-1 minor gains
+    t^lambda, each order-2 minor and inner bound t^(2 lambda), and PSD is
+    kept; both sides of each constraint gain len(left) * lambda, so sigma,
+    the tangent edges and slack, the Farkas direction and rho0 are kept and
+    the perturbed target moves by lambda * 1.  So _class_record's verdicts
+    and failures are shared by the translates x + lambda * 1, while
+    membership is read at every point.  On one lattice with one uniform
+    axis, two grid points are translates exactly when their axis-index
+    differences agree.  So a class is keyed by member and the point's
+    indices less its first, and a fixed lead coordinate never moves: with
+    a lead a point is its own class.  The first point of a class in
+    lexicographic order builds its record, so an exception is raised where
+    cross_validate raises it.
 
     Membership comes a grid row at a time from slice_members on the last
     two free coordinates, one call per value of the leading ones (a single
@@ -478,34 +485,12 @@ def _grid_lines(
             yield lines, bad
 
 
-def _class_key(pencil: TropicalPencil, member: bool, lattice) -> tuple:
-    """The cache key of the class of translates of a finite point x, whose
-    lattice (S, f, X) is a pencils._lattice for x: the pencil, member (x's
-    verdict) and x_k - x_first in lowest terms (S // g, d // g), which two
-    points share iff they are translates.
-
-    The predicate under test is read at every point; _class_record's
-    verdicts and failures are shared by the translates x + lambda * 1.
-    Lemma: a pencil is homogeneous, so its lift has
-    A(x + lambda * 1) = t^lambda * A(x).  Each order-1 minor gains
-    t^lambda, each order-2 minor and inner bound t^(2 lambda), and PSD is
-    kept; both sides of each constraint gain len(left) * lambda, so sigma,
-    the tangent edges and slack, the Farkas direction and rho0 are kept and
-    the perturbed target moves by lambda * 1.  The first point of a class
-    in sorted order builds its record, so an exception is raised where a
-    per-point run raises it.
-    """
-    scale, _, X = lattice
-    diffs = [v - X[0] for v in X]
-    g = math.gcd(scale, *diffs)
-    return "class", pencil, member, scale // g, tuple(v // g for v in diffs)
-
-
 def _class_record(cache: dict, pencil: TropicalPencil, x, lattice, member: bool):
     """The lift verdicts and failures at the finite point x of the pencil,
-    member its verdict: what every translate x + lambda * 1 shares.  The
-    verdicts are _lift_verdicts', so a lift stops at a negative diagonal
-    entry and PSD is read from the inner set where it holds."""
+    member its verdict: what every translate x + lambda * 1 shares
+    (_grid_lines' lemma).  The verdicts are _lift_verdicts', so a lift
+    stops at a negative diagonal entry and PSD is read from the inner set
+    where it holds."""
     rec = ValidationRecord(x=x, member=member)
     # the one evaluation of the pencil at x; every verdict below reads it
     rec.sout, rec.sin, psd = _lift_verdicts(cache, pencil, x, lattice)

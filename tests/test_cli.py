@@ -513,21 +513,25 @@ def _certified_pencils(seed: int):
 def test_validate_prints_cross_validate_records(capsys, tmp_path):
     # the verb's row-kernel driver against the per-point reference driver on
     # the same grid: every fixture, then seeded certified pencils with one,
-    # two and three free coordinates, each homogeneous and affine
-    cases = [(FIXTURES / name, ["--max-m", "9"]) for name in sorted(
-        p.name for p in FIXTURES.glob("*.json"))]
+    # two and three free coordinates, each homogeneous and affine; each case
+    # also on a box whose lo is no multiple of its step, where the walk's
+    # classes of translates start off the integers
+    box = ["--box=-5/3,2", "--step", "2/3"]
+    cases = [(FIXTURES / name, ["--max-m", "9", *flags]) for name in sorted(
+        p.name for p in FIXTURES.glob("*.json")) for flags in ([], box)]
     for i, (pencil, homogeneous) in enumerate(_certified_pencils(15)):
         path = tmp_path / f"certified{i}.json"
         path.write_text(json.dumps(pencil_to_obj(pencil, homogeneous=homogeneous)))
-        cases += [(path, ["--step", step]) for step in ("1/2", "1/3")]
+        cases += [(path, flags) for flags in (["--step", "1/2"], ["--step", "1/3"], box)]
     free_counts, verdicts, null_psd = set(), set(), set()
     for path, flags in cases:
         code, out, err = run(capsys, "validate", path, *flags)
         pencil, homogeneous = load_pencil(path)
         lead = () if homogeneous else (Fraction(0),)
         free = pencil.n - len(lead)
-        step = flags[1] if flags[0] == "--step" else "1/2"
-        grid = [lead + x for x in itertools.product(grid_axis(free, -2, 2, Fraction(step)),
+        lo = Fraction(-5, 3) if box[0] in flags else -2
+        step = flags[-1] if "--step" in flags else "1/2"
+        grid = [lead + x for x in itertools.product(grid_axis(free, lo, 2, Fraction(step)),
                                                      repeat=free)]
         try:
             records = cross_validate(pencil, grid, max_m=9)

@@ -396,12 +396,13 @@ def test_wrong_verdicts_are_reported_as_failures(monkeypatch, capsys):
             members.add(rec.member)
         assert members == {True, False}
         assert [rec.to_obj()["ok"] for rec in records] == [False] * len(grid)
-        # translates x + lambda * 1 share one class record and its failures
+        # every point builds its own record; translates x + lambda * 1 get
+        # the same failures
         shared: dict = {}
         for rec in records:
             key = rec.member, tuple(v - rec.x[0] for v in rec.x)
             assert shared.setdefault(key, rec.failures) == rec.failures
-        assert len(classes) == len(shared) < len(records)
+        assert len(classes) == len(records) > len(shared)
 
     code = cli.main(["validate", str(FIXTURES / "m1_distinct.json")])
     out, err = capsys.readouterr()
@@ -640,53 +641,24 @@ def class_cases():
 
 
 def test_class_records_match_per_point_validation():
-    """cross_validate, which validates once per class of translates, gives
-    the records and failures, or raises the exception, of cross_validate on
-    one point at a time and of the Fraction-termed reference."""
+    """cross_validate gives the records and failures, or raises the
+    exception, of the Fraction-termed reference on translates, -inf
+    coordinates, repeated points and unsorted grids."""
     seen = Counter()
     for pencil, grid in class_cases():
-        memo = validation_outcome(lambda: cross_validate(pencil, grid, assume_certified=True))
-        each = validation_outcome(lambda: [
-            cross_validate(pencil, [x], assume_certified=True)[0] for x in sorted(grid)
-        ])
+        records = validation_outcome(lambda: cross_validate(pencil, grid, assume_certified=True))
         cache = {}
         fraction = validation_outcome(lambda: [
             reference_validate_point(pencil, tuple(x), 5, cache) for x in sorted(grid)
         ])
-        assert memo == each == fraction, pencil
-        if isinstance(memo, tuple):
+        assert records == fraction, pencil
+        if isinstance(records, tuple):
             seen["raised"] += 1
             continue
-        for obj, _ in memo:
+        for obj, _ in records:
             seen[pencil.is_metzler, obj["member"]] += 1
     assert seen["raised"] == 1
     assert min(seen[key] for key in itertools.product((True, False), (True, False))) > 20, seen
-
-
-def test_grid_point_lift_runs_once_per_class(monkeypatch):
-    lifted = []
-    real = oracle._lift_at
-
-    def counting(cache, pencil, x, lattice=None, **kw):
-        if lattice is not None:  # a grid point's lift; a piece's target has none
-            lifted.append(x)
-        return real(cache, pencil, x, lattice, **kw)
-
-    monkeypatch.setattr(oracle, "_lift_at", counting)
-    for name in ["polygon9", "quadrant_ray"]:
-        pencil = load_pencil(FIXTURES / f"{name}.json")[0]
-        lifted.clear()
-        records = cross_validate(pencil, default_grid(3), assume_certified=True)
-        assert all(r.ok for r in records) and len(records) == 729
-        # 9^3 - 8^3 classes, each lifted at its first point: the lowest translate
-        assert lifted == [r.x for r in records if min(r.x) == -2] and len(lifted) == 217
-        # the same translate class on three supports: three entries, never shared
-        lifted.clear()
-        cross_validate(pencil, [
-            x for a, b in grid_points(2, -2, 2, 1)
-            for x in [(MINUS_INF, a, b), (a, MINUS_INF, b), (a, b, MINUS_INF)]
-        ], assume_certified=True)
-        assert len(lifted) == 3 * (5**2 - 4**2)
 
 
 # the one-variable m = 2 pencil of the CI's pinned validate records
@@ -697,10 +669,11 @@ M2N1 = ('{"m": 2, "n": 1, "homogeneous": true, "matrices": [{"k": 0, "entries": 
 
 def test_validate_builds_each_class_record_once(monkeypatch, capsys, tmp_path):
     # the CLI walk keys a class by axis-index differences: it builds a
-    # record exactly where a new _class_key first appears in lexicographic
-    # order, and renders a line tail once per distinct printed verdict
+    # record exactly where a new (member, x - x_0 * 1) first appears in
+    # lexicographic order, and renders a line tail once per distinct
+    # printed verdict
     from tropsdp import cli
-    from tropsdp.pencils import _lattice, _member
+    from tropsdp.pencils import _member
 
     built, rendered = [], []
     real, real_obj = oracle._class_record, oracle.ValidationRecord.to_obj
@@ -733,8 +706,7 @@ def test_validate_builds_each_class_record_once(monkeypatch, capsys, tmp_path):
         keys, expected = set(), []
         for x in grid_points(pencil.n - len(lead), -2, 2, step):
             x = (*lead, *x)
-            lattice = _lattice(pencil, x)
-            key = oracle._class_key(pencil, _member(pencil, x, lattice), lattice)
+            key = _member(pencil, x), tuple(v - x[0] for v in x)
             if key not in keys:
                 keys.add(key)
                 expected.append(x)
@@ -755,22 +727,6 @@ def test_cross_validate_refuses_a_point_of_the_wrong_length():
     for x in [(Z, F(1)), (Z, F(1), F(2), F(3))]:
         with pytest.raises(ValueError, match=f"expected 3 coordinates, got {len(x)}"):
             cross_validate(pencil, [(Z, Z, Z), x], assume_certified=True)
-
-
-def test_each_support_is_restricted_once(monkeypatch):
-    # the sub-pencil of a support is built once per call and serves every
-    # point on it; each point validated alone gives the same record
-    pencil = load_pencil(FIXTURES / "polygon9.json")[0]
-    grid = sorted(set(with_bottoms([(Z, a, b) for a, b in grid_points(2, -2, 2, 1)])))
-    alone = [cross_validate(pencil, [x], assume_certified=True)[0] for x in grid]
-    calls = []
-    real = oracle.stratum_restrict
-    monkeypatch.setattr(oracle, "stratum_restrict", lambda p, s: calls.append(s) or real(p, s))
-    records = cross_validate(pencil, grid, max_m=9)
-    supports = {tuple(k for k, v in enumerate(x) if not is_minus_inf(v)) for x in grid}
-    assert sorted(calls) == sorted(s for s in supports if len(s) < pencil.n)
-    assert len(calls) == 3 and sum(any(map(is_minus_inf, x)) for x in grid) > 10
-    assert records == alone
 
 
 def lattice_pencil(rng: random.Random, m: int, metzler: bool) -> TropicalPencil:
@@ -960,13 +916,6 @@ def test_minors_tied_at_the_top_are_decided_by_the_products(a):
     assert is_psd(a) == reference_is_psd(a)
 
 
-def validate_each(pencil, grid):
-    """cross_validate's records without certification, each point on a fresh
-    cache: every point runs the whole oracle, not once per class of
-    translates, so a count per point stays one."""
-    return [cross_validate(pencil, [x], assume_certified=True)[0] for x in sorted(grid)]
-
-
 def test_compiled_blocks_hold_every_nonzero_entry(monkeypatch):
     """At every point the oracle evaluates, each nonzero off-diagonal entry
     is a compiled pair and each component of the nonzero pattern lies inside
@@ -991,7 +940,7 @@ def test_compiled_blocks_hold_every_nonzero_entry(monkeypatch):
 
     monkeypatch.setattr(oracle, "_lift_at", checked)
     for pencil, grid in validation_cases():
-        assert all(r.ok for r in validate_each(pencil, grid))
+        assert all(r.ok for r in cross_validate(pencil, grid, assume_certified=True))
     line = load_pencil(FIXTURES / "line_pencil.json")[0]
     for x in default_grid(line.n):
         oracle._lift_at({}, line, x)
@@ -1209,13 +1158,13 @@ def test_only_outer_points_reach_the_higher_minors(monkeypatch):
     monkeypatch.setattr(oracle, "_psd_verdict", verdict)
     monkeypatch.setattr(oracle, "_lift_verdicts", lambda *args: read.append(args) or real_read(*args))
     polygon9 = load_pencil(FIXTURES / "polygon9.json")[0]
-    records = validate_each(polygon9, default_grid(3))
+    records = cross_validate(polygon9, default_grid(3), assume_certified=True)
     assert all(r.ok for r in records) and len(read) >= len(records) == 729
     assert eliminated == [] and not any(big for _, big, _ in verdicts)
     verdicts.clear()
     pencil = pencil_from_obj(M4X2)[0]
     assert isinstance(certify_generic_general(pencil), Certificate)
-    assert all(r.ok for r in validate_each(pencil, default_grid(2)))
+    assert all(r.ok for r in cross_validate(pencil, default_grid(2), assume_certified=True))
     assert eliminated == [] and not any(outer for outer, _, _ in verdicts)
     # every grid point's PSD verdict by elimination, as the lemma would skip it
     verdicts.clear()
