@@ -143,12 +143,16 @@ def cmd_hypergraph(args) -> int:
 
 
 def _box(args):
-    """(lo, hi, step) of --box "lo,hi" and --step, lo <= hi."""
+    """(lo, hi, step) of --box "lo,hi" and --step, lo <= hi, step > 0."""
+    if args.box.count(",") != 1:
+        raise CliError(f'--box takes "lo,hi", got {args.box!r}')
     try:
         lo, hi = (parse_rational(v) for v in args.box.split(","))
         step = parse_rational(args.step)
     except ValueError as exc:
         raise CliError(f"bad box/step: {exc}") from exc
+    if step <= 0:
+        raise CliError(f"--step must be positive, got {args.step!r}")
     if lo > hi:
         raise CliError(f"empty box {args.box!r}: lo > hi")
     return lo, hi, step

@@ -286,19 +286,26 @@ def _lift_at(cache: dict, pencil: TropicalPencil, x, lattice=None, stop=False):
     a is taken after t -> t^S with (S, f, X) the lattice of
     pencils._lattice: every term is then a pair of ints.  The substitution
     keeps the order and commutes with add and mul, so every sign read is
-    unchanged.  An entry is the add of its table terms c * t^(e * f + X[k]),
+    unchanged.  An entry is the sum of its table terms c * t^(e * f + X[k]),
     e on the table's lattice D = S / f, c never 0: the series
-    evaluate_pencil would form, without its products."""
+    evaluate_pencil would form, without its products, summed by exponent."""
     _, f, X = lattice or _lattice(pencil, x)
     table, pairs, blocks = _cached(cache, ("lift", pencil), lambda: _compile_lift(pencil))
     rows = [[_ZERO] * pencil.m for _ in range(pencil.m)]
     for i, j, terms in table:
-        entry = _ZERO
-        for k, e, c in terms:
-            entry = add(entry, PuiseuxPoly(((e * f + X[k], c),)))
-        if stop and i == j and sign_of(entry) < 0:
+        if len(terms) == 1:
+            (k, e, c), = terms
+            entry = ((e * f + X[k], c),)
+        else:
+            acc = {}
+            for k, e, c in terms:
+                acc[e * f + X[k]] = acc.get(e * f + X[k], 0) + c
+            entry = tuple(sorted(acc.items(), reverse=True))
+            if 0 in acc.values():  # terms that cancel
+                entry = tuple(term for term in entry if term[1])
+        if stop and i == j and entry and entry[0][1] < 0:
             return None, pairs, blocks
-        rows[i][j] = rows[j][i] = entry
+        rows[i][j] = rows[j][i] = PuiseuxPoly(entry) if entry else _ZERO
     return rows, pairs, blocks
 
 

@@ -18,11 +18,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add, and_, eq, ge, or_
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionTooLarge, NotMetzler, PencilFormatError
@@ -228,12 +227,21 @@ def slice_members(
     a in axis.  With one free coordinate the points are base with free[0]
     set to b, and the one row holds their verdicts.  axis must be finite
     and ascending, else ValueError; base's values at free are ignored.
-    On the slice each family max of the
-    pencil's constraint table is max(c, a + u, b + w), compiled once in
-    the integers of the _lattice of base and axis.  Along a row
-    b + w ascends, so the family is that shifted row clipped from below at
-    k = max(c, a + u): [k] * i + row[i:], with i the number of entries <= k.
-    A family with no term in free[0] is clipped at c once per slice.
+
+    On the slice each family max of the pencil's constraint table is
+    max(c, a + u, b + w), compiled once in the integers of the _lattice of
+    base and axis.  Along row a it is h(b) = max(k, b + w), k = max(c, a + u),
+    so each constraint holds on an interval of b.  h_l >= h_r holds on
+    [k_r - w_l, k_l - w_r], with no lower end if k_l >= k_r and no upper end
+    if w_l >= w_r.  h_i + h_j >= 2h_r holds on [L, U]: the lhs max(k_i + k_j,
+    k_i + b + w_j, b + w_i + k_j, 2b + w_i + w_j) does not fall, so L is the
+    least b where one of its terms reaches 2k_r, none if k_i + k_j does;
+    lhs - 2b does not rise, so U is the greatest b where one of its terms is
+    >= 2w_r, none if w_i + w_j is.  A tie h_p = h_m holds where both are
+    flat if k_p = k_m, where both rise if w_p = w_m, or at the one b where a
+    flat one meets a steeper one.  A row is an int mask, bit j for axis[j],
+    an interval the bits between two bisects of the axis ints, and the
+    row's list is read from the mask once.
 
     With R the largest scaled modulus, a finite family value lies in
     [-2R, 2R]; a missing term gets the coefficient low = -7R - 1, so a
@@ -250,14 +258,14 @@ def slice_members(
         raise ValueError(f"free coordinates {free!r} must be one or two distinct indices")
     # one free coordinate: no family has a term that moves with a, so one row
     p, q = free if len(free) == 2 else (None, *free)
-    if any(map(is_minus_inf, axis)):
-        raise ValueError("slice axis value -inf: the axis must be finite")
-    if any(x > y for x, y in zip(axis, axis[1:])):
-        raise ValueError("the slice axis must be ascending")
     fixed = [MINUS_INF if k in free else v for k, v in enumerate(base)]
     _, g, X = _lattice(pencil, [*fixed, *axis])  # g = S / D scales the table's terms
     xs = {k: v for k, v in enumerate(X[:pencil.n]) if v is not None}
     bs = X[pencil.n:]
+    if None in bs:
+        raise ValueError("slice axis value -inf: the axis must be finite")
+    if bs != sorted(bs):
+        raise ValueError("the slice axis must be ascending")
     table = pencil._constraints[1]
     coeffs = [c * g for _, left, right in table for fam in left + right for _, c in fam]
     low = -7 * max(map(abs, coeffs + list(xs.values()) + bs), default=0) - 1
@@ -288,34 +296,45 @@ def slice_members(
             else:
                 pairs.append((*sides, rhs, family(right[0]), family(right[1])))
 
-    def clip(row, k):
-        i = bisect_right(row, k)
-        return [k] * i + row[i:]
+    # an end past the axis is first or last: bisect reads it as no end
+    first, last = (bs[0], bs[-1]) if bs else (0, -1)
 
-    still = []  # the rows of the families with no term in free[0]
-    moving = []  # (index, c, u, shifted row) of the others
-    for i, (c, u, w) in enumerate(index):
-        row = [b + w for b in bs]
-        if u == low:
-            still.append(clip(row, c))
-        else:
-            still.append(None)
-            moving.append((i, c, u, row))
+    def span(lo, hi) -> int:
+        i, j = bisect_left(bs, lo), bisect_right(bs, hi)
+        return (1 << j) - (1 << i) if i < j else 0
+
+    def tie(kp, wp, km, wm) -> int:
+        if (kp - km) * (wp - wm) < 0:  # the flat one meets the steeper one
+            return span(max(kp, km) - max(wp, wm), max(kp, km) - max(wp, wm))
+        flat = span(first, min(kp - wp, km - wm)) if kp == km else 0
+        return flat | (span(max(kp - wp, km - wm), last) if wp == wm else 0)
+
+    cs, _, ws = map(list, zip(*index))
+    moving = [(i, c, u) for i, (c, u, _) in enumerate(index) if u != low]
     for a in bs if p is not None else [None]:
-        vals = still.copy()
-        for i, c, u, row in moving:
-            vals[i] = clip(row, c if c > a + u else a + u)
-        ok = [True] * len(bs)
+        ks = cs.copy()
+        for i, c, u in moving:
+            ks[i] = c if c > a + u else a + u
+        lo, hi, mask = first, last, -1
         for left, right in diag:
-            ok = list(map(and_, ok, map(ge, vals[left], vals[right])))
-        for lhs_i, lhs_j, rhs, plus, minus in pairs:
-            r = vals[rhs]
-            holds = map(ge, map(add, vals[lhs_i], vals[lhs_j]), map(add, r, r))
-            if plus and minus:
-                holds = map(or_, map(eq, vals[plus], vals[minus]), holds)
-            # else one part is -inf on the whole slice: no tie
-            ok = list(map(and_, ok, holds))
-        yield ok
+            if ks[left] < ks[right]:
+                lo = max(lo, ks[right] - ws[left])
+            if ws[left] < ws[right]:
+                hi = min(hi, ks[left] - ws[right])
+        for i, j, r, plus, minus in pairs:
+            ki, kj, wi, wj, k2, w2 = ks[i], ks[j], ws[i], ws[j], 2 * ks[r], 2 * ws[r]
+            below, above = first, last
+            if ki + kj < k2:
+                below = min(k2 - ki - wj, k2 - wi - kj, -((wi + wj - k2) // 2))
+            if wi + wj < w2:
+                above = max(ki + wj - w2, wi + kj - w2, (ki + kj - w2) // 2)
+            # plus or minus 0: that part is -inf on the whole slice, no tie
+            ties = plus and minus and tie(ks[plus], ws[plus], ks[minus], ws[minus])
+            if ties:
+                mask &= span(below, above) | ties
+            else:
+                lo, hi = max(lo, below), min(hi, above)
+        yield list(map("1".__eq__, bin(mask & span(lo, hi) | 1 << len(bs))[:2:-1]))
 
 
 @dataclass(frozen=True)

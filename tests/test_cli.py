@@ -274,7 +274,7 @@ def test_slice_errors(capsys):
         capsys, "slice", FIXTURES / "quadrant_ray.json", "--fix", "x0=0",
         "--box=-2,2", "--step", "0",
     )
-    assert code == 2 and err == "error: ValueError: step must be positive\n"
+    assert code == 2 and err == "error: --step must be positive, got '0'\n"
     code, _, err = run(
         capsys, "slice", FIXTURES / "quadrant_ray.json", "--box=-2,2", "--step", "1"
     )
@@ -458,6 +458,16 @@ def test_validate_step_without_box(capsys):
     assert code == 0 and len(out.splitlines()) == 25 and "25 points, 0 failures" in err
     code, out, err = run(capsys, "validate", FIXTURES / "m1_distinct.json", "--step", "abc")
     assert code == 2 and out == "" and "bad box/step" in err
+    # a box of other than two values and a step <= 0 are refused by option
+    # name, for both grid verbs
+    verbs = (("validate", "m1_distinct.json"), ("slice", "polygon9.json", "--fix", "x0=0"))
+    for (verb, name, *fix), ((box, step), refusal) in itertools.product(verbs, [
+            (("0,1,2", "1"), '--box takes "lo,hi", got \'0,1,2\''),
+            (("2", "1"), '--box takes "lo,hi", got \'2\''),
+            (("0,2", "0"), "--step must be positive, got '0'"),
+            (("0,2", "-1/2"), "--step must be positive, got '-1/2'")]):
+        code, out, err = run(capsys, verb, FIXTURES / name, *fix, f"--box={box}", f"--step={step}")
+        assert (code, out, err) == (2, "", f"error: {refusal}\n"), (verb, box, step)
 
 
 def test_validate_needs_no_psd_bound(capsys):

@@ -172,26 +172,31 @@ def _slice_case(rng: random.Random):
 flat = itertools.chain.from_iterable
 
 
+def _slice_points(pencil, base, free, axis):
+    """(verdict, x) at every point of the slice and then of the line through
+    its second free coordinate, whose one row is every verdict."""
+    for free in free, free[1:]:
+        rows = list(slice_members(pencil, base, free, axis))
+        assert len(rows) == (len(axis) if len(free) == 2 else 1)
+        got = list(flat(rows))
+        assert len(got) == len(axis) ** len(free)
+        for verdict, values in zip(got, itertools.product(axis, repeat=len(free))):
+            x = list(base)
+            for k, v in zip(free, values):
+                x[k] = v
+            yield verdict, x
+
+
 def test_slice_kernel_matches_predicates():
     rng = random.Random(34)
     points = 0
     for _ in range(250):
         pencil, base, free, axis = _slice_case(rng)
-        # the 2-D slice, then the line through its second free coordinate,
-        # whose one row is every verdict
-        for free in free, free[1:]:
-            rows = list(slice_members(pencil, base, free, axis))
-            assert len(rows) == (len(axis) if len(free) == 2 else 1)
-            got = list(flat(rows))
-            assert len(got) == len(axis) ** len(free)
-            for verdict, values in zip(got, itertools.product(axis, repeat=len(free))):
-                x = list(base)
-                for k, v in zip(free, values):
-                    x[k] = v
-                assert verdict == general_member(pencil, x), (pencil, x)
-                if pencil.is_metzler:
-                    assert verdict == metzler_member(pencil, x), (pencil, x)
-            points += len(got)
+        for verdict, x in _slice_points(pencil, base, free, axis):
+            assert verdict == general_member(pencil, x), (pencil, x)
+            if pencil.is_metzler:
+                assert verdict == metzler_member(pencil, x), (pencil, x)
+            points += 1
     assert points > 5000
 
 
@@ -287,9 +292,61 @@ def test_slice_kernel_edge_cases():
     for free in (0, 1), (1,):
         with pytest.raises(ValueError, match="axis value -inf"):
             next(slice_members(tie, (Z, Z), free, [MINUS_INF, Z]))
-    # the rows clip an ascending shifted row: a decreasing axis is refused
+    # each constraint's interval is bisected on the axis: a decreasing axis is refused
     with pytest.raises(ValueError, match="ascending"):
         next(slice_members(tie, (Z, Z), (0, 1), axis[::-1]))
+
+
+def test_slice_rows_match_predicates_at_breakpoints():
+    # along a row each family is max(k, b + w): hand-made slices put every
+    # end of a constraint's interval and of a tie on the axis or just off
+    # it.  x0 = 0 carries the constant, x1 is a, x2 is b and x3 = -inf; an
+    # entry has one sign, so of two parts at most one has a finite slope w
+    axis = [F(v) for v in range(-4, 10)]
+    low_diagonal = {(0, 0, 0): "+-10", (0, 1, 1): "+-10"}
+    cases = {
+        # ties of an off-diagonal's parts decide the pair: with both slopes
+        # -inf they tie on the row a = 1; with equal constants on row a = 2
+        # they tie up to b = 2, and on row a > 2 at b = a; a flat part meets
+        # a steeper one at b = 8, on the axis, and at b = 15/2, off it
+        "equal slopes": {**low_diagonal, (0, 0, 1): "+1", (1, 0, 1): "-0"},
+        "equal constants": {**low_diagonal, (0, 0, 1): "+2", (2, 0, 1): "+0", (1, 0, 1): "-0"},
+        "tie point": {**low_diagonal, (0, 0, 1): "+3", (2, 0, 1): "--5"},
+        "tie point off the axis": {**low_diagonal, (0, 0, 1): "+5/2", (2, 0, 1): "--5"},
+        # 2k_r - w_i - w_j = 6 - 1 is odd: the pair holds from ceil(5/2) = 3;
+        # k_i + k_j - 2w_r = -3: it holds up to floor(-3/2) = -2
+        "odd lower end": {(0, 0, 0): "+-20", (2, 0, 0): "+0", (0, 1, 1): "+-20",
+                          (2, 1, 1): "+1", (0, 0, 1): "-3"},
+        "odd upper end": {(0, 0, 0): "+0", (0, 1, 1): "+-1", (2, 0, 1): "-1"},
+        # max(1, a) >= b, where a + u = c at a = 1; max(2, b) >= a + 2 holds
+        # on the whole row a = 0, where the constants tie; b >= 1 from the
+        # axis value 1 on
+        "a + u = c": {(0, 0, 0): "+1", (1, 0, 0): "+0", (2, 0, 0): "-0"},
+        "equal diagonal constants": {(0, 0, 0): "+2", (2, 0, 0): "+0", (1, 0, 0): "-2"},
+        "diagonal end on the axis": {(2, 0, 0): "+0", (0, 0, 0): "-1"},
+        # row 0's positive part lives on x3 only: the pair holds where b = a
+        "bottom family in a pair": {(3, 0, 0): "+0", (0, 1, 1): "+0", (2, 0, 1): "+0",
+                                    (1, 0, 1): "-0"},
+    }
+    for name, entries in cases.items():
+        pencil = pencil_of(2, 4, entries)
+        # the full axis, a width-1 one and one with repeated values
+        for axis_ in axis, axis[5:6], sorted(axis + axis[::3]):
+            got = list(_slice_points(pencil, (Z, Z, Z, MINUS_INF), (1, 2), axis_))
+            for verdict, x in got:
+                assert verdict == general_member(pencil, x), (name, x)
+        assert {v for v, _ in got} == ({False} if "off" in name else {False, True}), name
+    # seeded pencils with values in the integers -4..4 tie often
+    rng = random.Random(11)
+    for _ in range(150):
+        pencil = random_pencil(rng, max_m=3, max_n=4, value_pool=1)
+        if pencil.n < 2:
+            continue
+        free = tuple(rng.sample(range(pencil.n), 2))
+        base = [rng.choice((MINUS_INF, Z, F(1), F(-1, 2))) for _ in range(pencil.n)]
+        axis = sorted(F(rng.randint(-8, 8), 2) for _ in range(rng.randint(1, 9)))
+        for verdict, x in _slice_points(pencil, base, free, axis):
+            assert verdict == general_member(pencil, x), (pencil, x)
 
 
 # integers often, so that a pair's positive and negative parts tie
