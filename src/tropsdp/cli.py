@@ -208,6 +208,9 @@ def cmd_slice(args) -> int:
     return 0
 
 
+_EQUALS_FORM = "; a value starting with - needs the = form, --%(dest)s=VALUE"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tropsdp",
@@ -218,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("member", help="decide membership of a point")
     p.add_argument("file")
-    p.add_argument("--at", required=True, help="comma-separated point, -inf allowed")
+    p.add_argument("--at", required=True, help="comma-separated point, -inf allowed" + _EQUALS_FORM)
     p.set_defaults(func=cmd_member)
 
     p = sub.add_parser("generic", help="certify genericity or find a witness")
@@ -235,13 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hypergraph", help="tangent hypergraph at a point")
     p.add_argument("file")
-    p.add_argument("--at", required=True)
+    p.add_argument("--at", required=True, help="comma-separated finite point" + _EQUALS_FORM)
     p.set_defaults(func=cmd_hypergraph)
 
     p = sub.add_parser("validate", help="cross-validate predicate vs PSD oracle")
     p.add_argument("file")
-    p.add_argument("--box", default="-2,2", help='"lo,hi"')
-    p.add_argument("--step", default="1/2")
+    p.add_argument("--box", default="-2,2", help='"lo,hi"' + _EQUALS_FORM)
+    p.add_argument("--step", default="1/2", help="positive rational" + _EQUALS_FORM)
     p.add_argument("--max-m", type=ascii_int, default=4)
     p.add_argument("--max-n", type=ascii_int, default=4)
     p.add_argument("--psd-bound", type=ascii_int, help="ignored: PSD testing has no dimension bound")
@@ -250,8 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("slice", help="CSV raster of a 2-D slice")
     p.add_argument("file")
     p.add_argument("--fix", action="append", help='e.g. "x0=0"; repeatable')
-    p.add_argument("--box", required=True, help='"lo,hi"')
-    p.add_argument("--step", required=True, help="positive rational")
+    p.add_argument("--box", required=True, help='"lo,hi"' + _EQUALS_FORM)
+    p.add_argument("--step", required=True, help="positive rational" + _EQUALS_FORM)
     p.set_defaults(func=cmd_slice)
     return parser
 

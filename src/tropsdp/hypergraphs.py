@@ -144,7 +144,7 @@ def _tangent(pencil: TropicalPencil, x: Sequence[Fraction]):
     edges: set[Edge] = set()
     slacks = []
     member = True
-    for (_, left, right), lhs, rhs, _ in _sides(pencil, x, lattice):
+    for (_, left, right), lhs, rhs, _ in _sides(pencil, lattice):
         # every family's terms and top on the scale S; an empty left family's is None
         values = [[(k, c * f + X[k]) for k, c in fam] for fam in left + right]
         tops = [max((v for _, v in fam), default=None) for fam in values[:len(left)]]
@@ -410,8 +410,7 @@ def _circulating_point(pencil: TropicalPencil):
             if not all(g > 0 for g in gamma) or _unbalanced(graph, gamma) is not None:
                 raise CertificateCheckFailed(f"{gamma} is not a positive circulation of {graph}")
             for chosen in itertools.product(*(reasons[idx] for idx in combo)):
-                options = _options(chosen)
-                if options is None or size > 1 and _tie_sum(chosen, gamma):
+                if size > 1 and _tie_sum(chosen, gamma) or (options := _options(chosen)) is None:
                     continue
                 x = point(tuple(row for r in chosen for row in r.eqs),
                           tuple(row for r in chosen for row in r.ges))

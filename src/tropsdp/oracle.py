@@ -26,6 +26,7 @@ from .pencils import (
     TropicalPencil,
     _holds,
     _lattice,
+    _lift_table,
     _member,
     _require_metzler,
     _sides,
@@ -41,7 +42,6 @@ from .puiseux import (
     PuiseuxPoly,
     PuiseuxSymMatrix,
     SeriesPolynomial,
-    _components,
     _minor_conditions,
     _nonzero_pairs,
     _psd_verdict,
@@ -86,21 +86,6 @@ def monomial_lift(x: Sequence[ExtRat]) -> tuple[PuiseuxPoly, ...]:
     return tuple(
         PuiseuxPoly.zero() if is_minus_inf(v) else PuiseuxPoly.t_power(v) for v in x
     )
-
-
-def _lift_table(pencil: TropicalPencil, canonical: bool) -> tuple:
-    """The entry-wise series lift on the lattice D of pencil._terms.
-
-    It has a row (i, j, terms) for every upper-triangle entry with a finite
-    value, the diagonal rows first and each part in row order, and a term
-    (k, D * value, coefficient) per finite value.  This is the one place
-    that picks lift coefficients: -1 for negative entries and, for positive
-    ones, m*n under the canonical lift, 1 otherwise (the plain sign).
-    """
-    pos = pencil.m * pencil.n if canonical else 1
-    cells = sorted(pencil._terms[1].items(), key=lambda cell: cell[0][0] != cell[0][1])
-    return tuple((i, j, tuple((k, c, pos if s > 0 else -1) for k, s, c in terms))
-                 for (i, j), terms in cells if terms)
 
 
 def _series_pencil(pencil: TropicalPencil, table) -> PuiseuxPencil:
@@ -256,30 +241,10 @@ class ValidationRecord:
         return obj
 
 
-def _cached(cache: dict, key, build):
-    # cache is scoped to one cross_validate or _grid_lines call, so nothing
-    # outlives it
-    hit = cache.get(key)
-    if hit is None:
-        hit = cache[key] = build()
-    return hit
-
-
-def _compile_lift(pencil: TropicalPencil):
-    """(table, pairs, blocks): the _lift_table of the pencil (canonical iff
-    Metzler), the off-diagonal (i, j) of its rows, and the components those
-    pairs make of range(m).  Only a listed pair can be nonzero at a point,
-    so pairs serve _minor_conditions and blocks _psd_verdict."""
-    table = _lift_table(pencil, pencil.is_metzler)
-    pairs = tuple((i, j) for i, j, _ in table if i != j)
-    return table, pairs, _components(pencil.m, pairs)
-
-
-def _lift_at(cache: dict, pencil: TropicalPencil, x, lattice=None, stop=False):
-    """(a, pairs, blocks): a the entry rows of the lift of the pencil
-    (canonical iff Metzler) evaluated at t^x, x finite, pairs and blocks its
-    compiled sparsity; lattice is _lattice(pencil, x) when the caller has
-    already taken it.  With stop, a is None as soon as a diagonal entry has
+def _lift_at(pencil: TropicalPencil, lattice, stop=False):
+    """(a, pairs, blocks): a the entry rows of pencil._lift evaluated at t^x,
+    x the finite point whose _lattice is lattice, pairs and blocks its
+    compiled sparsity.  With stop, a is None as soon as a diagonal entry has
     a negative lead; the diagonal rows come first, so no off-diagonal entry
     is summed then.
 
@@ -289,8 +254,8 @@ def _lift_at(cache: dict, pencil: TropicalPencil, x, lattice=None, stop=False):
     unchanged.  An entry is the sum of its table terms c * t^(e * f + X[k]),
     e on the table's lattice D = S / f, c never 0: the series
     evaluate_pencil would form, without its products, summed by exponent."""
-    _, f, X = lattice or _lattice(pencil, x)
-    table, pairs, blocks = _cached(cache, ("lift", pencil), lambda: _compile_lift(pencil))
+    _, f, X = lattice
+    table, pairs, blocks = pencil._lift
     rows = [[_ZERO] * pencil.m for _ in range(pencil.m)]
     for i, j, terms in table:
         if len(terms) == 1:
@@ -309,9 +274,9 @@ def _lift_at(cache: dict, pencil: TropicalPencil, x, lattice=None, stop=False):
     return rows, pairs, blocks
 
 
-def _lift_verdicts(cache: dict, pencil: TropicalPencil, x, lattice=None):
-    """(outer, inner, psd) of the lift at x, as _lift_at takes it:
-    _minor_conditions of its rows and their PSD verdict.
+def _lift_verdicts(pencil: TropicalPencil, lattice):
+    """(outer, inner, psd) of the lift at the point of lattice, as _lift_at
+    takes it: _minor_conditions of its rows and their PSD verdict.
 
     A diagonal entry with a negative lead fails its order-1 minor, and there
     _minor_conditions gives (False, False) and _psd_verdict False, so the
@@ -323,31 +288,33 @@ def _lift_verdicts(cache: dict, pencil: TropicalPencil, x, lattice=None):
     at most 1/(m-1) per row: diagonally dominant, hence PSD.  So only a
     lift outside the inner set is eliminated (_psd_verdict).
     """
-    a, pairs, blocks = _lift_at(cache, pencil, x, lattice, stop=True)
+    a, pairs, blocks = _lift_at(pencil, lattice, stop=True)
     if a is None:
         return False, False, False
     outer, inner = _minor_conditions(a, pairs)
     return outer, inner, inner or _psd_verdict(a, outer, blocks)
 
 
-def _pieces(cache: dict, pencil: TropicalPencil, x, lattice) -> tuple[TropicalPencil, ...]:
+def _pieces(cache: dict, pencil: TropicalPencil, lattice) -> tuple[TropicalPencil, ...]:
     """The Metzler pieces of the sigma whose every diamond piece contains the
-    member point x, in enumeration order.
+    member point x whose _lattice is lattice, in enumeration order.
 
     A Metzler pencil is its own single piece.  Otherwise a piece contains x
     iff x meets its sigma pairs' constraints and both directions of every
     other pair, i.e. a tie: so sigma is the set of pairs whose constraint
     holds at x.  At a member point every other pair ties, so only its
-    2^|diamond| pieces are built, cached for the call under (pencil, sigma).
+    2^|diamond| pieces are built, cached for the call under (pencil, sigma)
+    and each under itself, so an equal piece is the same object.
     """
     if pencil.is_metzler:
         return (pencil,)
-    diamond = [key for (key, left, _), lhs, rhs, _ in _sides(pencil, x, lattice)
+    diamond = [key for (key, left, _), lhs, rhs, _ in _sides(pencil, lattice)
                if len(left) == 2 and not _holds(lhs, rhs)]
     sigma = frozenset(itertools.combinations(range(pencil.m), 2)).difference(diamond)
-    return _cached(cache, ("pieces", pencil, sigma), lambda: tuple(
-        decompose(pencil, choice) for choice in _sigma_choices(pencil.m, sigma)
-    ))
+    if (pencil, sigma) not in cache:
+        pieces = (decompose(pencil, c) for c in _sigma_choices(pencil.m, sigma))
+        cache[pencil, sigma] = tuple(cache.setdefault(p, p) for p in pieces)
+    return cache[pencil, sigma]
 
 
 def _certify(pencil: TropicalPencil, max_m: int, max_n: int) -> None:
@@ -385,16 +352,19 @@ def cross_validate(
     """
     if not assume_certified:
         _certify(pencil, max_m, max_n)
+    # pieces under (pencil, sigma); and each piece and sub-pencil under
+    # itself, so equal pencils share one object and compile once per call
     cache: dict = {}
     records = []
     for x in map(tuple, sorted(grid)):
         _check_count(pencil.n, x)
         lattice = _lattice(pencil, x)
-        member = _member(pencil, x, lattice)
+        member = _member(pencil, lattice)
         support = tuple(k for k, v in enumerate(lattice[2]) if v is not None)
         sub, y = pencil, x
         if 0 < len(support) < pencil.n:
             sub = stratum_restrict(pencil, support)
+            sub = cache.setdefault(sub, sub)
             y = tuple(x[k] for k in support)
             lattice = _lattice(sub, y)
         if not support:
@@ -402,7 +372,7 @@ def cross_validate(
             rec = ValidationRecord(x, member, True, True, True)
             if not member:
                 rec.fail("all--inf point must be a member")
-        elif sub is not pencil and _member(sub, y, lattice) != member:
+        elif sub is not pencil and _member(sub, lattice) != member:
             rec = ValidationRecord(x, member)
             rec.fail("membership disagrees with its support stratum")
         else:
@@ -500,7 +470,7 @@ def _class_record(cache: dict, pencil: TropicalPencil, x, lattice, member: bool)
     where it holds."""
     rec = ValidationRecord(x=x, member=member)
     # the one evaluation of the pencil at x; every verdict below reads it
-    rec.sout, rec.sin, psd = _lift_verdicts(cache, pencil, x, lattice)
+    rec.sout, rec.sin, psd = _lift_verdicts(pencil, lattice)
 
     if not member:
         rec.psd = psd
@@ -521,7 +491,7 @@ def _class_record(cache: dict, pencil: TropicalPencil, x, lattice, member: bool)
         if not rec.sout:
             rec.fail("member point escapes the outer set")
 
-    for piece in _pieces(cache, pencil, x, lattice):
+    for piece in _pieces(cache, pencil, lattice):
         if metzler_strict_member(piece, x):
             target = x
         else:
@@ -531,7 +501,7 @@ def _class_record(cache: dict, pencil: TropicalPencil, x, lattice, member: bool)
             # a Metzler pencil is its own piece: same lift, same point, same matrix
             psd = rec.psd
         else:
-            psd = _lift_verdicts(cache, piece, target)[2]
+            psd = _lift_verdicts(piece, _lattice(piece, target))[2]
         if not psd:
             rec.fail("strict point of a Metzler piece of its sigma lifts outside PSD")
     return rec

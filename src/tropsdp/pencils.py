@@ -26,6 +26,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionTooLarge, NotMetzler, PencilFormatError
 from .polynomials import TropPoly
+from .puiseux import _components
 from .signed import (
     MINUS_INF,
     ExtRat,
@@ -116,6 +117,31 @@ class TropicalPencil:
                  for i, j in itertools.combinations(range(self.m), 2)]
         return den, tuple(c for c in rows + pairs if any(c[2]))
 
+    @cached_property
+    def _lift(self):
+        """(table, pairs, blocks): the _lift_table of the pencil (canonical iff
+        Metzler), the off-diagonal (i, j) of its rows, and the components those
+        pairs make of range(m).  Only a listed pair can be nonzero at a point,
+        so pairs serve _minor_conditions and blocks _psd_verdict."""
+        table = _lift_table(self, self.is_metzler)
+        pairs = tuple((i, j) for i, j, _ in table if i != j)
+        return table, pairs, _components(self.m, pairs)
+
+
+def _lift_table(pencil: TropicalPencil, canonical: bool) -> tuple:
+    """The entry-wise series lift on the lattice D of pencil._terms.
+
+    It has a row (i, j, terms) for every upper-triangle entry with a finite
+    value, the diagonal rows first and each part in row order, and a term
+    (k, D * value, coefficient) per finite value.  This is the one place
+    that picks lift coefficients: -1 for negative entries and, for positive
+    ones, m*n under the canonical lift, 1 otherwise (the plain sign).
+    """
+    pos = pencil.m * pencil.n if canonical else 1
+    cells = sorted(pencil._terms[1].items(), key=lambda cell: cell[0][0] != cell[0][1])
+    return tuple((i, j, tuple((k, c, pos if s > 0 else -1) for k, s, c in terms))
+                 for (i, j), terms in cells if terms)
+
 
 def _lattice(pencil: TropicalPencil, x: Sequence[ExtRat]):
     """(S, f, X): x scaled by S = f * D onto the integers, so that a table
@@ -126,16 +152,15 @@ def _lattice(pencil: TropicalPencil, x: Sequence[ExtRat]):
     return scale, scale // den, X
 
 
-def _sides(pencil: TropicalPencil, x: Sequence[ExtRat], lattice=None):
-    """The one pass over pencil._constraints at x.
+def _sides(pencil: TropicalPencil, lattice):
+    """The one pass over pencil._constraints at x, lattice its _lattice.
 
     Yields (constraint, lhs, rhs, tie) per constraint, scaled by S as in
-    _lattice, with None for -inf; lattice is _lattice(pencil, x) when the
-    caller has already taken it.  lhs and rhs are its two sides, and tie
+    _lattice, with None for -inf.  lhs and rhs are its two sides, and tie
     says whether the right families' maxima are equal, which only a pair's
     two parts can be.
     """
-    _, f, X = lattice or _lattice(pencil, x)
+    _, f, X = lattice
 
     def top(family):
         best = None
@@ -162,8 +187,8 @@ def _holds(lhs, rhs) -> bool:
     return rhs is None or (lhs is not None and lhs >= rhs)
 
 
-def _member(pencil: TropicalPencil, x: Sequence[ExtRat], lattice=None) -> bool:
-    return all(tie or _holds(lhs, rhs) for _, lhs, rhs, tie in _sides(pencil, x, lattice))
+def _member(pencil: TropicalPencil, lattice) -> bool:
+    return all(tie or _holds(lhs, rhs) for _, lhs, rhs, tie in _sides(pencil, lattice))
 
 
 def qij_poly(pencil: TropicalPencil, i: int, j: int) -> TropPoly:
@@ -188,7 +213,7 @@ def metzler_member(pencil: TropicalPencil, x: Sequence[ExtRat]) -> bool:
     """
     _require_metzler(pencil)
     _check_count(pencil.n, x)
-    return _member(pencil, x)
+    return _member(pencil, _lattice(pencil, x))
 
 
 def metzler_strict_member(pencil: TropicalPencil, x: Sequence[Fraction]) -> bool:
@@ -201,7 +226,8 @@ def metzler_strict_member(pencil: TropicalPencil, x: Sequence[Fraction]) -> bool
     _check_count(pencil.n, x)
     if any(is_minus_inf(v) for v in x):
         raise ValueError("strict membership is defined for finite points only")
-    return all(lhs is not None and lhs > rhs for _, lhs, rhs, _ in _sides(pencil, x))
+    sides = _sides(pencil, _lattice(pencil, x))
+    return all(lhs is not None and lhs > rhs for _, lhs, rhs, _ in sides)
 
 
 def general_member(pencil: TropicalPencil, x: Sequence[ExtRat]) -> bool:
@@ -211,7 +237,7 @@ def general_member(pencil: TropicalPencil, x: Sequence[ExtRat]) -> bool:
     positive and negative off-diagonal parts.
     """
     _check_count(pencil.n, x)
-    return _member(pencil, x)
+    return _member(pencil, _lattice(pencil, x))
 
 
 def slice_members(

@@ -28,7 +28,6 @@ from tropsdp.hypergraphs import (
 )
 from tropsdp.oracle import (
     ValidationRecord,
-    _cached,
     canonical_lift,
     entrywise_lift,
     evaluate_pencil,
@@ -449,8 +448,12 @@ def _reference_strict_pieces(pieces_by_sigma, x):
     return None, []
 
 
-def _fraction_lift(pencil: TropicalPencil):
-    return canonical_lift(pencil) if pencil.is_metzler else entrywise_lift(pencil)
+def _fraction_lift(cache: dict, pencil: TropicalPencil):
+    # memoized in the reference's own call-scoped dict
+    key = "fraction lift", pencil
+    if key not in cache:
+        cache[key] = canonical_lift(pencil) if pencil.is_metzler else entrywise_lift(pencil)
+    return cache[key]
 
 
 def reference_validate_point(
@@ -483,7 +486,7 @@ def reference_validate_point(
         return rec
 
     metz = pencil.is_metzler
-    lift = _cached(cache, ("fraction lift", pencil), lambda: _fraction_lift(pencil))
+    lift = _fraction_lift(cache, pencil)
     a = evaluate_pencil(lift, monomial_lift(x))
     rec.sout, rec.sin = reference_minor_conditions(a)
 
@@ -506,7 +509,9 @@ def reference_validate_point(
         if not rec.sout:
             rec.fail("member point escapes the outer set")
 
-    table = _cached(cache, ("pieces", pencil), lambda: _reference_piece_table(pencil, max_choice_m))
+    if ("pieces", pencil) not in cache:
+        cache["pieces", pencil] = _reference_piece_table(pencil, max_choice_m)
+    table = cache["pieces", pencil]
     sigma, pieces = _reference_strict_pieces(table, x)
     if sigma is None:
         rec.fail("no sigma piece family contains the member point")
@@ -523,7 +528,7 @@ def reference_validate_point(
         if piece is pencil and target is x:
             psd = rec.psd
         else:
-            piece_lift = _cached(cache, ("fraction lift", piece), lambda: _fraction_lift(piece))
+            piece_lift = _fraction_lift(cache, piece)
             psd = reference_is_psd(evaluate_pencil(piece_lift, monomial_lift(target)))
         if not psd:
             rec.fail("strict point of a Metzler piece of its sigma lifts outside PSD")

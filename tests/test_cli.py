@@ -470,6 +470,32 @@ def test_validate_step_without_box(capsys):
         assert (code, out, err) == (2, "", f"error: {refusal}\n"), (verb, box, step)
 
 
+def test_values_starting_with_a_dash_need_the_equals_form(capsys):
+    # argparse takes -1,0, -2,2 and -1/2 after a space for options, so it
+    # refuses them; the help of --at, --box and --step names the = form
+    m1, ray = FIXTURES / "m1_distinct.json", FIXTURES / "quadrant_ray.json"
+    for argv, option in (
+        (("member", m1, "--at", "-1,0"), "--at"),
+        (("slice", ray, "--fix", "x0=0", "--box", "-2,2", "--step", "1"), "--box"),
+        (("validate", ray, "--step", "-1/2"), "--step"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in argv])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == "", argv
+        assert f"argument {option}: expected one argument" in err, argv
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert exc.value.code == 0
+        assert f"a value starting with - needs the = form, {option}=VALUE" in text, argv
+    # the = forms are read; test_validate_step_without_box reads --step=-1/2
+    assert run(capsys, "member", m1, "--at=-1,0")[:2] == (
+        1, '{"member": false, "predicate": "metzler"}\n')
+    code, out, _ = run(capsys, "slice", ray, "--fix", "x0=0", "--box=-2,2", "--step", "1")
+    assert code == 0 and out.splitlines()[1:3] == ["-2,-2,1", "-2,-1,1"]
+
+
 def test_validate_needs_no_psd_bound(capsys):
     # PSD testing has no dimension bound: --psd-bound is accepted and ignored
     code, out, err = run(capsys, "validate", FIXTURES / "polygon9.json", "--max-m", "9")

@@ -673,8 +673,8 @@ def test_perturbation_makes_one_pass_at_the_point(poly9, monkeypatch):
     for name, module in (("hypergraphs", hypergraphs), ("pencils", pencils)):
         monkeypatch.setattr(module, "_lattice", lambda p, y, seen=lattices[name]:
                             seen.append(y) or pencils_lattice(p, y))
-        monkeypatch.setattr(module, "_sides", lambda p, y, lattice=None:
-                            passes.append(y) or pencils_sides(p, y, lattice))
+        monkeypatch.setattr(module, "_sides", lambda p, lattice:
+                            passes.append(lattice) or pencils_sides(p, lattice))
 
     def refuse(*args):
         raise AssertionError("perturb_to_interior reached a separate pass")
@@ -683,7 +683,7 @@ def test_perturbation_makes_one_pass_at_the_point(poly9, monkeypatch):
     monkeypatch.setattr(hypergraphs, "build_tangent_hypergraph", refuse)
     eta, rho0 = perturb_to_interior(poly9, x)
     x2 = tuple(v + rho0 * d for v, d in zip(x, eta))
-    assert x2 != x and passes == [x, x2]
+    assert x2 != x and passes == [pencils_lattice(poly9, y) for y in (x, x2)]
     assert lattices == {"hypergraphs": [x], "pencils": [x2]}
 
 

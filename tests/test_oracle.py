@@ -30,7 +30,7 @@ from helpers import (
     reference_nondeg,
     reference_validate_point,
 )
-from tropsdp import canonical_lift, oracle
+from tropsdp import canonical_lift, oracle, pencils
 from tropsdp.errors import NotCertified, NotMetzler
 from tropsdp.oracle import (
     PuiseuxPencil,
@@ -52,6 +52,7 @@ from tropsdp.hypergraphs import Certificate, certify_generic_general
 from tropsdp.pencils import (
     SigmaChoice,
     TropicalPencil,
+    _lattice,
     check_assumption_nondeg,
     decompose,
     general_member,
@@ -186,8 +187,9 @@ def test_lift_is_compiled_once_per_pencil(monkeypatch):
     # the lift table is on the pencil's own lattice D; points with
     # denominators 1, 2 and 3 rescale their coordinates, not the table
     calls = []
-    real = oracle._compile_lift
-    monkeypatch.setattr(oracle, "_compile_lift", lambda p: calls.append(p) or real(p))
+    real = pencils._lift_table
+    monkeypatch.setattr(pencils, "_lift_table", lambda p, canonical: (
+        calls.append(p) or real(p, canonical)))
     axis = sorted({F(a, d) for d in (1, 2, 3) for a in range(-d, d + 1)})
     for name in ("quadrant_ray.json", "polygon9.json"):
         pencil = load_pencil(FIXTURES / name)[0]
@@ -416,8 +418,9 @@ def test_wrong_verdicts_are_reported_as_failures(monkeypatch, capsys):
 
     # wrong membership verdicts: at the all--inf point, and on support strata
     monkeypatch.undo()
-    monkeypatch.setattr(oracle, "_member", lambda pencil, x, lattice=None: (
-        real_member(pencil, x, lattice) != (pencil.n < general.n or all(map(is_minus_inf, x)))
+    # X of a lattice is None at each -inf coordinate
+    monkeypatch.setattr(oracle, "_member", lambda pencil, lattice: (
+        real_member(pencil, lattice) != (pencil.n < general.n or lattice[2].count(None) == pencil.n)
     ))
     bottoms = [(MINUS_INF,) * 3, (MINUS_INF, Z, F(1)), (Z, MINUS_INF, Z), (Z, F(1), Z)]
     records = cross_validate(general, bottoms)
@@ -435,18 +438,30 @@ def test_wrong_verdicts_are_reported_as_failures(monkeypatch, capsys):
         *(r.failures for r in records[:3]), None]
 
 
-def test_cross_validate_caches_do_not_outlive_the_call():
+def test_cross_validate_caches_do_not_outlive_the_call(monkeypatch):
     def live(cls):
         return sum(isinstance(o, cls) for o in gc.get_objects())
 
     gc.collect()
     before = live(TropicalPencil), live(PuiseuxPencil)
+    pieces = []
+    real = oracle.decompose
+    monkeypatch.setattr(oracle, "decompose", lambda p, c: (
+        pieces.append(weakref.ref(piece := real(p, c))) or piece))
     pencil = load_pencil(FIXTURES / "quadrant_ray.json")[0]
     grid = with_bottoms([(Z, a, b) for a, b in grid_points(2, -2, 2, 1)])
     records = cross_validate(pencil, grid)
     assert all(r.ok for r in records)
+    # the call's pieces go with it; the pencil keeps its own lift compile
+    lift, first = pencil._lift, len(pieces)
+    del records
+    gc.collect()
+    assert first > 0 and all(ref() is None for ref in pieces)
+    records = cross_validate(pencil, grid)
+    assert all(r.ok for r in records)
+    assert pencil._lift is lift and len(pieces) > first
     ref = weakref.ref(pencil)
-    del pencil, records
+    del pencil, records, lift
     gc.collect()
     assert ref() is None
     assert (live(TropicalPencil), live(PuiseuxPencil)) == before
@@ -583,9 +598,9 @@ def test_terms_readers_match_the_matrix_loops():
 def test_stratum_membership_is_decided_once(monkeypatch):
     calls = []
     real = oracle._member
-    monkeypatch.setattr(
-        oracle, "_member", lambda p, x, *rest: calls.append((p, x)) or real(p, x, *rest)
-    )
+    # a lattice (S, f, X) determines its point x = X / S
+    monkeypatch.setattr(oracle, "_member", lambda p, lattice: (
+        calls.append((p, lattice[0], tuple(lattice[2]))) or real(p, lattice)))
     pencil = load_pencil(FIXTURES / "quadrant_ray.json")[0]
     # a point listed twice is validated twice, so each point is listed once
     grid = sorted(set(with_bottoms([(Z, a, b) for a, b in grid_points(2, -2, 2, 1)])))
@@ -673,7 +688,6 @@ def test_validate_builds_each_class_record_once(monkeypatch, capsys, tmp_path):
     # lexicographic order, and renders a line tail once per distinct
     # printed verdict
     from tropsdp import cli
-    from tropsdp.pencils import _member
 
     built, rendered = [], []
     real, real_obj = oracle._class_record, oracle.ValidationRecord.to_obj
@@ -706,7 +720,7 @@ def test_validate_builds_each_class_record_once(monkeypatch, capsys, tmp_path):
         keys, expected = set(), []
         for x in grid_points(pencil.n - len(lead), -2, 2, step):
             x = (*lead, *x)
-            key = _member(pencil, x), tuple(v - x[0] for v in x)
+            key = general_member(pencil, x), tuple(v - x[0] for v in x)
             if key not in keys:
                 keys.add(key)
                 expected.append(x)
@@ -780,7 +794,7 @@ def test_lattice_table_matches_evaluate_pencil():
                 for mat in lift.matrices
             ))
             want = evaluate_pencil(on_lattice, tuple(P(((int(v * scale), 1),)) for v in x))
-            got = series_matrix(oracle._lift_at({}, pencil, x)[0])
+            got = series_matrix(oracle._lift_at(pencil, _lattice(pencil, x))[0])
             for i, j in itertools.product(range(pencil.m), repeat=2):
                 assert got.entries[i][j].terms == want.entries[i][j].terms, (pencil, x, i, j)
                 assert all(type(e) is int and type(c) is int for e, c in got.entries[i][j].terms)
@@ -923,27 +937,27 @@ def test_compiled_blocks_hold_every_nonzero_entry(monkeypatch):
     seen = {"points": 0, "cancelled": 0, "split": 0}
     real = oracle._lift_at
 
-    def checked(cache, pencil, x, lattice=None, **kw):
+    def checked(pencil, lattice, **kw):
         # the full lift, also where the oracle's stops at a negative diagonal
-        a, pairs, blocks = real(cache, pencil, x, lattice)
+        a, pairs, blocks = real(pencil, lattice)
         nonzero = puiseux._nonzero_pairs(a)
-        assert set(nonzero) <= set(pairs), (pencil, x)
+        assert set(nonzero) <= set(pairs), (pencil, lattice)
         assert blocks == puiseux._components(pencil.m, pairs)
         block_of = {i: set(b) for b in blocks for i in b}
         comps = puiseux._components(len(a), nonzero)
         for comp in comps:
-            assert set(comp) <= block_of[comp[0]], (pencil, x)
+            assert set(comp) <= block_of[comp[0]], (pencil, lattice)
         seen["points"] += 1
         seen["cancelled"] += len(pairs) > len(nonzero)
         seen["split"] += len(comps) > len(blocks)
-        return real(cache, pencil, x, lattice, **kw)
+        return real(pencil, lattice, **kw)
 
     monkeypatch.setattr(oracle, "_lift_at", checked)
     for pencil, grid in validation_cases():
         assert all(r.ok for r in cross_validate(pencil, grid, assume_certified=True))
     line = load_pencil(FIXTURES / "line_pencil.json")[0]
     for x in default_grid(line.n):
-        oracle._lift_at({}, line, x)
+        oracle._lift_at(line, _lattice(line, x))
     fixture_points = seen["points"]
     rng = random.Random(91)
     pieces = 0
@@ -960,9 +974,8 @@ def test_compiled_blocks_hold_every_nonzero_entry(monkeypatch):
             tuple(F(rng.randint(-8, 8), rng.choice((1, 2, 3))) for _ in range(pencil.n))
             for _ in range(4)
         ] + list(cancelling_points(pencil, rng))
-        cache = {}
         for target, x in itertools.product(targets, points):
-            oracle._lift_at(cache, target, x)
+            oracle._lift_at(target, _lattice(target, x))
     assert fixture_points > 1000 and pieces > 30
     assert seen["cancelled"] > 10 and seen["split"] > 5
 
@@ -990,9 +1003,8 @@ def test_lift_verdicts_match_reference():
             tuple(F(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(pencil.n))
             for _ in range(4)
         ] + list(cancelling_points(pencil, rng))
-        cache = {}
         for x in points:
-            rows, pairs, blocks = oracle._lift_at(cache, pencil, x)
+            rows, pairs, blocks = oracle._lift_at(pencil, _lattice(pencil, x))
             outer, inner = oracle._minor_conditions(rows, pairs)
             got = (outer, inner, oracle._psd_verdict(rows, outer, blocks))
             a = series_matrix(rows)
@@ -1035,17 +1047,17 @@ def test_lazy_lift_verdicts_match_the_full_lift():
     for pencil in pencils + [tied_diagonal_pencil(rng, m) for m in range(1, 5)]:
         m = pencil.m
         # the diagonal rows come first, so a stopped lift sums no other entry
-        diagonal = [i == j for i, j, _ in oracle._compile_lift(pencil)[0]]
+        diagonal = [i == j for i, j, _ in pencil._lift[0]]
         assert diagonal == sorted(diagonal, reverse=True)
         points = grid_points(pencil.n, -2, 2, F(1, 2) if pencil.n < 3 else 1)
-        cache = {}
         for x in points + list(cancelling_points(pencil, rng)):
-            rows, pairs, blocks = oracle._lift_at(cache, pencil, x)
+            lattice = _lattice(pencil, x)
+            rows, pairs, blocks = oracle._lift_at(pencil, lattice)
             outer, inner = oracle._minor_conditions(rows, pairs)
             full = (outer, inner, oracle._psd_verdict(rows, outer, blocks))
-            assert oracle._lift_verdicts(cache, pencil, x) == full, (pencil, x)
+            assert oracle._lift_verdicts(pencil, lattice) == full, (pencil, x)
             negative = [i for i in range(m) if puiseux.sign_of(rows[i][i]) < 0]
-            assert (oracle._lift_at(cache, pencil, x, stop=True)[0] is None) == bool(negative)
+            assert (oracle._lift_at(pencil, lattice, stop=True)[0] is None) == bool(negative)
             if negative and m > 1:
                 stops[negative[0] == 0, negative[0] == m - 1] += 1
                 stops["member"] += general_member(pencil, x)
@@ -1098,7 +1110,6 @@ def test_inner_set_psd_verdict_agrees_with_elimination():
     pencils += [rank_one_sum_pencil(rng, m, flip) for m in (3, 4, 5) for flip in (False, True)]
     for pencil in pencils:
         lift = canonical_lift(pencil) if pencil.is_metzler else entrywise_lift(pencil)
-        cache = {}
         for x in with_bottoms(grid_points(pencil.n, -2, 2, 1 if pencil.n < 3 else 2)):
             a = evaluate_pencil(lift, monomial_lift(x))
             outer, inner = oracle._minor_conditions(a.entries, puiseux._nonzero_pairs(a.entries))
@@ -1106,7 +1117,8 @@ def test_inner_set_psd_verdict_agrees_with_elimination():
             assert (inner or psd) == psd == reference_is_psd(a), (pencil, x)
             bottom = any(map(is_minus_inf, x))
             if not bottom:
-                assert oracle._lift_verdicts(cache, pencil, x) == (outer, inner, psd), (pencil, x)
+                verdicts = oracle._lift_verdicts(pencil, _lattice(pencil, x))
+                assert verdicts == (outer, inner, psd), (pencil, x)
             seen[pencil.m > 2, outer, inner, psd, bottom] += 1
     # the lemma decides with and without -inf coordinates, where inner is
     # strictly stronger than outer (m > 2); elimination decides the rest,
@@ -1168,9 +1180,8 @@ def test_only_outer_points_reach_the_higher_minors(monkeypatch):
     assert eliminated == [] and not any(outer for outer, _, _ in verdicts)
     # every grid point's PSD verdict by elimination, as the lemma would skip it
     verdicts.clear()
-    cache = {}
     for x in default_grid(2):
-        rows, pairs, blocks = oracle._lift_at(cache, pencil, x)
+        rows, pairs, blocks = oracle._lift_at(pencil, _lattice(pencil, x))
         oracle._psd_verdict(rows, oracle._minor_conditions(rows, pairs)[0], blocks)
     assert all(reached == (outer and big) for outer, big, reached in verdicts)
     counts = Counter(outer for outer, big, _ in verdicts if big)
@@ -1192,7 +1203,7 @@ def test_lattice_terms_are_ints(monkeypatch):
         records = cross_validate(pencil, grid, assume_certified=True)
         assert all(r.ok for r in records)
         for x in grid_points(pencil.n, F(-1, 7), F(1, 5), F(1, 3)):
-            a = series_matrix(oracle._lift_at({}, pencil, x)[0])
+            a = series_matrix(oracle._lift_at(pencil, _lattice(pencil, x))[0])
             for row in a.entries:
                 for entry in row:
                     int_terms(entry)
