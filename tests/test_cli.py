@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import random
+import runpy
 import subprocess
 import sys
 import time
@@ -66,6 +67,7 @@ def test_exponent_notation_is_refused_fast(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     for argv in (
         ("member", FIXTURES / "quadrant_ray.json", "--at", "0,1e10000000,0"),
+        ("member", FIXTURES / "m1_distinct.json", "--at", "0,1e10000000"),
         ("member", path, "--at", "0"),
         ("validate", FIXTURES / "m1_distinct.json", "--box=-1,1E10000000", "--step", "1"),
         ("validate", FIXTURES / "m1_distinct.json", "--step", "1e-10000000"),
@@ -123,10 +125,13 @@ def test_lattice_limit_refuses_large_denominators(capsys, tmp_path):
     # refused before any value is scaled, whether in the pencil or in a point
     big = (f"1/{2**9000}", f"1/{3**6000}")
     pencil = _m1_file(tmp_path / "big.json", [f"+{v}" for v in big] + ["-0"])
+    pair = _m1_file(tmp_path / "pair.json", [f"+{v}" for v in big])
     flat = _m1_file(tmp_path / "flat.json", ["+0", "+0", "-1", "+0"])
     for argv in (
         ("member", pencil, "--at", "0,0,0"),
         ("generic", pencil),
+        ("member", pair, "--at", "0,0"),
+        ("generic", pair),
         ("validate", pencil),
         ("member", flat, "--at", f"{big[0]},{big[1]},0,0"),
         ("slice", flat, f"--fix=x0={big[0]}", f"--fix=x1={big[1]}", "--box", "0,1",
@@ -516,21 +521,6 @@ def test_validate_wide_denominators_within_seconds(capsys, tmp_path):
     assert out.count('"member": true') > 0
 
 
-#: sha256 of validate's stdout per run: the records are exact, so a speed-up
-#: of the oracle must leave every byte as it is.
-VALIDATE_DIGESTS = [
-    (["polygon9.json", "--max-m", "9", "--psd-bound", "9"],
-     "80ae63f78e1dbd92953ba03ede73a70c8e26260c96e3de8c3b42d6f240340859"),
-    (["polygon9.json", "--max-m", "9"],
-     "80ae63f78e1dbd92953ba03ede73a70c8e26260c96e3de8c3b42d6f240340859"),
-    (["quadrant_ray.json"], "e91c46363e972ce661596a07fdf1aaccc85c55d0218e2853888e8aecc47b41ed"),
-    (["m1_distinct.json"], "c568f0f53932110834d3740321334421f6d431db6b90c6c33b721cf0058f4d4d"),
-    (["affine_quadrant.json"], "ab4a569184e054b9b2bc64e9ac216540e7fea8c158da43a240f7add78789caa1"),
-    (["m1_distinct.json", "--box=-1,1", "--step", "1/3"],
-     "9e332f01ed96907cf0b4db2e20ee07392d4e39b123691c6144d6508052ffaca2"),
-]
-
-
 def _certified_pencils(seed: int):
     """(pencil, homogeneous): one seeded pencil with a certificate for each
     of 1, 2 and 3 free coordinates, homogeneous and affine, m = 2 or 3."""
@@ -587,47 +577,119 @@ def test_validate_prints_cross_validate_records(capsys, tmp_path):
     assert "quadrant_ray.json" in null_psd
 
 
-def test_validate_output_is_pinned(capsys):
-    for (name, *flags), digest in VALIDATE_DIGESTS:
-        code, out, _ = run(capsys, "validate", FIXTURES / name, *flags)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, *flags)
+#: sha256 of '{"status": "generic"}\n', the whole output of a certificate
+GENERIC = "4f429625e4b3e050bea96589ea06e28a3378c30d90362319e8025c0d88b47d55"
 
-
-#: sha256 and exit code of generic's stdout per fixture at --max-m 9: a
-#: witness and its circulation are exact, so a faster certifier or re-check
-#: must leave them as they are.
-GENERIC_DIGESTS = {
-    "affine_quadrant.json": (0, "4f429625e4b3e050bea96589ea06e28a3378c30d90362319e8025c0d88b47d55"),
-    "line_pencil.json": (1, "b86de15c41aae04c94887bda679966b0b172644f6bcf8c7de02ffbfc492a28a8"),
-    "m1_distinct.json": (0, "4f429625e4b3e050bea96589ea06e28a3378c30d90362319e8025c0d88b47d55"),
-    "polygon9.json": (0, "4f429625e4b3e050bea96589ea06e28a3378c30d90362319e8025c0d88b47d55"),
-    "quadrant_ray.json": (0, "4f429625e4b3e050bea96589ea06e28a3378c30d90362319e8025c0d88b47d55"),
-}
-
-
-def test_generic_output_is_pinned(capsys):
-    assert sorted(GENERIC_DIGESTS) == sorted(p.name for p in FIXTURES.glob("*.json"))
-    for name, (want, digest) in GENERIC_DIGESTS.items():
-        code, out, _ = run(capsys, "generic", FIXTURES / name, "--max-m", "9")
-        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (want, digest), name
-
-
-
-#: first 16 hex digits of the sha256 of slice's stdout for the raster
-#: benchmark's two fixture calls: the row kernel and the row writer must
-#: leave every byte as it is.
-SLICE_DIGESTS = [
-    (["polygon9.json", "--fix", "x0=0", "--box", "0,8", "--step", "1/8"], "6a11828e54a8408c"),
-    (["quadrant_ray.json", "--fix", "x0=0", "--box=-4,4", "--step", "1/8"], "aeb42148dcd4b69b"),
+#: Every pinned CLI output, as (argv, exit code, sha256 of stdout or its
+#: first 16 hex digits, seconds allowed or None). Witnesses, records and
+#: rasters are exact, so a faster kernel must leave every byte as it is.
+#: The second word of argv names a fixture, m2n1.json or a pool entry
+#: "cls:index" of perfbench/corpus.py's pencil_doc.
+CLI_PINS = [
+    # generic at --max-m 9 on every fixture; line_pencil's witness names the
+    # full support, "stratum": [0, 1, 2]
+    ("generic affine_quadrant.json --max-m 9", 0, GENERIC, None),
+    ("generic line_pencil.json --max-m 9", 1,
+     "b86de15c41aae04c94887bda679966b0b172644f6bcf8c7de02ffbfc492a28a8", None),
+    ("generic m1_distinct.json --max-m 9", 0, GENERIC, None),
+    ("generic polygon9.json --max-m 9", 0, GENERIC, 10),
+    ("generic quadrant_ray.json --max-m 9", 0, GENERIC, None),
+    # corpus pencils past the benchmark's sizes: two certify, one has a witness
+    ("generic N5x5p7:3 --max-m 9 --max-n 9", 0, GENERIC, 60),
+    ("generic M5x5p7:0 --max-m 9 --max-n 9", 0, GENERIC, 60),
+    ("generic N4x5p7:0 --max-m 9 --max-n 9", 1, "2af5d4c860277168", 60),
+    # validate on each certified fixture; quadrant_ray is not Metzler, so its
+    # member points check the pieces of their sigma, and affine_quadrant's
+    # lines start with the fixed coordinate x0 = 0
+    ("validate polygon9.json --max-m 9 --psd-bound 9", 0,
+     "80ae63f78e1dbd92953ba03ede73a70c8e26260c96e3de8c3b42d6f240340859", None),
+    ("validate polygon9.json --max-m 9", 0,
+     "80ae63f78e1dbd92953ba03ede73a70c8e26260c96e3de8c3b42d6f240340859", None),
+    ("validate quadrant_ray.json", 0,
+     "e91c46363e972ce661596a07fdf1aaccc85c55d0218e2853888e8aecc47b41ed", None),
+    ("validate m1_distinct.json", 0,
+     "c568f0f53932110834d3740321334421f6d431db6b90c6c33b721cf0058f4d4d", None),
+    ("validate affine_quadrant.json", 0,
+     "ab4a569184e054b9b2bc64e9ac216540e7fea8c158da43a240f7add78789caa1", None),
+    # steps whose lattice scale exceeds the integer points' own, and boxes
+    # whose lo is no multiple of the step, where classes of translates start
+    # off the integers
+    ("validate m1_distinct.json --box=-1,1 --step 1/3", 0,
+     "9e332f01ed96907cf0b4db2e20ee07392d4e39b123691c6144d6508052ffaca2", None),
+    ("validate quadrant_ray.json --step 1/3", 0, "409ed7dfd9a8acde", None),
+    ("validate quadrant_ray.json --box=-5/3,2 --step 2/3", 0, "d63d7a2525b504ee", None),
+    ("validate polygon9.json --max-m 9 --box=-5/3,2 --step 2/3", 0, "57eb4a4caf1544c5", None),
+    # 4,913 points in 817 classes, then 35,937 points each, where the walk's
+    # per-point cost dominates; affine_quadrant's 1,089 points are each their
+    # own class
+    ("validate polygon9.json --max-m 9 --step 1/4", 0, "9e0c7598b96a5e96", 60),
+    ("validate quadrant_ray.json --step 1/8", 0, "cf25ef59550abe3c", 60),
+    ("validate polygon9.json --max-m 9 --step 1/8", 0, "4baf1d5cdb0eb124", 60),
+    ("validate affine_quadrant.json --step 1/8", 0, "44bf4131c5bc2787", 60),
+    # one free coordinate: the grid is a single row of the slice kernel
+    ("validate m2n1.json", 0, "487b9f9b17250c96", None),
+    # the raster benchmark's two fixture calls, then boxes whose lo is
+    # negative and off the integers, 263,169 points of polygon9, and a slice
+    # through x0 = -inf
+    ("slice polygon9.json --fix x0=0 --box 0,8 --step 1/8", 0, "6a11828e54a8408c", None),
+    ("slice quadrant_ray.json --fix x0=0 --box=-4,4 --step 1/8", 0, "aeb42148dcd4b69b", None),
+    ("slice quadrant_ray.json --fix x0=0 --box=-7/3,3 --step 1/3", 0, "417e89216e05cc16", None),
+    ("slice polygon9.json --fix x0=0 --box=-5/3,8 --step 2/3", 0, "68fe3a0f918a5416", None),
+    ("slice polygon9.json --fix x0=0 --box 0,8 --step 1/64", 0, "169e74d4ebc64663", 10),
+    ("slice quadrant_ray.json --fix=x0=-inf --box 0,1 --step 1", 0, "d8d2350e9623d59a", None),
+    # tight edges read each family's maximizers against the tops of the one
+    # constraint pass
+    ("hypergraph line_pencil.json --at 0,0,0", 0, "3bf78759b129c08d", None),
+    ("hypergraph polygon9.json --at 0,1,4", 0, "33b8f8a87dad80d5", None),
+    # the README's examples
+    ("member line_pencil.json --at 0,0,0", 0, "a55f9f8391ac70dd", None),
+    ("generic m1_distinct.json", 0, GENERIC, None),
+    ("generic line_pencil.json", 1, "b86de15c41aae04c", None),
+    ("hypergraph affine_quadrant.json --at 0,0", 0, "93ba663ab2c1f63c", None),
+    ("decompose quadrant_ray.json --diamond 1,2:>=", 0, "b191b32e5a31b42b", None),
+    ("validate m1_distinct.json --box=-2,2 --step 1", 0, "43febf8e1f5be230", None),
+    ("slice polygon9.json --fix x0=0 --box 0,8 --step 1/2", 0, "20c1ab2e549a680a", None),
 ]
 
+#: m2n1.json of the pins: one variable, m = 2, n = 1 homogeneous
+M2N1 = ('{"m": 2, "n": 1, "homogeneous": true, "matrices": [{"k": 0, "entries": ['
+        '{"i": 1, "j": 1, "coeff": "+0"}, {"i": 1, "j": 2, "coeff": "+1"}, '
+        '{"i": 2, "j": 2, "coeff": "+3"}]}]}')
 
-def test_slice_output_is_pinned(capsys):
-    for (name, *flags), digest in SLICE_DIGESTS:
-        code, out, _ = run(capsys, "slice", FIXTURES / name, *flags)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, (name, *flags)
+CORPUS = FIXTURES.parent / "perfbench" / "corpus.py"
+
+
+def _pin_file(name, tmp_path):
+    """The pencil file that a pin's argv names."""
+    if name == "m2n1.json":
+        text = M2N1
+    elif ":" in name:
+        # run by path, so that nothing is imported or compiled from perfbench
+        cls, index = name.split(":")
+        text = json.dumps(runpy.run_path(str(CORPUS))["pencil_doc"](cls, int(index)))
+    else:
+        return FIXTURES / name
+    path = tmp_path / "pencil.json"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("argv, want, digest, seconds", CLI_PINS,
+                         ids=[pin[0].replace(" ", "_") for pin in CLI_PINS])
+def test_cli_pin(capsys, tmp_path, argv, want, digest, seconds):
+    verb, name, *flags = argv.split()
+    path = _pin_file(name, tmp_path)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, verb, path, *flags)
+    elapsed = time.perf_counter() - start
+    assert (code, hashlib.sha256(out.encode()).hexdigest()[:len(digest)]) == (want, digest)
+    assert seconds is None or elapsed < seconds, elapsed
+
+
+def test_every_fixture_has_a_generic_pin():
+    pinned = {argv.split()[1] for argv, *_ in CLI_PINS
+              if argv.startswith("generic ") and argv.endswith(".json --max-m 9")}
+    assert pinned == {p.name for p in FIXTURES.glob("*.json")}
 
 
 def test_cli_determinism(capsys):

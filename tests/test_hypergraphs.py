@@ -707,6 +707,7 @@ from fractions import Fraction
 import tropsdp.hypergraphs as hg
 from tropsdp.errors import CertificateCheckFailed
 from tropsdp.pencils import load_pencil
+from tropsdp.puiseux import PuiseuxPoly, _divide
 
 assert False, "asserts must be stripped in this run"
 kernel = hg.solve_nonneg
@@ -723,7 +724,7 @@ for name, (call, bogus) in cases.items():
     except CertificateCheckFailed:
         print("raised:", name)
 hg.solve_nonneg = kernel
-line = load_pencil(PATH)[0]
+line = load_pencil(FIXTURES + "/line_pencil.json")[0]
 generator = hg._circulating_sets
 searches = {
     "search gamma not positive": lambda size: (0,) * size,
@@ -748,13 +749,28 @@ try:
     hg.certify_generic_general(line)
 except CertificateCheckFailed:
     print("raised: witness without circulation")
+hg.check_assumption_nondeg = lambda pencil: True
+try:
+    hg.certify_generic_general(load_pencil(FIXTURES + "/m1_distinct.json")[0])
+except CertificateCheckFailed:
+    print("raised: certificate with a degenerate minor")
+hg.metzler_strict_member = lambda pencil, x: False
+try:
+    hg.perturb_to_interior(load_pencil(FIXTURES + "/polygon9.json")[0],
+                           (Fraction(0), Fraction(8), Fraction(8)))
+except CertificateCheckFailed:
+    print("raised: perturbed point not strict")
+try:
+    _divide(PuiseuxPoly.constant(1), PuiseuxPoly.from_terms([(0, 1), (-1, 1)]))
+except CertificateCheckFailed:
+    print("raised: inexact division")
 """
 
 
 def test_certificate_checks_survive_optimize():
     # the exact re-checks of kernel output must not be asserts, which -O strips
     src = Path(__file__).resolve().parent.parent / "src"
-    code = _BOGUS_KERNEL.replace("PATH", repr(str(FIXTURES / "line_pencil.json")))
+    code = _BOGUS_KERNEL.replace("FIXTURES", repr(str(FIXTURES)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
@@ -768,4 +784,7 @@ def test_certificate_checks_survive_optimize():
         "raised: search gamma unbalanced",
         "raised: filter verdict without a point",
         "raised: witness without circulation",
+        "raised: certificate with a degenerate minor",
+        "raised: perturbed point not strict",
+        "raised: inexact division",
     ]
