@@ -1,6 +1,9 @@
 """Command line front end: membership, certification, decomposition,
 hypergraph inspection, grid validation, and 2-D slice rasters.
 
+Each verb imports the layers it calls when it runs, so member, decompose
+and slice never load the LP, hypergraph, oracle or Puiseux modules.
+
 Exit codes: 0 success (member / generic / zero failures), 1 negative
 outcome (non-member / witness / failures), 2 any error, 141 (128 + SIGPIPE)
 when the reader of stdout hung up before the output was written.
@@ -16,19 +19,12 @@ from fractions import Fraction
 from operator import getitem
 
 from .errors import PencilFormatError
-from .hypergraphs import (
-    Certificate,
-    _circulation_solve,
-    build_tangent_hypergraph,
-    certify_generic_general,
-    result_to_obj,
-)
-from .oracle import _grid_lines, grid_axis
 from .pencils import (
     SigmaChoice,
     _lattice_lcm,
     decompose,
     general_member,
+    grid_axis,
     load_pencil,
     parse_point,
     pencil_to_obj,
@@ -82,6 +78,8 @@ def cmd_member(args) -> int:
 
 
 def cmd_generic(args) -> int:
+    from .hypergraphs import Certificate, certify_generic_general, result_to_obj
+
     pencil, _ = _load(args.file)
     result = certify_generic_general(pencil, max_m=args.max_m, max_n=args.max_n)
     print(json.dumps(result_to_obj(result)))
@@ -126,6 +124,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_hypergraph(args) -> int:
+    from .hypergraphs import _circulation_solve, build_tangent_hypergraph
+
     pencil, lead = _load(args.file)
     x = _point_for(pencil, lead, args.at)
     graph = build_tangent_hypergraph(pencil, x)
@@ -159,6 +159,8 @@ def _box(args):
 
 
 def cmd_validate(args) -> int:
+    from .oracle import _grid_lines
+
     pencil, lead = _load(args.file)
     axis = grid_axis(pencil.n - len(lead), *_box(args))
     # _grid_lines certifies before it draws a point; nothing is written until

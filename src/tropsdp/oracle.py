@@ -13,14 +13,12 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CertificateCheckFailed, DimensionTooLarge, NotCertified
+from .errors import CertificateCheckFailed, NotCertified
 from .hypergraphs import Certificate, certify_generic_general, perturb_to_interior
 from .pencils import (
     TropicalPencil,
@@ -33,6 +31,7 @@ from .pencils import (
     _sigma_choices,
     decompose,
     format_point,
+    grid_axis,
     metzler_strict_member,
     slice_members,
     stratum_restrict,
@@ -163,40 +162,6 @@ def psd_member(bp: PuiseuxPencil, bx: Sequence[PuiseuxPoly]) -> bool:
 # -- grid cross-validation ----------------------------------------------------
 
 
-#: Most points a grid may have; larger grids are refused before enumeration.
-GRID_POINT_LIMIT = 10**6
-
-
-def grid_axis(n: int, lo, hi, step) -> list[Fraction]:
-    """The axis lo, lo + step, ... <= hi of the grid_points(n, ...) box.
-
-    Raises DimensionTooLarge when the n-dimensional grid would have more
-    than GRID_POINT_LIMIT points, naming the count while it has at most 128
-    bits.  A count of 2 or more per axis has
-    count**n >= 2**(n * (count.bit_length() - 1)), which passes the limit
-    well before 128 bits, so a larger power is never formed.  It also
-    raises DimensionTooLarge when a value's numerator or denominator could
-    have more digits than sys.get_int_max_str_digits() lets str() write.
-    """
-    lo, hi, step = Fraction(lo), Fraction(hi), Fraction(step)
-    if step <= 0:
-        raise ValueError("step must be positive")
-    count = max(0, (hi - lo) // step + 1)
-    small = n * count.bit_length() <= 128
-    if count > 1 and (not small or count**n > GRID_POINT_LIMIT):
-        size = count**n if small else f"more than {GRID_POINT_LIMIT}"
-        raise DimensionTooLarge(f"grid has {size} points, above the limit of {GRID_POINT_LIMIT}")
-    # each value one Fraction over the common denominator of lo and step
-    den = math.lcm(lo.denominator, step.denominator)
-    start = lo.numerator * (den // lo.denominator)
-    stride = step.numerator * (den // step.denominator)
-    # Python before 3.10.7 has no such limit
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if digits and max(den, abs(start), abs(start + (count - 1) * stride)) >= 10**digits:
-        raise DimensionTooLarge(f"grid values reach 10^{digits}, past str()'s digit limit")
-    return [Fraction(start + i * stride, den) for i in range(count)]
-
-
 def grid_points(n: int, lo, hi, step) -> list[tuple[Fraction, ...]]:
     """Lexicographically ordered rational grid over a box."""
     return list(itertools.product(grid_axis(n, lo, hi, step), repeat=n))
@@ -274,9 +239,11 @@ def _lift_at(pencil: TropicalPencil, lattice, stop=False):
     return rows, pairs, blocks
 
 
-def _lift_verdicts(pencil: TropicalPencil, lattice):
+def _lift_verdicts(pencil: TropicalPencil, lattice, want_psd=True):
     """(outer, inner, psd) of the lift at the point of lattice, as _lift_at
-    takes it: _minor_conditions of its rows and their PSD verdict.
+    takes it: _minor_conditions of its rows and their PSD verdict.  Without
+    want_psd a lift outside the inner set is not eliminated: psd is False,
+    for a caller that drops it.
 
     A diagonal entry with a negative lead fails its order-1 minor, and there
     _minor_conditions gives (False, False) and _psd_verdict False, so the
@@ -292,7 +259,7 @@ def _lift_verdicts(pencil: TropicalPencil, lattice):
     if a is None:
         return False, False, False
     outer, inner = _minor_conditions(a, pairs)
-    return outer, inner, inner or _psd_verdict(a, outer, blocks)
+    return outer, inner, inner or (want_psd and _psd_verdict(a, outer, blocks))
 
 
 def _pieces(cache: dict, pencil: TropicalPencil, lattice) -> tuple[TropicalPencil, ...]:
@@ -469,8 +436,9 @@ def _class_record(cache: dict, pencil: TropicalPencil, x, lattice, member: bool)
     stops at a negative diagonal entry and PSD is read from the inner set
     where it holds."""
     rec = ValidationRecord(x=x, member=member)
-    # the one evaluation of the pencil at x; every verdict below reads it
-    rec.sout, rec.sin, psd = _lift_verdicts(pencil, lattice)
+    # the one evaluation of the pencil at x; every verdict below reads it. A
+    # member point of a non-Metzler pencil prints no psd, so none is eliminated
+    rec.sout, rec.sin, psd = _lift_verdicts(pencil, lattice, not member or pencil.is_metzler)
 
     if not member:
         rec.psd = psd

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,8 +26,6 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionTooLarge, NotMetzler, PencilFormatError
-from .polynomials import TropPoly
-from .puiseux import _components
 from .signed import (
     MINUS_INF,
     ExtRat,
@@ -123,6 +122,8 @@ class TropicalPencil:
         Metzler), the off-diagonal (i, j) of its rows, and the components those
         pairs make of range(m).  Only a listed pair can be nonzero at a point,
         so pairs serve _minor_conditions and blocks _psd_verdict."""
+        from .puiseux import _components  # the oracle's layer, loaded by its first lift
+
         table = _lift_table(self, self.is_metzler)
         pairs = tuple((i, j) for i, j, _ in table if i != j)
         return table, pairs, _components(self.m, pairs)
@@ -193,6 +194,8 @@ def _member(pencil: TropicalPencil, lattice) -> bool:
 
 def qij_poly(pencil: TropicalPencil, i: int, j: int) -> TropPoly:
     """The degree-1 tropical polynomial with coefficient Q^(k)_ij on X_k."""
+    from .polynomials import TropPoly
+
     return TropPoly(pencil.n, {tuple(int(t == k) for t in range(pencil.n)): mat[i][j]
                                for k, mat in enumerate(pencil.matrices)})
 
@@ -238,6 +241,40 @@ def general_member(pencil: TropicalPencil, x: Sequence[ExtRat]) -> bool:
     """
     _check_count(pencil.n, x)
     return _member(pencil, _lattice(pencil, x))
+
+
+#: Most points a grid may have; larger grids are refused before enumeration.
+GRID_POINT_LIMIT = 10**6
+
+
+def grid_axis(n: int, lo, hi, step) -> list[Fraction]:
+    """The axis lo, lo + step, ... <= hi of an n-dimensional grid over a box.
+
+    Raises DimensionTooLarge when the n-dimensional grid would have more
+    than GRID_POINT_LIMIT points, naming the count while it has at most 128
+    bits.  A count of 2 or more per axis has
+    count**n >= 2**(n * (count.bit_length() - 1)), which passes the limit
+    well before 128 bits, so a larger power is never formed.  It also
+    raises DimensionTooLarge when a value's numerator or denominator could
+    have more digits than sys.get_int_max_str_digits() lets str() write.
+    """
+    lo, hi, step = Fraction(lo), Fraction(hi), Fraction(step)
+    if step <= 0:
+        raise ValueError("step must be positive")
+    count = max(0, (hi - lo) // step + 1)
+    small = n * count.bit_length() <= 128
+    if count > 1 and (not small or count**n > GRID_POINT_LIMIT):
+        size = count**n if small else f"more than {GRID_POINT_LIMIT}"
+        raise DimensionTooLarge(f"grid has {size} points, above the limit of {GRID_POINT_LIMIT}")
+    # each value one Fraction over the common denominator of lo and step
+    den = math.lcm(lo.denominator, step.denominator)
+    start = lo.numerator * (den // lo.denominator)
+    stride = step.numerator * (den // step.denominator)
+    # Python before 3.10.7 has no such limit
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits and max(den, abs(start), abs(start + (count - 1) * stride)) >= 10**digits:
+        raise DimensionTooLarge(f"grid values reach 10^{digits}, past str()'s digit limit")
+    return [Fraction(start + i * stride, den) for i in range(count)]
 
 
 def slice_members(

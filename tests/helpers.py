@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import itertools
 import random
+import runpy
 from fractions import Fraction as F
 from math import lcm
+from pathlib import Path
 from typing import Sequence
 
 from tropsdp import lp
@@ -75,6 +77,41 @@ def wide_denominator_pencil(digits: int) -> dict:
             entries.append({"i": i, "j": j, "coeff": ("+" if i == j else "-") + str(value)})
         matrices.append({"k": k, "entries": entries})
     return {"m": 4, "n": 4, "homogeneous": True, "matrices": matrices}
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+
+
+def pool_doc(cls: str, index: int) -> dict:
+    """Pencil JSON of the benchmark's pool entry cls:index (corpus.pencil_doc),
+    run by path, so that nothing is imported or compiled from perfbench."""
+    return runpy.run_path(str(CORPUS))["pencil_doc"](cls, index)
+
+
+def planted_doc(cls: str, index: int, mu) -> dict:
+    """Pencil JSON of the planted pencil cls:index at margin mu: the pool
+    entry with one positive diagonal term per row raised so that x* = 0 is
+    inside.  With rng = random.Random(f"plant:{cls}:{index}"), row i in
+    order draws k = rng.randrange(n) and r = F(rng.randint(0, 6),
+    rng.randint(1, 7)), and its (k, i, i) coefficient becomes
+    +(b_i + mu + r), b_i the largest absolute value of the modulus of any
+    entry in row or column i of the pool entry; an earlier (k, i, i) entry
+    is replaced."""
+    doc = pool_doc(cls, index)
+    entries = {(mat["k"], e["i"] - 1, e["j"] - 1): e["coeff"]
+               for mat in doc["matrices"] for e in mat["entries"]}
+    rng = random.Random(f"plant:{cls}:{index}")
+    raised = {}
+    for i in range(doc["m"]):
+        k = rng.randrange(doc["n"])
+        r = F(rng.randint(0, 6), rng.randint(1, 7))
+        b = max(abs(parse_signed(c).value) for (_, *ij), c in entries.items() if i in ij)
+        raised[k, i, i] = f"+{b + F(mu) + r}"
+    entries.update(raised)
+    matrices = [{"k": k, "entries": [{"i": i + 1, "j": j + 1, "coeff": c}
+                                     for (k2, i, j), c in sorted(entries.items()) if k2 == k]}
+                for k in sorted({key[0] for key in entries})]
+    return {**doc, "matrices": matrices}
 
 
 def random_pencil(

@@ -6,7 +6,6 @@ import itertools
 import json
 import os
 import random
-import runpy
 import subprocess
 import sys
 import time
@@ -15,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import FIXTURES
-from helpers import pencil_of, random_pencil, wide_denominator_pencil
+from helpers import pencil_of, planted_doc, pool_doc, random_pencil, wide_denominator_pencil
 from tropsdp.cli import main
 from tropsdp.errors import NotCertified
 from tropsdp.hypergraphs import Certificate, certify_generic_general
@@ -422,11 +421,11 @@ def test_grid_size_is_decided_without_forming_its_power(capsys, tmp_path):
 def test_validate_refusal_draws_no_grid_point(capsys, monkeypatch):
     # 97^3 = 912673 points at step 1/24: validate certifies first, so a
     # witness or an oversized pencil is refused before a point is drawn
-    from tropsdp import cli, oracle
+    from tropsdp import oracle
 
     grids, drawn = [], []
-    real = cli._grid_lines
-    monkeypatch.setattr(cli, "_grid_lines", lambda pencil, lead, axis, *bounds: (
+    real = oracle._grid_lines
+    monkeypatch.setattr(oracle, "_grid_lines", lambda pencil, lead, axis, *bounds: (
         grids.append((lead, axis)) or real(pencil, lead, axis, *bounds)))
     # every grid point's membership row and class record goes through these two
     real_rows, real_record = oracle.slice_members, oracle._class_record
@@ -442,6 +441,33 @@ def test_validate_refusal_draws_no_grid_point(capsys, monkeypatch):
         assert code == 2 and out == "" and refusal in err
         lead, axis = grids.pop()
         assert (*lead, axis[0], axis[-1], len(axis)) == (-2, 2, 97) and drawn == []
+
+
+def test_member_points_of_a_non_metzler_pencil_eliminate_no_own_lift(capsys, tmp_path,
+                                                                     monkeypatch):
+    # a member point of a non-Metzler pencil prints "psd": null, so the lift
+    # of the pencil itself is eliminated only at non-member points
+    from tropsdp import oracle
+
+    current, eliminated = [], []
+    real_record, real_psd = oracle._class_record, oracle._psd_verdict
+
+    def record(cache, pencil, x, lattice, member):
+        current[:] = pencil, member
+        return real_record(cache, pencil, x, lattice, member)
+
+    def psd_verdict(a, outer, blocks):
+        pencil, member = current
+        eliminated.append((member, blocks is pencil._lift[2]))
+        return real_psd(a, outer, blocks)
+
+    monkeypatch.setattr(oracle, "_class_record", record)
+    monkeypatch.setattr(oracle, "_psd_verdict", psd_verdict)
+    path = _pin_file("N5x3p7:0:0", tmp_path)
+    code, out, _ = run(capsys, "validate", path, "--max-m", "9", "--max-n", "9")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == (0, "5a37d969956fca3b")
+    assert out.count('"member": true') == 477 and (False, True) in eliminated
+    assert (True, True) not in eliminated
 
 
 def test_validate_zero_failures(capsys):
@@ -583,8 +609,9 @@ GENERIC = "4f429625e4b3e050bea96589ea06e28a3378c30d90362319e8025c0d88b47d55"
 #: Every pinned CLI output, as (argv, exit code, sha256 of stdout or its
 #: first 16 hex digits, seconds allowed or None). Witnesses, records and
 #: rasters are exact, so a faster kernel must leave every byte as it is.
-#: The second word of argv names a fixture, m2n1.json or a pool entry
-#: "cls:index" of perfbench/corpus.py's pencil_doc.
+#: The second word of argv names a fixture, m2n1.json, a pool entry
+#: "cls:index" of perfbench/corpus.py's pencil_doc or a planted pencil
+#: "cls:index:mu" of helpers.planted_doc.
 CLI_PINS = [
     # generic at --max-m 9 on every fixture; line_pencil's witness names the
     # full support, "stratum": [0, 1, 2]
@@ -598,6 +625,10 @@ CLI_PINS = [
     ("generic N5x5p7:3 --max-m 9 --max-n 9", 0, GENERIC, 60),
     ("generic M5x5p7:0 --max-m 9 --max-n 9", 0, GENERIC, 60),
     ("generic N4x5p7:0 --max-m 9 --max-n 9", 1, "2af5d4c860277168", 60),
+    # planted pencils "cls:index:mu" of helpers.planted_doc, rich in member
+    # points of a non-Metzler pencil, whose lines print "psd": null
+    ("validate N5x3p7:5:0 --max-m 9 --max-n 9", 0, "ef1e4d22c70fa312", 10),
+    ("validate N5x3p7:0:0 --max-m 9 --max-n 9", 0, "5a37d969956fca3b", 10),
     # validate on each certified fixture; quadrant_ray is not Metzler, so its
     # member points check the pieces of their sigma, and affine_quadrant's
     # lines start with the fixed coordinate x0 = 0
@@ -656,17 +687,16 @@ M2N1 = ('{"m": 2, "n": 1, "homogeneous": true, "matrices": [{"k": 0, "entries": 
         '{"i": 1, "j": 1, "coeff": "+0"}, {"i": 1, "j": 2, "coeff": "+1"}, '
         '{"i": 2, "j": 2, "coeff": "+3"}]}]}')
 
-CORPUS = FIXTURES.parent / "perfbench" / "corpus.py"
-
-
 def _pin_file(name, tmp_path):
     """The pencil file that a pin's argv names."""
     if name == "m2n1.json":
         text = M2N1
-    elif ":" in name:
-        # run by path, so that nothing is imported or compiled from perfbench
+    elif name.count(":") == 1:
         cls, index = name.split(":")
-        text = json.dumps(runpy.run_path(str(CORPUS))["pencil_doc"](cls, int(index)))
+        text = json.dumps(pool_doc(cls, int(index)))
+    elif ":" in name:
+        cls, index, mu = name.split(":")
+        text = json.dumps(planted_doc(cls, int(index), Fraction(mu)))
     else:
         return FIXTURES / name
     path = tmp_path / "pencil.json"
