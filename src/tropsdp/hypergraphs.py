@@ -45,7 +45,6 @@ why certify_generic_general searches once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -61,53 +60,71 @@ from .pencils import (
     decompose,
     metzler_strict_member,
 )
-from .signed import _check_count, is_minus_inf
+from .signed import _Value, _check_count, is_minus_inf
 
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(_Value):
     """Directed hyperedge: a sorted tail multiset of size 1 or 2 and a head."""
 
-    tails: tuple[int, ...]
-    head: int
+    __slots__ = ("tails", "head")
 
-    def __post_init__(self):
-        if len(self.tails) not in (1, 2):
+    def __init__(self, tails: tuple[int, ...], head: int):
+        if len(tails) not in (1, 2):
             raise ValueError("an edge has one or two tails")
-        if tuple(sorted(self.tails)) != self.tails:
+        if tuple(sorted(tails)) != tails:
             raise ValueError("tails must be sorted")
+        object.__setattr__(self, "tails", tails)
+        object.__setattr__(self, "head", head)
+
+    # written out, not read through _values: edges key the search's sets and dicts
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.tails, self.head) == (other.tails, other.head)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.tails, self.head))
 
 
-@dataclass(frozen=True)
-class Hypergraph:
-    n_vertices: int
-    edges: tuple[Edge, ...]
+class Hypergraph(_Value):
+    __slots__ = ("n_vertices", "edges")
+
+    def __init__(self, n_vertices: int, edges: tuple[Edge, ...]):
+        object.__setattr__(self, "n_vertices", n_vertices)
+        object.__setattr__(self, "edges", edges)
 
 
-@dataclass(frozen=True)
-class Circulation:
+class Circulation(_Value):
     """Normalized nonnegative flow indexed like the hypergraph's edges."""
 
-    gamma: tuple[Fraction, ...]
+    __slots__ = ("gamma",)
+
+    def __init__(self, gamma: tuple[Fraction, ...]):
+        object.__setattr__(self, "gamma", gamma)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Value):
     """No point's tangent hypergraph circulates: the pencil is generic."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Witness:
+
+class Witness(_Value):
     """A point whose tangent hypergraph admits a circulation."""
 
-    x: tuple[Fraction, ...]
-    edges: tuple[Edge, ...]
-    gamma: tuple[Fraction, ...]
-    sigma: frozenset[tuple[int, int]]
-    diamond: tuple[tuple[tuple[int, int], str], ...]
-    stratum: tuple[int, ...]
+    __slots__ = ("x", "edges", "gamma", "sigma", "diamond", "stratum")
+
+    def __init__(self, x: tuple[Fraction, ...], edges: tuple[Edge, ...],
+                 gamma: tuple[Fraction, ...], sigma: frozenset[tuple[int, int]],
+                 diamond: tuple[tuple[tuple[int, int], str], ...], stratum: tuple[int, ...]):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "diamond", diamond)
+        object.__setattr__(self, "stratum", stratum)
 
 
 def result_to_obj(res) -> dict:

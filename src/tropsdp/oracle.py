@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -50,22 +49,22 @@ from .puiseux import (
     sign_of,
     sval,
 )
-from .signed import MINUS_INF, ExtRat, _check_count, is_minus_inf
+from .signed import MINUS_INF, ExtRat, _Value, _check_count, is_minus_inf
 
 
-@dataclass(frozen=True)
-class PuiseuxPencil:
+class PuiseuxPencil(_Value):
     """n symmetric series matrices, one per variable (homogeneous form)."""
 
-    m: int
-    n: int
-    matrices: tuple[PuiseuxSymMatrix, ...]
+    __slots__ = ("m", "n", "matrices")
 
-    def __post_init__(self):
-        _check_count(self.n, self.matrices, "matrices")
-        for mat in self.matrices:
-            if mat.m != self.m:
+    def __init__(self, m: int, n: int, matrices: tuple[PuiseuxSymMatrix, ...]):
+        _check_count(n, matrices, "matrices")
+        for mat in matrices:
+            if mat.m != m:
                 raise ValueError("matrix dimension mismatch")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "matrices", matrices)
 
 
 def sval_pencil(bp: PuiseuxPencil) -> TropicalPencil:
@@ -172,17 +171,17 @@ def default_grid(n: int) -> list[tuple[Fraction, ...]]:
     return grid_points(n, -2, 2, Fraction(1, 2))
 
 
-@dataclass
-class ValidationRecord:
-    """Outcome of all oracle checks at one grid point."""
+class ValidationRecord(_Value):
+    """Outcome of all oracle checks at one grid point; mutable, so unhashable."""
 
-    x: tuple[ExtRat, ...]
-    member: bool
-    sout: bool | None = None
-    sin: bool | None = None
-    psd: bool | None = None
-    ok: bool = True
-    failures: list[str] = field(default_factory=list)
+    __slots__ = ("x", "member", "sout", "sin", "psd", "ok", "failures")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, x: tuple[ExtRat, ...], member: bool, sout: bool | None = None,
+                 sin: bool | None = None, psd: bool | None = None, ok: bool = True,
+                 failures: list[str] | None = None):
+        self.x, self.member, self.sout, self.sin, self.psd, self.ok = x, member, sout, sin, psd, ok
+        self.failures = [] if failures is None else failures
 
     def fail(self, message: str) -> None:
         self.ok = False

@@ -20,7 +20,6 @@ import json
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -31,6 +30,7 @@ from .signed import (
     ExtRat,
     SignedTrop,
     TROP_MINUS_INF,
+    _Value,
     _check_count,
     format_signed,
     is_minus_inf,
@@ -41,23 +41,23 @@ from .signed import (
 Matrix = tuple[tuple[SignedTrop, ...], ...]
 
 
-@dataclass(frozen=True)
-class TropicalPencil:
+class TropicalPencil(_Value):
     """n symmetric m x m signed tropical matrices, one per variable."""
 
-    m: int
-    n: int
-    matrices: tuple[Matrix, ...]
+    _fields = ("m", "n", "matrices")  # no __slots__: the compiles below cache in __dict__
 
-    def __post_init__(self):
-        _check_count(self.n, self.matrices, "matrices")
-        for mat in self.matrices:
-            if len(mat) != self.m or any(len(row) != self.m for row in mat):
+    def __init__(self, m: int, n: int, matrices: tuple[Matrix, ...]):
+        _check_count(n, matrices, "matrices")
+        for mat in matrices:
+            if len(mat) != m or any(len(row) != m for row in mat):
                 raise ValueError("matrix dimension mismatch")
-            for i in range(self.m):
+            for i in range(m):
                 for j in range(i):
                     if mat[i][j] != mat[j][i]:
                         raise ValueError(f"matrix not symmetric at ({i},{j})")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "matrices", matrices)
 
     @staticmethod
     def from_rows(m: int, n: int, matrices) -> "TropicalPencil":
@@ -400,25 +400,26 @@ def slice_members(
         yield list(map("1".__eq__, bin(mask & span(lo, hi) | 1 << len(bs))[:2:-1]))
 
 
-@dataclass(frozen=True)
-class SigmaChoice:
+class SigmaChoice(_Value):
     """A subset of row pairs plus a direction for each remaining pair."""
 
-    m: int
-    sigma: frozenset[tuple[int, int]]
-    diamond: tuple[tuple[tuple[int, int], str], ...]
+    __slots__ = ("m", "sigma", "diamond")
 
-    def __post_init__(self):
-        pairs = {(i, j) for i in range(self.m) for j in range(i + 1, self.m)}
-        comp = {p for p, _ in self.diamond}
-        if not self.sigma <= pairs or not comp <= pairs:
+    def __init__(self, m: int, sigma: frozenset[tuple[int, int]],
+                 diamond: tuple[tuple[tuple[int, int], str], ...]):
+        pairs = {(i, j) for i in range(m) for j in range(i + 1, m)}
+        comp = {p for p, _ in diamond}
+        if not sigma <= pairs or not comp <= pairs:
             raise ValueError("pair out of range")
-        if self.sigma & comp or self.sigma | comp != pairs:
+        if sigma & comp or sigma | comp != pairs:
             raise ValueError("sigma and diamond must partition the strict upper triangle")
-        if any(d not in (">=", "<=") for _, d in self.diamond):
+        if any(d not in (">=", "<=") for _, d in diamond):
             raise ValueError("directions must be '>=' or '<='")
-        if list(self.diamond) != sorted(self.diamond):
+        if list(diamond) != sorted(diamond):
             raise ValueError("diamond pairs must be sorted")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "diamond", diamond)
 
     @staticmethod
     def make(m: int, sigma: Iterable[tuple[int, int]], diamond) -> "SigmaChoice":

@@ -15,17 +15,15 @@ then fraction-free elimination of each block of three or more indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CertificateCheckFailed
-from .signed import MINUS_INF, ExtRat, SignedTrop, TROP_MINUS_INF, _check_count
+from .signed import MINUS_INF, ExtRat, SignedTrop, TROP_MINUS_INF, _Value, _check_count
 
 
-@dataclass(frozen=True)
-class PuiseuxPoly:
+class PuiseuxPoly(_Value):
     """Finite formal sum of (exponent, coefficient) terms, exponents decreasing.
 
     Direct construction must already be canonical: exponents strictly
@@ -34,7 +32,10 @@ class PuiseuxPoly:
     the minors and is_psd take either.
     """
 
-    terms: tuple[tuple[Fraction, Fraction], ...] = ()
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[Fraction, Fraction], ...] = ()):
+        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def from_terms(terms: Iterable[tuple[Fraction, Fraction]]) -> "PuiseuxPoly":
@@ -226,25 +227,25 @@ class SeriesPolynomial(_CoefficientMap):
         return total
 
 
-@dataclass(frozen=True)
-class PuiseuxSymMatrix:
+class PuiseuxSymMatrix(_Value):
     """Symmetric square matrix of Puiseux polynomials."""
 
-    entries: tuple[tuple[PuiseuxPoly, ...], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        m = len(self.entries)
-        for row in self.entries:
+    def __init__(self, entries: tuple[tuple[PuiseuxPoly, ...], ...]):
+        m = len(entries)
+        for row in entries:
             if len(row) != m:
                 raise ValueError("matrix is not square")
         # tuple equality compares only distinct objects, so one object per
         # symmetric pair, as _series_pencil and evaluate_pencil build, is cheap
-        if self.entries != tuple(zip(*self.entries)):
+        if entries != tuple(zip(*entries)):
             i, j = next(
                 (i, j) for i in range(m) for j in range(i)
-                if self.entries[i][j] != self.entries[j][i]
+                if entries[i][j] != entries[j][i]
             )
             raise ValueError(f"matrix not symmetric at ({i},{j})")
+        object.__setattr__(self, "entries", entries)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[PuiseuxPoly]]) -> "PuiseuxSymMatrix":

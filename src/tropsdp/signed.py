@@ -10,8 +10,8 @@ equal sign (or with the bottom element) and keeps the larger value.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Union
 
 from .errors import OppositeSigns
@@ -75,22 +75,62 @@ def _check_count(n: int, x, what: str = "coordinates") -> None:
         raise ValueError(f"expected {n} {what}, got {len(x)}")
 
 
-@dataclass(frozen=True)
-class SignedTrop:
+class _Value:
+    """Base of the package's immutable value classes: equality (same class
+    only), hash, repr "Name(field=value, ...)" and pickling, all by the
+    tuple of fields.  A subclass names its fields in __slots__ (in _fields
+    if it keeps a __dict__) and its __init__ sets them with
+    object.__setattr__; after that, assigning or deleting any attribute
+    raises AttributeError."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        fields = cls._fields = cls.__dict__.get("__slots__", cls._fields)
+        get = attrgetter(*fields) if fields else lambda obj: ()
+        # attrgetter of one name returns the bare value, not a 1-tuple
+        cls._values = staticmethod(get if len(fields) != 1 else lambda obj: (get(obj),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # the slots leave no __dict__ to restore: rebuild through __init__
+        return type(self), self._values(self)
+
+
+class SignedTrop(_Value):
     """A signed tropical number (sign, value); sign 0 iff value is -inf."""
 
-    sign: int
-    value: ExtRat
+    __slots__ = ("sign", "value")
 
-    def __post_init__(self):
-        if self.sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {self.sign!r}")
-        if self.sign == 0:
-            if not is_minus_inf(self.value):
+    def __init__(self, sign: int, value: ExtRat):
+        if sign not in (-1, 0, 1):
+            raise ValueError(f"sign must be -1, 0 or +1, got {sign!r}")
+        if sign == 0:
+            if not is_minus_inf(value):
                 raise ValueError("the bottom element has no finite value")
         else:
-            if not isinstance(self.value, Fraction):
-                raise ValueError(f"finite value must be a Fraction, got {self.value!r}")
+            if not isinstance(value, Fraction):
+                raise ValueError(f"finite value must be a Fraction, got {value!r}")
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "value", value)
 
     def __repr__(self):
         return f"SignedTrop({format_signed(self)!r})"

@@ -41,16 +41,20 @@ LOADS = [
 
 @pytest.mark.parametrize("argv, loaded", LOADS, ids=[a[0] if a else "import" for a, _ in LOADS])
 def test_each_verb_loads_only_its_layers(argv, loaded):
-    # a fresh interpreter on the same package: the verb's output, then the
-    # tropsdp submodules it imported on its last line
+    # a fresh interpreter on the same package: the verb's output, then on its
+    # last line the tropsdp submodules it imported and whether it imported
+    # the stdlib dataclasses, which loads inspect (a site hook that loaded
+    # it before the verb ran does not count)
     if argv:
         argv = [argv[0], str(FIXTURES / argv[1]), *argv[2:]]
     call = f"from tropsdp.cli import main; main({argv!r})" if argv else "import tropsdp"
-    code = f"import sys; {call}; print(sorted(m for m in sys.modules if m.startswith('tropsdp.')))"
+    code = (f"import sys; before = set(sys.modules); {call}; "
+            "print(sorted(m for m in sys.modules if m.startswith('tropsdp.')), "
+            "'dataclasses' in sys.modules.keys() - before)")
     env = {**os.environ, "PYTHONPATH": str(Path(tropsdp.__file__).parent.parent)}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
-    assert proc.stdout.splitlines()[-1] == str(sorted(f"tropsdp.{m}" for m in loaded))
+    assert proc.stdout.splitlines()[-1] == f"{sorted(f'tropsdp.{m}' for m in loaded)} False"
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -1,7 +1,7 @@
 """Every input-shape refusal of the library, with its exception type and its
 exact text: the coordinate and matrix counts, multi-indices, evaluation
-parts, finite-point rules, pencil and matrix shapes, (sigma, diamond)
-choices, supports, index sets and edges."""
+parts, finite-point rules, signed tropical numbers, pencil and matrix
+shapes, (sigma, diamond) choices, supports, index sets and edges."""
 
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from tropsdp.pencils import (
 )
 from tropsdp.polynomials import TropPoly, argmax, eval_part, evaluate
 from tropsdp.puiseux import PuiseuxPoly as P, PuiseuxSymMatrix, SeriesPolynomial, principal_minor
-from tropsdp.signed import MINUS_INF, TROP_MINUS_INF, neg, pos
+from tropsdp.signed import MINUS_INF, TROP_MINUS_INF, SignedTrop, neg, pos
 
 LINE = load_pencil(FIXTURES / "line_pencil.json")[0]  # 4 x 4 Metzler, n = 3
 QUAD = load_pencil(FIXTURES / "quadrant_ray.json")[0]  # 2 x 2, n = 3
@@ -75,6 +75,14 @@ REFUSALS = {
                                 ValueError, "matrix dimension mismatch"),
     "PuiseuxSymMatrix not square": (lambda: PuiseuxSymMatrix.from_rows([[ONE, ONE]]),
                                     ValueError, "matrix is not square"),
+    "SignedTrop sign": (lambda: SignedTrop(2, F(0)),
+                        ValueError, "sign must be -1, 0 or +1, got 2"),
+    "SignedTrop finite bottom": (lambda: SignedTrop(0, F(0)),
+                                 ValueError, "the bottom element has no finite value"),
+    "SignedTrop int value": (lambda: SignedTrop(1, 1),
+                             ValueError, "finite value must be a Fraction, got 1"),
+    "SigmaChoice overlap": (lambda: SigmaChoice(2, frozenset({(0, 1)}), (((0, 1), ">="),)),
+                            ValueError, "sigma and diamond must partition the strict upper triangle"),
     "SigmaChoice pair out of range": (lambda: SigmaChoice(2, frozenset({(0, 2)}), ()),
                                       ValueError, "pair out of range"),
     "SigmaChoice direction": (lambda: SigmaChoice(2, frozenset(), (((0, 1), ">"),)),
