@@ -147,31 +147,32 @@ def _tangent(pencil: TropicalPencil, x: Sequence[Fraction]):
 
     edges are the hyperedges of the tight constraints, sorted; slack is the
     least positive gap below a family max or between a constraint's two
-    sides, or None; member is metzler_member's verdict.  Each family's terms
-    are held to a top read from the same pass: a left family's own max and,
-    on the right, rhs / len(left).  At a finite point of a Metzler pencil
-    every rhs is finite and no pair's parts tie, so a constraint fails
-    exactly when its lhs is -inf or below its rhs.
+    sides, or None, also when no constraint is tight and nothing reads it;
+    member is metzler_member's verdict.  Each family's terms are held to a
+    top read from the same pass: a left family's own max and, on the right,
+    rhs / len(left).  At a finite point of a Metzler pencil every rhs is
+    finite and no pair's parts tie, so a constraint fails exactly when its
+    lhs is -inf or below its rhs.
     """
     _require_metzler(pencil)
     _check_count(pencil.n, x)
     if any(is_minus_inf(v) for v in x):
         raise ValueError("tangent hypergraph is defined at finite points only")
     lattice = scale, f, X = _lattice(pencil, x)
+    sides = list(_sides(pencil, lattice))
+    member = all(lhs is not None and lhs >= rhs for _, lhs, rhs, _ in sides)
     edges: set[Edge] = set()
     slacks = []
-    member = True
-    for (_, left, right), lhs, rhs, _ in _sides(pencil, lattice):
+    tight = any(lhs == rhs for _, lhs, rhs, _ in sides)  # else no edge, and no slack is read
+    for (_, left, right), lhs, rhs, _ in sides if tight else ():
         # every family's terms and top on the scale S; an empty left family's is None
         values = [[(k, c * f + X[k]) for k, c in fam] for fam in left + right]
         tops = [max((v for _, v in fam), default=None) for fam in values[:len(left)]]
         tops += [rhs // len(left)] * len(right)
         slacks += [t - v for fam, t in zip(values, tops) for _, v in fam if v < t]
-        if lhs is None or lhs < rhs:
-            member = False
-        elif lhs > rhs:
+        if lhs is not None and lhs > rhs:
             slacks.append(lhs - rhs)
-        else:
+        elif lhs == rhs:
             # the maximizers of each left family are tails, those of the right side heads
             args = [[k for k, v in fam if v == t] for fam, t in zip(values, tops)]
             heads = [l for arg in args[len(left):] for l in arg]
@@ -273,7 +274,7 @@ def _candidate_edges(pencil: TropicalPencil) -> dict[Edge, list[_Reason]]:
     keeps the int constant c of the real constraint with constant c / D.
     """
     n = pencil.n
-    table = pencil._constraints[1]
+    table = pencil._constraints
     cand: dict[Edge, dict[tuple, _Reason]] = {}
 
     def row(plus, const):
@@ -485,20 +486,24 @@ def perturb_to_interior(
     """A direction and step bound moving a member point strictly inside.
 
     Returns (eta, rho0) with x + rho*eta strictly feasible for every
-    rational 0 < rho <= rho0: eta is the farkas_direction of the tangent
-    hypergraph at x, and rho0 comes from the slack of the same _tangent
-    pass.  rho0 keeps every family's maximizer set fixed, so each
-    constraint is affine in rho on (0, rho0] and strictness at rho0
-    (checked with metzler_strict_member) propagates down to 0.
+    rational 0 < rho <= rho0.  With no tangent edge x is strict, since at a
+    finite point every kept rhs is finite and a tight constraint donates an
+    edge, and the one _tangent pass gives (0, 1).  Else eta is the
+    farkas_direction of the tangent hypergraph, nonzero as it is strict on
+    an edge, and rho0, from the slack of the same pass, keeps every
+    family's maximizer set fixed: each constraint is affine in rho on
+    (0, rho0], so strictness at rho0 (checked with metzler_strict_member)
+    propagates down to 0.
     """
     edges, slack, member = _tangent(pencil, x)
     if not member:
         raise ValueError("point is not in the tropical spectrahedron")
+    if not edges:
+        return tuple([ZERO] * pencil.n), Fraction(1)
     eta = farkas_direction(Hypergraph(pencil.n, edges))
     if eta is None:
         raise CirculationExists("tangent hypergraph at the point admits a circulation")
-    spread = max((abs(v) for v in eta), default=ZERO)
-    rho0 = Fraction(1) if slack is None or spread == 0 else slack / (8 * spread)
+    rho0 = Fraction(1) if slack is None else slack / (8 * max(map(abs, eta)))
     if not metzler_strict_member(pencil, tuple(v + rho0 * d for v, d in zip(x, eta))):
         raise CertificateCheckFailed("perturbation failed its own strictness check")
     return eta, rho0

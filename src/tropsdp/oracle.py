@@ -31,7 +31,6 @@ from .pencils import (
     decompose,
     format_point,
     grid_axis,
-    metzler_strict_member,
     slice_members,
     stratum_restrict,
 )
@@ -459,11 +458,8 @@ def _class_record(cache: dict, pencil: TropicalPencil, x, lattice, member: bool)
             rec.fail("member point escapes the outer set")
 
     for piece in _pieces(cache, pencil, lattice):
-        if metzler_strict_member(piece, x):
-            target = x
-        else:
-            eta, rho0 = perturb_to_interior(piece, x)
-            target = tuple(v + rho0 * d for v, d in zip(x, eta))
+        eta, rho0 = perturb_to_interior(piece, x)
+        target = tuple(v + rho0 * d for v, d in zip(x, eta)) if any(eta) else x
         if piece is pencil and target is x:
             # a Metzler pencil is its own piece: same lift, same point, same matrix
             psd = rec.psd

@@ -32,6 +32,7 @@ from .signed import (
     TROP_MINUS_INF,
     _Value,
     _check_count,
+    _check_symmetric,
     format_signed,
     is_minus_inf,
     parse_rational,
@@ -51,10 +52,7 @@ class TropicalPencil(_Value):
         for mat in matrices:
             if len(mat) != m or any(len(row) != m for row in mat):
                 raise ValueError("matrix dimension mismatch")
-            for i in range(m):
-                for j in range(i):
-                    if mat[i][j] != mat[j][i]:
-                        raise ValueError(f"matrix not symmetric at ({i},{j})")
+            _check_symmetric(mat)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "matrices", matrices)
@@ -93,19 +91,18 @@ class TropicalPencil(_Value):
 
     @cached_property
     def _constraints(self):
-        """(D, table): the order-1/order-2 constraints that can fail, on ints.
-
-        D is the lattice of _terms, and a family is a tuple of (k, D * value)
-        int pairs, one per finite coefficient of an entry, in k order.  A
-        constraint is (key, left, right): its lhs is the sum of the left
-        families' maxima, its rhs len(left) times the max of the right
-        families.  Row i gives (i, (pos_ii,), (neg_ii,)); then each pair
-        i < j gives ((i, j), (pos_ii, pos_jj), (pos_ij, neg_ij)), which also
-        holds when its two right maxima tie.  A row with no negative part
-        and a pair with no finite off-diagonal entry have rhs -inf at every
-        point, so they always hold and are dropped; the rest keep this order.
+        """The order-1/order-2 constraints that can fail, on the lattice D of
+        _terms: a family is a tuple of (k, D * value) int pairs, one per
+        finite coefficient of an entry, in k order.  A constraint is (key,
+        left, right): its lhs is the sum of the left families' maxima, its
+        rhs len(left) times the max of the right families.  Row i gives (i,
+        (pos_ii,), (neg_ii,)); then each pair i < j gives ((i, j), (pos_ii,
+        pos_jj), (pos_ij, neg_ij)), which also holds when its two right
+        maxima tie.  A row with no negative part and a pair with no finite
+        off-diagonal entry have rhs -inf at every point, so they always hold
+        and are dropped; the rest keep this order.
         """
-        den, entries = self._terms
+        entries = self._terms[1]
 
         def part(i, j, sign):
             return tuple((k, c) for k, s, c in entries[i, j] if s == sign)
@@ -114,7 +111,7 @@ class TropicalPencil(_Value):
         rows = [(i, (pos[i],), (part(i, i, -1),)) for i in range(self.m)]
         pairs = [((i, j), (pos[i], pos[j]), (part(i, j, 1), part(i, j, -1)))
                  for i, j in itertools.combinations(range(self.m), 2)]
-        return den, tuple(c for c in rows + pairs if any(c[2]))
+        return tuple(c for c in rows + pairs if any(c[2]))
 
     @cached_property
     def _lift(self):
@@ -147,7 +144,7 @@ def _lift_table(pencil: TropicalPencil, canonical: bool) -> tuple:
 def _lattice(pencil: TropicalPencil, x: Sequence[ExtRat]):
     """(S, f, X): x scaled by S = f * D onto the integers, so that a table
     term (k, c) is worth c * f + X[k] at x; X[k] is None for -inf."""
-    den = pencil._constraints[0]
+    den = pencil._terms[0]
     scale = math.lcm(den, *(v.denominator for v in x if not is_minus_inf(v)))
     X = [None if is_minus_inf(v) else v.numerator * (scale // v.denominator) for v in x]
     return scale, scale // den, X
@@ -172,7 +169,7 @@ def _sides(pencil: TropicalPencil, lattice):
                     best = v
         return best
 
-    for con in pencil._constraints[1]:
+    for con in pencil._constraints:
         _, left, right = con
         tops = [top(fam) for fam in left]
         rights = [top(fam) for fam in right]
@@ -329,7 +326,7 @@ def slice_members(
         raise ValueError("slice axis value -inf: the axis must be finite")
     if bs != sorted(bs):
         raise ValueError("the slice axis must be ascending")
-    table = pencil._constraints[1]
+    table = pencil._constraints
     coeffs = [c * g for _, left, right in table for fam in left + right for _, c in fam]
     low = -7 * max(map(abs, coeffs + list(xs.values()) + bs), default=0) - 1
     # (c, u, w) of each family on the slice; index 0 is -inf on the whole slice

@@ -20,7 +20,8 @@ from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CertificateCheckFailed
-from .signed import MINUS_INF, ExtRat, SignedTrop, TROP_MINUS_INF, _Value, _check_count
+from .signed import (MINUS_INF, ExtRat, SignedTrop, TROP_MINUS_INF, _Value, _check_count,
+                     _check_symmetric)
 
 
 class PuiseuxPoly(_Value):
@@ -233,18 +234,9 @@ class PuiseuxSymMatrix(_Value):
     __slots__ = ("entries",)
 
     def __init__(self, entries: tuple[tuple[PuiseuxPoly, ...], ...]):
-        m = len(entries)
-        for row in entries:
-            if len(row) != m:
-                raise ValueError("matrix is not square")
-        # tuple equality compares only distinct objects, so one object per
-        # symmetric pair, as _series_pencil and evaluate_pencil build, is cheap
-        if entries != tuple(zip(*entries)):
-            i, j = next(
-                (i, j) for i in range(m) for j in range(i)
-                if entries[i][j] != entries[j][i]
-            )
-            raise ValueError(f"matrix not symmetric at ({i},{j})")
+        if any(len(row) != len(entries) for row in entries):
+            raise ValueError("matrix is not square")
+        _check_symmetric(entries)
         object.__setattr__(self, "entries", entries)
 
     @staticmethod

@@ -75,6 +75,16 @@ def _check_count(n: int, x, what: str = "coordinates") -> None:
         raise ValueError(f"expected {n} {what}, got {len(x)}")
 
 
+def _check_symmetric(rows) -> None:
+    """The one symmetry rule of square matrices: ValueError naming the first
+    (i, j), i > j in row order, where rows differs from its transpose.  Tuple
+    equality with the transpose skips a pair that holds one object twice."""
+    rows = tuple(map(tuple, rows))
+    if rows != tuple(zip(*rows)):
+        i, j = next((i, j) for i in range(len(rows)) for j in range(i) if rows[i][j] != rows[j][i])
+        raise ValueError(f"matrix not symmetric at ({i},{j})")
+
+
 class _Value:
     """Base of the package's immutable value classes: equality (same class
     only), hash, repr "Name(field=value, ...)" and pickling, all by the

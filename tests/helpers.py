@@ -97,9 +97,7 @@ def planted_doc(cls: str, index: int, mu) -> dict:
     +(b_i + mu + r), b_i the largest absolute value of the modulus of any
     entry in row or column i of the pool entry; an earlier (k, i, i) entry
     is replaced."""
-    doc = pool_doc(cls, index)
-    entries = {(mat["k"], e["i"] - 1, e["j"] - 1): e["coeff"]
-               for mat in doc["matrices"] for e in mat["entries"]}
+    doc, entries = _pool_entries(cls, index)
     rng = random.Random(f"plant:{cls}:{index}")
     raised = {}
     for i in range(doc["m"]):
@@ -107,7 +105,35 @@ def planted_doc(cls: str, index: int, mu) -> dict:
         r = F(rng.randint(0, 6), rng.randint(1, 7))
         b = max(abs(parse_signed(c).value) for (_, *ij), c in entries.items() if i in ij)
         raised[k, i, i] = f"+{b + F(mu) + r}"
-    entries.update(raised)
+    return _with_entries(doc, {**entries, **raised})
+
+
+def planted_witness_doc(cls: str, index: int, length: int) -> dict:
+    """Pencil JSON of the pool entry cls:index with a directed cycle of
+    tight diagonal edges 0 -> 1 -> ... -> length - 1 -> 0 at x* = 0, so that
+    it is not generic: with a = 1 + the largest absolute value in the entry,
+    row r < length gets the (r, r, r) coefficient +a and the
+    ((r + 1) mod length, r, r) coefficient -a, replacing earlier entries.
+    Needs 2 <= length <= min(m, n)."""
+    doc, entries = _pool_entries(cls, index)
+    if not 2 <= length <= min(doc["m"], doc["n"]):
+        raise ValueError(f"cycle length {length} outside 2..min(m, n)")
+    a = 1 + max(abs(parse_signed(c).value) for c in entries.values())
+    for r in range(length):
+        entries[r, r, r] = f"+{a}"
+        entries[(r + 1) % length, r, r] = f"-{a}"
+    return _with_entries(doc, entries)
+
+
+def _pool_entries(cls: str, index: int) -> tuple[dict, dict]:
+    """The pool entry cls:index and its coefficients under 0-based (k, i, j)."""
+    doc = pool_doc(cls, index)
+    return doc, {(mat["k"], e["i"] - 1, e["j"] - 1): e["coeff"]
+                 for mat in doc["matrices"] for e in mat["entries"]}
+
+
+def _with_entries(doc: dict, entries: dict) -> dict:
+    """doc with its matrices rebuilt from (k, i, j) -> coefficient, in key order."""
     matrices = [{"k": k, "entries": [{"i": i + 1, "j": j + 1, "coeff": c}
                                      for (k2, i, j), c in sorted(entries.items()) if k2 == k]}
                 for k in sorted({key[0] for key in entries})]

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import random
+import runpy
 import subprocess
 import sys
 import time
@@ -14,7 +15,15 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES
-from helpers import pencil_of, random_pencil, reference_certify_general, reference_unbalanced
+from helpers import (
+    CORPUS,
+    pencil_of,
+    planted_witness_doc,
+    pool_doc,
+    random_pencil,
+    reference_certify_general,
+    reference_unbalanced,
+)
 from tropsdp.errors import CirculationExists, DimensionTooLarge, NotMetzler
 from tropsdp import canonical_lift, hypergraphs, pencils
 from tropsdp.hypergraphs import (
@@ -38,6 +47,7 @@ from tropsdp.pencils import (
     general_member,
     load_pencil,
     metzler_strict_member,
+    pencil_from_obj,
     stratum_restrict,
 )
 from tropsdp.polynomials import tropicalize
@@ -338,6 +348,25 @@ def test_certify_metzler_witness(hyp):
 def test_certify_metzler_certificate():
     diag = pencil_of(2, 2, {(0, 0, 0): "+0", (0, 1, 1): "+5", (1, 0, 0): "+1", (1, 1, 1): "+3"})
     assert isinstance(certify_generic_general(diag), Certificate)
+
+
+#: pool classes and how many of their entries get a planted witness
+PLANTED_WITNESSES = {"M3x3p7": 10, "N3x3p7": 10, "M4x4p7": 5, "N4x4p7": 5, "M5x5p7": 3,
+                     "N5x5p7": 3}
+
+
+@pytest.mark.parametrize("cls, count", PLANTED_WITNESSES.items())
+def test_planted_witnesses_are_found(cls, count):
+    # a cycle of tight diagonal edges at x* = 0, of length 2 and of length n,
+    # makes each pencil non-generic by construction; the search must answer
+    # with a witness that the benchmark's own checker accepts from its JSON
+    check_witness = runpy.run_path(str(CORPUS.with_name("checks.py")))["check_witness"]
+    for index in range(count):
+        for length in (2, pool_doc(cls, index)["n"]):
+            doc = planted_witness_doc(cls, index, length)
+            res = certify_generic_general(pencil_from_obj(doc)[0], 9, 9)
+            assert isinstance(res, Witness), (cls, index, length)
+            assert check_witness(doc, result_to_obj(res)) is None, (cls, index, length)
 
 
 def test_certificate_implies_no_grid_circulation():
@@ -685,6 +714,25 @@ def test_perturbation_makes_one_pass_at_the_point(poly9, monkeypatch):
     x2 = tuple(v + rho0 * d for v, d in zip(x, eta))
     assert x2 != x and passes == [pencils_lattice(poly9, y) for y in (x, x2)]
     assert lattices == {"hypergraphs": [x], "pencils": [x2]}
+
+
+def test_perturbation_exits_after_one_pass_at_a_strict_point(poly9, monkeypatch):
+    # a strict point has no tangent edge: the one _lattice and _sides pass
+    # at x gives the zero direction and 1, with no LP and no re-check
+    x = (Z, F(2), F(5))
+    passes = []
+    for module in (hypergraphs, pencils):
+        monkeypatch.setattr(module, "_lattice", lambda p, y:
+                            passes.append(("lattice", y)) or pencils_lattice(p, y))
+        monkeypatch.setattr(module, "_sides", lambda p, lattice:
+                            passes.append(("sides", lattice)) or pencils_sides(p, lattice))
+
+    def refuse(*args):
+        raise AssertionError("perturb_to_interior solved an LP at a strict point")
+
+    monkeypatch.setattr(hypergraphs, "solve_nonneg", refuse)
+    assert perturb_to_interior(poly9, x) == ((Z, Z, Z), 1)
+    assert passes == [("lattice", x), ("sides", pencils_lattice(poly9, x))]
 
 
 def test_perturb_rejects_circulation(hyp):

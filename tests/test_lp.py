@@ -148,7 +148,7 @@ def test_feasible_point_matches_reference_on_certification_systems(monkeypatch):
         return original(rows, rhs)
 
     def searched(pencil):
-        den[:] = [pencil._constraints[0]]
+        den[:] = [pencil._terms[0]]
         return search(pencil)
 
     monkeypatch.setattr(lp, "solve_nonneg", record)

@@ -31,7 +31,7 @@ from tropsdp.pencils import (
     stratum_restrict,
 )
 from tropsdp.polynomials import TropPoly
-from tropsdp.signed import MINUS_INF, TROP_MINUS_INF, SignedTrop, neg, pos
+from tropsdp.signed import MINUS_INF, TROP_MINUS_INF, SignedTrop, _Value, neg, pos
 
 from conftest import FIXTURES
 from helpers import (
@@ -585,6 +585,29 @@ def test_lattice_is_bounded_before_scaling():
     # the limit counts distinct denominators: 400 copies of one are one
     same = pencil_of(1, 400, {(k, 0, 0): SignedTrop(1, F(1, 10**1000 + 1)) for k in range(400)})
     assert same.is_metzler and same._terms[0] == 10**1000 + 1
+
+
+def test_symmetry_compares_values_not_objects():
+    # equal but distinct objects in a symmetric pair are accepted, and so
+    # are rows given as lists
+    a, b = neg(1), neg(1)
+    assert a is not b
+    assert TropicalPencil(2, 1, (((pos(0), a), (b, pos(0))),)).matrices[0][1][0] is b
+    assert TropicalPencil(2, 1, ([[pos(0), a], [b, pos(0)]],)).m == 2
+
+
+def test_symmetry_of_a_parsed_pencil_compares_no_values(monkeypatch):
+    # a document's symmetric pair holds one object twice, so the symmetry
+    # rule's tuple comparison never calls a value's __eq__
+    calls = []
+    original = _Value.__eq__
+    monkeypatch.setattr(_Value, "__eq__", lambda s, o: calls.append(s) or original(s, o))
+    doc = {"m": 12, "n": 3, "homogeneous": True, "matrices": [
+        {"k": k, "entries": [{"i": i, "j": j, "coeff": f"-{k + i + j}"}
+                             for i, j in itertools.combinations_with_replacement(range(1, 13), 2)]}
+        for k in range(3)]}
+    assert pencil_from_obj(doc)[0].m == 12
+    assert calls == []
 
 
 def test_decompose_size_is_bounded_before_building():

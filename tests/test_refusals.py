@@ -69,6 +69,9 @@ REFUSALS = {
                                   ValueError, "matrix dimension mismatch"),
     "TropicalPencil asymmetric": (lambda: TropicalPencil(2, 1, (((A, B), (TROP_MINUS_INF, A)),)),
                                   ValueError, "matrix not symmetric at (1,0)"),
+    "TropicalPencil asymmetric last pair": (
+        lambda: TropicalPencil(3, 1, (((A, B, A), (B, A, B), (A, A, A)),)),
+        ValueError, "matrix not symmetric at (2,1)"),
     "PuiseuxPencil count": (lambda: PuiseuxPencil(2, 2, (SYM2,)),
                             ValueError, "expected 2 matrices, got 1"),
     "PuiseuxPencil dimension": (lambda: PuiseuxPencil(2, 2, (SYM2, SYM1)),
