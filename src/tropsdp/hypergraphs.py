@@ -390,9 +390,10 @@ def _circulating_point(pencil: TropicalPencil):
     reasons has a point, each inclusion-minimal circulating set of live
     edges is tried with every product of reasons from a common piece, and a
     product of two or more reasons whose tie sum is nonzero is skipped
-    without an LP.  A reason whose rows are all differences is decided by
-    the negative-cycle test; the simplex runs only for the other reasons and
-    the products.  Both read the int rows.
+    without an LP.  Every reason is a difference system with at most one
+    pair tie, decided by difference_feasible's shortest paths; the simplex
+    runs only for the products, the witness's point among them.  Both read
+    the int rows.
 
     By the module's lemma a minimal circulating set has at most n edges,
     with distinct heads whose bitmask equals its tails' bitmask, and no
@@ -402,21 +403,15 @@ def _circulating_point(pencil: TropicalPencil):
     n = pencil.n
     den = pencil._terms[0]
     cand = _candidate_edges(pencil)
-
-    def point(eqs, ges):
-        # the simplex on the int rows: every constant is D times the real
-        # one, so Bland's pivots are those of the real rows, at D times the
-        # real point
-        y = feasible_point(n, eqs, ges)
-        return None if y is None else tuple(v / den for v in y)
-
     edges: list[Edge] = []
     reasons: list[list[_Reason]] = []  # the live reasons of each edge
     for edge in sorted(cand, key=lambda e: (len(e.tails), e.tails, e.head)):
         live = []
         for r in cand[edge]:
             verdict = difference_feasible(n, r.eqs, r.ges)
-            if verdict or verdict is None and point(r.eqs, r.ges) is not None:
+            if verdict is None:
+                raise CertificateCheckFailed(f"difference_feasible declined reason {r.eqs, r.ges}")
+            if verdict:
                 live.append(r)
         if live:
             edges.append(edge)
@@ -430,10 +425,13 @@ def _circulating_point(pencil: TropicalPencil):
             for chosen in itertools.product(*(reasons[idx] for idx in combo)):
                 if size > 1 and _tie_sum(chosen, gamma) or (options := _options(chosen)) is None:
                     continue
-                x = point(tuple(row for r in chosen for row in r.eqs),
-                          tuple(row for r in chosen for row in r.ges))
-                if x is not None:
-                    return x, options
+                # the simplex on the int rows: every constant is D times the
+                # real one, so Bland's pivots are those of the real rows, at
+                # D times the real point
+                y = feasible_point(n, tuple(row for r in chosen for row in r.eqs),
+                                   tuple(row for r in chosen for row in r.ges))
+                if y is not None:
+                    return tuple(v / den for v in y), options
                 if size == 1:
                     # one reason's system is the filter's, which found it live
                     raise CertificateCheckFailed(

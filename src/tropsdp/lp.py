@@ -16,6 +16,22 @@ certificate extracted from the phase-one duals.
 Difference systems, whose rows are each zero or s*(x_a - x_b), are also
 decided without the simplex: such a system is feasible exactly when its
 constraint graph has no negative cycle (Bellman 1958; Shostak 1981).
+
+So is a difference system with one pair tie, an equality
+s*(x_k1 + x_k2 - 2*x_l) = d with s = +-1 and k1, k2, l distinct, which
+fixes phi = z_k1 + z_k2 - 2*z_l at 2d/s in z = 2x units.  Lemma: when the
+difference rows have no negative cycle, phi ranges over their solutions
+exactly on [-(dist(k1 -> l) + dist(k2 -> l)), dist(l -> k1) + dist(l -> k2)],
+with dist the shortest-path weight in their constraint graph and an
+unreachable endpoint making that end infinite.  Two paths from l to k1
+and k2 bound phi above, two paths back bound it below.  The upper bound is
+attained: by LP duality max phi is the least cost of a flow of two units
+from l, one to k1 and one to k2, on an uncapacitated network with no
+negative cycle, and such a flow splits into two paths and cycles of
+weight >= 0 (Ahuja, Magnanti and Orlin, "Network Flows", 1993); with no
+such flow max phi is unbounded.  The lower bound is the same on the
+reversed arcs.  The solutions form a convex set, so the system is
+feasible exactly when 2d/s lies in the interval.
 """
 
 from __future__ import annotations
@@ -173,22 +189,36 @@ def difference_feasible(
     equalities: Sequence[tuple[Sequence[int], int]],
     inequalities: Sequence[tuple[Sequence[int], int]] = (),
 ) -> bool | None:
-    """Whether feasible_point has a point, for a difference system.
+    """Whether feasible_point has a point, for a difference system with at
+    most one pair tie.
 
-    Every row must be zero or s*(x_a - x_b) with s in {1, 2}, and every
-    constant an int; for any other row the answer is None (declined).
-    With z = 2x a row s*(x_a - x_b) >= d reads z_a - z_b >= 2d/s, an
-    integer, that is an arc a -> b of weight -2d/s bounding z_b - z_a.
-    Bellman-Ford from the zero potential settles within n_vars rounds
-    exactly when no cycle is negative.
+    Every row must be zero or s*(x_a - x_b) with s in {1, 2}, except at
+    most one equality, the pair tie s*(x_k1 + x_k2 - 2*x_l) = d with s in
+    {1, -1} and k1, k2, l distinct; every constant must be an int.  Any
+    other system, such as one with two ties or a tie among the
+    inequalities, is declined: the answer is None.  With z = 2x a row
+    s*(x_a - x_b) >= d reads z_a - z_b >= 2d/s, an integer, that is an
+    arc a -> b of weight -2d/s bounding z_b - z_a.  Bellman-Ford from the
+    zero potential settles within n_vars rounds exactly when no cycle is
+    negative.  The tie then asks whether the integer 2d/s lies in the
+    module's interval, read off two more Bellman-Ford passes from l, on
+    the arcs and on the reversed arcs.
     """
     n_eq = len(equalities)
     arcs: list[tuple[int, int, int]] = []
+    tie = None
     for idx, (coeffs, d) in enumerate((*equalities, *inequalities)):
         support = [k for k, c in enumerate(coeffs) if c]
         if not support:
             if d > 0 or (d and idx < n_eq):
                 return False
+            continue
+        if len(support) == 3:
+            k1, k2, l = sorted(support, key=lambda k: abs(coeffs[k]))
+            s = coeffs[k1]
+            if tie or idx >= n_eq or s not in (1, -1) or coeffs[k2] != s or coeffs[l] != -2 * s:
+                return None
+            tie = k1, k2, l, 2 * d // s
             continue
         if len(support) != 2:
             return None
@@ -202,13 +232,31 @@ def difference_feasible(
         arcs.append((a, b, -w))
         if idx < n_eq:
             arcs.append((b, a, w))
-    dist = [0] * n_vars
-    for _ in range(n_vars):
+    if _shortest([0] * n_vars, arcs) is None:
+        return False
+    if tie is None:
+        return True
+    k1, k2, l, phi = tie
+    source: list[int | None] = [None] * n_vars
+    source[l] = 0
+    ahead = _shortest(list(source), arcs)
+    back = _shortest(source, [(b, a, w) for a, b, w in arcs])
+    return (None in (back[k1], back[k2]) or phi >= -back[k1] - back[k2]) and (
+        None in (ahead[k1], ahead[k2]) or phi <= ahead[k1] + ahead[k2])
+
+
+def _shortest(dist: list[int | None], arcs: list[tuple[int, int, int]]) -> list[int | None] | None:
+    """Bellman-Ford from the weights dist, None where unreached: the
+    shortest-path weights, or None when a round still changes them after
+    len(dist) rounds, which happens exactly when a reached cycle is
+    negative."""
+    for _ in range(len(dist)):
         settled = True
         for a, b, w in arcs:
-            if dist[a] + w < dist[b]:
-                dist[b] = dist[a] + w
+            da = dist[a]
+            if da is not None and (dist[b] is None or da + w < dist[b]):
+                dist[b] = da + w
                 settled = False
         if settled:
-            return True
-    return not arcs
+            return dist
+    return None if arcs else dist

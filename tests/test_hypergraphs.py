@@ -399,8 +399,8 @@ def test_certify_degenerate_minor_gives_witness():
 
 
 def _count_decisions(monkeypatch):
-    # every candidate reason goes first to the negative-cycle test, which
-    # decides it or declines it to the simplex: one call per reason decision
+    # every candidate reason is decided by the shortest-path test, one call
+    # per reason; the simplex runs for the reason products
     decisions, lps = [], []
     test, simplex = hypergraphs.difference_feasible, hypergraphs.feasible_point
     monkeypatch.setattr(
@@ -634,6 +634,38 @@ def test_live_filter_decides_each_edge_reason(monkeypatch):
     assert len(decisions) == 2 and not lps
 
 
+def test_simplex_runs_once_per_passing_product(monkeypatch):
+    # every candidate reason, pair ties among them, takes its verdict from
+    # the shortest-path test; feasible_point runs once per reason product
+    # that passes the tie sum and _options, in order, and for nothing else
+    rng = random.Random(612)
+    pencils = [_sized_pencil(rng, m, m, metzler, pool) for m in (3, 4)
+               for metzler in (True, False) for pool in (2, 7) for _ in range(5)]
+    decisions, lps = _count_decisions(monkeypatch)
+    passed = []
+    options = hypergraphs._options
+
+    def counted(chosen):
+        picked = options(chosen)
+        if picked is not None:
+            passed.append((tuple(row for r in chosen for row in r.eqs),
+                           tuple(row for r in chosen for row in r.ges)))
+        return picked
+
+    monkeypatch.setattr(hypergraphs, "_options", counted)
+    ties = products = 0
+    for p in pencils:
+        for log in (decisions, lps, passed):
+            log.clear()
+        certify_generic_general(p)
+        reasons = [r for rs in _candidate_edges(p).values() for r in rs]
+        assert len(decisions) == len(reasons), p
+        assert [(eqs, ges) for _, eqs, ges in lps] == passed, p
+        ties += sum(any(sum(map(bool, c)) == 3 for c, _ in r.eqs) for r in reasons)
+        products += len(passed)
+    assert ties > 300 and products > 40, (ties, products)
+
+
 #: sha256 of the first 30 witnesses of test_witness_bytes_are_pinned, one
 #: generic stdout line each: the search's first hit, the circulation of its
 #: tangent hypergraph and the piece it names must stay exact, beyond the
@@ -786,11 +818,12 @@ for name, bogus in searches.items():
         print("raised:", name)
 hg._circulating_sets = generator
 cycle_test = hg.difference_feasible
-hg.difference_feasible = lambda n, eqs, ges=(): True
-try:
-    hg.certify_generic_general(line)
-except CertificateCheckFailed:
-    print("raised: filter verdict without a point")
+for name, verdict in (("filter verdict without a point", True), ("filter verdict declined", None)):
+    hg.difference_feasible = lambda n, eqs, ges=(): verdict
+    try:
+        hg.certify_generic_general(line)
+    except CertificateCheckFailed:
+        print("raised:", name)
 hg.difference_feasible = cycle_test
 hg.build_tangent_hypergraph = lambda pencil, x: hg.Hypergraph(pencil.n, ())
 try:
@@ -831,6 +864,7 @@ def test_certificate_checks_survive_optimize():
         "raised: search gamma not positive",
         "raised: search gamma unbalanced",
         "raised: filter verdict without a point",
+        "raised: filter verdict declined",
         "raised: witness without circulation",
         "raised: certificate with a degenerate minor",
         "raised: perturbed point not strict",

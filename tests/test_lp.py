@@ -132,45 +132,47 @@ def _search_every_stratum(pencil):
 
 
 def test_feasible_point_matches_reference_on_certification_systems(monkeypatch):
-    # every LP that the circulation search asks on the strata of seeded
-    # random pencils, solved by both kernels.  The search passes int rows
-    # whose constants are D times the real ones, D the stratum's lcm of
-    # value denominators: on the real rows the simplex makes the same
-    # pivots, so its point is exactly 1/D times the int rows' point.
-    systems = []
-    points = []  # (n, eqs, ges, D) of each feasible_point the search asks
-    original = lp.solve_nonneg
-    search, point = hypergraphs._circulating_point, hypergraphs.feasible_point
+    # every system that the circulation search decides on the strata of
+    # seeded random pencils, reasons and products alike, solved here by
+    # both simplex kernels: the search itself takes the reasons' verdicts
+    # from the shortest-path test.  The search passes int rows whose
+    # constants are D times the real ones, D the stratum's lcm of value
+    # denominators: on the real rows the simplex makes the same pivots, so
+    # its point is exactly 1/D times the int rows' point.
+    asked = []  # (n, eqs, ges, D) of each system the search decides
+    search = hypergraphs._circulating_point
+    test, point = hypergraphs.difference_feasible, hypergraphs.feasible_point
     den = []
-
-    def record(rows, rhs):
-        systems.append((rows, rhs))
-        return original(rows, rhs)
 
     def searched(pencil):
         den[:] = [pencil._terms[0]]
         return search(pencil)
 
-    monkeypatch.setattr(lp, "solve_nonneg", record)
-    monkeypatch.setattr(hypergraphs, "solve_nonneg", record)
+    def asking(decide):
+        return lambda n, eqs, ges: asked.append((n, eqs, ges, *den)) or decide(n, eqs, ges)
+
     monkeypatch.setattr(hypergraphs, "_circulating_point", searched)
-    monkeypatch.setattr(hypergraphs, "feasible_point",
-                        lambda n, eqs, ges: points.append((n, eqs, ges, *den)) or point(n, eqs, ges))
+    monkeypatch.setattr(hypergraphs, "difference_feasible", asking(test))
+    monkeypatch.setattr(hypergraphs, "feasible_point", asking(point))
     rng = random.Random(7)
     for metzler in (True, False) * 36:
         _search_every_stratum(random_pencil(rng, max_m=3, max_n=3, metzler=metzler, value_pool=7))
-    # most reasons are difference systems the simplex no longer sees; larger
-    # pencils bring the reasons and joint products that still reach it
+    # larger pencils bring the pair ties and joint products
     for metzler in (True, False) * 36:
         _search_every_stratum(random_pencil(rng, max_m=4, max_n=4, metzler=metzler, value_pool=7))
-    assert len(systems) > 500
+    monkeypatch.undo()
+    assert len(asked) > 500
+    assert sum(d > 1 for *_, d in asked) > 200
+    systems = []  # the int rows' simplex systems
+    original = lp.solve_nonneg
+    monkeypatch.setattr(lp, "solve_nonneg", lambda rows, rhs: systems.append((rows, rhs)) or original(rows, rhs))
+    points = [feasible_point(n, eqs, ges) for n, eqs, ges, _ in asked]
+    monkeypatch.undo()
+    assert len(systems) == len(asked)
     for rows, rhs in systems:
         assert original(rows, rhs) == reference_solve_nonneg(rows, rhs)
-    monkeypatch.undo()
-    assert sum(d > 1 for *_, d in points) > 200
-    for n, eqs, ges, d in points:
+    for (n, eqs, ges, d), y in zip(asked, points):
         assert all(type(c) is int for rows in (eqs, ges) for _, c in rows)
-        y = feasible_point(n, eqs, ges)
         real = feasible_point(n, *([(a, F(c, d)) for a, c in rows] for rows in (eqs, ges)))
         assert (y is None and real is None) or y == [d * v for v in real], (n, eqs, ges, d)
 
@@ -212,8 +214,78 @@ def test_difference_test_matches_simplex_on_seeded_systems():
     assert min(seen.values()) > 100, seen
 
 
+def _pair_tie(n, k1, k2, l, s, d):
+    """The equality row s*(x_k1 + x_k2 - 2*x_l) = d on n variables."""
+    coeffs = [0] * n
+    coeffs[k1] = coeffs[k2] = s
+    coeffs[l] = -2 * s
+    return tuple(coeffs), d
+
+
+def test_difference_test_decides_one_pair_tie():
+    # one pair tie, of either sign and in any index order, among the rows
+    # of the seeded difference systems above.  The simplex also classifies
+    # phi = x_k1 + x_k2 - 2*x_l on the difference rows: a finite bound on
+    # phi is at most 8 * (n - 1) in modulus, two paths of at most n - 1
+    # rows each bounding a difference by 4, so phi >= 10n feasible means
+    # phi is unbounded above.
+    rng = random.Random(73)
+    seen = dict.fromkeys(
+        ["sign +1", "sign -1", "l first", "l middle", "l last", "doubled row",
+         "difference equality", "zero row", "negative cycle", "phi bounded",
+         "phi unbounded above", "phi unbounded below", "phi unbounded both ways",
+         "feasible", "tie refutes"], 0)
+    for _ in range(2000):
+        n = rng.randint(3, 6)
+        k1, k2, l = rng.sample(range(n), 3)
+        s = rng.choice((1, -1))
+        rows = []
+        for _ in range(rng.randint(0, 2 * n)):
+            kind = rng.choice(["zero", "single", "doubled"])
+            if rng.random() < 0.2:
+                rows.append(_difference_row(rng, n, kind))
+                continue
+            # four rows in five on the tie's variables, which bound phi
+            c, d = _difference_row(rng, 3, kind)
+            coeffs = [0] * n
+            for k, v in zip((k1, k2, l), c):
+                coeffs[k] = v
+            rows.append((tuple(coeffs), d))
+        n_eq = rng.randint(0, min(2, len(rows)))
+        eqs, ges = rows[:n_eq], rows[n_eq:]
+        tied = list(eqs)
+        tied.insert(rng.randint(0, n_eq), _pair_tie(n, k1, k2, l, s, rng.randint(-8, 8)))
+        got = difference_feasible(n, tied, ges)
+        assert got == (feasible_point(n, tied, ges) is not None), (n, tied, ges)
+        seen[f"sign {s:+}"] += 1
+        seen["l first" if l < min(k1, k2) else "l last" if l > max(k1, k2) else "l middle"] += 1
+        seen["doubled row"] += any(2 in c for c, _ in rows)
+        seen["difference equality"] += any(any(c) for c, _ in eqs)
+        seen["zero row"] += any(not any(c) for c, _ in rows)
+        if feasible_point(n, eqs, ges) is None:
+            seen["negative cycle"] += not any(
+                not any(c) and (d > 0 or (d and k < n_eq)) for k, (c, d) in enumerate(rows))
+            continue
+        up, down = (feasible_point(n, eqs, [*ges, _pair_tie(n, k1, k2, l, t, 10 * n)]) is not None
+                    for t in (1, -1))
+        seen[{(False, False): "phi bounded", (True, False): "phi unbounded above",
+              (False, True): "phi unbounded below", (True, True): "phi unbounded both ways"}[up, down]] += 1
+        seen["feasible" if got else "tie refutes"] += 1
+    assert min(seen.values()) > 40, seen
+
+
 def test_difference_test_declines_other_rows():
-    assert difference_feasible(3, [((1, 1, -2), 0)]) is None  # a sigma tie on three variables
+    # a sigma tie on three variables is decided: x0 - x2 <= 0 and
+    # x1 - x2 <= 1 bound its left side by 1
+    bounds = [((-1, 0, 1), 0), ((0, -1, 1), -1)]
+    assert difference_feasible(3, [((1, 1, -2), 1)], bounds) is True
+    assert difference_feasible(3, [((1, 1, -2), 2)], bounds) is False
+    assert difference_feasible(3, [((-1, -1, 2), -2)], bounds) is False
+    assert difference_feasible(3, [((1, 1, -2), 0)]) is True
+    # two ties, a tie among the inequalities, or other coefficients are declined
+    assert difference_feasible(3, [((1, 1, -2), 0), ((1, -2, 1), 0)]) is None
+    assert difference_feasible(3, [], [((1, 1, -2), 0)]) is None
+    assert difference_feasible(3, [((1, 2, -3), 0)]) is None
     assert difference_feasible(2, [], [((3, -3), 1)]) is None
     assert difference_feasible(2, [], [((1, -2), 1)]) is None
     assert difference_feasible(1, [], [((1,), 1)]) is None
@@ -224,7 +296,7 @@ def test_difference_test_declines_other_rows():
 
 def test_difference_test_matches_simplex_on_certification_systems(monkeypatch):
     # every reason system that the circulation search asks on the strata of
-    # seeded pencils: the negative-cycle test decides most, the simplex agrees
+    # seeded pencils: the shortest-path test decides each, the simplex agrees
     systems = []
     real = hypergraphs.difference_feasible
     monkeypatch.setattr(
@@ -235,13 +307,14 @@ def test_difference_test_matches_simplex_on_certification_systems(monkeypatch):
         pencil = random_pencil(rng, max_m=4, max_n=4, metzler=metzler, value_pool=pool)
         _search_every_stratum(pencil)
     verdicts = {True: 0, False: 0, None: 0}
+    ties = 0  # systems with a pair tie, which the simplex decided before
     for n, eqs, ges in systems:
         got = real(n, eqs, ges)
         verdicts[got] += 1
-        if got is not None:
-            assert got == (feasible_point(n, eqs, ges) is not None), (n, eqs, ges)
-    assert min(verdicts.values()) > 30, verdicts
-    assert verdicts[None] < (verdicts[True] + verdicts[False]) / 4, verdicts
+        ties += any(sum(map(bool, c)) == 3 for c, _ in eqs)
+        assert got == (feasible_point(n, eqs, ges) is not None), (n, eqs, ges)
+    assert verdicts[None] == 0, verdicts
+    assert min(verdicts[True], verdicts[False], ties) > 30, (verdicts, ties)
 
 
 difference_rows = st.tuples(
@@ -250,10 +323,8 @@ difference_rows = st.tuples(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 5), st.lists(difference_rows, max_size=10))
-def test_difference_test_property(n, drawn):
-    # the two feasibility procedures agree on every difference system
+def _drawn_rows(n, drawn):
+    """(equalities, inequalities) of the drawn difference_rows on n variables."""
     eqs, ges = [], []
     for kind, a, shift, d, equality in drawn:
         coeffs = [0] * n
@@ -265,6 +336,25 @@ def test_difference_test_property(n, drawn):
             s = 2 if kind == "doubled" else 1
             coeffs[a], coeffs[b] = s, -s
         (eqs if equality else ges).append((tuple(coeffs), d))
+    return eqs, ges
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5), st.lists(difference_rows, max_size=10))
+def test_difference_test_property(n, drawn):
+    # the two feasibility procedures agree on every difference system
+    eqs, ges = _drawn_rows(n, drawn)
+    assert difference_feasible(n, eqs, ges) == (feasible_point(n, eqs, ges) is not None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 6), st.permutations(range(6)), st.sampled_from((1, -1)),
+       st.integers(-8, 8), st.integers(0, 10), st.lists(difference_rows, max_size=10))
+def test_pair_tie_property(n, order, s, d, at, drawn):
+    # ... and on every difference system with one pair tie among its equalities
+    eqs, ges = _drawn_rows(n, drawn)
+    k1, k2, l = [k for k in order if k < n][:3]
+    eqs.insert(at % (len(eqs) + 1), _pair_tie(n, k1, k2, l, s, d))
     assert difference_feasible(n, eqs, ges) == (feasible_point(n, eqs, ges) is not None)
 
 
