@@ -163,14 +163,14 @@ def cmd_validate(args) -> int:
 
     pencil, lead = _load(args.file)
     axis = grid_axis(pencil.n - len(lead), *_box(args))
-    # _grid_lines certifies before it draws a point; nothing is written until
-    # the whole grid is validated
-    lines, bad = [], 0
+    # _grid_lines certifies before its first row, so a refusal writes nothing;
+    # each row is written as it is validated, as slice writes its rows
+    points = bad = 0
     for row, row_bad in _grid_lines(pencil, lead, axis, args.max_m, args.max_n):
-        lines += row
+        sys.stdout.writelines(row)
+        points += len(row)
         bad += row_bad
-    sys.stdout.writelines(lines)
-    print(f"{len(lines)} points, {bad} failures", file=sys.stderr)
+    print(f"{points} points, {bad} failures", file=sys.stderr)
     return 0 if bad == 0 else 1
 
 

@@ -372,11 +372,12 @@ def _grid_lines(
     the tangent edges and slack, the Farkas direction and rho0 are kept and
     the perturbed target moves by lambda * 1.  So _class_record's verdicts
     and failures are shared by the translates x + lambda * 1, while
-    membership is read at every point.  On one lattice with one uniform
-    axis, two grid points are translates exactly when their axis-index
-    differences agree.  So a class is keyed by member and the point's
-    indices less its first, and a fixed lead coordinate never moves: with
-    a lead a point is its own class.  The first point of a class in
+    membership is read at every point.  On the grid's one lattice a point
+    x has the ints X = S * x, and x' = x + lambda * 1 exactly when
+    X' - X'_0 * 1 = X - X_0 * 1, with lambda = (X'_0 - X_0) / S.  So a class
+    is keyed by member and X less X_0.  A fixed lead coordinate never
+    moves: with a lead a point is its own class, and no entry is stored,
+    as none would be read again.  The first point of a class in
     lexicographic order builds its record, so an exception is raised where
     cross_validate raises it.
 
@@ -404,11 +405,9 @@ def _grid_lines(
             start = (*lead, *(axis[i] for i in head))
             start_ints = (*X[:len(lead)], *(ints[i] for i in head))
             row = opening + "".join(labels[i] + ", " for i in head)
-            # a point's axis indices less its first (b's own if head is
-            # empty), or as they are with a lead
-            shift = head[0] if head and not lead else 0
-            shape = tuple(i - shift for i in head)
-            offsets = range(-shift, len(axis) - shift) if head or lead else itertools.repeat(0)
+            # a point's ints less its first, b's own when the row has no start
+            shape = tuple(v - start_ints[0] for v in start_ints)
+            offsets = [B - start_ints[0] for B in ints] if start_ints else [0] * len(ints)
             lines, bad = [], 0
             for b, B, label, member, offset in zip(axis, ints, labels, members, offsets):
                 key = member, shape, offset
@@ -421,7 +420,8 @@ def _grid_lines(
                         # its line from the end of the x list, whose labels hold no "]"
                         line = json.dumps(rec.to_obj())
                         tail = tails[verdict] = line[line.index("]"):] + "\n", rec.ok
-                    classes[key] = tail
+                    if not lead:
+                        classes[key] = tail
                 lines.append(row + label + tail[0])
                 bad += not tail[1]
             yield lines, bad

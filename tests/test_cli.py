@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -16,7 +17,7 @@ import pytest
 from conftest import FIXTURES
 from helpers import pencil_of, planted_doc, pool_doc, random_pencil, wide_denominator_pencil
 from tropsdp.cli import main
-from tropsdp.errors import NotCertified
+from tropsdp.errors import CertificateCheckFailed, NotCertified
 from tropsdp.hypergraphs import Certificate, certify_generic_general
 from tropsdp.oracle import cross_validate, grid_axis
 from tropsdp.pencils import general_member, homogenize, load_pencil, pencil_to_obj
@@ -443,6 +444,71 @@ def test_validate_refusal_draws_no_grid_point(capsys, monkeypatch):
         assert (*lead, axis[0], axis[-1], len(axis)) == (-2, 2, 97) and drawn == []
 
 
+def test_a_fault_after_the_first_row_keeps_the_earlier_rows(capsys, monkeypatch):
+    # validate writes each row as it is validated: a failed re-check in row
+    # 41 of 81 (head x0 = x1 = 0, whose b = -2 builds a class record) exits 2
+    # and leaves the whole lines of the 40 rows before it
+    from tropsdp import oracle
+
+    path = FIXTURES / "quadrant_ray.json"
+    code, full, _ = run(capsys, "validate", path)
+    assert code == 0
+    real = oracle._class_record
+
+    def record(cache, pencil, x, lattice, member):
+        if x[:2] == (0, 0):
+            raise CertificateCheckFailed("planted re-check failure")
+        return real(cache, pencil, x, lattice, member)
+
+    monkeypatch.setattr(oracle, "_class_record", record)
+    code, out, err = run(capsys, "validate", path)
+    assert (code, err) == (2, "error: CertificateCheckFailed: planted re-check failure\n")
+    assert out == "".join(full.splitlines(keepends=True)[:40 * 9])
+    assert all(json.loads(line)["ok"] for line in out.splitlines())
+
+
+def test_validate_writes_before_its_last_class_record(monkeypatch):
+    from tropsdp import oracle
+
+    events = []
+    real = oracle._class_record
+    monkeypatch.setattr(oracle, "_class_record",
+                        lambda *args: events.append("record") or real(*args))
+
+    class Stdout(io.StringIO):
+        def write(self, text):
+            events.append("write")
+            return super().write(text)
+
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert main(["validate", str(FIXTURES / "quadrant_ray.json")]) == 0
+    last_record = max(i for i, event in enumerate(events) if event == "record")
+    assert events.index("write") < last_record
+
+
+def test_validate_memory_grows_with_the_classes_not_the_points(monkeypatch):
+    # tracemalloc peaks with stdout to devnull, after a warm-up call: the
+    # walk holds one row's lines and its classes, 3,169 of polygon9's 35,937
+    # points, and an affine grid, whose points are each their own class,
+    # stores none of its 4,225
+    import tracemalloc
+
+    cases = [(["polygon9.json", "--max-m", "9", "--step", "1/8"], 2_000_000),
+             (["affine_quadrant.json", "--box=-4,4", "--step", "1/8"], 500_000)]
+    with open(os.devnull, "w") as devnull:
+        monkeypatch.setattr(sys, "stdout", devnull)
+        for (name, *flags), limit in cases:
+            argv = ["validate", str(FIXTURES / name), *flags]
+            assert main(argv) == 0
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit, (name, peak)
+
+
 def test_member_points_of_a_non_metzler_pencil_eliminate_no_own_lift(capsys, tmp_path,
                                                                      monkeypatch):
     # a member point of a non-Metzler pencil prints "psd": null, so the lift
@@ -609,7 +675,7 @@ GENERIC = "4f429625e4b3e050bea96589ea06e28a3378c30d90362319e8025c0d88b47d55"
 #: Every pinned CLI output, as (argv, exit code, sha256 of stdout or its
 #: first 16 hex digits, seconds allowed or None). Witnesses, records and
 #: rasters are exact, so a faster kernel must leave every byte as it is.
-#: The second word of argv names a fixture, m2n1.json, a pool entry
+#: The second word of argv names a fixture, a file of PIN_TEXTS, a pool entry
 #: "cls:index" of perfbench/corpus.py's pencil_doc or a planted pencil
 #: "cls:index:mu" of helpers.planted_doc.
 CLI_PINS = [
@@ -657,8 +723,10 @@ CLI_PINS = [
     ("validate quadrant_ray.json --step 1/8", 0, "cf25ef59550abe3c", 60),
     ("validate polygon9.json --max-m 9 --step 1/8", 0, "4baf1d5cdb0eb124", 60),
     ("validate affine_quadrant.json --step 1/8", 0, "44bf4131c5bc2787", 60),
-    # one free coordinate: the grid is a single row of the slice kernel
+    # one free coordinate: the grid is a single row of the slice kernel, on
+    # its own and behind an affine file's fixed lead
     ("validate m2n1.json", 0, "487b9f9b17250c96", None),
+    ("validate affine_m1n1.json", 0, "d22d09acb1229eec", None),
     # the raster benchmark's two fixture calls, then boxes whose lo is
     # negative and off the integers, 263,169 points of polygon9, and a slice
     # through x0 = -inf
@@ -687,10 +755,21 @@ M2N1 = ('{"m": 2, "n": 1, "homogeneous": true, "matrices": [{"k": 0, "entries": 
         '{"i": 1, "j": 1, "coeff": "+0"}, {"i": 1, "j": 2, "coeff": "+1"}, '
         '{"i": 2, "j": 2, "coeff": "+3"}]}]}')
 
+#: The pencil files a pin's argv names by their text: m2n1.json, and
+#: affine_m1n1.json, m = 1 with constant +0 and one variable of coefficient
+#: -1, whose members are x1 <= -1
+PIN_TEXTS = {
+    "m2n1.json": M2N1,
+    "affine_m1n1.json": '{"m": 1, "n": 1, "homogeneous": false, "matrices": ['
+                        '{"k": 0, "entries": [{"i": 1, "j": 1, "coeff": "+0"}]}, '
+                        '{"k": 1, "entries": [{"i": 1, "j": 1, "coeff": "-1"}]}]}',
+}
+
+
 def _pin_file(name, tmp_path):
     """The pencil file that a pin's argv names."""
-    if name == "m2n1.json":
-        text = M2N1
+    if name in PIN_TEXTS:
+        text = PIN_TEXTS[name]
     elif name.count(":") == 1:
         cls, index = name.split(":")
         text = json.dumps(pool_doc(cls, int(index)))
@@ -837,13 +916,20 @@ def test_fix_takes_minus_inf_like_at(capsys, tmp_path):
 
 
 def test_closed_stdout_exits_141_quietly():
-    # a raster of 263,169 rows, far past any pipe buffer: the reader takes
-    # one line and hangs up, and the writer exits 141 with nothing on stderr
+    # a raster of 263,169 rows and a grid of 912,673 points, each far past
+    # any pipe buffer: the reader takes one line and hangs up, and the
+    # writer exits 141 with nothing on stderr
     env = {**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")}
-    argv = ["slice", FIXTURES / "polygon9.json", "--fix", "x0=0", "--box", "0,8", "--step", "1/64"]
-    proc = subprocess.Popen([sys.executable, "-m", "tropsdp.cli", *map(str, argv)],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.readline() == b"x1,x2,member\n"
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=60)
-    assert (proc.returncode, err) == (141, b"")
+    polygon = FIXTURES / "polygon9.json"
+    for argv, first in [
+        (["slice", polygon, "--fix", "x0=0", "--box", "0,8", "--step", "1/64"],
+         b"x1,x2,member\n"),
+        (["validate", polygon, "--max-m", "9", "--step", "1/24"],
+         b'{"x": ["-2", "-2", "-2"], "member": false, '),
+    ]:
+        proc = subprocess.Popen([sys.executable, "-m", "tropsdp.cli", *map(str, argv)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline().startswith(first), argv[0]
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (141, b""), argv[0]
