@@ -479,7 +479,7 @@ def certify_generic_general(
 
 
 def perturb_to_interior(
-    pencil: TropicalPencil, x: Sequence[Fraction]
+    pencil: TropicalPencil, x: Sequence[Fraction], cache: dict | None = None
 ) -> tuple[tuple[Fraction, ...], Fraction]:
     """A direction and step bound moving a member point strictly inside.
 
@@ -492,13 +492,21 @@ def perturb_to_interior(
     family's maximizer set fixed: each constraint is affine in rho on
     (0, rho0], so strictness at rho0 (checked with metzler_strict_member)
     propagates down to 0.
+
+    A caller that perturbs many points may pass a dict for the length of
+    its call: it keeps the farkas_direction of each tangent Hypergraph, so
+    a repeated one solves its LP once.
     """
     edges, slack, member = _tangent(pencil, x)
     if not member:
         raise ValueError("point is not in the tropical spectrahedron")
     if not edges:
         return tuple([ZERO] * pencil.n), Fraction(1)
-    eta = farkas_direction(Hypergraph(pencil.n, edges))
+    cache = {} if cache is None else cache
+    h = Hypergraph(pencil.n, edges)
+    if h not in cache:
+        cache[h] = farkas_direction(h)
+    eta = cache[h]
     if eta is None:
         raise CirculationExists("tangent hypergraph at the point admits a circulation")
     rho0 = Fraction(1) if slack is None else slack / (8 * max(map(abs, eta)))

@@ -39,6 +39,7 @@ from .puiseux import (
     PuiseuxPoly,
     PuiseuxSymMatrix,
     SeriesPolynomial,
+    _lead_signs,
     _minor_conditions,
     _nonzero_pairs,
     _psd_verdict,
@@ -204,12 +205,20 @@ class ValidationRecord(_Value):
         return obj
 
 
-def _lift_at(pencil: TropicalPencil, lattice, stop=False):
+def _summed(terms, f: int, X) -> tuple:
+    """The nonzero terms (exponent, coefficient) of a _lift_table row at the
+    point whose _lattice has f and X, summed by exponent, in decreasing
+    order: () where every exponent's terms cancel."""
+    acc = {}
+    for k, e, c in terms:
+        acc[e * f + X[k]] = acc.get(e * f + X[k], 0) + c
+    return tuple(term for term in sorted(acc.items(), reverse=True) if term[1])
+
+
+def _lift_at(pencil: TropicalPencil, lattice):
     """(a, pairs, blocks): a the entry rows of pencil._lift evaluated at t^x,
     x the finite point whose _lattice is lattice, pairs and blocks its
-    compiled sparsity.  With stop, a is None as soon as a diagonal entry has
-    a negative lead; the diagonal rows come first, so no off-diagonal entry
-    is summed then.
+    compiled sparsity.
 
     a is taken after t -> t^S with (S, f, X) the lattice of
     pencils._lattice: every term is then a pair of ints.  The substitution
@@ -225,14 +234,7 @@ def _lift_at(pencil: TropicalPencil, lattice, stop=False):
             (k, e, c), = terms
             entry = ((e * f + X[k], c),)
         else:
-            acc = {}
-            for k, e, c in terms:
-                acc[e * f + X[k]] = acc.get(e * f + X[k], 0) + c
-            entry = tuple(sorted(acc.items(), reverse=True))
-            if 0 in acc.values():  # terms that cancel
-                entry = tuple(term for term in entry if term[1])
-        if stop and i == j and entry and entry[0][1] < 0:
-            return None, pairs, blocks
+            entry = _summed(terms, f, X)
         rows[i][j] = rows[j][i] = PuiseuxPoly(entry) if entry else _ZERO
     return rows, pairs, blocks
 
@@ -243,19 +245,66 @@ def _lift_verdicts(pencil: TropicalPencil, lattice, want_psd=True):
     want_psd a lift outside the inner set is not eliminated: psd is False,
     for a caller that drops it.
 
-    A diagonal entry with a negative lead fails its order-1 minor, and there
+    Lead lemma: where the terms at an entry's top exponent do not cancel,
+    its lead is that exponent and their coefficient sum, and a product of
+    nonzero series has no cancellation.  So one int pass over the table
+    reads each entry's lead, and the diagonal rows come first.  A diagonal
+    entry whose top terms cancel is summed (_summed) for its true lead or
+    0.  A negative diagonal lead fails its order-1 minor, and there
     _minor_conditions gives (False, False) and _psd_verdict False, so the
-    lift stops at the first one.  Sandwich lemma: inner implies PSD.  For
-    m <= 2 inner is outer, which is PSD there.  For m > 2 inner makes every
-    row with a_ii = 0 zero; drop those.  Scaling the rest by the inverse
-    square roots of their diagonal (real Puiseux series form a real closed
-    field) gives a unit diagonal and m - 1 off-diagonal entries of modulus
-    at most 1/(m-1) per row: diagonally dominant, hence PSD.  So only a
-    lift outside the inner set is eliminated (_psd_verdict).
+    pass returns at once.  Each pair is decided by _lead_signs, the rule
+    _minor_conditions applies, and a failed pair or a zero diagonal entry
+    beside a nonzero one returns at once too.  Where the pass ends with no
+    minor failed, three cases build the rows with _lift_at and take
+    _minor_conditions and _psd_verdict on them:
+    - an off-diagonal lead whose coefficients sum to 0;
+    - a pair whose compared leads are equal, outer's or, while it holds,
+      inner's;
+    - outer without inner where PSD is wanted and a compiled block has 3
+      or more indices.
+
+    Sandwich lemma: inner implies PSD.  For m <= 2 inner is outer, which is
+    PSD there.  For m > 2 inner makes every row with a_ii = 0 zero; drop
+    those.  Scaling the rest by the inverse square roots of their diagonal
+    (real Puiseux series form a real closed field) gives a unit diagonal
+    and m - 1 off-diagonal entries of modulus at most 1/(m-1) per row:
+    diagonally dominant, hence PSD.  So only a lift outside the inner set
+    is eliminated (_psd_verdict); one whose blocks have at most 2 indices
+    is PSD iff outer.
     """
-    a, pairs, blocks = _lift_at(pencil, lattice, stop=True)
-    if a is None:
-        return False, False, False
+    _, f, X = lattice
+    table, _, blocks = pencil._lift
+    diagonal, scale = [None] * pencil.m, (pencil.m - 1) ** 2
+    # exact: no off-diagonal lead cancelled and no outer test tied; tied: an inner test tied
+    inner, exact, tied = True, True, False
+    for i, j, terms in table:
+        top = None
+        for k, e, c in terms:  # the entry's lead (top, lead_c)
+            v = e * f + X[k]
+            if top is None or v > top:
+                top, lead_c = v, c
+            elif v == top:
+                lead_c += c
+        if i == j:
+            if not lead_c:  # the top terms cancel: a lower lead, or none
+                top, lead_c = (_summed(terms, f, X) or ((None, 0),))[0]
+            if lead_c < 0:
+                return False, False, False
+            diagonal[i] = (top, lead_c) if lead_c else None
+        elif not lead_c:
+            exact = False
+        elif diagonal[i] is None or diagonal[j] is None:
+            return False, False, False
+        else:
+            outer, scaled = _lead_signs(diagonal[i], diagonal[j], (top, lead_c), scale, inner)
+            if outer < 0:
+                return False, False, False
+            exact, tied = exact and outer > 0, tied or not scaled
+            inner = inner and scaled >= 0
+    if exact and not (tied and inner):
+        if inner or not want_psd or all(len(b) < 3 for b in blocks):
+            return True, inner, inner or want_psd
+    a, pairs, blocks = _lift_at(pencil, lattice)
     outer, inner = _minor_conditions(a, pairs)
     return outer, inner, inner or (want_psd and _psd_verdict(a, outer, blocks))
 
@@ -317,8 +366,9 @@ def cross_validate(
     """
     if not assume_certified:
         _certify(pencil, max_m, max_n)
-    # pieces under (pencil, sigma); and each piece and sub-pencil under
-    # itself, so equal pencils share one object and compile once per call
+    # pieces under (pencil, sigma); each piece and sub-pencil under itself,
+    # so equal pencils share one object and compile once per call; and the
+    # Farkas direction of each tangent Hypergraph met (perturb_to_interior)
     cache: dict = {}
     records = []
     for x in map(tuple, sorted(grid)):
@@ -430,9 +480,9 @@ def _grid_lines(
 def _class_record(cache: dict, pencil: TropicalPencil, x, lattice, member: bool):
     """The lift verdicts and failures at the finite point x of the pencil,
     member its verdict: what every translate x + lambda * 1 shares
-    (_grid_lines' lemma).  The verdicts are _lift_verdicts', so a lift
-    stops at a negative diagonal entry and PSD is read from the inner set
-    where it holds."""
+    (_grid_lines' lemma).  The verdicts are _lift_verdicts', read from the
+    leads of the lift's entries where they decide.  cache is the caller's
+    call cache, which perturb_to_interior shares."""
     rec = ValidationRecord(x=x, member=member)
     # the one evaluation of the pencil at x; every verdict below reads it. A
     # member point of a non-Metzler pencil prints no psd, so none is eliminated
@@ -458,7 +508,7 @@ def _class_record(cache: dict, pencil: TropicalPencil, x, lattice, member: bool)
             rec.fail("member point escapes the outer set")
 
     for piece in _pieces(cache, pencil, lattice):
-        eta, rho0 = perturb_to_interior(piece, x)
+        eta, rho0 = perturb_to_interior(piece, x, cache)
         target = tuple(v + rho0 * d for v, d in zip(x, eta)) if any(eta) else x
         if piece is pencil and target is x:
             # a Metzler pencil is its own piece: same lift, same point, same matrix

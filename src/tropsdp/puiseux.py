@@ -340,6 +340,21 @@ def _components(m: int, pairs) -> list[tuple[int, ...]]:
     return [tuple(g) for g in groups.values()]
 
 
+def _lead_signs(ii, jj, ij, f: int, inner: bool) -> tuple[int, int]:
+    """The signs of a_ii a_jj - a_ij^2 and a_ii a_jj - f a_ij^2 as the leads
+    (exponent, coefficient) of three nonzero entries decide them, the
+    diagonal ones positive: a product has no cancellation, so the lead of
+    a_ii a_jj is lead(a_ii) lead(a_jj) and that of f a_ij^2 is f lead(a_ij)^2.
+    Unequal lead exponents decide both inequalities, and equal ones decide
+    each by its coefficients c_ii c_jj against f c_ij^2; a sign is 0 where
+    the compared leads are equal.  The second is 1 when not inner, since no
+    caller reads it then."""
+    (ei, ci), (ej, cj), (eij, cij) = ii, jj, ij
+    lead, sq = (ei + ej, ci * cj), (2 * eij, cij * cij)
+    fsq = (sq[0], f * sq[1])
+    return (lead > sq) - (lead < sq), (lead > fsq) - (lead < fsq) if inner else 1
+
+
 def _minor_conditions(entries, pairs) -> tuple[bool, bool]:
     """(outer, inner) of the symmetric matrix with the given entry rows:
     a_ii >= 0 and a_ii a_jj >= f a_ij^2 for every i < j, with f = 1 for the
@@ -351,12 +366,9 @@ def _minor_conditions(entries, pairs) -> tuple[bool, bool]:
     implies outer.  outer says that every principal minor of order 1 and 2
     is nonnegative.
 
-    A pair is read from leading terms: a product has no cancellation, so
-    the lead of a_ii a_jj is lead(a_ii) lead(a_jj) and that of f a_ij^2 is
-    f lead(a_ij)^2.  Unequal lead exponents decide both inequalities, and
-    equal ones decide each by its coefficients c_ii c_jj against f c_ij^2.
-    Only when those coefficients are equal too are the products formed,
-    once for both f, and compared.
+    A pair is read from leading terms by _lead_signs.  Only where the
+    compared leads are equal are the products formed, once for both f, and
+    compared.
     """
     e, m = entries, len(entries)
     if any(sign_of(e[i][i]) < 0 for i in range(m)):
@@ -368,11 +380,7 @@ def _minor_conditions(entries, pairs) -> tuple[bool, bool]:
             continue
         if not aii or not ajj:
             return False, False
-        (ei, ci), (ej, cj), (eij, cij) = aii.terms[0], ajj.terms[0], aij.terms[0]
-        # (exponent, coefficient) of each lead, every coefficient positive
-        lead, sq, fsq = (ei + ej, ci * cj), (2 * eij, cij * cij), (2 * eij, f * cij * cij)
-        outer = (lead > sq) - (lead < sq)
-        scaled = (lead > fsq) - (lead < fsq) if inner else 1
+        outer, scaled = _lead_signs(aii.terms[0], ajj.terms[0], aij.terms[0], f, inner)
         if not outer or not scaled:
             lhs, full = mul(aii, ajj), mul(aij, aij)
             outer = outer or compare(lhs, full)

@@ -512,27 +512,36 @@ def test_validate_memory_grows_with_the_classes_not_the_points(monkeypatch):
 def test_member_points_of_a_non_metzler_pencil_eliminate_no_own_lift(capsys, tmp_path,
                                                                      monkeypatch):
     # a member point of a non-Metzler pencil prints "psd": null, so the lift
-    # of the pencil itself is eliminated only at non-member points
-    from tropsdp import oracle
+    # of the pencil itself is eliminated (_block_psd) only at non-member
+    # points; here its member points do build their own full rows, outside
+    # the inner set on a block of 5, where a PSD verdict would eliminate
+    from tropsdp import oracle, puiseux
 
-    current, eliminated = [], []
-    real_record, real_psd = oracle._class_record, oracle._psd_verdict
+    current, built, eliminated = [], [], []
+    real_record, real_lift, real_block = oracle._class_record, oracle._lift_at, puiseux._block_psd
 
     def record(cache, pencil, x, lattice, member):
         current[:] = pencil, member
         return real_record(cache, pencil, x, lattice, member)
 
-    def psd_verdict(a, outer, blocks):
-        pencil, member = current
-        eliminated.append((member, blocks is pencil._lift[2]))
-        return real_psd(a, outer, blocks)
+    def lift_at(pencil, lattice):
+        rows, pairs, blocks = real_lift(pencil, lattice)
+        outer, inner = puiseux._minor_conditions(rows, pairs)
+        built.append((current[1], pencil is current[0], outer and not inner,
+                      max(map(len, blocks))))
+        return rows, pairs, blocks
+
+    def block_psd(entries, block):
+        eliminated.append(built[-1][:2])
+        return real_block(entries, block)
 
     monkeypatch.setattr(oracle, "_class_record", record)
-    monkeypatch.setattr(oracle, "_psd_verdict", psd_verdict)
+    monkeypatch.setattr(oracle, "_lift_at", lift_at)
+    monkeypatch.setattr(puiseux, "_block_psd", block_psd)
     path = _pin_file("N5x3p7:0:0", tmp_path)
     code, out, _ = run(capsys, "validate", path, "--max-m", "9", "--max-n", "9")
     assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == (0, "5a37d969956fca3b")
-    assert out.count('"member": true') == 477 and (False, True) in eliminated
+    assert out.count('"member": true') == 477 and (True, True, True, 5) in built
     assert (True, True) not in eliminated
 
 

@@ -48,7 +48,7 @@ from tropsdp.oracle import (
     valuation_sandwich_check,
 )
 from tropsdp import puiseux
-from tropsdp.hypergraphs import Certificate, certify_generic_general
+from tropsdp.hypergraphs import Certificate, certify_generic_general, perturb_to_interior
 from tropsdp.pencils import (
     SigmaChoice,
     TropicalPencil,
@@ -516,9 +516,9 @@ def test_lattice_records_match_fraction_path(monkeypatch):
 
     real = oracle.perturb_to_interior
 
-    def counting_perturb(piece, x):
+    def counting_perturb(piece, x, cache=None):
         perturbed.append(x)
-        return real(piece, x)
+        return real(piece, x, cache)
 
     monkeypatch.setattr(oracle, "perturb_to_interior", counting_perturb)
     denominators = set()
@@ -537,6 +537,37 @@ def test_lattice_records_match_fraction_path(monkeypatch):
         assert lattice == fraction, pencil
     assert {3, 7, 9} <= denominators
     assert len(perturbed) > 50
+
+
+@pytest.mark.parametrize("name, moved, solves", [
+    ("quadrant_ray", 33, 5), ("polygon9", 11, 7), ("affine_quadrant", 9, 3)])
+def test_validate_solves_each_tangent_hypergraph_once(monkeypatch, capsys, name, moved,
+                                                      solves):
+    """validate's call cache keeps the Farkas direction of each tangent
+    hypergraph, so a repeated one solves its LP once per call: fewer LPs
+    than the moved points, those with a tangent edge, while every moved
+    point is still checked strict.  Each direction equals the one a
+    cacheless perturb_to_interior finds."""
+    from tropsdp import cli, hypergraphs
+
+    lps, strict, perturbed = [], [], []
+    real_farkas, real_strict = hypergraphs.farkas_direction, hypergraphs.metzler_strict_member
+    real_perturb = oracle.perturb_to_interior
+
+    def perturb(piece, x, cache):
+        perturbed.append((piece, x, real_perturb(piece, x, cache)))
+        return perturbed[-1][2]
+
+    monkeypatch.setattr(hypergraphs, "farkas_direction", lambda h: lps.append(h) or real_farkas(h))
+    monkeypatch.setattr(hypergraphs, "metzler_strict_member",
+                        lambda p, x: strict.append(x) or real_strict(p, x))
+    monkeypatch.setattr(oracle, "perturb_to_interior", perturb)
+    assert cli.main(["validate", str(FIXTURES / f"{name}.json"), "--max-m", "9"]) == 0
+    capsys.readouterr()
+    assert sum(any(eta) for _, _, (eta, _) in perturbed) == moved == len(strict)
+    assert len(lps) == len(set(lps)) == solves < moved
+    for piece, x, got in perturbed:
+        assert got == real_perturb(piece, x), (piece, x)
 
 
 def terms_cases():
@@ -930,16 +961,18 @@ def test_minors_tied_at_the_top_are_decided_by_the_products(a):
     assert is_psd(a) == reference_is_psd(a)
 
 
-def test_compiled_blocks_hold_every_nonzero_entry(monkeypatch):
+def test_compiled_blocks_hold_every_nonzero_entry():
     """At every point the oracle evaluates, each nonzero off-diagonal entry
     is a compiled pair and each component of the nonzero pattern lies inside
-    one compiled block: what _minor_conditions and _psd_verdict rely on."""
+    one compiled block: what _minor_conditions and _psd_verdict rely on.
+    The validation cases' lifts are those cross_validate would read, full
+    rows taken directly: the pencil's (its support's sub-pencil at a -inf
+    coordinate) and, at a member point, each piece's at its perturbed
+    target."""
     seen = {"points": 0, "cancelled": 0, "split": 0}
-    real = oracle._lift_at
 
-    def checked(pencil, lattice, **kw):
-        # the full lift, also where the oracle's stops at a negative diagonal
-        a, pairs, blocks = real(pencil, lattice)
+    def check(pencil, lattice):
+        a, pairs, blocks = oracle._lift_at(pencil, lattice)
         nonzero = puiseux._nonzero_pairs(a)
         assert set(nonzero) <= set(pairs), (pencil, lattice)
         assert blocks == puiseux._components(pencil.m, pairs)
@@ -950,14 +983,24 @@ def test_compiled_blocks_hold_every_nonzero_entry(monkeypatch):
         seen["points"] += 1
         seen["cancelled"] += len(pairs) > len(nonzero)
         seen["split"] += len(comps) > len(blocks)
-        return real(pencil, lattice, **kw)
 
-    monkeypatch.setattr(oracle, "_lift_at", checked)
     for pencil, grid in validation_cases():
-        assert all(r.ok for r in cross_validate(pencil, grid, assume_certified=True))
+        cache = {}
+        for x in grid:
+            support = tuple(k for k, v in enumerate(x) if not is_minus_inf(v))
+            if not support:
+                continue
+            sub = stratum_restrict(pencil, support) if len(support) < pencil.n else pencil
+            y = tuple(x[k] for k in support)
+            lattice = _lattice(sub, y)
+            check(sub, lattice)
+            if general_member(sub, y):
+                for piece in oracle._pieces(cache, sub, lattice):
+                    eta, rho0 = perturb_to_interior(piece, y)
+                    check(piece, _lattice(piece, tuple(v + rho0 * d for v, d in zip(y, eta))))
     line = load_pencil(FIXTURES / "line_pencil.json")[0]
     for x in default_grid(line.n):
-        oracle._lift_at(line, _lattice(line, x))
+        check(line, _lattice(line, x))
     fixture_points = seen["points"]
     rng = random.Random(91)
     pieces = 0
@@ -975,7 +1018,7 @@ def test_compiled_blocks_hold_every_nonzero_entry(monkeypatch):
             for _ in range(4)
         ] + list(cancelling_points(pencil, rng))
         for target, x in itertools.product(targets, points):
-            oracle._lift_at(target, _lattice(target, x))
+            check(target, _lattice(target, x))
     assert fixture_points > 1000 and pieces > 30
     assert seen["cancelled"] > 10 and seen["split"] > 5
 
@@ -1033,35 +1076,192 @@ def tied_diagonal_pencil(rng: random.Random, m: int) -> TropicalPencil:
     return pencil_of(m, 3, entries)
 
 
-def test_lazy_lift_verdicts_match_the_full_lift():
-    """_lift_verdicts, which stops a lift at its first negative diagonal
-    entry and reads PSD from the inner set where it holds, equals
-    _minor_conditions and _psd_verdict on the full lift at every point of
-    seeded grids.  A lift stops exactly where a diagonal entry is negative;
-    the first such entry is seen at the first and at the last diagonal
-    index, and at member points."""
+def fallback_causes(pencil: TropicalPencil, lattice, rows) -> set[str]:
+    """Why the lead pass of _lift_verdicts may need the full rows at a point,
+    read from the table and the full rows alone: an off-diagonal entry
+    whose top terms cancel, a pair whose compared leads are equal, and
+    outer without inner on a compiled block of 3 or more indices."""
+    _, f, X = lattice
+    table, pairs, blocks = pencil._lift
+    causes = set()
+    for i, j, terms in table:
+        values = [(e * f + X[k], c) for k, e, c in terms]
+        top = max(v for v, _ in values)
+        if i != j and sum(c for v, c in values if v == top) == 0:
+            causes.add("cancel")
+    scale = (pencil.m - 1) ** 2
+    for i, j in pairs:
+        if rows[i][j] and rows[i][i] and rows[j][j]:
+            (ei, ci), (ej, cj), (eij, cij) = (rows[i][i].terms[0], rows[j][j].terms[0],
+                                              rows[i][j].terms[0])
+            if (ei + ej, ci * cj) in ((2 * eij, cij * cij), (2 * eij, scale * cij * cij)):
+                causes.add("tie")
+    outer, inner = oracle._minor_conditions(rows, pairs)
+    if outer and not inner and max(map(len, blocks)) >= 3:
+        causes.add("block")
+    return causes
+
+
+def rank_one_top_pencil(rng: random.Random, m: int) -> TropicalPencil:
+    """Seeded non-Metzler m x m pencil, n = 2: matrix 0 has entries
+    s_i s_j t^(u_i + u_j) as in rank_one_sum_pencil, matrix 1 random signed
+    values.  Where matrix 0 leads, the leads of each 2 x 2 minor's two
+    products are equal, and the terms of matrix 1 below decide it, both
+    ways."""
+    u = [rng.randint(-2, 2) for _ in range(m)]
+    s = [rng.choice((1, -1)) for _ in range(m)]
+    entries = {}
+    for i, j in itertools.combinations_with_replacement(range(m), 2):
+        entries[(0, i, j)] = SignedTrop(s[i] * s[j], F(u[i] + u[j]))
+        if rng.random() < 0.8:
+            entries[(1, i, j)] = SignedTrop(rng.choice((1, -1)), F(rng.randint(-4, 4)))
+    return pencil_of(m, 2, entries)
+
+
+def coincident_pencil(rng: random.Random, m: int) -> TropicalPencil:
+    """Seeded non-Metzler m x m pencil, n = 3, every value an integer in
+    [-2, 2] and every sign random: on the integer grid its terms meet at
+    one exponent often, so leads cancel and compared leads are equal."""
+    return pencil_of(m, 3, {
+        (k, i, j): SignedTrop(rng.choice((1, -1)), F(rng.randint(-2, 2)))
+        for k in range(3) for i, j in itertools.combinations_with_replacement(range(m), 2)
+        if rng.random() < 0.7})
+
+
+def inner_tie_pencil(rng: random.Random) -> TropicalPencil:
+    """Seeded non-Metzler 3 x 3 pencil, n = 3: diagonal i is +a_i in x0 and
+    in x1, an off-diagonal entry +-(a_i + a_j) / 2 in x0 and a lower signed
+    value in x2.  On the plane x0 = x1 its diagonal leads are 2 t^a_i, so
+    where x2 stays below, a pair's inner leads 4 t^(a_i + a_j) are equal,
+    and the x2 term below decides the inner inequality, both ways."""
+    entries = {}
+    a = [rng.randint(-2, 2) for _ in range(3)]
+    for i in range(3):
+        entries.update({(0, i, i): SignedTrop(1, F(a[i])), (1, i, i): SignedTrop(1, F(a[i]))})
+    for i, j in itertools.combinations(range(3), 2):
+        if rng.random() < 0.7:
+            top = F(a[i] + a[j], 2)
+            entries[(0, i, j)] = SignedTrop(rng.choice((1, -1)), top)
+            entries[(2, i, j)] = SignedTrop(rng.choice((1, -1)), top - rng.randint(1, 3))
+    return pencil_of(3, 3, entries)
+
+
+def cancelled_pair_pencil(rng: random.Random, m: int) -> TropicalPencil:
+    """Seeded non-Metzler m x m pencil, n = 3: diagonal i is +a_i in x0, an
+    off-diagonal entry +c in x0, -c in x1 and a signed value in x2.  On the
+    plane x0 = x1 the off-diagonal leads cancel, and the x2 term below
+    decides each pair, both ways."""
+    entries = {}
+    a = [rng.randint(-2, 2) for _ in range(m)]
+    for i in range(m):
+        entries[(0, i, i)] = SignedTrop(1, F(a[i]))
+    for i, j in itertools.combinations(range(m), 2):
+        c = F(rng.randint(-2, 2))
+        entries.update({(0, i, j): SignedTrop(1, c), (1, i, j): SignedTrop(-1, c),
+                        (2, i, j): SignedTrop(rng.choice((1, -1)), F(rng.randint(-3, 1)))})
+    return pencil_of(m, 3, entries)
+
+
+def test_lazy_lift_verdicts_match_the_full_lift(monkeypatch):
+    """_lift_verdicts, which reads the verdicts from the leads of the lift's
+    entries, returns at the first negative diagonal entry and reads PSD
+    from the inner set where it holds, equals _minor_conditions and
+    _psd_verdict on the full lift at every point of seeded grids, with and
+    without a PSD verdict wanted.  The pencils include ones whose diagonal
+    or off-diagonal leads cancel, whose compared leads are equal (sums of
+    rank-one lifts among them) and whose lifts are often PSD.
+
+    The lead pass returns early, reading the table up to a diagonal row and
+    building no rows, exactly where a diagonal entry is negative; the first
+    such entry is seen at the first and at the last diagonal index, and at
+    member points.  It builds the full rows only for one of its three
+    causes, each cause occurs, and each alone is met where the full lift
+    decides both ways."""
     rng = random.Random(41)
-    stops = Counter()
+    stops, causes, sole = Counter(), Counter(), Counter()
+    read, built = [], []
+    real_lift_at = oracle._lift_at
+
+    class Reading(tuple):
+        # a lift table that logs each row read from it, the full lift's too
+        def __iter__(self):
+            for row in super().__iter__():
+                read.append(row)
+                yield row
+
+    def lift_at(pencil, lattice):
+        built.append(len(read))  # the rows the lead pass read before it
+        return real_lift_at(pencil, lattice)
+
+    monkeypatch.setattr(oracle, "_lift_at", lift_at)
     pencils = [lattice_pencil(rng, m, metzler)
                for m, metzler, _ in itertools.product(range(1, 6), (True, False), range(6))]
-    for pencil in pencils + [tied_diagonal_pencil(rng, m) for m in range(1, 5)]:
+    pencils += [tied_diagonal_pencil(rng, m) for m in range(1, 5)]
+    pencils += [rank_one_sum_pencil(rng, m, flip) for m in (3, 4, 5) for flip in (False, True)]
+    pencils += [rank_one_top_pencil(rng, m) for m in (2, 3, 4, 5) for _ in range(3)]
+    pencils += [dominant_pencil(rng, m, metzler)
+                for m in (3, 4, 5) for metzler in (True, False) for _ in range(3)]
+    pencils += [coincident_pencil(rng, m) for m in (2, 3, 4) for _ in range(4)]
+    pencils += [inner_tie_pencil(rng) for _ in range(6)]
+    pencils += [cancelled_pair_pencil(rng, m) for m in (2, 3, 4) for _ in range(4)]
+    for pencil in pencils:
         m = pencil.m
-        # the diagonal rows come first, so a stopped lift sums no other entry
-        diagonal = [i == j for i, j, _ in pencil._lift[0]]
+        # the diagonal rows come first, so an early return reads no other entry
+        table, pairs, blocks = pencil._lift
+        diagonal = [i == j for i, j, _ in table]
         assert diagonal == sorted(diagonal, reverse=True)
         points = grid_points(pencil.n, -2, 2, F(1, 2) if pencil.n < 3 else 1)
         for x in points + list(cancelling_points(pencil, rng)):
             lattice = _lattice(pencil, x)
-            rows, pairs, blocks = oracle._lift_at(pencil, lattice)
+            rows = real_lift_at(pencil, lattice)[0]
             outer, inner = oracle._minor_conditions(rows, pairs)
             full = (outer, inner, oracle._psd_verdict(rows, outer, blocks))
-            assert oracle._lift_verdicts(pencil, lattice) == full, (pencil, x)
+            vars(pencil)["_lift"] = Reading(table), pairs, blocks
+            read.clear(), built.clear()
+            got = oracle._lift_verdicts(pencil, lattice)
+            vars(pencil)["_lift"] = table, pairs, blocks
+            assert got == full, (pencil, x)
             negative = [i for i in range(m) if puiseux.sign_of(rows[i][i]) < 0]
-            assert (oracle._lift_at(pencil, lattice, stop=True)[0] is None) == bool(negative)
+            lead_pass = read[:built[0]] if built else list(read)
+            end = lead_pass[-1][:2] if lead_pass else None  # the row the pass ended on
+            early = not built and got == (False, False, False) and end and end[0] == end[1]
+            assert early == bool(negative), (pencil, x)
+            if negative:
+                assert lead_pass == list(table[:table.index(lead_pass[-1]) + 1])
+                assert end == (negative[0], negative[0])
+            if built:
+                why = fallback_causes(pencil, lattice, rows)
+                assert why, (pencil, x)
+                causes.update(why)
+                if len(why) == 1:
+                    sole[min(why), outer] += 1
             if negative and m > 1:
                 stops[negative[0] == 0, negative[0] == m - 1] += 1
                 stops["member"] += general_member(pencil, x)
+            # without a PSD verdict wanted, no block is eliminated
+            assert oracle._lift_verdicts(pencil, lattice, False) == (outer, inner, inner), (pencil, x)
     assert stops[True, False] > 20 and stops[False, True] > 20 and stops["member"] > 5, stops
+    assert min(causes[c] for c in ("cancel", "tie", "block")) > 20, causes
+    # each cause alone builds the rows where the full lift decides outer both ways
+    assert min(sole[c, outer] for c in ("cancel", "tie") for outer in (True, False)) > 20, sole
+    assert sole["block", True] > 20, sole
+
+
+def test_validate_reads_the_fixture_verdicts_from_the_leads(monkeypatch, capsys):
+    """The lead pass decides every polygon9 point of validate's default grid
+    without a full lift row, where summing every lift's rows would build
+    228, and nearly every quadrant_ray point, of 314 such lifts; the
+    answers are pinned in CLI_PINS."""
+    from tropsdp import cli
+
+    built = []
+    real = oracle._lift_at
+    monkeypatch.setattr(oracle, "_lift_at", lambda p, lattice: built.append(p) or real(p, lattice))
+    for name, flags, most in (("polygon9", ["--max-m", "9"], 0), ("quadrant_ray", [], 40)):
+        built.clear()
+        assert cli.main(["validate", str(FIXTURES / f"{name}.json"), *flags]) == 0
+        assert len(built) <= most, (name, len(built))
+    capsys.readouterr()
 
 
 def dominant_pencil(rng: random.Random, m: int, metzler: bool) -> TropicalPencil:
