@@ -39,6 +39,7 @@ from .puiseux import (
     PuiseuxPoly,
     PuiseuxSymMatrix,
     SeriesPolynomial,
+    _eliminated,
     _lead_signs,
     _minor_conditions,
     _nonzero_pairs,
@@ -260,8 +261,8 @@ def _lift_verdicts(pencil: TropicalPencil, lattice, want_psd=True):
     - an off-diagonal lead whose coefficients sum to 0;
     - a pair whose compared leads are equal, outer's or, while it holds,
       inner's;
-    - outer without inner where PSD is wanted and a compiled block has 3
-      or more indices.
+    - outer without inner where PSD is wanted and a compiled block needs
+      _block_psd (_eliminated: one of 3 or more indices).
 
     Sandwich lemma: inner implies PSD.  For m <= 2 inner is outer, which is
     PSD there.  For m > 2 inner makes every row with a_ii = 0 zero; drop
@@ -275,8 +276,8 @@ def _lift_verdicts(pencil: TropicalPencil, lattice, want_psd=True):
     _, f, X = lattice
     table, _, blocks = pencil._lift
     diagonal, scale = [None] * pencil.m, (pencil.m - 1) ** 2
-    # exact: no off-diagonal lead cancelled and no outer test tied; tied: an inner test tied
-    inner, exact, tied = True, True, False
+    # exact: no off-diagonal lead cancelled and no outer test, nor inner one while it holds, tied
+    inner, exact = True, True
     for i, j, terms in table:
         top = None
         for k, e, c in terms:  # the entry's lead (top, lead_c)
@@ -299,10 +300,10 @@ def _lift_verdicts(pencil: TropicalPencil, lattice, want_psd=True):
             outer, scaled = _lead_signs(diagonal[i], diagonal[j], (top, lead_c), scale, inner)
             if outer < 0:
                 return False, False, False
-            exact, tied = exact and outer > 0, tied or not scaled
+            exact = exact and outer > 0 and scaled != 0
             inner = inner and scaled >= 0
-    if exact and not (tied and inner):
-        if inner or not want_psd or all(len(b) < 3 for b in blocks):
+    if exact:
+        if inner or not want_psd or not _eliminated(blocks):
             return True, inner, inner or want_psd
     a, pairs, blocks = _lift_at(pencil, lattice)
     outer, inner = _minor_conditions(a, pairs)

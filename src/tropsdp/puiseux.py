@@ -416,10 +416,17 @@ def _block_psd(entries, block) -> bool:
     return True
 
 
+def _eliminated(blocks) -> list:
+    """The parts of a compiled block partition whose PSD needs _block_psd:
+    those of 3 or more indices.  On a part of at most 2, outer decides it."""
+    return [b for b in blocks if len(b) >= 3]
+
+
 def _psd_verdict(entries, outer: bool, blocks) -> bool:
     """PSD of the entry rows, given outer from _minor_conditions and blocks a
-    partition no nonzero entry crosses: outer, and _block_psd on parts of 3+."""
-    return outer and all(_block_psd(entries, b) for b in blocks if len(b) >= 3)
+    partition no nonzero entry crosses: outer, and _block_psd on each part
+    _eliminated returns."""
+    return outer and all(_block_psd(entries, b) for b in _eliminated(blocks))
 
 
 def is_psd(a: PuiseuxSymMatrix) -> bool:

@@ -517,7 +517,7 @@ def test_member_points_of_a_non_metzler_pencil_eliminate_no_own_lift(capsys, tmp
     # the inner set on a block of 5, where a PSD verdict would eliminate
     from tropsdp import oracle, puiseux
 
-    current, built, eliminated = [], [], []
+    current, built, eliminated, own = [], [], [], []
     real_record, real_lift, real_block = oracle._class_record, oracle._lift_at, puiseux._block_psd
 
     def record(cache, pencil, x, lattice, member):
@@ -529,6 +529,8 @@ def test_member_points_of_a_non_metzler_pencil_eliminate_no_own_lift(capsys, tmp
         outer, inner = puiseux._minor_conditions(rows, pairs)
         built.append((current[1], pencil is current[0], outer and not inner,
                       max(map(len, blocks))))
+        if built[-1] == (True, True, True, 5):
+            own.append((pencil, lattice))
         return rows, pairs, blocks
 
     def block_psd(entries, block):
@@ -541,8 +543,13 @@ def test_member_points_of_a_non_metzler_pencil_eliminate_no_own_lift(capsys, tmp
     path = _pin_file("N5x3p7:0:0", tmp_path)
     code, out, _ = run(capsys, "validate", path, "--max-m", "9", "--max-n", "9")
     assert (code, hashlib.sha256(out.encode()).hexdigest()[:16]) == (0, "5a37d969956fca3b")
-    assert out.count('"member": true') == 477 and (True, True, True, 5) in built
+    assert out.count('"member": true') == 477 and own
     assert (True, True) not in eliminated
+    # the hook is live: that own lift, had its PSD verdict been wanted, is
+    # eliminated through it
+    current[:] = own[0][0], True
+    assert oracle._lift_verdicts(*own[0])[:2] == (True, False)
+    assert (True, True) in eliminated
 
 
 def test_validate_zero_failures(capsys):
