@@ -53,16 +53,17 @@ from .lp import _scaled, difference_feasible, feasible_point, solve_nonneg
 from .pencils import (
     SigmaChoice,
     TropicalPencil,
+    _finite_lattice,
     _lattice,
-    _require_metzler,
     _sides,
+    _strict,
     check_assumption_nondeg,
     decompose,
-    metzler_strict_member,
 )
-from .signed import _Value, _check_count, is_minus_inf
+from .signed import _Value
 
 ZERO = Fraction(0)
+_TANGENT_REFUSAL = "tangent hypergraph is defined at finite points only"
 
 
 class Edge(_Value):
@@ -141,9 +142,9 @@ def result_to_obj(res) -> dict:
     }
 
 
-def _tangent(pencil: TropicalPencil, x: Sequence[Fraction]):
-    """(edges, slack, member) at a finite point x of R^n: one _sides pass on
-    one _lattice.
+def _tangent(pencil: TropicalPencil, lattice):
+    """(edges, slack, member) at the finite point of R^n whose _lattice is
+    lattice: one _sides pass.
 
     edges are the hyperedges of the tight constraints, sorted; slack is the
     least positive gap below a family max or between a constraint's two
@@ -154,11 +155,7 @@ def _tangent(pencil: TropicalPencil, x: Sequence[Fraction]):
     finite and no pair's parts tie, so a constraint fails exactly when its
     lhs is -inf or below its rhs.
     """
-    _require_metzler(pencil)
-    _check_count(pencil.n, x)
-    if any(is_minus_inf(v) for v in x):
-        raise ValueError("tangent hypergraph is defined at finite points only")
-    lattice = scale, f, X = _lattice(pencil, x)
+    scale, f, X = lattice
     sides = list(_sides(pencil, lattice))
     member = all(lhs is not None and lhs >= rhs for _, lhs, rhs, _ in sides)
     edges: set[Edge] = set()
@@ -185,7 +182,8 @@ def _tangent(pencil: TropicalPencil, x: Sequence[Fraction]):
 
 def build_tangent_hypergraph(pencil: TropicalPencil, x: Sequence[Fraction]) -> Hypergraph:
     """Edges of the tight constraints at a finite point of R^n."""
-    return Hypergraph(pencil.n, _tangent(pencil, x)[0])
+    lattice = _finite_lattice(pencil, x, _TANGENT_REFUSAL)
+    return Hypergraph(pencil.n, _tangent(pencil, lattice)[0])
 
 
 def _balance_rows(edges: Sequence[Edge], vertices) -> list[list[int]]:
@@ -478,38 +476,40 @@ def certify_generic_general(
     return Certificate()
 
 
-def perturb_to_interior(
-    pencil: TropicalPencil, x: Sequence[Fraction], cache: dict | None = None
-) -> tuple[tuple[Fraction, ...], Fraction]:
-    """A direction and step bound moving a member point strictly inside.
+def perturb_to_interior(pencil: TropicalPencil,
+                        x: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], Fraction]:
+    """A direction and step bound (eta, rho0) moving the member point x
+    strictly inside: those of _perturbed at the _lattice of x."""
+    return _perturbed(pencil, _finite_lattice(pencil, x, _TANGENT_REFUSAL), {})[:2]
 
-    Returns (eta, rho0) with x + rho*eta strictly feasible for every
-    rational 0 < rho <= rho0.  With no tangent edge x is strict, since at a
-    finite point every kept rhs is finite and a tight constraint donates an
-    edge, and the one _tangent pass gives (0, 1).  Else eta is the
-    farkas_direction of the tangent hypergraph, nonzero as it is strict on
-    an edge, and rho0, from the slack of the same pass, keeps every
-    family's maximizer set fixed: each constraint is affine in rho on
-    (0, rho0], so strictness at rho0 (checked with metzler_strict_member)
-    propagates down to 0.
 
-    A caller that perturbs many points may pass a dict for the length of
-    its call: it keeps the farkas_direction of each tangent Hypergraph, so
-    a repeated one solves its LP once.
+def _perturbed(pencil: TropicalPencil, lattice, farkas: dict):
+    """(eta, rho0, at) at the finite member point x whose _lattice is
+    lattice: x + rho*eta is strictly feasible for every rational
+    0 < rho <= rho0, and at is the _lattice of x + rho0*eta.
+
+    With no tangent edge x is strict, since at a finite point every kept
+    rhs is finite and a tight constraint donates an edge, and the one
+    _tangent pass gives (0, 1, lattice).  Else eta is the farkas_direction
+    of the tangent hypergraph, nonzero as it is strict on an edge, and
+    rho0, from the slack of the same pass, keeps every family's maximizer
+    set fixed: each constraint is affine in rho on (0, rho0], so
+    strictness at rho0 (checked with _strict on at) propagates down to 0.
+
+    farkas maps each tangent Hypergraph met to its farkas_direction: a
+    caller that keeps one for its call solves a repeated one's LP once.
     """
-    edges, slack, member = _tangent(pencil, x)
+    edges, slack, member = _tangent(pencil, lattice)
     if not member:
         raise ValueError("point is not in the tropical spectrahedron")
     if not edges:
-        return tuple([ZERO] * pencil.n), Fraction(1)
-    cache = {} if cache is None else cache
+        return tuple([ZERO] * pencil.n), Fraction(1), lattice
     h = Hypergraph(pencil.n, edges)
-    if h not in cache:
-        cache[h] = farkas_direction(h)
-    eta = cache[h]
+    eta = farkas[h] if h in farkas else farkas.setdefault(h, farkas_direction(h))
     if eta is None:
         raise CirculationExists("tangent hypergraph at the point admits a circulation")
     rho0 = Fraction(1) if slack is None else slack / (8 * max(map(abs, eta)))
-    if not metzler_strict_member(pencil, tuple(v + rho0 * d for v, d in zip(x, eta))):
+    at = _lattice(pencil, [Fraction(v, lattice[0]) + rho0 * d for v, d in zip(lattice[2], eta)])
+    if not _strict(pencil, at):
         raise CertificateCheckFailed("perturbation failed its own strictness check")
-    return eta, rho0
+    return eta, rho0, at

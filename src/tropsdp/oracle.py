@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CertificateCheckFailed, NotCertified
-from .hypergraphs import Certificate, certify_generic_general, perturb_to_interior
+from .hypergraphs import Certificate, _perturbed, certify_generic_general
 from .pencils import (
     TropicalPencil,
     _holds,
@@ -231,12 +231,7 @@ def _lift_at(pencil: TropicalPencil, lattice):
     table, pairs, blocks = pencil._lift
     rows = [[_ZERO] * pencil.m for _ in range(pencil.m)]
     for i, j, terms in table:
-        if len(terms) == 1:
-            (k, e, c), = terms
-            entry = ((e * f + X[k], c),)
-        else:
-            entry = _summed(terms, f, X)
-        rows[i][j] = rows[j][i] = PuiseuxPoly(entry) if entry else _ZERO
+        rows[i][j] = rows[j][i] = PuiseuxPoly(_summed(terms, f, X))
     return rows, pairs, blocks
 
 
@@ -253,16 +248,23 @@ def _lift_verdicts(pencil: TropicalPencil, lattice, want_psd=True):
     entry whose top terms cancel is summed (_summed) for its true lead or
     0.  A negative diagonal lead fails its order-1 minor, and there
     _minor_conditions gives (False, False) and _psd_verdict False, so the
-    pass returns at once.  Each pair is decided by _lead_signs, the rule
-    _minor_conditions applies, and a failed pair or a zero diagonal entry
-    beside a nonzero one returns at once too.  Where the pass ends with no
-    minor failed, three cases build the rows with _lift_at and take
-    _minor_conditions and _psd_verdict on them:
+    pass returns at once.  Each pair is decided by _lead_signs, which reads
+    the leads of the products _minor_conditions compares, and a failed pair
+    or a zero diagonal entry beside a nonzero one returns at once too.
+    Where the pass ends with no minor failed, three cases build the rows
+    with _lift_at and take _minor_conditions and _psd_verdict on them:
     - an off-diagonal lead whose coefficients sum to 0;
     - a pair whose compared leads are equal, outer's or, while it holds,
       inner's;
     - outer without inner where PSD is wanted and a compiled block needs
       _block_psd (_eliminated: one of 3 or more indices).
+
+    Metzler lemma: on a Metzler pencil's canonical lift, whose off-diagonal
+    coefficients are all -1, no off-diagonal lead cancels.  A diagonal lead
+    coefficient, m n p - q with p positive and q <= n - p negative terms at
+    the top, is -q < 0 or at least n(m - 1) + 1.  So at a tied pair c_ii c_jj
+    exceeds (m - 1)^2 n^2 >= (m - 1)^2 c_ij^2: the pass builds no rows and
+    returns (member,) * 3, member the point's metzler_member verdict.
 
     Sandwich lemma: inner implies PSD.  For m <= 2 inner is outer, which is
     PSD there.  For m > 2 inner makes every row with a_ii = 0 zero; drop
@@ -302,9 +304,8 @@ def _lift_verdicts(pencil: TropicalPencil, lattice, want_psd=True):
                 return False, False, False
             exact = exact and outer > 0 and scaled != 0
             inner = inner and scaled >= 0
-    if exact:
-        if inner or not want_psd or not _eliminated(blocks):
-            return True, inner, inner or want_psd
+    if exact and (inner or not want_psd or not _eliminated(blocks)):
+        return True, inner, inner or want_psd
     a, pairs, blocks = _lift_at(pencil, lattice)
     outer, inner = _minor_conditions(a, pairs)
     return outer, inner, inner or (want_psd and _psd_verdict(a, outer, blocks))
@@ -320,6 +321,10 @@ def _pieces(cache: dict, pencil: TropicalPencil, lattice) -> tuple[TropicalPenci
     holds at x.  At a member point every other pair ties, so only its
     2^|diamond| pieces are built, cached for the call under (pencil, sigma)
     and each under itself, so an equal piece is the same object.
+
+    Lattice lemma: decompose keeps every finite value of its pencil and adds
+    none, so a piece's D (the lcm of its value denominators, _terms[0]) is
+    its pencil's, and lattice is each piece's _lattice of x as well.
     """
     if pencil.is_metzler:
         return (pencil,)
@@ -369,7 +374,7 @@ def cross_validate(
         _certify(pencil, max_m, max_n)
     # pieces under (pencil, sigma); each piece and sub-pencil under itself,
     # so equal pencils share one object and compile once per call; and the
-    # Farkas direction of each tangent Hypergraph met (perturb_to_interior)
+    # Farkas direction of each tangent Hypergraph met (_perturbed)
     cache: dict = {}
     records = []
     for x in map(tuple, sorted(grid)):
@@ -482,8 +487,9 @@ def _class_record(cache: dict, pencil: TropicalPencil, x, lattice, member: bool)
     """The lift verdicts and failures at the finite point x of the pencil,
     member its verdict: what every translate x + lambda * 1 shares
     (_grid_lines' lemma).  The verdicts are _lift_verdicts', read from the
-    leads of the lift's entries where they decide.  cache is the caller's
-    call cache, which perturb_to_interior shares."""
+    leads of the lift's entries where they decide.  Each piece is perturbed
+    at lattice (_pieces' lattice lemma), with cache, the caller's call
+    cache, as _perturbed's Farkas map, and its lift read at the target."""
     rec = ValidationRecord(x=x, member=member)
     # the one evaluation of the pencil at x; every verdict below reads it. A
     # member point of a non-Metzler pencil prints no psd, so none is eliminated
@@ -509,13 +515,9 @@ def _class_record(cache: dict, pencil: TropicalPencil, x, lattice, member: bool)
             rec.fail("member point escapes the outer set")
 
     for piece in _pieces(cache, pencil, lattice):
-        eta, rho0 = perturb_to_interior(piece, x, cache)
-        target = tuple(v + rho0 * d for v, d in zip(x, eta)) if any(eta) else x
-        if piece is pencil and target is x:
-            # a Metzler pencil is its own piece: same lift, same point, same matrix
-            psd = rec.psd
-        else:
-            psd = _lift_verdicts(piece, _lattice(piece, target))[2]
+        at = _perturbed(piece, lattice, cache)[2]
+        # a Metzler pencil is its own piece: same lift, same point, same matrix
+        psd = rec.psd if piece is pencil and at is lattice else _lift_verdicts(piece, at)[2]
         if not psd:
             rec.fail("strict point of a Metzler piece of its sigma lifts outside PSD")
     return rec

@@ -216,18 +216,28 @@ def metzler_member(pencil: TropicalPencil, x: Sequence[ExtRat]) -> bool:
     return _member(pencil, _lattice(pencil, x))
 
 
+def _finite_lattice(pencil: TropicalPencil, x: Sequence[ExtRat], refusal: str):
+    # the _lattice of a finite point x of a Metzler pencil; ValueError(refusal) at a -inf
+    _require_metzler(pencil)
+    _check_count(pencil.n, x)
+    if any(is_minus_inf(v) for v in x):
+        raise ValueError(refusal)
+    return _lattice(pencil, x)
+
+
+def _strict(pencil: TropicalPencil, lattice) -> bool:
+    # every kept constraint strict at the finite point of lattice
+    return all(lhs is not None and lhs > rhs for _, lhs, rhs, _ in _sides(pencil, lattice))
+
+
 def metzler_strict_member(pencil: TropicalPencil, x: Sequence[Fraction]) -> bool:
     """Strict versions of the nontrivial inequalities at a finite point.
 
     Constraints whose right-hand side is the zero polynomial are skipped:
     they hold identically and have no strict form.
     """
-    _require_metzler(pencil)
-    _check_count(pencil.n, x)
-    if any(is_minus_inf(v) for v in x):
-        raise ValueError("strict membership is defined for finite points only")
-    sides = _sides(pencil, _lattice(pencil, x))
-    return all(lhs is not None and lhs > rhs for _, lhs, rhs, _ in sides)
+    return _strict(pencil, _finite_lattice(
+        pencil, x, "strict membership is defined for finite points only"))
 
 
 def general_member(pencil: TropicalPencil, x: Sequence[ExtRat]) -> bool:

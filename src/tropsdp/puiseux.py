@@ -347,48 +347,35 @@ def _lead_signs(ii, jj, ij, f: int, inner: bool) -> tuple[int, int]:
     a_ii a_jj is lead(a_ii) lead(a_jj) and that of f a_ij^2 is f lead(a_ij)^2.
     Unequal lead exponents decide both inequalities, and equal ones decide
     each by its coefficients c_ii c_jj against f c_ij^2; a sign is 0 where
-    the compared leads are equal.  The second is 1 when not inner, since no
-    caller reads it then."""
+    the compared leads are equal.  The second is 1 when not inner: its one
+    caller, validate's lead pass (oracle._lift_verdicts), reads it no more."""
     (ei, ci), (ej, cj), (eij, cij) = ii, jj, ij
-    lead, sq = (ei + ej, ci * cj), (2 * eij, cij * cij)
-    fsq = (sq[0], f * sq[1])
+    lead, sq, fsq = (ei + ej, ci * cj), (2 * eij, cij * cij), (2 * eij, f * cij * cij)
     return (lead > sq) - (lead < sq), (lead > fsq) - (lead < fsq) if inner else 1
 
 
 def _minor_conditions(entries, pairs) -> tuple[bool, bool]:
     """(outer, inner) of the symmetric matrix with the given entry rows:
     a_ii >= 0 and a_ii a_jj >= f a_ij^2 for every i < j, with f = 1 for the
-    outer relaxation and f = (m-1)^2 for the inner one.
+    outer relaxation and f = (m-1)^2 for the inner one, each pair compared
+    by its products.
 
     pairs must list every (i, j), i < j, with a_ij != 0, and only those pairs
     are tested: once every a_ii >= 0, a pair with a_ij = 0 satisfies
     a_ii a_jj >= 0 = f a_ij^2 for both f.  f >= 1 and a_ij^2 >= 0, so inner
     implies outer.  outer says that every principal minor of order 1 and 2
     is nonnegative.
-
-    A pair is read from leading terms by _lead_signs.  Only where the
-    compared leads are equal are the products formed, once for both f, and
-    compared.
     """
     e, m = entries, len(entries)
     if any(sign_of(e[i][i]) < 0 for i in range(m)):
         return False, False
-    f, inner = (m - 1) ** 2, True
+    f, inner = PuiseuxPoly(((0, (m - 1) ** 2),)), True
     for i, j in pairs:
-        aii, ajj, aij = e[i][i], e[j][j], e[i][j]
-        if not aij:
-            continue
-        if not aii or not ajj:
-            return False, False
-        outer, scaled = _lead_signs(aii.terms[0], ajj.terms[0], aij.terms[0], f, inner)
-        if not outer or not scaled:
-            lhs, full = mul(aii, ajj), mul(aij, aij)
-            outer = outer or compare(lhs, full)
-            if not scaled:  # with f = 1 it is the outer inequality
-                scaled = outer if f == 1 else compare(lhs, mul(PuiseuxPoly(((0, f),)), full))
-        if outer < 0:
-            return False, False
-        inner = inner and scaled >= 0
+        if e[i][j]:
+            lhs, sq = mul(e[i][i], e[j][j]), mul(e[i][j], e[i][j])
+            if compare(lhs, sq) < 0:
+                return False, False
+            inner = inner and compare(lhs, mul(f, sq)) >= 0
     return True, inner
 
 

@@ -88,6 +88,11 @@ def pool_doc(cls: str, index: int) -> dict:
     return runpy.run_path(str(CORPUS))["pencil_doc"](cls, index)
 
 
+#: Planted pencils (cls, index, mu) rich in member points: 405 and 702 of
+#: the 729 points of their default grids are members.
+PLANTED_RICH = [("N4x3p7", 1, 0), ("M4x3p7", 0, 2)]
+
+
 def planted_doc(cls: str, index: int, mu) -> dict:
     """Pencil JSON of the planted pencil cls:index at margin mu: the pool
     entry with one positive diagonal term per row raised so that x* = 0 is

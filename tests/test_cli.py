@@ -15,7 +15,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import FIXTURES
-from helpers import pencil_of, planted_doc, pool_doc, random_pencil, wide_denominator_pencil
+from helpers import (PLANTED_RICH, pencil_of, planted_doc, pool_doc, random_pencil,
+                     wide_denominator_pencil)
 from tropsdp.cli import main
 from tropsdp.errors import CertificateCheckFailed, NotCertified
 from tropsdp.hypergraphs import Certificate, certify_generic_general
@@ -649,7 +650,9 @@ def test_validate_prints_cross_validate_records(capsys, tmp_path):
     # the same grid: every fixture, then seeded certified pencils with one,
     # two and three free coordinates, each homogeneous and affine; each case
     # also on a box whose lo is no multiple of its step, where the walk's
-    # classes of translates start off the integers
+    # classes of translates start off the integers; then two planted pencils
+    # rich in member points on their default grids, where most points run
+    # the piece check
     box = ["--box=-5/3,2", "--step", "2/3"]
     cases = [(FIXTURES / name, ["--max-m", "9", *flags]) for name in sorted(
         p.name for p in FIXTURES.glob("*.json")) for flags in ([], box)]
@@ -657,6 +660,10 @@ def test_validate_prints_cross_validate_records(capsys, tmp_path):
         path = tmp_path / f"certified{i}.json"
         path.write_text(json.dumps(pencil_to_obj(pencil, homogeneous=homogeneous)))
         cases += [(path, flags) for flags in (["--step", "1/2"], ["--step", "1/3"], box)]
+    for cls, index, mu in PLANTED_RICH:
+        path = tmp_path / f"planted_{cls}_{index}.json"
+        path.write_text(json.dumps(planted_doc(cls, index, mu)))
+        cases.append((path, []))
     free_counts, verdicts, null_psd = set(), set(), set()
     for path, flags in cases:
         code, out, err = run(capsys, "validate", path, *flags)

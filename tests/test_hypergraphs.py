@@ -724,9 +724,10 @@ def test_perturb_boundary_points(poly9):
 
 def test_perturbation_makes_one_pass_at_the_point(poly9, monkeypatch):
     # one _lattice and one _sides pass at x give the edges, the slacks and
-    # membership; the second pass is the strictness re-check at x2, which
-    # scales x2 itself.  Neither metzler_member nor build_tangent_hypergraph
-    # is called.
+    # membership; the second pass is the strictness re-check at x2, whose
+    # _lattice _perturbed takes once and returns.  pencils' refusal helper
+    # takes the lattice of x, hypergraphs that of x2.  Neither metzler_member
+    # nor build_tangent_hypergraph is called.
     x = next(x for x in ((Z, F(a), F(b)) for a, b in [(1, 4), (4, 1), (2, 4), (8, 8)])
              if general_member(poly9, x) and not metzler_strict_member(poly9, x))
     lattices = {"hypergraphs": [], "pencils": []}
@@ -745,7 +746,8 @@ def test_perturbation_makes_one_pass_at_the_point(poly9, monkeypatch):
     eta, rho0 = perturb_to_interior(poly9, x)
     x2 = tuple(v + rho0 * d for v, d in zip(x, eta))
     assert x2 != x and passes == [pencils_lattice(poly9, y) for y in (x, x2)]
-    assert lattices == {"hypergraphs": [x], "pencils": [x2]}
+    assert {name: [tuple(y) for y in seen] for name, seen in lattices.items()} == {
+        "pencils": [x], "hypergraphs": [x2]}
 
 
 def test_perturbation_exits_after_one_pass_at_a_strict_point(poly9, monkeypatch):
@@ -835,7 +837,7 @@ try:
     hg.certify_generic_general(load_pencil(FIXTURES + "/m1_distinct.json")[0])
 except CertificateCheckFailed:
     print("raised: certificate with a degenerate minor")
-hg.metzler_strict_member = lambda pencil, x: False
+hg._strict = lambda pencil, lattice: False
 try:
     hg.perturb_to_interior(load_pencil(FIXTURES + "/polygon9.json")[0],
                            (Fraction(0), Fraction(8), Fraction(8)))

@@ -21,7 +21,10 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES
 from helpers import (
+    PLANTED_RICH,
     pencil_of,
+    planted_doc,
+    pool_doc,
     random_pencil,
     reference_is_metzler,
     reference_is_psd,
@@ -56,6 +59,7 @@ from tropsdp.pencils import (
     check_assumption_nondeg,
     decompose,
     general_member,
+    grid_axis,
     homogenize,
     load_pencil,
     pencil_from_obj,
@@ -492,7 +496,9 @@ def denominator_pencils(count):
 
 def lattice_cases():
     """(pencil, grid, max_m): the five fixtures, seeded pencils
-    with denominators 3, 7 and 9, and 1/3-step grids with -inf coordinates."""
+    with denominators 3, 7 and 9, and 1/3-step grids with -inf coordinates;
+    then the default grids of planted N4x3p7:1 at mu = 0 and M4x3p7:0 at
+    mu = 2, rich in member points, so that the piece check runs often."""
     for name in ["affine_quadrant", "line_pencil", "m1_distinct", "quadrant_ray"]:
         pencil, homogeneous = load_pencil(FIXTURES / f"{name}.json")
         free = pencil.n if homogeneous else pencil.n - 1
@@ -502,6 +508,9 @@ def lattice_cases():
     yield polygon9, with_bottoms([(Z, a, b) for a, b in grid_points(2, 0, 8, 1)]), 9
     for pencil, grid in denominator_pencils(8):
         yield pencil, grid, 4
+    for cls, index, mu in PLANTED_RICH:
+        pencil = pencil_from_obj(planted_doc(cls, index, mu))[0]
+        yield pencil, default_grid(pencil.n), 4
 
 
 def validation_outcome(validate):
@@ -514,13 +523,13 @@ def validation_outcome(validate):
 def test_lattice_records_match_fraction_path(monkeypatch):
     perturbed = []
 
-    real = oracle.perturb_to_interior
+    real = oracle._perturbed
 
-    def counting_perturb(piece, x, cache=None):
-        perturbed.append(x)
-        return real(piece, x, cache)
+    def counting_perturb(piece, lattice, farkas):
+        perturbed.append(lattice)
+        return real(piece, lattice, farkas)
 
-    monkeypatch.setattr(oracle, "perturb_to_interior", counting_perturb)
+    monkeypatch.setattr(oracle, "_perturbed", counting_perturb)
     denominators = set()
     for pencil, grid, max_m in lattice_cases():
         denominators.update(
@@ -547,27 +556,77 @@ def test_validate_solves_each_tangent_hypergraph_once(monkeypatch, capsys, name,
     hypergraph, so a repeated one solves its LP once per call: fewer LPs
     than the moved points, those with a tangent edge, while every moved
     point is still checked strict.  Each direction equals the one a
-    cacheless perturb_to_interior finds."""
+    cacheless perturb_to_interior finds at the point, and each target
+    lattice is the _lattice of the moved point, or the point's own lattice
+    when it does not move."""
     from tropsdp import cli, hypergraphs
 
     lps, strict, perturbed = [], [], []
-    real_farkas, real_strict = hypergraphs.farkas_direction, hypergraphs.metzler_strict_member
-    real_perturb = oracle.perturb_to_interior
+    real_farkas, real_strict = hypergraphs.farkas_direction, hypergraphs._strict
+    real_perturb = oracle._perturbed
 
-    def perturb(piece, x, cache):
-        perturbed.append((piece, x, real_perturb(piece, x, cache)))
+    def perturb(piece, lattice, farkas):
+        perturbed.append((piece, lattice, real_perturb(piece, lattice, farkas)))
         return perturbed[-1][2]
 
     monkeypatch.setattr(hypergraphs, "farkas_direction", lambda h: lps.append(h) or real_farkas(h))
-    monkeypatch.setattr(hypergraphs, "metzler_strict_member",
-                        lambda p, x: strict.append(x) or real_strict(p, x))
-    monkeypatch.setattr(oracle, "perturb_to_interior", perturb)
+    monkeypatch.setattr(hypergraphs, "_strict",
+                        lambda p, lattice: strict.append(lattice) or real_strict(p, lattice))
+    monkeypatch.setattr(oracle, "_perturbed", perturb)
     assert cli.main(["validate", str(FIXTURES / f"{name}.json"), "--max-m", "9"]) == 0
     capsys.readouterr()
-    assert sum(any(eta) for _, _, (eta, _) in perturbed) == moved == len(strict)
+    assert sum(any(eta) for _, _, (eta, _, _) in perturbed) == moved == len(strict)
     assert len(lps) == len(set(lps)) == solves < moved
-    for piece, x, got in perturbed:
-        assert got == real_perturb(piece, x), (piece, x)
+    for piece, lattice, (eta, rho0, at) in perturbed:
+        scale, _, X = lattice
+        x = tuple(F(v, scale) for v in X)
+        assert (eta, rho0) == perturb_to_interior(piece, x), (piece, x)
+        target = tuple(v + rho0 * d for v, d in zip(x, eta))
+        assert at == _lattice(piece, target) if any(eta) else at is lattice, (piece, x)
+
+
+def test_pieces_share_the_walks_lattice(monkeypatch):
+    """_pieces' lattice lemma: every piece it builds has its pencil's D,
+    _terms[0], so the walk's lattice of a member point is the piece's too,
+    and _tangent on it equals _tangent on the piece's own _lattice of the
+    point.  The walks are validate's, on the certified fixtures and on
+    seeded and planted non-Metzler pencils, over the axis of -2..2 by 1/2
+    plus 5/13, so that the walk's scale exceeds most points' own."""
+    from tropsdp import hypergraphs
+
+    seen = []
+    real = oracle._pieces
+
+    def pieces(cache, pencil, lattice):
+        seen.append((pencil, lattice, real(cache, pencil, lattice)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(oracle, "_pieces", pieces)
+    cases = [load_pencil(FIXTURES / f"{name}.json")
+             for name in ["affine_quadrant", "m1_distinct", "polygon9", "quadrant_ray"]]
+    rng = random.Random(47)
+    while len(cases) < 10:
+        pencil = random_pencil(rng, max_m=3, max_n=3, metzler=False)
+        if not pencil.is_metzler and isinstance(certify_generic_general(pencil), Certificate):
+            cases.append((pencil, True))
+    cases += [pencil_from_obj(planted_doc(cls, index, 0)) for cls, index in [("N4x3p7", 1),
+                                                                             ("N5x3p7", 5)]]
+    axis = sorted([*grid_axis(1, -2, 2, F(1, 2)), F(5, 13)])
+    counts = Counter()
+    for pencil, homogeneous in cases:
+        seen.clear()
+        for _ in oracle._grid_lines(pencil, () if homogeneous else (Z,), axis, 9, 9):
+            pass
+        for walked, lattice, built in seen:
+            x = tuple(F(v, lattice[0]) for v in lattice[2])
+            counts["wider"] += _lattice(walked, x)[0] < lattice[0]
+            for piece in built:
+                assert piece._terms[0] == walked._terms[0], (walked, piece)
+                own = _lattice(piece, x)
+                assert hypergraphs._tangent(piece, lattice) == hypergraphs._tangent(piece, own), (
+                    piece, x)
+                counts["own" if piece is walked else "piece"] += 1
+    assert counts["piece"] > 400 and counts["own"] > 25 and counts["wider"] > 200, counts
 
 
 def terms_cases():
@@ -961,6 +1020,21 @@ def test_minors_tied_at_the_top_are_decided_by_the_products(a):
     assert is_psd(a) == reference_is_psd(a)
 
 
+@settings(max_examples=150, deadline=None)
+@given(tied_matrices())
+def test_exact_minor_rule_reads_no_leads(a):
+    # _minor_conditions compares products only: the lead rule of validate's
+    # lead pass is not part of it, so comparing the two compares two procedures
+    def refuse(*args):
+        raise AssertionError("the exact minor rule read the leads")
+
+    want, bp = reference_minor_conditions(a), PuiseuxPencil(a.m, 1, (a,))
+    with mock.patch.object(puiseux, "_lead_signs", refuse):
+        assert oracle._minor_conditions(a.entries, puiseux._nonzero_pairs(a.entries)) == want
+        assert (sout_member(bp, (one,)), sin_member(bp, (one,))) == want
+        assert is_psd(a) == reference_is_psd(a)
+
+
 def test_compiled_blocks_hold_every_nonzero_entry():
     """At every point the oracle evaluates, each nonzero off-diagonal entry
     is a compiled pair and each component of the nonzero pattern lies inside
@@ -1262,6 +1336,31 @@ def test_validate_reads_the_fixture_verdicts_from_the_leads(monkeypatch, capsys)
         assert cli.main(["validate", str(FIXTURES / f"{name}.json"), *flags]) == 0
         assert len(built) <= most, (name, len(built))
     capsys.readouterr()
+
+
+def test_metzler_lifts_are_read_from_the_leads(monkeypatch):
+    """_lift_verdicts' Metzler lemma: on a Metzler pencil's canonical lift
+    the lead pass is exact, so it builds no rows and returns (member,
+    member, member) at every point.  Pool M3x3p2, M3x3p7 and M2x2p7
+    entries 0-9, and planted M4x3p7 and M5x3p7 entries 0-2 at mu = 2, 0
+    and -3, on their default grids."""
+    def refuse(*args):
+        raise AssertionError("the lead pass built the rows of a Metzler lift")
+
+    monkeypatch.setattr(oracle, "_lift_at", refuse)
+    docs = [pool_doc(cls, index) for cls in ("M3x3p2", "M3x3p7", "M2x2p7") for index in range(10)]
+    docs += [planted_doc(cls, index, mu) for cls in ("M4x3p7", "M5x3p7") for index in range(3)
+             for mu in (2, 0, -3)]
+    points = members = 0
+    for doc in docs:
+        pencil = pencil_from_obj(doc)[0]
+        assert pencil.is_metzler, doc
+        for x in default_grid(pencil.n):
+            lattice = _lattice(pencil, x)
+            member = pencils._member(pencil, lattice)
+            assert oracle._lift_verdicts(pencil, lattice) == (member,) * 3, (doc, x)
+            points, members = points + 1, members + member
+    assert (len(docs), points, members) == (48, 28512, 9760)
 
 
 def dominant_pencil(rng: random.Random, m: int, metzler: bool) -> TropicalPencil:
